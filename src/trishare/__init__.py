@@ -19,11 +19,10 @@ from .keystream import (InvalidParams, Lcg, LcgParams, MaskSchedule,
                         lcg_bits, mask_rand, mask_rep, monobit_check,
                         recommended_rand, recommended_rep, xor_mask)
 from .cipher import (BadHeader, CipherEnvelope, CipherKey, EmptyFilename,
-                     FileKeyBinding, InexactRoot, KeyOutOfRange,
-                     LengthMismatch, Mode, SymbolOutOfRange, decrypt_bytes,
-                     derive_file_key, encrypt_bytes, file_key_binding,
-                     mask_schedule_for_key, open_file, seal_file,
-                     symbol_width)
+                     InexactRoot, KeyOutOfRange, LengthMismatch, Mode,
+                     SymbolOutOfRange, decrypt_bytes, derive_file_key,
+                     encrypt_bytes, mask_schedule_for_key, open_file,
+                     seal_file, symbol_width)
 from .sharing import (BindingCode, EncryptedShare, NotEnoughUsers,
                       SecretTooLarge, SharePoint, TooFewAttributes,
                       binding_code, decrypt_share, derive_attribute_tokens,

@@ -362,6 +362,21 @@ def update_owner_share(point: SharePoint, deltas: Sequence[int]) -> SharePoint:
 # Persistence: PolicyDb <-> JSON
 # ---------------------------------------------------------------------------
 
+def _grant_to_dict(g: FileGrant) -> dict:
+    """One grant in the policy schema."""
+    return {
+        "file_id": g.file_id,
+        "owner_id": g.owner_id,
+        "server_share": {"x": g.server_share.x, "y": g.server_share.y},
+        "consumers": {uid: rec.to_dict()
+                      for uid, rec in sorted(g.consumer_shares.items())},
+        "kc": g.binding.kc,
+        "x_kc": g.binding.x_kc,
+        "salt_hex": g.salt.hex(),
+        "envelope_ref": g.envelope_ref,
+    }
+
+
 def db_to_json(db: PolicyDb) -> str:
     """Serialize to the documented policy schema (stable key order)."""
     doc = {
@@ -371,20 +386,8 @@ def db_to_json(db: PolicyDb) -> str:
              "credentials_hex": u.credentials.hex()}
             for u in sorted(db.users.values(), key=lambda u: u.user_id)
         ],
-        "grants": [
-            {
-                "file_id": g.file_id,
-                "owner_id": g.owner_id,
-                "server_share": {"x": g.server_share.x, "y": g.server_share.y},
-                "consumers": {uid: rec.to_dict()
-                              for uid, rec in sorted(g.consumer_shares.items())},
-                "kc": g.binding.kc,
-                "x_kc": g.binding.x_kc,
-                "salt_hex": g.salt.hex(),
-                "envelope_ref": g.envelope_ref,
-            }
-            for g in sorted(db.grants.values(), key=lambda g: g.file_id)
-        ],
+        "grants": [_grant_to_dict(g)
+                   for g in sorted(db.grants.values(), key=lambda g: g.file_id)],
     }
     return json.dumps(doc, indent=2, sort_keys=False)
 

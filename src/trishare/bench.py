@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from math import log
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .authz import (PolicyDb, UserRecord, UserType, grant_access,
-                    register_user)
+from .authz import (PolicyDb, UserRecord, UserType, _grant_to_dict,
+                    grant_access, register_user)
 from .cipher import Mode, derive_file_key, open_file, seal_file
 from .errors import Error
 from .field import FieldModulus, default_modulus
@@ -435,21 +435,7 @@ def storage_overhead_report(model: "StorageOverheadModel | None" = None,
     grant = db.grants["sample.dat"]
     record = next(iter(grant.consumer_shares.values()))
     report.measured_share_record_bytes = len(record.to_json().encode("utf-8"))
-    grant_doc = json.loads(db_grant_json(grant))
-    report.measured_grant_bytes = len(json.dumps(grant_doc).encode("utf-8"))
+    report.measured_grant_bytes = len(
+        json.dumps(_grant_to_dict(grant)).encode("utf-8"))
     return report
 
-
-def db_grant_json(grant) -> str:
-    """One grant in the policy schema, for size measurement."""
-    return json.dumps({
-        "file_id": grant.file_id,
-        "owner_id": grant.owner_id,
-        "server_share": {"x": grant.server_share.x, "y": grant.server_share.y},
-        "consumers": {uid: rec.to_dict()
-                      for uid, rec in grant.consumer_shares.items()},
-        "kc": grant.binding.kc,
-        "x_kc": grant.binding.x_kc,
-        "salt_hex": grant.salt.hex(),
-        "envelope_ref": grant.envelope_ref,
-    })

@@ -99,15 +99,6 @@ def symbol_width(key: CipherKey) -> int:
     return width
 
 
-@dataclass(frozen=True)
-class FileKeyBinding:
-    """Record of how a per-file key was derived from the master key."""
-
-    master_key: int
-    filename: bytes
-    derived_key: CipherKey
-
-
 def derive_file_key(master_key: int, filename: "bytes | str",
                     mode: Mode = Mode.ADDITIVE, n: int = 1) -> CipherKey:
     """Per-file key a = master_key XOR fnv1a64(filename).
@@ -127,15 +118,6 @@ def derive_file_key(master_key: int, filename: "bytes | str",
     if a == 0:
         a = 256
     return CipherKey(a=a, n=n if mode == Mode.POWER else 1, mode=mode)
-
-
-def file_key_binding(master_key: int, filename: "bytes | str",
-                     mode: Mode = Mode.ADDITIVE, n: int = 1) -> FileKeyBinding:
-    """derive_file_key plus the inputs that produced it, for audit trails."""
-    if isinstance(filename, str):
-        filename = filename.encode("utf-8")
-    return FileKeyBinding(master_key=master_key, filename=filename,
-                          derived_key=derive_file_key(master_key, filename, mode, n))
 
 
 def _additive_table(a: int) -> bytes:

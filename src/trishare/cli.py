@@ -20,7 +20,7 @@ from .errors import Error
 from .field import FieldModulus, M61, default_modulus, modulus_for
 from .interpolate import ReconstructionInput, reconstruct_secret
 from .sharing import EncryptedShare, SharePoint, split_secret
-from .storage import ObjectStore, decode_envelope, encode_envelope
+from .storage import NotFound, ObjectStore, decode_envelope, encode_envelope
 
 
 def _parse_mode(text: str) -> Mode:
@@ -49,30 +49,6 @@ def _modulus(args: argparse.Namespace) -> FieldModulus:
 
 def _store(args: argparse.Namespace) -> ObjectStore:
     return ObjectStore(args.store)
-
-
-def _db_path(args: argparse.Namespace) -> Path:
-    if args.db:
-        return Path(args.db)
-    return Path(args.store) / "policy.json"
-
-
-def _load_db(args: argparse.Namespace, create: bool = False) -> authz.PolicyDb:
-    path = _db_path(args)
-    if path.exists():
-        return authz.db_from_json(path.read_text(encoding="utf-8"))
-    if create:
-        return authz.PolicyDb(modulus=_modulus(args))
-    raise Error(f"no policy db at {path}")
-
-def _save_db(db: authz.PolicyDb, args: argparse.Namespace,
-             backup: bool = False) -> None:
-    path = _db_path(args)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = authz.db_to_json(db)
-    path.write_text(text, encoding="utf-8")
-    if backup:
-        _store(args).write_text("acl-backup.json", text)
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> None:
@@ -142,20 +118,24 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    db = _load_db(args, create=True)
+    store = _store(args)
+    try:
+        db = authz.load_db(store)
+    except NotFound:
+        db = authz.PolicyDb(modulus=_modulus(args))
     record = authz.UserRecord(user_id=args.user_id,
                               user_type=authz.UserType(args.type),
                               credentials=args.credentials.encode("utf-8"))
     authz.register_user(db, record)
-    _save_db(db, args)
+    authz.persist_db(db, store)
     _emit(args, {"registered": args.user_id, "type": args.type},
           [f"registered {args.user_id} as {args.type}"])
     return 0
 
 
 def _cmd_grant(args) -> int:
-    db = _load_db(args)
     store = _store(args)
+    db = authz.load_db(store)
     owner = db.users.get(args.owner)
     if owner is None:
         raise authz.UnknownOwner(f"{args.owner!r} is not registered")
@@ -171,7 +151,7 @@ def _cmd_grant(args) -> int:
     db, envelope, owner_share = authz.grant_access(
         db, store, args.file_id, owner, consumers, data, mode=mode,
         n=args.n if mode == Mode.POWER else 1)
-    _save_db(db, args, backup=True)
+    authz.persist_db(db, store, backup=True)
     grant = db.grants[args.file_id]
     payload = {"file_id": args.file_id,
                "owner_point": {"x": owner_share.x, "y": owner_share.y},
@@ -186,9 +166,10 @@ def _cmd_grant(args) -> int:
 
 
 def _cmd_revoke(args) -> int:
-    db = _load_db(args)
+    store = _store(args)
+    db = authz.load_db(store)
     db, deltas = authz.revoke_user(db, args.file_id, args.user)
-    _save_db(db, args, backup=True)
+    authz.persist_db(db, store, backup=True)
     delta_text = ",".join(str(d) for d in deltas)
     _emit(args, {"file_id": args.file_id, "revoked": args.user,
                  "owner_deltas": list(deltas)},
@@ -198,8 +179,8 @@ def _cmd_revoke(args) -> int:
 
 
 def _cmd_request(args) -> int:
-    db = _load_db(args)
     store = _store(args)
+    db = authz.load_db(store)
     receiver = db.users.get(args.receiver)
     if receiver is None:
         raise authz.UnknownUser(f"receiver {args.receiver!r} is not registered")
@@ -278,8 +259,6 @@ def _add_common(sub: argparse.ArgumentParser, db_store: bool = False) -> None:
     sub.add_argument("--p", type=int, default=None,
                      help=f"field modulus (default {M61})")
     if db_store:
-        sub.add_argument("--db", default=None,
-                         help="policy db path (default <store>/policy.json)")
         sub.add_argument("--store", default="store",
                          help="object store root directory (default ./store)")
 

@@ -10,9 +10,11 @@ bytes, or a short payload are all rejected, so encode/decode is a
 bijection on valid envelopes.
 
 The store maps hex(fnv1a64(file_id || ":" || version)) to blobs under
-<root>/objects/; writes go to a temp file and then os.replace, so a
-reader never observes a half-written object.  With root=None the store
-is memory-only (tests, dry runs).
+<root>/objects/ and keeps root-level text files (policy, ACL backup)
+beside that directory.  Every read goes to disk and nothing is cached.
+Writes go to a temp file, are fsynced, and then os.replace the target,
+so a reader never observes a half-written object or policy.  Only with
+root=None is the store memory-only (tests, dry runs).
 """
 
 from __future__ import annotations
@@ -95,88 +97,84 @@ class Receipt:
 
 
 class ObjectStore:
-    """Blob store keyed by object_key strings.
+    """Blob store keyed by object_key strings, plus root-level text files.
 
-    Disk-backed when constructed with a root directory; an in-memory
-    map mirrors the objects either way.
+    With a root directory the disk is the only copy: opening reads no
+    blob, and each get_object reads its file.  With root=None blobs live
+    in ``objects`` and text files in ``texts``, both in memory.
     """
 
     def __init__(self, root: "str | Path | None" = None):
         self.root: Optional[Path] = Path(root) if root is not None else None
         self.objects: Dict[str, bytes] = {}
+        self.texts: Dict[str, str] = {}
         if self.root is not None:
             try:
                 (self.root / "objects").mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise IoFailure(f"cannot create store at {self.root}: {exc}") from exc
-            for entry in (self.root / "objects").iterdir():
-                if entry.is_file() and not entry.name.endswith(".tmp"):
-                    self.objects[entry.name] = entry.read_bytes()
-
-    def _object_path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / "objects" / key
 
     def put_object(self, key: str, data: bytes) -> Receipt:
         """Store a blob durably; atomic replace if the key exists."""
-        if self.root is not None:
-            path = self._object_path(key)
-            try:
-                _atomic_write(path, data)
-            except OSError as exc:
-                raise IoFailure(f"write failed for {path}: {exc}") from exc
-        self.objects[key] = data
+        if self.root is None:
+            self.objects[key] = data
+        else:
+            _atomic_write(self.root / "objects" / key, data)
         return Receipt(key=key, length=len(data))
 
     def get_object(self, key: str) -> bytes:
         """Fetch a blob; NotFound if it was never stored."""
-        if key in self.objects:
-            return self.objects[key]
         if self.root is not None:
-            path = self._object_path(key)
-            if path.exists():
-                try:
-                    data = path.read_bytes()
-                except OSError as exc:
-                    raise IoFailure(f"read failed for {path}: {exc}") from exc
-                self.objects[key] = data
-                return data
-        raise NotFound(f"no object under key {key}")
+            return _read(self.root / "objects" / key)
+        try:
+            return self.objects[key]
+        except KeyError:
+            raise NotFound(f"no object under key {key}") from None
 
     def keys(self) -> Iterator[str]:
-        return iter(sorted(self.objects))
+        if self.root is None:
+            return iter(sorted(self.objects))
+        try:
+            names = [entry.name for entry in (self.root / "objects").iterdir()
+                     if entry.is_file() and not entry.name.endswith(".tmp")]
+        except OSError as exc:
+            raise IoFailure(f"cannot list {self.root / 'objects'}: {exc}") from exc
+        return iter(sorted(names))
 
     def write_text(self, filename: str, text: str) -> None:
         """Atomically write a root-level text file (policy, ACL backup)."""
         if self.root is None:
-            self.objects[f"::{filename}"] = text.encode("utf-8")
-            return
-        try:
+            self.texts[filename] = text
+        else:
             _atomic_write(self.root / filename, text.encode("utf-8"))
-        except OSError as exc:
-            raise IoFailure(f"write failed for {filename}: {exc}") from exc
 
     def read_text(self, filename: str) -> str:
         """Read a root-level text file; NotFound if absent."""
-        if self.root is None:
-            blob = self.objects.get(f"::{filename}")
-            if blob is None:
-                raise NotFound(f"no file {filename} in memory store")
-            return blob.decode("utf-8")
-        path = self.root / filename
-        if not path.exists():
-            raise NotFound(f"no file {path}")
+        if self.root is not None:
+            return _read(self.root / filename).decode("utf-8")
         try:
-            return path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(f"read failed for {path}: {exc}") from exc
+            return self.texts[filename]
+        except KeyError:
+            raise NotFound(f"no file {filename} in memory store") from None
+
+
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise NotFound(f"no file {path}") from None
+    except OSError as exc:
+        raise IoFailure(f"read failed for {path}: {exc}") from exc
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
     # Temp file in the same directory so os.replace stays on one filesystem.
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(f"write failed for {path}: {exc}") from exc

@@ -17,7 +17,6 @@ from trishare import (
     decrypt_bytes,
     derive_file_key,
     encrypt_bytes,
-    file_key_binding,
     fnv1a64,
     mask_schedule_for_key,
     open_file,
@@ -187,13 +186,6 @@ def test_file_key_power_adjustment():
     # exact-zero xor becomes 256 in either mode
     key0 = derive_file_key(h, b"f")
     assert key0.a == 256
-
-
-def test_file_key_binding_records_inputs():
-    rec = file_key_binding(42, "doc.txt", mode=Mode.POWER, n=3)
-    assert rec.master_key == 42
-    assert rec.filename == b"doc.txt"
-    assert rec.derived_key == derive_file_key(42, b"doc.txt", Mode.POWER, 3)
 
 
 # ---------------------------------------------------------------- sealed envelopes

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import trishare
 from trishare import M61, SharePoint, default_modulus, update_owner_share
 from trishare.cli import cli_dispatch
 
@@ -177,11 +180,10 @@ def test_verify_example_json(capsys):
 
 # ---------------------------------------------------------------- policy workflow
 
-def register_users(store, capsys, db=None):
-    base = ["--store", str(store)] + (["--db", str(db)] if db else [])
+def register_users(store, capsys):
     for uid, typ in (("olivia", "owner"), ("alice", "consumer"), ("bob", "consumer")):
         rc, _, _ = run_cli(
-            ["register", *base, "--user-id", uid, "--type", typ,
+            ["register", "--store", str(store), "--user-id", uid, "--type", typ,
              "--credentials", f"cred-{uid}"],
             capsys,
         )
@@ -275,13 +277,21 @@ def test_policy_files_live_in_the_store(tmp_path, capsys):
     assert (store / "objects").is_dir()
 
 
-def test_db_path_override(tmp_path, capsys):
+def test_failed_policy_write_leaves_policy_intact(tmp_path, capsys, monkeypatch):
     store = tmp_path / "store"
-    db = tmp_path / "elsewhere" / "policy.json"
-    db.parent.mkdir()
-    register_users(store, capsys, db=db)
-    assert db.exists()
-    assert not (store / "policy.json").exists()
+    register = ["register", "--store", str(store), "--type", "consumer",
+                "--credentials", "c"]
+    rc, _, _ = run_cli([*register, "--user-id", "alice"], capsys)
+    assert rc == 0
+    before = (store / "policy.json").read_bytes()
+
+    def fail_replace(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(trishare.storage.os, "replace", fail_replace)
+    rc, _, err = run_cli([*register, "--user-id", "bob"], capsys)
+    assert rc == 1 and "error:" in err
+    assert (store / "policy.json").read_bytes() == before
 
 
 def test_register_duplicate_fails(tmp_path, capsys):
@@ -370,25 +380,41 @@ def test_bench_attrs_reports_fit(capsys):
 
 # ---------------------------------------------------------------- entry point
 
-def test_console_script_runs(tmp_path):
+def trishare_cmd(*args):
+    return [sys.executable, "-m", "trishare", *args]
+
+
+@pytest.fixture
+def child_env():
+    # The children run with cwd=tmp_path, where a relative PYTHONPATH
+    # would not resolve, so point them at the package this test imported.
+    env = dict(os.environ)
+    src = str(Path(trishare.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_runs(tmp_path, child_env):
     proc = subprocess.run(
-        ["trishare", "reconstruct", "--points", "2:1942,4:3402,5:4414"],
+        trishare_cmd("reconstruct", "--points", "2:1942,4:3402,5:4414"),
         capture_output=True,
         text=True,
         cwd=tmp_path,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1234"
 
 
-def test_console_script_usage_error(tmp_path):
+def test_console_script_usage_error(tmp_path, child_env):
     proc = subprocess.run(
-        ["trishare"], capture_output=True, text=True, cwd=tmp_path
+        trishare_cmd(), capture_output=True, text=True, cwd=tmp_path,
+        env=child_env,
     )
     assert proc.returncode == 2
 
 
-def test_request_streams_to_stdout(tmp_path):
+def test_request_streams_to_stdout(tmp_path, child_env):
     # no --out: raw plaintext on stdout (subprocess so the buffer is real)
     store = tmp_path / "store"
     src = tmp_path / "f.bin"
@@ -396,19 +422,19 @@ def test_request_streams_to_stdout(tmp_path):
     src.write_bytes(body)
     for uid, typ in (("olivia", "owner"), ("alice", "consumer")):
         subprocess.run(
-            ["trishare", "register", "--store", str(store), "--user-id", uid,
-             "--type", typ, "--credentials", f"cred-{uid}"],
-            check=True, cwd=tmp_path, capture_output=True,
+            trishare_cmd("register", "--store", str(store), "--user-id", uid,
+                         "--type", typ, "--credentials", f"cred-{uid}"),
+            check=True, cwd=tmp_path, capture_output=True, env=child_env,
         )
     granted = subprocess.run(
-        ["trishare", "grant", "--json", "--store", str(store), "--file-id", "f",
-         "--owner", "olivia", "--consumers", "alice", "--in", str(src)],
-        check=True, cwd=tmp_path, capture_output=True, text=True,
+        trishare_cmd("grant", "--json", "--store", str(store), "--file-id", "f",
+                     "--owner", "olivia", "--consumers", "alice", "--in", str(src)),
+        check=True, cwd=tmp_path, capture_output=True, text=True, env=child_env,
     )
     pt = json.loads(granted.stdout)["owner_point"]
     fetched = subprocess.run(
-        ["trishare", "request", "--store", str(store), "--file-id", "f",
-         "--receiver", "alice", "--owner-point", f"{pt['x']}:{pt['y']}"],
-        check=True, cwd=tmp_path, capture_output=True,
+        trishare_cmd("request", "--store", str(store), "--file-id", "f",
+                     "--receiver", "alice", "--owner-point", f"{pt['x']}:{pt['y']}"),
+        check=True, cwd=tmp_path, capture_output=True, env=child_env,
     )
     assert fetched.stdout == body

@@ -12,11 +12,17 @@ from trishare import (
     Mode,
     NotFound,
     ObjectStore,
+    PolicyDb,
     Truncated,
+    UserRecord,
+    UserType,
     decode_envelope,
     encode_envelope,
     fnv1a64,
+    load_db,
     object_key,
+    persist_db,
+    register_user,
     seal_file,
 )
 
@@ -198,7 +204,14 @@ def test_text_files_round_trip(tmp_path):
 
 
 def test_text_files_are_not_objects(tmp_path):
-    store = ObjectStore(tmp_path / "s")
-    store.write_text("policy.json", "{}")
-    assert list(store.keys()) == []
+    # Same loop over both store kinds as test_text_files_round_trip.
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
+    for store in (ObjectStore(), ObjectStore(tmp_path / "s")):
+        store.put_object("k", b"blob")
+        persist_db(db, store, backup=True)
+        assert list(store.keys()) == ["k"]
+        with pytest.raises(NotFound):
+            store.get_object("::policy.json")
+        assert load_db(store).users.keys() == {"olivia"}
     assert (tmp_path / "s" / "policy.json").exists()
