@@ -37,8 +37,9 @@ print(f"\nF(X) = 1234 + 166 X + 94 X^2 over p = {m.p}")
 for x in range(1, 7):
     print(f"  F({x}) = {poly_eval(poly, x)}")
 
-# Exact integer n-th roots drive the power-mode cipher: a symbol
-# (a - s)^n decrypts by taking the root and checking it is exact.
+# Exact integer n-th roots back the power-mode cipher: a symbol
+# (a - s)^n decrypts by table lookup, and one missing from the table
+# is corrupt; its root, exact or not, says how.
 print(f"\nisqrt-style roots: 935^2 = {935**2}, root back = "
       f"{integer_nth_root(935**2, 2)}")
 print(f"874226 is not a perfect square: root {integer_nth_root(874226, 2)} "

@@ -5,8 +5,10 @@ Two exact realizations of the same involution family:
 * Additive (n=1): per byte, c = (a - s) mod 256.  Length preserving,
   and its own inverse, so one substitution table serves both directions.
 * Power (n in 1..8): per byte, the integer c = (a - s)^n serialized as a
-  fixed-width big-endian symbol.  Decryption takes the exact integer
-  n-th root; a non-perfect power means the payload is corrupt.
+  fixed-width big-endian symbol.  Both directions are table lookups over
+  the 256 symbols of the key.  A symbol missing from the table is
+  corrupt; its exact integer n-th root says how (not a perfect power,
+  or a root that maps outside the byte range).
 
 The pipeline is mask-then-encrypt: seal_file XORs data with a two-stream
 keystream mask first, so equal plaintext bytes do not map to equal
@@ -130,13 +132,12 @@ def encrypt_bytes(data: bytes, key: CipherKey) -> bytes:
     """Apply the involution to raw bytes; returns the serialized payload."""
     if key.mode == Mode.ADDITIVE:
         return data.translate(_additive_table(key.a))
-    a, n = key.a, key.n
     width = symbol_width(key)
+    table = b"".join(((key.a - s) ** key.n).to_bytes(width, "big") for s in range(256))
     out = bytearray(len(data) * width)
-    pos = 0
-    for s in data:
-        out[pos:pos + width] = ((a - s) ** n).to_bytes(width, "big")
-        pos += width
+    for k in range(width):
+        # byte k of every symbol, by one translate through column k of the table
+        out[k::width] = data.translate(table[k::width])
     return bytes(out)
 
 
@@ -144,7 +145,10 @@ def decrypt_bytes(payload: bytes, key: CipherKey, width: "int | None" = None) ->
     """Invert encrypt_bytes.
 
     `width` overrides the symbol width (used when the envelope header is
-    authoritative); by default it is computed from the key.
+    authoritative); by default it is computed from the key.  Symbols are
+    looked up in the inverse of the key's table at that width.  The first
+    one not found is corrupt: InexactRoot if it is not a perfect n-th
+    power, SymbolOutOfRange if its root maps outside [0, 255].
     """
     if key.mode == Mode.ADDITIVE:
         return payload.translate(_additive_table(key.a))
@@ -156,17 +160,22 @@ def decrypt_bytes(payload: bytes, key: CipherKey, width: "int | None" = None) ->
             f"payload of {len(payload)} bytes is not a multiple of "
             f"symbol width {width}"
         )
-    out = bytearray(len(payload) // width)
-    for i in range(len(out)):
-        c = int.from_bytes(payload[i * width:(i + 1) * width], "big")
-        r = integer_nth_root(c, n)
-        if r ** n != c:
-            raise InexactRoot(f"symbol {c} is not a perfect {n}th power")
-        s = a - r
-        if not 0 <= s <= 255:
-            raise SymbolOutOfRange(f"symbol maps to {s}, outside [0, 255]")
-        out[i] = s
-    return bytes(out)
+    limit = 1 << (8 * width)
+    inverse = {}
+    for s in range(256):
+        c = (a - s) ** n
+        if c < limit:
+            inverse[c.to_bytes(width, "big")] = s
+    symbols = (payload[i:i + width] for i in range(0, len(payload), width))
+    try:
+        return bytes(map(inverse.__getitem__, symbols))
+    except KeyError as miss:
+        c = int.from_bytes(miss.args[0], "big")
+    # Every symbol whose exact root maps into [0, 255] is in the table.
+    r = integer_nth_root(c, n)
+    if r ** n != c:
+        raise InexactRoot(f"symbol {c} is not a perfect {n}th power")
+    raise SymbolOutOfRange(f"symbol maps to {a - r}, outside [0, 255]")
 
 
 @dataclass(frozen=True)

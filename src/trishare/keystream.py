@@ -5,6 +5,13 @@ the Rand stream and N2 comes from a short pattern drawn once per block
 from the Rep stream and tiled across it.  Applying the mask twice is the
 identity, which is what the cipher layer relies on.
 
+Both mask streams are Lehmer generators (c = 0, m = p = 2^31 - 1), so
+state i is x0 * a^i mod p and the stream can jump ahead: _lcg_bits_int
+computes K = 2048 consecutive states per chunk with a handful of
+big-int operations, one 64-bit lane per state, instead of stepping one
+state per Python iteration.  The result is bit-identical to the plain
+recurrence, which every other parameter set still uses.
+
 Low-order LCG bits are a weak randomness source, especially for
 power-of-two moduli where the parity bit simply alternates.  That is
 inherent to the construction; monobit_check exists to surface it, not to
@@ -14,7 +21,8 @@ hide it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import Error
 
@@ -130,19 +138,81 @@ class Lcg:
 
 
 def lcg_bits(params: LcgParams, count: int) -> List[int]:
-    """First `count` parity bits of the stream started from params."""
+    """First `count` parity bits of the stream started from params.
+
+    A list view of _lcg_bits_int.
+    """
     if count < 0:
         raise InvalidParams("count must be non-negative")
-    return Lcg(params).bits(count)
+    packed = _lcg_bits_int(params, count).to_bytes((count + 7) // 8, "little")
+    return [(byte >> b) & 1 for byte in packed for b in range(8)][:count]
+
+
+#: States per chunk of the lane-parallel Lehmer generator; each state
+#: takes one 64-bit lane of a single Python int.
+_LANES = 2048
+#: p = 2^31 - 1 in the low bits of every lane.
+_LANE_LOW = int.from_bytes(MASK_MODULUS.to_bytes(8, "little") * _LANES, "little")
+#: Lane low byte -> ASCII parity digit, for int(digits, 2).
+_PARITY_DIGITS = bytes(ord("0") + (i & 1) for i in range(256))
+
+
+@lru_cache(maxsize=4)
+def _lehmer_lanes(a: int) -> Tuple[int, int]:
+    """(lane vector [a^1 .. a^K] mod p, a^K mod p) for multiplier a."""
+    powers = []
+    x = 1
+    for _ in range(_LANES):
+        x = x * a % MASK_MODULUS
+        powers.append(x.to_bytes(8, "little"))
+    return int.from_bytes(b"".join(powers), "little"), x
+
+
+def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
+    """_lcg_bits_int for c = 0, m = 2^31 - 1, K lanes at a time."""
+    vector, stride = _lehmer_lanes(a)
+    low = _LANE_LOW
+    chunks = []
+    x = x0 * vector
+    for done in range(0, count, _LANES):
+        lanes = min(_LANES, count - done)
+        if lanes < _LANES:
+            x &= (1 << (64 * lanes)) - 1
+        x = (x & low) + ((x >> 31) & low)
+        x = (x & low) + ((x >> 31) & low)
+        digits = x.to_bytes(8 * lanes, "little")[::8].translate(_PARITY_DIGITS)
+        chunks.append(int(digits[::-1], 2).to_bytes((lanes + 7) // 8, "little"))
+        x *= stride
+    return int.from_bytes(b"".join(chunks), "little")
 
 
 def _lcg_bits_int(params: LcgParams, count: int) -> int:
     """The first `count` stream bits packed into one int (bit i at position i).
 
-    Same sequence as lcg_bits, packed LSB-first so that byte i of the
-    little-endian encoding holds bits 8i..8i+7.  Hot path: chunked into
-    64-bit words to keep per-step work minimal.
+    Packed LSB-first, so byte i of the little-endian encoding holds bits
+    8i..8i+7.  This is the one bit generator; lcg_bits and the N2
+    patterns are views of it.
+
+    Lehmer streams (c = 0, m = p = 2^31 - 1) have s_i = x0 * a^i mod p,
+    so they are computed K states at a time.  One Python int holds K
+    consecutive states in 64-bit lanes, lane j at bits 64j..64j+63.  The
+    first chunk is x0 times a cached lane vector [a^1 .. a^K] mod p; each
+    later chunk is the previous one times a^K mod p.  Both factors of
+    every lane product are below 2^31, so a product is below 2^62 and
+    never carries into the next lane.  Each lane is then reduced with
+    two Mersenne folds (2^31 = 1 mod p), (x & p) + (x >> 31 & p), done
+    on all lanes at once with a mask holding p in every lane: the first
+    leaves a value below 2^32 - 1, the second one in [0, p].  It equals
+    p only if the product is 0 mod p; p is prime and both factors lie in
+    [0, p - 1], so that product is 0 itself and folds to 0.  Every lane
+    therefore ends exactly at its state, whose parity is the low bit of
+    the lane's low byte.  Those bytes become '0'/'1' digits that
+    int(..., 2) packs, one chunk at a time.
+
+    Every other (a, c, m) steps the recurrence one state at a time.
     """
+    if params.c == 0 and params.m == MASK_MODULUS:
+        return _lehmer_bits_int(params.x0, params.a, count)
     a, c, m = params.a, params.c, params.m
     s = params.x0
     nwords, rem = divmod(count, 64)
@@ -200,20 +270,22 @@ def _tile_bits(pattern: int, width: int, need: int) -> int:
     return full & ((1 << need) - 1)
 
 
-def _rep_mask_int(params: LcgParams, total_bits: int, rep_period_bits: int,
-                  block_bits: int) -> int:
-    """N2 for the whole input: per-block patterns from one continuing stream."""
-    lcg = Lcg(params)
-    out = 0
-    pos = 0
-    while pos < total_bits:
-        blk = min(block_bits, total_bits - pos)
-        pattern = 0
-        for b in range(rep_period_bits):
-            pattern |= (lcg.step() & 1) << b
-        out |= _tile_bits(pattern, rep_period_bits, blk) << pos
-        pos += blk
-    return out
+def _rep_mask_int(params: LcgParams, nbytes: int, rep_period_bits: int,
+                  block_bytes: int) -> int:
+    """N2 for `nbytes` of input: per-block patterns from one continuing stream.
+
+    Block b's pattern is bits b*period .. (b+1)*period - 1 of the Rep
+    stream, all drawn in one _lcg_bits_int call.
+    """
+    nblocks = -(-nbytes // block_bytes)
+    patterns = _lcg_bits_int(params, rep_period_bits * nblocks)
+    period_mask = (1 << rep_period_bits) - 1
+    tiles = []
+    for b, pos in enumerate(range(0, nbytes, block_bytes)):
+        pattern = (patterns >> (b * rep_period_bits)) & period_mask
+        blk = min(block_bytes, nbytes - pos)
+        tiles.append(_tile_bits(pattern, rep_period_bits, blk * 8).to_bytes(blk, "little"))
+    return int.from_bytes(b"".join(tiles), "little")
 
 
 def xor_mask(data: bytes, schedule: MaskSchedule) -> bytes:
@@ -227,10 +299,9 @@ def xor_mask(data: bytes, schedule: MaskSchedule) -> bytes:
     n = len(data)
     if n == 0:
         return b""
-    total_bits = n * 8
-    n1 = _lcg_bits_int(schedule.rand_params, total_bits)
-    n2 = _rep_mask_int(schedule.rep_params, total_bits,
-                       schedule.rep_period_bits, schedule.block_bytes * 8)
+    n1 = _lcg_bits_int(schedule.rand_params, n * 8)
+    n2 = _rep_mask_int(schedule.rep_params, n, schedule.rep_period_bits,
+                       schedule.block_bytes)
     masked = int.from_bytes(data, "little") ^ n1 ^ n2
     return masked.to_bytes(n, "little")
 

@@ -128,16 +128,38 @@ def test_decrypt_rejects_ragged_payload():
 def test_decrypt_rejects_imperfect_power():
     key = CipherKey(a=1000, n=2, mode=Mode.POWER)
     bad = (874226).to_bytes(4, "big")
-    with pytest.raises(InexactRoot):
-        decrypt_bytes(bad, key)
+    good = encrypt_bytes(b"ok", key)
+    # alone, and as the middle symbol between two valid ones
+    for payload in (bad, good[:4] + bad + good[4:]):
+        with pytest.raises(InexactRoot):
+            decrypt_bytes(payload, key)
 
 
 def test_decrypt_rejects_out_of_range_symbol():
     key = CipherKey(a=1000, n=2, mode=Mode.POWER)
     # (a+5)^2 is a perfect square but maps to s=-5
     bad = ((1000 + 5) ** 2).to_bytes(4, "big")
+    good = encrypt_bytes(b"ok", key)
+    for payload in (bad, good[:4] + bad + good[4:]):
+        with pytest.raises(SymbolOutOfRange):
+            decrypt_bytes(payload, key)
+
+
+def test_decrypt_width_override():
+    # the header's symbol width wins over the key's: wider symbols
+    # round-trip, and at a width too narrow for most symbols the ones
+    # that still fit decode as before
+    all_bytes = bytes(range(256))
+    key = CipherKey(a=1000, n=3, mode=Mode.POWER)
+    width = symbol_width(key)
+    payload = encrypt_bytes(all_bytes, key)
+    wider = b"".join(b"\x00" + payload[i:i + width]
+                     for i in range(0, len(payload), width))
+    assert decrypt_bytes(wider, key, width=width + 1) == all_bytes
+    narrow = CipherKey(a=256, n=1, mode=Mode.POWER)
+    assert decrypt_bytes(b"\x01\x02", narrow, width=1) == bytes([255, 254])
     with pytest.raises(SymbolOutOfRange):
-        decrypt_bytes(bad, key)
+        decrypt_bytes(b"\x01\x00", narrow, width=1)
 
 
 def test_wrong_power_key_fails_loudly():

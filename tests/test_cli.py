@@ -438,3 +438,15 @@ def test_request_streams_to_stdout(tmp_path, child_env):
         check=True, cwd=tmp_path, capture_output=True, env=child_env,
     )
     assert fetched.stdout == body
+
+
+def test_cli_import_leaves_numpy_out(tmp_path, child_env):
+    # the package has no runtime dependencies; numpy alone would add
+    # about 14 MiB to every command's resident set
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trishare.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

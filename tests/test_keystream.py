@@ -19,7 +19,8 @@ from trishare import (
     recommended_rep,
     xor_mask,
 )
-from trishare.keystream import _lcg_bits_int
+from trishare.keystream import (MASK_MODULUS, MASK_RAND_MULTIPLIER,
+                                MASK_REP_MULTIPLIER, _LANES, _lcg_bits_int)
 from oracles import (
     bytes_to_bits,
     lcg_period,
@@ -99,6 +100,38 @@ def test_packed_bit_generator_matches_list_form():
         count = rng.randrange(0, 300)
         packed = _lcg_bits_int(params, count)
         assert [(packed >> i) & 1 for i in range(count)] == lcg_bits(params, count)
+
+
+# Chunk edges of the lane-parallel Lehmer generator, K = _LANES states a chunk.
+LANE_EDGE_COUNTS = (0, 1, 63, 64, 65, _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 5)
+
+
+def packed_oracle_bits(packed, count):
+    return bytes_to_bits(packed.to_bytes((count + 7) // 8, "little"))[:count]
+
+
+def test_lane_generator_matches_recurrence_oracle_at_chunk_edges():
+    x0s = (0, 1, MASK_MODULUS - 1, random.Random(13).randrange(1, MASK_MODULUS))
+    for a in (MASK_RAND_MULTIPLIER, MASK_REP_MULTIPLIER):
+        for x0 in x0s:
+            params = LcgParams(x0, a, 0, MASK_MODULUS)
+            for count in LANE_EDGE_COUNTS:
+                expected = slow_lcg_bits(x0, a, 0, MASK_MODULUS, count)
+                assert packed_oracle_bits(_lcg_bits_int(params, count), count) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((MASK_RAND_MULTIPLIER, MASK_REP_MULTIPLIER)),
+    st.one_of(st.sampled_from((1, MASK_MODULUS - 1)),
+              st.integers(min_value=1, max_value=MASK_MODULUS - 1)),
+    st.one_of(st.sampled_from(LANE_EDGE_COUNTS),
+              st.integers(min_value=0, max_value=5 * _LANES)),
+)
+def test_lane_generator_matches_recurrence_oracle(a, x0, count):
+    packed = _lcg_bits_int(LcgParams(x0, a, 0, MASK_MODULUS), count)
+    assert packed_oracle_bits(packed, count) == slow_lcg_bits(x0, a, 0, MASK_MODULUS, count)
+    assert packed >> count == 0
 
 
 def test_recommended_params_have_full_period():
