@@ -34,9 +34,9 @@ from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
 from .storage import (ACL_BACKUP_FILENAME, HEADER_BYTES, IoFailure, NotFound,
                       ObjectStore, POLICY_FILENAME, Receipt, Truncated,
                       decode_envelope, encode_envelope, object_key)
-from .authz import (BindingMismatch, DuplicateUser, FileGrant,
-                    InsufficientPoints, NoConsumers, NotGranted, PolicyDb,
-                    RoleMismatch, RoleSlots, THRESHOLD, UnknownFile,
+from .authz import (BindingMismatch, CorruptPolicy, DuplicateUser,
+                    FileGrant, InsufficientPoints, NoConsumers, NotGranted,
+                    PolicyDb, RoleMismatch, RoleSlots, THRESHOLD, UnknownFile,
                     UnknownOwner, UnknownUser, UserRecord, UserType,
                     db_from_json, db_to_json, grant_access, load_db,
                     persist_db, register_user, request_decrypt, revoke_user,

@@ -24,6 +24,7 @@ import os
 import secrets as _secrets
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cipher import CipherEnvelope, Mode, derive_file_key, open_file, seal_file
@@ -80,6 +81,10 @@ class InsufficientPoints(Error):
 
 class RoleMismatch(Error):
     """A presented point sits in another role's x slot."""
+
+
+class CorruptPolicy(Error):
+    """Stored policy is not UTF-8 JSON in the policy schema."""
 
 
 class UserType(str, Enum):
@@ -377,24 +382,80 @@ def _grant_to_dict(g: FileGrant) -> dict:
     }
 
 
+# db_to_json writes exactly what json.dumps(doc, indent=2) writes for the
+# dict form above, but from fixed templates: any indent sends json.dumps to
+# its pure-Python encoder, which took most of every grant and revoke.
+# Every string goes through the C escaper json.dumps uses and every int
+# through int.__repr__, as json does; the nesting depth fixes each indent.
+_str = encode_basestring_ascii
+_int = int.__repr__
+
+
+def _user_json(u: UserRecord) -> str:
+    return (f'\n    {{\n      "user_id": {_str(u.user_id)},'
+            f'\n      "user_type": {_str(u.user_type.value)},'
+            f'\n      "credentials_hex": {_str(u.credentials.hex())}\n    }}')
+
+
+def _consumer_json(uid: str, rec: EncryptedShare) -> str:
+    return (f'\n        {_str(uid)}: {{\n          "file_id": {_str(rec.file_id)},'
+            f'\n          "x": {_int(rec.x)},\n          "y_enc": {_int(rec.y_enc)},'
+            f'\n          "p": {_int(rec.p)},\n          "kc": {_int(rec.kc)},'
+            f'\n          "x_kc": {_int(rec.x_kc)}\n        }}')
+
+
+def _grant_json(g: FileGrant) -> str:
+    consumers = [_consumer_json(uid, rec)
+                 for uid, rec in sorted(g.consumer_shares.items())]
+    return (f'\n    {{\n      "file_id": {_str(g.file_id)},'
+            f'\n      "owner_id": {_str(g.owner_id)},'
+            f'\n      "server_share": {{\n        "x": {_int(g.server_share.x)},'
+            f'\n        "y": {_int(g.server_share.y)}\n      }},'
+            f'\n      "consumers": {_block(consumers, "{", "}", 6)},'
+            f'\n      "kc": {_int(g.binding.kc)},'
+            f'\n      "x_kc": {_int(g.binding.x_kc)},'
+            f'\n      "salt_hex": {_str(g.salt.hex())},'
+            f'\n      "envelope_ref": {_str(g.envelope_ref)}\n    }}')
+
+
+def _block(items: List[str], open_: str, close: str, indent: int) -> str:
+    """A JSON array or object of pre-rendered items, closed at `indent`."""
+    if not items:
+        return open_ + close
+    return open_ + ",".join(items) + "\n" + " " * indent + close
+
+
 def db_to_json(db: PolicyDb) -> str:
     """Serialize to the documented policy schema (stable key order)."""
-    doc = {
-        "p": db.modulus.p,
-        "users": [
-            {"user_id": u.user_id, "user_type": u.user_type.value,
-             "credentials_hex": u.credentials.hex()}
-            for u in sorted(db.users.values(), key=lambda u: u.user_id)
-        ],
-        "grants": [_grant_to_dict(g)
-                   for g in sorted(db.grants.values(), key=lambda g: g.file_id)],
-    }
-    return json.dumps(doc, indent=2, sort_keys=False)
+    users = [_user_json(u)
+             for u in sorted(db.users.values(), key=lambda u: u.user_id)]
+    grants = [_grant_json(g)
+              for g in sorted(db.grants.values(), key=lambda g: g.file_id)]
+    return (f'{{\n  "p": {_int(db.modulus.p)},'
+            f'\n  "users": {_block(users, "[", "]", 2)},'
+            f'\n  "grants": {_block(grants, "[", "]", 2)}\n}}')
 
 
 def db_from_json(text: str) -> PolicyDb:
-    """Inverse of db_to_json; the modulus profile is inferred from p."""
-    doc = json.loads(text)
+    """Inverse of db_to_json; the modulus profile is inferred from p.
+
+    Raises CorruptPolicy when the text is not JSON or does not follow the
+    schema (missing keys, wrong types or values).
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise CorruptPolicy(f"policy is not valid JSON: {exc}") from exc
+    try:
+        return _db_from_doc(doc)
+    except KeyError as exc:
+        raise CorruptPolicy(f"policy entry lacks key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, Error) as exc:
+        # Error: a value the record types reject, such as a non-prime p.
+        raise CorruptPolicy(f"policy entry has a wrong type or value: {exc}") from exc
+
+
+def _db_from_doc(doc: dict) -> PolicyDb:
     modulus = modulus_for(int(doc["p"]))
     db = PolicyDb(modulus=modulus)
     for u in doc.get("users", []):
@@ -427,5 +488,9 @@ def persist_db(db: PolicyDb, store: ObjectStore, backup: bool = False) -> None:
 
 
 def load_db(store: ObjectStore) -> PolicyDb:
-    """Load policy.json from the store root."""
-    return db_from_json(store.read_text(POLICY_FILENAME))
+    """Load policy.json from the store root; CorruptPolicy if unreadable."""
+    try:
+        text = store.read_text(POLICY_FILENAME)
+    except UnicodeDecodeError as exc:
+        raise CorruptPolicy(f"{POLICY_FILENAME} is not UTF-8: {exc}") from exc
+    return db_from_json(text)

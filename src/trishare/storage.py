@@ -12,15 +12,18 @@ bijection on valid envelopes.
 The store maps hex(fnv1a64(file_id || ":" || version)) to blobs under
 <root>/objects/ and keeps root-level text files (policy, ACL backup)
 beside that directory.  Every read goes to disk and nothing is cached.
-Writes go to a temp file, are fsynced, and then os.replace the target,
-so a reader never observes a half-written object or policy.  Only with
+Writes go to a temp file of their own (mode 0600), are fsynced, and
+then os.replace the target, whose directory is fsynced in turn, so a
+reader never observes a half-written object or policy.  Only with
 root=None is the store memory-only (tests, dry runs).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional
@@ -168,13 +171,26 @@ def _read(path: Path) -> bytes:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    # Temp file in the same directory so os.replace stays on one filesystem.
-    tmp = path.with_name(path.name + ".tmp")
+    # A temp file unique to this write, in the same directory so os.replace
+    # stays on one filesystem; the directory fsync makes the rename durable.
+    tmp = None
     try:
-        with open(tmp, "wb") as fh:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        with open(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        tmp = None
+        dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
         raise IoFailure(f"write failed for {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)

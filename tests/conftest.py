@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -16,6 +17,34 @@ def m61():
 @pytest.fixture(scope="session")
 def p97():
     return modulus_for(97)
+
+
+def _drop_user_type(raw):
+    doc = json.loads(raw)
+    del doc["users"][0]["user_type"]
+    return json.dumps(doc).encode()
+
+
+def _users_as_object(raw):
+    doc = json.loads(raw)
+    doc["users"] = {u["user_id"]: u for u in doc["users"]}
+    return json.dumps(doc).encode()
+
+
+#: Ways a stored policy.json goes bad, each with the exception the loader
+#: meets first (and must chain from).
+CORRUPT_POLICIES = {
+    "not-utf8": (lambda raw: b"\xff" + raw, UnicodeDecodeError),
+    "truncated": (lambda raw: raw[: len(raw) // 2], json.JSONDecodeError),
+    "missing-key": (_drop_user_type, KeyError),
+    "wrong-type": (_users_as_object, TypeError),
+}
+
+
+@pytest.fixture(params=sorted(CORRUPT_POLICIES))
+def policy_corruption(request):
+    """(corrupt(raw policy bytes) -> bytes, original exception class)."""
+    return CORRUPT_POLICIES[request.param]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,7 @@ agree with these, never the other way around. Keep this module free of
 trishare imports so a bug cannot leak into its own oracle.
 """
 
+import json
 from itertools import count
 
 FNV_OFFSET = 14695981039346656037
@@ -120,3 +121,20 @@ def lcg_period(x0, a, c, m):
             return i - seen[x]
         seen[x] = i
         x = (a * x + c) % m
+
+
+def slow_policy_json(db, grant_to_dict):
+    """Policy text as json.dumps(indent=2) writes it for the dict schema.
+
+    `grant_to_dict` is the library's dict form of one grant, passed in so
+    this module stays free of trishare imports.
+    """
+    doc = {
+        "p": db.modulus.p,
+        "users": [{"user_id": u.user_id, "user_type": u.user_type.value,
+                   "credentials_hex": u.credentials.hex()}
+                  for u in sorted(db.users.values(), key=lambda u: u.user_id)],
+        "grants": [grant_to_dict(g)
+                   for g in sorted(db.grants.values(), key=lambda g: g.file_id)],
+    }
+    return json.dumps(doc, indent=2, sort_keys=False)

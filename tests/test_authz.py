@@ -1,11 +1,16 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import slow_policy_json
 
 from trishare import (
     BindingMismatch,
+    CorruptPolicy,
     DuplicateUser,
     InsufficientPoints,
+    M61,
     Mode,
     NoConsumers,
     NotGranted,
@@ -24,6 +29,7 @@ from trishare import (
     decrypt_share,
     grant_access,
     load_db,
+    modulus_for,
     object_key,
     persist_db,
     reconstruct_secret,
@@ -32,7 +38,8 @@ from trishare import (
     revoke_user,
     update_owner_share,
 )
-from trishare.authz import FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD
+from trishare.authz import (FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD,
+                            _grant_to_dict)
 from trishare.storage import ACL_BACKUP_FILENAME, POLICY_FILENAME
 
 OWNER = UserRecord("olivia", UserType.OWNER, b"cred-olivia")
@@ -394,6 +401,67 @@ def test_db_json_round_trip():
     assert back.modulus == db.modulus
     assert set(back.users) == set(db.users)
     assert back.grants["f"] == db.grants["f"]
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral code points
+# (written as surrogate-pair escapes), mixed with arbitrary text.
+TRICKY_CHARS = '"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001F600\U0001D11E'
+TRICKY_TEXT = st.text(st.one_of(st.sampled_from(TRICKY_CHARS),
+                                st.characters(codec="utf-8")),
+                      max_size=6)
+
+
+@st.composite
+def policies(draw):
+    """A PolicyDb built through the API: tricky ids and credentials, a
+    default or smaller modulus, some grants with every consumer revoked."""
+    p = draw(st.sampled_from([M61, (1 << 31) - 1, 65537]))
+    db = PolicyDb(modulus=modulus_for(p))
+    ids = draw(st.lists(TRICKY_TEXT, unique=True, max_size=5))
+    for i, uid in enumerate(ids):
+        kind = UserType.OWNER if i == 0 else draw(st.sampled_from(UserType))
+        register_user(db, UserRecord(uid, kind, draw(TRICKY_TEXT).encode("utf-8")))
+    if len(ids) < 2:
+        return db
+    owner, consumers = db.users[ids[0]], [db.users[uid] for uid in ids[1:]]
+    store = ObjectStore()
+    for file_id in draw(st.lists(TRICKY_TEXT.filter(bool), unique=True, max_size=3)):
+        chosen = draw(st.lists(st.sampled_from(consumers), min_size=1,
+                               unique_by=lambda u: u.user_id))
+        grant_access(db, store, file_id, owner, chosen, b"body")
+        if draw(st.booleans()):
+            for consumer in chosen:
+                revoke_user(db, file_id, consumer.user_id)
+    return db
+
+
+def all_revoked_db():
+    db, store = base_db()
+    grant_access(db, store, TRICKY_CHARS, OWNER, [C1, C2], DATA)
+    for consumer in (C1, C2):
+        revoke_user(db, TRICKY_CHARS, consumer.user_id)
+    return db
+
+
+@settings(max_examples=60, deadline=None)
+@given(policies())
+@example(PolicyDb())
+@example(PolicyDb(modulus=modulus_for(65537)))
+@example(all_revoked_db())
+def test_db_json_matches_json_dumps_oracle(db):
+    assert db_to_json(db) == slow_policy_json(db, _grant_to_dict)
+
+
+def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
+    corrupt, cause = policy_corruption
+    db, _, _ = granted()
+    store = ObjectStore(tmp_path / "store")
+    persist_db(db, store)
+    path = tmp_path / "store" / POLICY_FILENAME
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CorruptPolicy) as info:
+        load_db(store)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_persist_and_load(tmp_path):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import trishare
+import trishare.cli
 from trishare import M61, SharePoint, default_modulus, update_owner_share
 from trishare.cli import cli_dispatch
 
@@ -15,6 +16,40 @@ def run_cli(argv, capsys):
     rc = cli_dispatch(argv)
     out, err = capsys.readouterr()
     return rc, out, err
+
+
+# ---------------------------------------------------------------- parser reuse
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    real_build = trishare.cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(trishare.cli, "_parser", None)
+    monkeypatch.setattr(trishare.cli, "build_parser", counting_build)
+    for _ in range(2):
+        rc, out, _ = run_cli(["reconstruct", "--points", "2:1942,4:3402,5:4414"], capsys)
+        assert rc == 0 and out.strip() == "1234"
+    assert len(builds) == 1
+
+
+def test_usage_error_leaves_parser_usable(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli_dispatch(["reconstruct"])
+    assert info.value.code == 2
+    rc, out, _ = run_cli(["reconstruct", "--points", "2:1942,4:3402,5:4414"], capsys)
+    assert rc == 0 and out.strip() == "1234"
+
+
+def test_json_flag_does_not_carry_over(capsys):
+    points = ["reconstruct", "--points", "2:1942,4:3402,5:4414"]
+    rc, out, _ = run_cli([*points, "--json"], capsys)
+    assert rc == 0 and json.loads(out)["secret"] == 1234
+    rc, out, _ = run_cli(points, capsys)
+    assert rc == 0 and out.strip() == "1234"
 
 
 # ---------------------------------------------------------------- field commands
@@ -292,6 +327,21 @@ def test_failed_policy_write_leaves_policy_intact(tmp_path, capsys, monkeypatch)
     rc, _, err = run_cli([*register, "--user-id", "bob"], capsys)
     assert rc == 1 and "error:" in err
     assert (store / "policy.json").read_bytes() == before
+
+
+def test_corrupt_policy_exits_with_one_error_line(tmp_path, capsys, policy_corruption):
+    corrupt, _ = policy_corruption
+    store = tmp_path / "store"
+    register_users(store, capsys)
+    policy = store / "policy.json"
+    policy.write_bytes(corrupt(policy.read_bytes()))
+    for argv in (["register", "--user-id", "dave", "--type", "consumer",
+                  "--credentials", "c"],
+                 ["revoke", "--file-id", "f", "--user", "alice"]):
+        rc, out, err = run_cli([*argv, "--store", str(store)], capsys)
+        assert rc == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_register_duplicate_fails(tmp_path, capsys):

@@ -1,14 +1,18 @@
 import os
 import random
+import stat
 import struct
 
 import pytest
+
+import trishare.storage
 
 from trishare import (
     BadHeader,
     CipherEnvelope,
     CipherKey,
     HEADER_BYTES,
+    IoFailure,
     Mode,
     NotFound,
     ObjectStore,
@@ -184,6 +188,52 @@ def test_no_temp_files_left_behind(tmp_path):
     leftovers = [p.name for p in (tmp_path / "store" / "objects").iterdir()
                  if p.name.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, step):
+    store = ObjectStore(tmp_path / "store")
+    store.put_object("k", b"old")
+
+    def fail(*args):
+        raise OSError(f"simulated {step} failure")
+
+    monkeypatch.setattr(trishare.storage.os, step, fail)
+    with pytest.raises(IoFailure):
+        store.put_object("k", b"new")
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "store" / "objects").iterdir()) == ["k"]
+    assert store.get_object("k") == b"old"
+
+
+def test_writes_to_one_path_use_distinct_temp_names(tmp_path, monkeypatch):
+    store = ObjectStore(tmp_path / "store")
+    sources = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(os.path.basename(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(trishare.storage.os, "replace", recording_replace)
+    store.put_object("k", b"one")
+    store.put_object("k", b"two")
+    assert len(set(sources)) == 2
+    assert all(name.startswith("k.") and name.endswith(".tmp") for name in sources)
+
+
+def test_write_fsyncs_file_then_directory(tmp_path, monkeypatch):
+    store = ObjectStore(tmp_path / "store")
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(trishare.storage.os, "fsync", recording_fsync)
+    store.put_object("k", b"blob")
+    assert synced == [False, True]
 
 
 def test_stale_temp_files_ignored_on_open(tmp_path):
