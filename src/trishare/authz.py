@@ -367,24 +367,10 @@ def update_owner_share(point: SharePoint, deltas: Sequence[int]) -> SharePoint:
 # Persistence: PolicyDb <-> JSON
 # ---------------------------------------------------------------------------
 
-def _grant_to_dict(g: FileGrant) -> dict:
-    """One grant in the policy schema."""
-    return {
-        "file_id": g.file_id,
-        "owner_id": g.owner_id,
-        "server_share": {"x": g.server_share.x, "y": g.server_share.y},
-        "consumers": {uid: rec.to_dict()
-                      for uid, rec in sorted(g.consumer_shares.items())},
-        "kc": g.binding.kc,
-        "x_kc": g.binding.x_kc,
-        "salt_hex": g.salt.hex(),
-        "envelope_ref": g.envelope_ref,
-    }
-
-
 # db_to_json writes exactly what json.dumps(doc, indent=2) writes for the
-# dict form above, but from fixed templates: any indent sends json.dumps to
-# its pure-Python encoder, which took most of every grant and revoke.
+# policy schema (users, then grants with their server_share and consumers),
+# but from fixed templates: any indent sends json.dumps to its pure-Python
+# encoder, which took most of every grant and revoke.
 # Every string goes through the C escaper json.dumps uses and every int
 # through int.__repr__, as json does; the nesting depth fixes each indent.
 _str = encode_basestring_ascii
@@ -450,31 +436,46 @@ def db_from_json(text: str) -> PolicyDb:
         return _db_from_doc(doc)
     except KeyError as exc:
         raise CorruptPolicy(f"policy entry lacks key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, Error) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, Error) as exc:
         # Error: a value the record types reject, such as a non-prime p.
         raise CorruptPolicy(f"policy entry has a wrong type or value: {exc}") from exc
+
+
+def _text(value) -> str:
+    """A string field of the schema; TypeError for anything else, which
+    db_to_json could not write back."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _share_from_dict(rec: dict) -> EncryptedShare:
+    _text(rec["file_id"])
+    return EncryptedShare.from_dict(rec)
 
 
 def _db_from_doc(doc: dict) -> PolicyDb:
     modulus = modulus_for(int(doc["p"]))
     db = PolicyDb(modulus=modulus)
     for u in doc.get("users", []):
-        db.users[u["user_id"]] = UserRecord(
-            user_id=u["user_id"],
+        user_id = _text(u["user_id"])
+        db.users[user_id] = UserRecord(
+            user_id=user_id,
             user_type=UserType(u["user_type"]),
             credentials=bytes.fromhex(u["credentials_hex"]))
     for g in doc.get("grants", []):
-        db.grants[g["file_id"]] = FileGrant(
-            file_id=g["file_id"],
-            owner_id=g["owner_id"],
+        file_id = _text(g["file_id"])
+        db.grants[file_id] = FileGrant(
+            file_id=file_id,
+            owner_id=_text(g["owner_id"]),
             server_share=SharePoint(x=int(g["server_share"]["x"]),
                                     y=int(g["server_share"]["y"]),
                                     modulus=modulus),
-            consumer_shares={uid: EncryptedShare.from_dict(rec)
+            consumer_shares={uid: _share_from_dict(rec)
                              for uid, rec in g["consumers"].items()},
             binding=BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"])),
             salt=bytes.fromhex(g["salt_hex"]),
-            envelope_ref=g["envelope_ref"])
+            envelope_ref=_text(g["envelope_ref"]))
     return db
 
 

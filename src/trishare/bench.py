@@ -9,7 +9,6 @@ measured independently, so reported rows are internally consistent.
 from __future__ import annotations
 
 import io
-import json
 import platform
 import random
 import statistics
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 from math import log
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .authz import (PolicyDb, UserRecord, UserType, _grant_to_dict,
+from .authz import (PolicyDb, UserRecord, UserType, _grant_json,
                     grant_access, register_user)
 from .cipher import Mode, derive_file_key, open_file, seal_file
 from .errors import Error
@@ -435,7 +434,7 @@ def storage_overhead_report(model: "StorageOverheadModel | None" = None,
     grant = db.grants["sample.dat"]
     record = next(iter(grant.consumer_shares.values()))
     report.measured_share_record_bytes = len(record.to_json().encode("utf-8"))
-    report.measured_grant_bytes = len(
-        json.dumps(_grant_to_dict(grant)).encode("utf-8"))
+    # The grant as policy.json stores it (the emitter writes ASCII only).
+    report.measured_grant_bytes = len(_grant_json(grant))
     return report
 

@@ -372,17 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built by the first cli_dispatch and reused: parse_args never changes the
-# parser, and each call gets a fresh Namespace.
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def cli_dispatch(argv: "Sequence[str] | None" = None) -> int:
     """Parse argv and run; returns the process exit code."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except Error as exc:

@@ -12,16 +12,19 @@ bijection on valid envelopes.
 The store maps hex(fnv1a64(file_id || ":" || version)) to blobs under
 <root>/objects/ and keeps root-level text files (policy, ACL backup)
 beside that directory.  Every read goes to disk and nothing is cached.
-Writes go to a temp file of their own (mode 0600), are fsynced, and
-then os.replace the target, whose directory is fsynced in turn, so a
-reader never observes a half-written object or policy.  Only with
+Writes go to a temp file of their own, are fsynced, and then
+os.replace the target, whose directory is fsynced in turn, so a reader
+never observes a half-written object or policy.  A new file is created
+mode 0600; a rewrite keeps the mode the file had.  Only with
 root=None is the store memory-only (tests, dry runs).
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -172,25 +175,49 @@ def _read(path: Path) -> bytes:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     # A temp file unique to this write, in the same directory so os.replace
-    # stays on one filesystem; the directory fsync makes the rename durable.
+    # stays on one filesystem.  mkstemp makes it 0600; a rewrite copies the
+    # target's mode onto it first.
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                    suffix=".tmp")
         with open(fd, "wb") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         tmp = None
-        dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
     except OSError as exc:
         raise IoFailure(f"write failed for {path}: {exc}") from exc
     finally:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+    _fsync_dir(path)
+
+
+# errno values with which a filesystem says it cannot fsync a directory.
+_NO_DIR_FSYNC = frozenset({errno.EINVAL, errno.ENOTSUP, errno.EOPNOTSUPP})
+
+
+def _fsync_dir(path: Path) -> None:
+    """Make the rename onto `path` durable.
+
+    The new file is already in place and synced, so a filesystem that
+    cannot fsync a directory is taken as it is (SQLite does the same);
+    any other failure is reported as such, not as a failed write.
+    """
+    try:
+        dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        if exc.errno in _NO_DIR_FSYNC:
+            return
+        raise IoFailure(f"{path} was replaced, but syncing its directory "
+                        f"failed, so the change may not survive a crash: "
+                        f"{exc}") from exc

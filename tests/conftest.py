@@ -31,6 +31,18 @@ def _users_as_object(raw):
     return json.dumps(doc).encode()
 
 
+def _null_user_id(raw):
+    doc = json.loads(raw)
+    doc["users"][0]["user_id"] = None
+    return json.dumps(doc).encode()
+
+
+def _infinite_p(raw):
+    doc = json.loads(raw)
+    doc["p"] = float("inf")  # json writes Infinity, which json.loads accepts
+    return json.dumps(doc).encode()
+
+
 #: Ways a stored policy.json goes bad, each with the exception the loader
 #: meets first (and must chain from).
 CORRUPT_POLICIES = {
@@ -38,6 +50,8 @@ CORRUPT_POLICIES = {
     "truncated": (lambda raw: raw[: len(raw) // 2], json.JSONDecodeError),
     "missing-key": (_drop_user_type, KeyError),
     "wrong-type": (_users_as_object, TypeError),
+    "null-string-field": (_null_user_id, TypeError),
+    "infinite-int": (_infinite_p, OverflowError),
 }
 
 

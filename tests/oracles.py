@@ -123,18 +123,30 @@ def lcg_period(x0, a, c, m):
         x = (a * x + c) % m
 
 
-def slow_policy_json(db, grant_to_dict):
-    """Policy text as json.dumps(indent=2) writes it for the dict schema.
-
-    `grant_to_dict` is the library's dict form of one grant, passed in so
-    this module stays free of trishare imports.
-    """
+def slow_policy_json(db):
+    """Policy text as json.dumps(indent=2) writes it for the dict schema."""
     doc = {
         "p": db.modulus.p,
         "users": [{"user_id": u.user_id, "user_type": u.user_type.value,
                    "credentials_hex": u.credentials.hex()}
                   for u in sorted(db.users.values(), key=lambda u: u.user_id)],
-        "grants": [grant_to_dict(g)
+        "grants": [_grant_dict(g)
                    for g in sorted(db.grants.values(), key=lambda g: g.file_id)],
     }
     return json.dumps(doc, indent=2, sort_keys=False)
+
+
+def _grant_dict(g):
+    return {
+        "file_id": g.file_id,
+        "owner_id": g.owner_id,
+        "server_share": {"x": g.server_share.x, "y": g.server_share.y},
+        "consumers": {uid: {"file_id": rec.file_id, "x": rec.x,
+                            "y_enc": rec.y_enc, "p": rec.p, "kc": rec.kc,
+                            "x_kc": rec.x_kc}
+                      for uid, rec in sorted(g.consumer_shares.items())},
+        "kc": g.binding.kc,
+        "x_kc": g.binding.x_kc,
+        "salt_hex": g.salt.hex(),
+        "envelope_ref": g.envelope_ref,
+    }

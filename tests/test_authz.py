@@ -38,8 +38,7 @@ from trishare import (
     revoke_user,
     update_owner_share,
 )
-from trishare.authz import (FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD,
-                            _grant_to_dict)
+from trishare.authz import FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD
 from trishare.storage import ACL_BACKUP_FILENAME, POLICY_FILENAME
 
 OWNER = UserRecord("olivia", UserType.OWNER, b"cred-olivia")
@@ -449,7 +448,7 @@ def all_revoked_db():
 @example(PolicyDb(modulus=modulus_for(65537)))
 @example(all_revoked_db())
 def test_db_json_matches_json_dumps_oracle(db):
-    assert db_to_json(db) == slow_policy_json(db, _grant_to_dict)
+    assert db_to_json(db) == slow_policy_json(db)
 
 
 def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
@@ -462,6 +461,22 @@ def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
     with pytest.raises(CorruptPolicy) as info:
         load_db(store)
     assert isinstance(info.value.__cause__, cause)
+
+
+@pytest.mark.parametrize("value", [None, 5])
+@pytest.mark.parametrize("where, key", [
+    ("user", "user_id"), ("grant", "file_id"), ("grant", "owner_id"),
+    ("grant", "envelope_ref"), ("share", "file_id")])
+def test_db_from_json_rejects_non_string_field(where, key, value):
+    db, _, _ = granted()
+    doc = json.loads(db_to_json(db))
+    grant = doc["grants"][0]
+    record = {"user": doc["users"][0], "grant": grant,
+              "share": next(iter(grant["consumers"].values()))}[where]
+    record[key] = value
+    with pytest.raises(CorruptPolicy) as info:
+        db_from_json(json.dumps(doc))
+    assert isinstance(info.value.__cause__, TypeError)
 
 
 def test_persist_and_load(tmp_path):

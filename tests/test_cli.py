@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import trishare
-import trishare.cli
 from trishare import M61, SharePoint, default_modulus, update_owner_share
 from trishare.cli import cli_dispatch
 
@@ -16,40 +15,6 @@ def run_cli(argv, capsys):
     rc = cli_dispatch(argv)
     out, err = capsys.readouterr()
     return rc, out, err
-
-
-# ---------------------------------------------------------------- parser reuse
-
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    builds = []
-    real_build = trishare.cli.build_parser
-
-    def counting_build():
-        builds.append(1)
-        return real_build()
-
-    monkeypatch.setattr(trishare.cli, "_parser", None)
-    monkeypatch.setattr(trishare.cli, "build_parser", counting_build)
-    for _ in range(2):
-        rc, out, _ = run_cli(["reconstruct", "--points", "2:1942,4:3402,5:4414"], capsys)
-        assert rc == 0 and out.strip() == "1234"
-    assert len(builds) == 1
-
-
-def test_usage_error_leaves_parser_usable(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli_dispatch(["reconstruct"])
-    assert info.value.code == 2
-    rc, out, _ = run_cli(["reconstruct", "--points", "2:1942,4:3402,5:4414"], capsys)
-    assert rc == 0 and out.strip() == "1234"
-
-
-def test_json_flag_does_not_carry_over(capsys):
-    points = ["reconstruct", "--points", "2:1942,4:3402,5:4414"]
-    rc, out, _ = run_cli([*points, "--json"], capsys)
-    assert rc == 0 and json.loads(out)["secret"] == 1234
-    rc, out, _ = run_cli(points, capsys)
-    assert rc == 0 and out.strip() == "1234"
 
 
 # ---------------------------------------------------------------- field commands

@@ -1,3 +1,4 @@
+import errno
 import os
 import random
 import stat
@@ -16,6 +17,7 @@ from trishare import (
     Mode,
     NotFound,
     ObjectStore,
+    POLICY_FILENAME,
     PolicyDb,
     Truncated,
     UserRecord,
@@ -234,6 +236,48 @@ def test_write_fsyncs_file_then_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(trishare.storage.os, "fsync", recording_fsync)
     store.put_object("k", b"blob")
     assert synced == [False, True]
+
+
+def _failing_directory_fsync(monkeypatch, err):
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(err, os.strerror(err))
+        real_fsync(fd)
+
+    monkeypatch.setattr(trishare.storage.os, "fsync", fsync)
+
+
+@pytest.mark.parametrize("err", [errno.EINVAL, errno.EOPNOTSUPP])
+def test_directory_fsync_unsupported_is_not_a_failure(tmp_path, monkeypatch, err):
+    store = ObjectStore(tmp_path / "store")
+    store.put_object("k", b"old")
+    _failing_directory_fsync(monkeypatch, err)
+    store.put_object("k", b"new")
+    assert store.get_object("k") == b"new"
+
+
+def test_failed_directory_fsync_says_file_was_replaced(tmp_path, monkeypatch):
+    store = ObjectStore(tmp_path / "store")
+    store.put_object("k", b"old")
+    _failing_directory_fsync(monkeypatch, errno.EIO)
+    with pytest.raises(IoFailure, match="was replaced.*may not survive a crash"):
+        store.put_object("k", b"new")
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "store" / "objects").iterdir()) == ["k"]
+    assert store.get_object("k") == b"new"
+
+
+def test_new_file_is_private_and_rewrite_keeps_mode(tmp_path):
+    store = ObjectStore(tmp_path / "store")
+    store.write_text(POLICY_FILENAME, "{}")
+    path = tmp_path / "store" / POLICY_FILENAME
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    path.chmod(0o644)
+    store.write_text(POLICY_FILENAME, "{ }")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert path.read_text() == "{ }"
 
 
 def test_stale_temp_files_ignored_on_open(tmp_path):
