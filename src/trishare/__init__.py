@@ -23,10 +23,11 @@ from .cipher import (BadHeader, CipherEnvelope, CipherKey, EmptyFilename,
                      SymbolOutOfRange, decrypt_bytes, derive_file_key,
                      encrypt_bytes, mask_schedule_for_key, open_file,
                      seal_file, symbol_width)
-from .sharing import (BindingCode, EncryptedShare, NotEnoughUsers,
-                      SecretTooLarge, SharePoint, TooFewAttributes,
-                      binding_code, decrypt_share, derive_attribute_tokens,
-                      derive_binding_x, encrypt_share, split_secret)
+from .sharing import (BindingCode, CorruptShareRecord, EncryptedShare,
+                      NotEnoughUsers, SecretTooLarge, SharePoint,
+                      TooFewAttributes, binding_code, decrypt_share,
+                      derive_attribute_tokens, derive_binding_x,
+                      encrypt_share, split_secret)
 from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
                           ReconstructionInput, TooManyPoints,
                           lagrange_basis_at, reconstruct_polynomial,
@@ -35,9 +36,9 @@ from .storage import (ACL_BACKUP_FILENAME, HEADER_BYTES, IoFailure, NotFound,
                       ObjectStore, POLICY_FILENAME, Receipt, Truncated,
                       decode_envelope, encode_envelope, object_key)
 from .authz import (BindingMismatch, CorruptPolicy, DuplicateUser,
-                    FileGrant, InsufficientPoints, NoConsumers, NotGranted,
-                    PolicyDb, RoleMismatch, RoleSlots, THRESHOLD, UnknownFile,
-                    UnknownOwner, UnknownUser, UserRecord, UserType,
+                    FileGrant, InsufficientPoints, InvalidFileId, NoConsumers,
+                    NotGranted, PolicyDb, RoleMismatch, RoleSlots, THRESHOLD,
+                    UnknownFile, UnknownOwner, UnknownUser, UserRecord, UserType,
                     db_from_json, db_to_json, grant_access, load_db,
                     persist_db, register_user, request_decrypt, revoke_user,
                     update_owner_share)

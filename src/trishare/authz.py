@@ -83,6 +83,10 @@ class RoleMismatch(Error):
     """A presented point sits in another role's x slot."""
 
 
+class InvalidFileId(Error):
+    """File id is not encodable as UTF-8 (it holds a lone surrogate)."""
+
+
 class CorruptPolicy(Error):
     """Stored policy is not UTF-8 JSON in the policy schema."""
 
@@ -172,6 +176,10 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     The keyword overrides (secret, coeffs, salt, slots) exist for
     deterministic fixtures; production callers leave them unset.
     """
+    try:
+        file_id_bytes = file_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidFileId(f"file id {file_id!r} is not UTF-8 text") from exc
     p = db.modulus.p
     registered_owner = db.users.get(owner.user_id)
     if registered_owner is None or registered_owner.user_type != UserType.OWNER:
@@ -207,9 +215,9 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     shares = split_secret(secret, coeffs, n_points, db.modulus)
     by_x = {pt.x: pt for pt in shares}
     poly = SecretPolynomial((secret, *coeffs), db.modulus)
-    binding = binding_code(secret, poly, file_id.encode("utf-8"))
+    binding = binding_code(secret, poly, file_id_bytes)
 
-    key = derive_file_key(secret, file_id, mode=mode, n=n)
+    key = derive_file_key(secret, file_id_bytes, mode=mode, n=n)
     envelope = seal_file(data, key)
     ref = object_key(file_id, 0)
     store.put_object(ref, encode_envelope(envelope))
@@ -343,10 +351,8 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str, *,
     # Additive blinding commutes with the shift: adjusting y_enc re-issues
     # the share under the same credentials without decrypting it.
     for uid, rec in list(grant.consumer_shares.items()):
-        grant.consumer_shares[uid] = EncryptedShare(
-            file_id=rec.file_id, x=rec.x,
-            y_enc=(rec.y_enc + shift(rec.x)) % p,
-            p=rec.p, kc=new_kc, x_kc=rec.x_kc)
+        grant.consumer_shares[uid] = rec._replace(
+            y_enc=(rec.y_enc + shift(rec.x)) % p, kc=new_kc)
     grant.salt = new_salt
     return db, deltas
 
@@ -449,14 +455,10 @@ def _text(value) -> str:
     return value
 
 
-def _share_from_dict(rec: dict) -> EncryptedShare:
-    _text(rec["file_id"])
-    return EncryptedShare.from_dict(rec)
-
-
 def _db_from_doc(doc: dict) -> PolicyDb:
     modulus = modulus_for(int(doc["p"]))
     db = PolicyDb(modulus=modulus)
+    read_share = EncryptedShare.from_dict
     for u in doc.get("users", []):
         user_id = _text(u["user_id"])
         db.users[user_id] = UserRecord(
@@ -471,7 +473,7 @@ def _db_from_doc(doc: dict) -> PolicyDb:
             server_share=SharePoint(x=int(g["server_share"]["x"]),
                                     y=int(g["server_share"]["y"]),
                                     modulus=modulus),
-            consumer_shares={uid: _share_from_dict(rec)
+            consumer_shares={uid: read_share(rec)
                              for uid, rec in g["consumers"].items()},
             binding=BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"])),
             salt=bytes.fromhex(g["salt_hex"]),

@@ -19,7 +19,7 @@ from .cipher import CipherKey, Mode, open_file, seal_file
 from .errors import Error
 from .field import FieldModulus, M61, default_modulus, modulus_for
 from .interpolate import ReconstructionInput, reconstruct_secret
-from .sharing import EncryptedShare, SharePoint, split_secret
+from .sharing import CorruptShareRecord, EncryptedShare, SharePoint, split_secret
 from .storage import NotFound, ObjectStore, decode_envelope, encode_envelope
 
 
@@ -30,13 +30,23 @@ def _parse_mode(text: str) -> Mode:
         raise Error(f"unknown mode {text!r}; use additive or power") from None
 
 
+# argparse type= converters: a malformed value is a usage error (exit 2).
+
 def _parse_int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_point(text: str) -> Tuple[int, int]:
     x, _, y = text.partition(":")
-    return int(x), int(y)
+    try:
+        return int(x), int(y)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a point x:y of integers, got {text!r}") from None
 
 
 def _parse_points(text: str) -> List[Tuple[int, int]]:
@@ -100,8 +110,7 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_split(args) -> int:
     modulus = _modulus(args)
-    shares = split_secret(args.secret, _parse_int_list(args.coeffs),
-                          args.n_users, modulus)
+    shares = split_secret(args.secret, args.coeffs, args.n_users, modulus)
     payload = {"p": modulus.p,
                "points": [{"x": s.x, "y": s.y} for s in shares]}
     _emit(args, payload, [f"{s.x}:{s.y}" for s in shares])
@@ -111,13 +120,17 @@ def _cmd_split(args) -> int:
 def _cmd_reconstruct(args) -> int:
     modulus = _modulus(args)
     pts = tuple(SharePoint(x=x, y=y, modulus=modulus)
-                for x, y in _parse_points(args.points))
+                for x, y in args.points)
     secret = reconstruct_secret(ReconstructionInput(points=pts, modulus=modulus))
     _emit(args, {"secret": secret, "p": modulus.p}, [str(secret)])
     return 0
 
 
 def _cmd_register(args) -> int:
+    try:
+        credentials = args.credentials.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise Error("--credentials is not UTF-8 text") from exc
     store = _store(args)
     try:
         db = authz.load_db(store)
@@ -125,7 +138,7 @@ def _cmd_register(args) -> int:
         db = authz.PolicyDb(modulus=_modulus(args))
     record = authz.UserRecord(user_id=args.user_id,
                               user_type=authz.UserType(args.type),
-                              credentials=args.credentials.encode("utf-8"))
+                              credentials=credentials)
     authz.register_user(db, record)
     authz.persist_db(db, store)
     _emit(args, {"registered": args.user_id, "type": args.type},
@@ -184,11 +197,11 @@ def _cmd_request(args) -> int:
     receiver = db.users.get(args.receiver)
     if receiver is None:
         raise authz.UnknownUser(f"receiver {args.receiver!r} is not registered")
-    x, y = _parse_point(args.owner_point)
+    x, y = args.owner_point
     owner_point = SharePoint(x=x, y=y, modulus=db.modulus)
     record = None
     if args.share:
-        record = EncryptedShare.from_json(Path(args.share).read_text(encoding="utf-8"))
+        record = _read_share_record(Path(args.share))
     plaintext = authz.request_decrypt(db, store, args.file_id, owner_point,
                                       receiver, record)
     if args.outfile:
@@ -198,6 +211,14 @@ def _cmd_request(args) -> int:
     else:
         sys.stdout.buffer.write(plaintext)
     return 0
+
+
+def _read_share_record(path: Path) -> EncryptedShare:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptShareRecord(f"{path} is not UTF-8: {exc}") from exc
+    return EncryptedShare.from_json(text)
 
 
 def _cmd_verify_example(args) -> int:
@@ -213,7 +234,7 @@ def _cmd_verify_example(args) -> int:
 
 
 def _cmd_bench_encrypt(args) -> int:
-    sizes = _parse_int_list(args.sizes) if args.sizes else bench.DEFAULT_BENCH_SIZES
+    sizes = args.sizes or bench.DEFAULT_BENCH_SIZES
     mode = _parse_mode(args.mode)
     report = bench.bench_encrypt(sizes=sizes, mode=mode,
                                  n=args.n if mode == Mode.POWER else 1,
@@ -226,7 +247,7 @@ def _cmd_bench_encrypt(args) -> int:
 
 
 def _cmd_bench_attrs(args) -> int:
-    k_values = _parse_int_list(args.k) if args.k else bench.DEFAULT_K_VALUES
+    k_values = args.k or bench.DEFAULT_K_VALUES
     report = bench.bench_attributes(k_values=k_values, n_users=args.n_users,
                                     reps=args.reps)
     csv_text = report.to_csv()
@@ -293,14 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("split", help="split a secret into share points")
     _add_common(s)
     s.add_argument("--secret", type=int, required=True)
-    s.add_argument("--coeffs", required=True,
+    s.add_argument("--coeffs", type=_parse_int_list, required=True,
                    help="comma-separated a1,a2,... (threshold = count + 1)")
     s.add_argument("--n-users", type=int, required=True)
     s.set_defaults(fn=_cmd_split)
 
     s = subs.add_parser("reconstruct", help="recover the secret from points")
     _add_common(s)
-    s.add_argument("--points", required=True, help="x:y,x:y,x:y")
+    s.add_argument("--points", type=_parse_points, required=True,
+                   help="x:y,x:y,x:y")
     s.set_defaults(fn=_cmd_reconstruct)
 
     s = subs.add_parser("register", help="add a user to the policy db")
@@ -330,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, db_store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--receiver", required=True)
-    s.add_argument("--owner-point", required=True, help="x:y")
+    s.add_argument("--owner-point", type=_parse_point, required=True, help="x:y")
     s.add_argument("--share", default=None,
                    help="path to a share-record JSON (defaults to the stored one)")
     s.add_argument("--out", dest="outfile", default=None)
@@ -346,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = bsubs.add_parser("encrypt", help="seal/open throughput over sizes")
     _add_common(s)
-    s.add_argument("--sizes", default=None, help="comma-separated byte sizes")
+    s.add_argument("--sizes", type=_parse_int_list, default=None,
+                   help="comma-separated byte sizes")
     s.add_argument("--mode", default="additive")
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--reps", type=int, default=bench.MIN_REPS)
@@ -355,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = bsubs.add_parser("attrs", help="split/reconstruct timing vs threshold")
     _add_common(s)
-    s.add_argument("--k", default=None, help="comma-separated thresholds")
+    s.add_argument("--k", type=_parse_int_list, default=None,
+                   help="comma-separated thresholds")
     s.add_argument("--n-users", type=int, default=24)
     s.add_argument("--reps", type=int, default=bench.MIN_REPS)
     s.add_argument("--csv", default=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .errors import Error
 from .field import FieldModulus, SecretPolynomial, modulus_for, poly_eval
@@ -56,10 +56,14 @@ class BindingCode:
     x_kc: int
 
 
-@dataclass(frozen=True)
-class EncryptedShare:
+class CorruptShareRecord(Error):
+    """A share record that is not JSON in the record schema."""
+
+
+class EncryptedShare(NamedTuple):
     """Share record handed to a receiver; y is blinded by their credentials.
 
+    An immutable named tuple, built by the thousand on every policy load.
     Serializes to the wire format:
     {"file_id", "x", "y_enc", "p", "kc", "x_kc"}.
     """
@@ -80,12 +84,27 @@ class EncryptedShare:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncryptedShare":
-        return cls(file_id=d["file_id"], x=int(d["x"]), y_enc=int(d["y_enc"]),
-                   p=int(d["p"]), kc=int(d["kc"]), x_kc=int(d["x_kc"]))
+        """The one reader of a record.  KeyError, TypeError, ValueError or
+        OverflowError for a dict outside the schema; TypeError for a
+        file_id that is not a string, which no writer could write back."""
+        file_id = d["file_id"]
+        if not isinstance(file_id, str):
+            raise TypeError(f"expected a string file_id, got {type(file_id).__name__}")
+        # Positional through tuple.__new__, as NamedTuple._make builds: the
+        # generated __new__ would add one Python call per record.
+        return tuple.__new__(cls, (file_id, int(d["x"]), int(d["y_enc"]),
+                                   int(d["p"]), int(d["kc"]), int(d["x_kc"])))
 
     @classmethod
     def from_json(cls, text: str) -> "EncryptedShare":
-        return cls.from_dict(json.loads(text))
+        """Parse the wire form; CorruptShareRecord if it is not a record."""
+        try:
+            return cls.from_dict(json.loads(text))
+        except KeyError as exc:
+            raise CorruptShareRecord(f"share record lacks key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CorruptShareRecord(
+                f"share record is not JSON in the record schema: {exc}") from exc
 
 
 def derive_attribute_tokens(attributes: Sequence[bytes], salt: bytes, k: int,

@@ -360,6 +360,84 @@ def test_request_with_presented_share_record(tmp_path, capsys):
     assert fetched.read_bytes() == body
 
 
+def granted_store(tmp_path, capsys):
+    """A store with one grant of f to alice; returns (store, owner point)."""
+    store = tmp_path / "store"
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"body")
+    register_users(store, capsys)
+    rc, out, _ = run_cli(
+        ["grant", "--json", "--store", str(store), "--file-id", "f",
+         "--owner", "olivia", "--consumers", "alice", "--in", str(src)],
+        capsys,
+    )
+    assert rc == 0
+    point = json.loads(out)["owner_point"]
+    return store, f"{point['x']}:{point['y']}"
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff{}",
+    b"not json",
+    b"[1, 2]",
+    b'{"file_id": "f"}',
+    b'{"file_id": "f", "x": "abc", "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
+], ids=["not-utf8", "not-json", "json-list", "missing-key", "non-numeric-x"])
+def test_bad_share_record_file_exits_with_one_error_line(tmp_path, capsys, content):
+    store, owner_point = granted_store(tmp_path, capsys)
+    share_file = tmp_path / "share.json"
+    share_file.write_bytes(content)
+    rc, out, err = run_cli(
+        ["request", "--store", str(store), "--file-id", "f", "--receiver", "alice",
+         "--owner-point", owner_point, "--share", str(share_file),
+         "--out", str(tmp_path / "out.bin")],
+        capsys,
+    )
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["register", "--user-id", "dave", "--type", "consumer",
+     "--credentials", "\udcff"],
+    ["grant", "--file-id", "\udcff", "--owner", "olivia", "--consumers", "alice"],
+], ids=["register-credentials", "grant-file-id"])
+def test_lone_surrogate_argument_changes_nothing(tmp_path, capsys, argv):
+    store, _ = granted_store(tmp_path, capsys)
+    src = tmp_path / "g.bin"
+    src.write_bytes(b"other body")
+    policy = (store / "policy.json").read_bytes()
+    objects = sorted(os.listdir(store / "objects"))
+    extra = ["--in", str(src)] if argv[0] == "grant" else []
+    rc, out, err = run_cli([*argv, *extra, "--store", str(store)], capsys)
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert (store / "policy.json").read_bytes() == policy
+    assert sorted(os.listdir(store / "objects")) == objects
+
+
+@pytest.mark.parametrize("argv", [
+    ["request", "--store", "store", "--file-id", "f", "--receiver", "alice",
+     "--owner-point", "2"],
+    ["reconstruct", "--points", "2"],
+    ["split", "--secret", "5", "--coeffs", "a", "--n-users", "3"],
+    ["bench", "encrypt", "--sizes", "a"],
+], ids=["request-owner-point", "reconstruct-points", "split-coeffs",
+        "bench-encrypt-sizes"])
+def test_malformed_numeric_argument_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                   argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(argv)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "usage:" in err and "Traceback" not in err
+    assert not (tmp_path / "store").exists()
+
+
 # ---------------------------------------------------------------- bench commands
 
 def test_bench_storage_json(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trishare import (
     M61,
+    CorruptShareRecord,
     EncryptedShare,
     Error,
     InvalidPolynomial,
@@ -240,6 +241,58 @@ def test_record_json_wire_format(m61):
     assert wire["file_id"] == "fid"
     assert EncryptedShare.from_json(rec.to_json()) == rec
     assert EncryptedShare.from_dict(rec.to_dict()) == rec
+
+
+RECORD_FIELDS = dict(file_id='memo "q" \u00e9', x=5, y_enc=M61 - 1, p=M61,
+                     kc=1234, x_kc=77)
+
+
+def test_record_fields_are_read_only():
+    rec = EncryptedShare(**RECORD_FIELDS)
+    for name in RECORD_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 1)
+    assert rec == EncryptedShare(**RECORD_FIELDS)
+
+
+def test_record_positional_and_keyword_construction_agree():
+    by_keyword = EncryptedShare(**RECORD_FIELDS)
+    by_position = EncryptedShare(*RECORD_FIELDS.values())
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert EncryptedShare.from_dict(RECORD_FIELDS) == by_keyword
+    assert type(EncryptedShare.from_dict(RECORD_FIELDS)) is EncryptedShare
+    assert {by_position: "v"}[by_keyword] == "v"
+
+
+@pytest.mark.parametrize("file_id", [None, 5])
+def test_from_dict_rejects_non_string_file_id(file_id):
+    with pytest.raises(TypeError):
+        EncryptedShare.from_dict({**RECORD_FIELDS, "file_id": file_id})
+
+
+def test_record_json_is_pinned():
+    rec = EncryptedShare(**RECORD_FIELDS)
+    assert rec.to_json() == (
+        '{"file_id": "memo \\"q\\" \\u00e9", "kc": 1234, '
+        '"p": 2305843009213693951, "x": 5, "x_kc": 77, '
+        '"y_enc": 2305843009213693950}')
+    assert EncryptedShare.from_json(rec.to_json()) == rec
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("not json", json.JSONDecodeError),
+    ("[1, 2]", TypeError),
+    ('{"file_id": "f"}', KeyError),
+    ('{"file_id": "f", "x": "abc", "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
+     ValueError),
+    ('{"file_id": "f", "x": Infinity, "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
+     OverflowError),
+], ids=["not-json", "json-list", "missing-key", "non-numeric-x", "infinite-x"])
+def test_from_json_rejects_non_record(text, cause):
+    with pytest.raises(CorruptShareRecord) as info:
+        EncryptedShare.from_json(text)
+    assert isinstance(info.value.__cause__, cause)
 
 
 # ---------------------------------------------------------------- end to end
