@@ -215,6 +215,8 @@ def bench_encrypt(sizes: Sequence[int] = DEFAULT_BENCH_SIZES,
     """Seal/open timing over random corpora of the given sizes."""
     if reps < MIN_REPS:
         raise Error(f"reps must be >= {MIN_REPS}")
+    if any(size < 0 for size in sizes):
+        raise Error(f"sizes must be >= 0, got {list(sizes)}")
     rng = random.Random(seed)
     master = rng.randrange(1, default_modulus().p)
     key = derive_file_key(master, "bench.dat", mode=mode, n=n)
@@ -293,13 +295,17 @@ def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
     """
     if reps < MIN_REPS:
         raise Error(f"reps must be >= {MIN_REPS}")
+    for k in k_values:
+        if n_users < k:
+            raise Error(f"n_users={n_users} below threshold k={k}")
+    if len(set(k_values)) < 2:
+        raise Error("need at least two distinct thresholds to fit split "
+                    f"time in k, got {list(k_values)}")
     modulus = default_modulus()
     p = modulus.p
     rng = random.Random(seed)
     report = AttrBenchReport(reps=reps, environment=_environment_note())
     for k in k_values:
-        if n_users < k:
-            raise Error(f"n_users={n_users} below threshold k={k}")
         secret = rng.randrange(p)
         coeffs = [rng.randrange(1, p) for _ in range(k - 1)]
         split_s = _median_seconds(

@@ -5,10 +5,18 @@ Two exact realizations of the same involution family:
 * Additive (n=1): per byte, c = (a - s) mod 256.  Length preserving,
   and its own inverse, so one substitution table serves both directions.
 * Power (n in 1..8): per byte, the integer c = (a - s)^n serialized as a
-  fixed-width big-endian symbol.  Both directions are table lookups over
-  the 256 symbols of the key.  A symbol missing from the table is
-  corrupt; its exact integer n-th root says how (not a perfect power,
-  or a root that maps outside the byte range).
+  fixed-width big-endian symbol.  Encryption writes byte column k of
+  every symbol with one translate through column k of the key's
+  256-symbol table.  Decryption reads three adjacent byte columns: each
+  symbol is an edge joining its bytes in those columns, and peeling that
+  3-hypergraph (as an xor filter is built) gives tables T0, T1, T2 with
+  T0[b_k] ^ T1[b_k-1] ^ T2[b_k-2] = s, so three translates and two
+  big-int XORs decode the payload.  The result is kept only if
+  re-encrypting it reproduces the payload, column by column.  Without a
+  plan, or when that check fails, symbols are looked up one by one in
+  the inverse table; a symbol missing from it is corrupt, and its exact
+  integer n-th root says how (not a perfect power, or a root that maps
+  outside the byte range).
 
 The pipeline is mask-then-encrypt: seal_file XORs data with a two-stream
 keystream mask first, so equal plaintext bytes do not map to equal
@@ -128,12 +136,23 @@ def _additive_table(a: int) -> bytes:
     return bytes((a - s) % 256 for s in range(256))
 
 
+def _power_symbols(a: int, n: int, width: int) -> "list[bytes | None]":
+    """The 256 symbols (a - s)^n as width-byte big-endian strings.
+
+    A symbol too large for `width` bytes is None: no payload of that
+    width can hold it.
+    """
+    limit = 1 << (8 * width)
+    return [c.to_bytes(width, "big") if c < limit else None
+            for c in [(a - s) ** n for s in range(256)]]
+
+
 def encrypt_bytes(data: bytes, key: CipherKey) -> bytes:
     """Apply the involution to raw bytes; returns the serialized payload."""
     if key.mode == Mode.ADDITIVE:
         return data.translate(_additive_table(key.a))
     width = symbol_width(key)
-    table = b"".join(((key.a - s) ** key.n).to_bytes(width, "big") for s in range(256))
+    table = b"".join(_power_symbols(key.a, key.n, width))
     out = bytearray(len(data) * width)
     for k in range(width):
         # byte k of every symbol, by one translate through column k of the table
@@ -141,14 +160,85 @@ def encrypt_bytes(data: bytes, key: CipherKey) -> bytes:
     return bytes(out)
 
 
+def _peeling_plan(table: bytes, width: int) -> "tuple[int, bytes, bytes, bytes] | None":
+    """Column k and tables T0, T1, T2 with T0[b_k] ^ T1[b_k-1] ^ T2[b_k-2] = s.
+
+    Symbol s of `table` (256 symbols of `width` bytes) is an edge joining
+    its bytes in columns k, k-1 and k-2.  Peeling keeps, per vertex, only
+    a degree and the XOR of its incident edge ids; every edge peels iff
+    the 3-hypergraph has no 2-core, and then assigning the peeled edges
+    in reverse order solves for the tables.  Triples are tried from the
+    low-order end, whose bytes vary most from symbol to symbol; returns
+    None if no triple peels.
+    """
+    for k in range(width - 1, 1, -1):
+        cols = (table[k::width], table[k - 1::width], table[k - 2::width])
+        if len(set(zip(*cols))) < 256:
+            continue  # two symbols agree in all three columns
+        deg = [0] * 768
+        acc = [0] * 768
+        for off, col in zip((0, 256, 512), cols):
+            for s, b in enumerate(col):
+                deg[off + b] += 1
+                acc[off + b] ^= s
+        c0, c1, c2 = cols
+        stack = [v for v in range(768) if deg[v] == 1]
+        order = []
+        while stack:
+            v = stack.pop()
+            if deg[v] == 0:
+                continue  # its edge was peeled from another vertex
+            s = acc[v]
+            order.append((s, v))
+            for u in (c0[s], 256 + c1[s], 512 + c2[s]):
+                deg[u] -= 1
+                acc[u] ^= s
+                if deg[u] == 1:
+                    stack.append(u)
+        if len(order) == 256:
+            t = bytearray(768)
+            for s, v in reversed(order):
+                # t[v] is still 0 here: v met no edge peeled after s
+                t[v] = s ^ t[c0[s]] ^ t[256 + c1[s]] ^ t[512 + c2[s]]
+            return k, bytes(t[:256]), bytes(t[256:512]), bytes(t[512:])
+    return None
+
+
+def _decrypt_by_columns(payload: bytes, table: bytes, width: int) -> "bytes | None":
+    """Three-column decode of a Power payload, or None to use the lookup path.
+
+    The output is returned only if encrypting it through `table` gives
+    back the payload, checked one column at a time so no second payload
+    is built.  A payload that passes is a valid encryption, and
+    encryption is injective, so the output is the only preimage.
+    """
+    plan = _peeling_plan(table, width)
+    if plan is None:
+        return None
+    k, t0, t1, t2 = plan
+    x = (int.from_bytes(payload[k::width].translate(t0), "little")
+         ^ int.from_bytes(payload[k - 1::width].translate(t1), "little")
+         ^ int.from_bytes(payload[k - 2::width].translate(t2), "little"))
+    out = x.to_bytes(len(payload) // width, "little")
+    for j in range(width):
+        if payload[j::width] != out.translate(table[j::width]):
+            return None
+    return out
+
+
 def decrypt_bytes(payload: bytes, key: CipherKey, width: "int | None" = None) -> bytes:
     """Invert encrypt_bytes.
 
     `width` overrides the symbol width (used when the envelope header is
-    authoritative); by default it is computed from the key.  Symbols are
-    looked up in the inverse of the key's table at that width.  The first
-    one not found is corrupt: InexactRoot if it is not a perfect n-th
-    power, SymbolOutOfRange if its root maps outside [0, 255].
+    authoritative); by default it is computed from the key.  In Power
+    mode, when all 256 symbols fit the width, the payload is decoded
+    from three byte columns and kept only if re-encrypting it, column by
+    column, reproduces the payload.  Otherwise (no peeling plan for the
+    key, a width too narrow for some symbol, or a failed check) symbols
+    are looked up one by one in the inverse of the key's table at that
+    width.  The first one not found is corrupt: InexactRoot if it is not
+    a perfect n-th power, SymbolOutOfRange if its root maps outside
+    [0, 255].
     """
     if key.mode == Mode.ADDITIVE:
         return payload.translate(_additive_table(key.a))
@@ -160,15 +250,15 @@ def decrypt_bytes(payload: bytes, key: CipherKey, width: "int | None" = None) ->
             f"payload of {len(payload)} bytes is not a multiple of "
             f"symbol width {width}"
         )
-    limit = 1 << (8 * width)
-    inverse = {}
-    for s in range(256):
-        c = (a - s) ** n
-        if c < limit:
-            inverse[c.to_bytes(width, "big")] = s
-    symbols = (payload[i:i + width] for i in range(0, len(payload), width))
+    symbols = _power_symbols(a, n, width)
+    if None not in symbols:
+        out = _decrypt_by_columns(payload, b"".join(symbols), width)
+        if out is not None:
+            return out
+    inverse = {c: s for s, c in enumerate(symbols) if c is not None}
+    chunks = (payload[i:i + width] for i in range(0, len(payload), width))
     try:
-        return bytes(map(inverse.__getitem__, symbols))
+        return bytes(map(inverse.__getitem__, chunks))
     except KeyError as miss:
         c = int.from_bytes(miss.args[0], "big")
     # Every symbol whose exact root maps into [0, 255] is in the table.

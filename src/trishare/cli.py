@@ -54,7 +54,7 @@ def _parse_points(text: str) -> List[Tuple[int, int]]:
 
 
 def _modulus(args: argparse.Namespace) -> FieldModulus:
-    return modulus_for(args.p) if getattr(args, "p", None) else default_modulus()
+    return modulus_for(args.p) if args.p is not None else default_modulus()
 
 
 def _store(args: argparse.Namespace) -> ObjectStore:
@@ -222,7 +222,7 @@ def _read_share_record(path: Path) -> EncryptedShare:
 
 
 def _cmd_verify_example(args) -> int:
-    modulus = modulus_for(args.p) if args.p else None
+    modulus = modulus_for(args.p) if args.p is not None else None
     report = bench.verify_reference_example(modulus=modulus)
     payload = {"p": report.modulus_p, "passed": report.passed,
                "assertions": [{"name": a.name, "expected": a.expected,

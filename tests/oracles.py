@@ -150,3 +150,40 @@ def _grant_dict(g):
         "salt_hex": g.salt.hex(),
         "envelope_ref": g.envelope_ref,
     }
+
+
+def slow_power_decrypt(payload, a, n, width):
+    """Power-mode plaintext by brute force over the 256 candidate bytes.
+
+    Each `width`-byte big-endian symbol c is compared with (a - s)^n for
+    every s. Returns the plaintext, or the name of the error the first
+    bad symbol earns: "SymbolOutOfRange" if c is a perfect n-th power
+    (its root maps outside the byte range), else "InexactRoot".
+    "LengthMismatch" if the payload is not whole symbols.
+    """
+    if len(payload) % width:
+        return "LengthMismatch"
+    candidates = [(a - s) ** n for s in range(256)]
+    out = bytearray()
+    for i in range(0, len(payload), width):
+        c = int.from_bytes(payload[i:i + width], "big")
+        for s, cand in enumerate(candidates):
+            if cand == c:
+                out.append(s)
+                break
+        else:
+            r = _floor_root(c, n)
+            return "SymbolOutOfRange" if r ** n == c else "InexactRoot"
+    return bytes(out)
+
+
+def _floor_root(c, n):
+    """Largest r with r^n <= c, by bisection."""
+    lo, hi = 0, 1 << (c.bit_length() // n + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** n <= c:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

@@ -13,6 +13,7 @@ from trishare import (
     storage_overhead_report,
     verify_reference_example,
 )
+import trishare.bench
 from trishare.bench import (
     ATTRS_CSV_HEADER,
     ENCRYPT_CSV_HEADER,
@@ -91,6 +92,18 @@ def test_bench_encrypt_rejects_thin_sampling():
         bench_encrypt(sizes=(64,), reps=2)
 
 
+def no_timing(monkeypatch):
+    def fail(fn, reps):
+        raise AssertionError("timed before validating its input")
+    monkeypatch.setattr(trishare.bench, "_median_seconds", fail)
+
+
+def test_bench_encrypt_rejects_negative_size_before_timing(monkeypatch):
+    no_timing(monkeypatch)
+    with pytest.raises(Error, match="sizes must be >= 0"):
+        bench_encrypt(sizes=(256, -5), reps=5)
+
+
 def test_bench_encrypt_is_deterministic_in_data():
     a = bench_encrypt(sizes=(128,), reps=5, seed=1)
     b = bench_encrypt(sizes=(128,), reps=5, seed=1)
@@ -162,3 +175,10 @@ def test_storage_report_contents():
     assert len(report.lines()) == 5
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["measured"]["share_record_bytes"] == report.measured_share_record_bytes
+
+
+@pytest.mark.parametrize("k_values", [(3,), (3, 3)])
+def test_bench_attributes_needs_two_thresholds_before_timing(monkeypatch, k_values):
+    no_timing(monkeypatch)
+    with pytest.raises(Error, match="at least two distinct thresholds"):
+        bench_attributes(k_values=k_values, n_users=8, reps=5)

@@ -23,8 +23,9 @@ from trishare import (
     seal_file,
     symbol_width,
 )
-from trishare.cipher import DEFAULT_BLOCK_BYTES, MAX_POWER
-from oracles import slow_fnv1a64
+import trishare
+from trishare.cipher import DEFAULT_BLOCK_BYTES, MAX_POWER, _peeling_plan, _power_symbols
+from oracles import slow_fnv1a64, slow_power_decrypt
 
 
 # ---------------------------------------------------------------- hashing
@@ -176,6 +177,104 @@ def test_wrong_power_key_fails_loudly():
         except (InexactRoot, SymbolOutOfRange):
             failures += 1
     assert failures >= 99
+
+
+# ---------------------------------------------------------------- three-column decode
+
+def _plan(key, width):
+    return _peeling_plan(b"".join(_power_symbols(key.a, key.n, width)), width)
+
+
+def _widen(payload, width, extra):
+    """The same symbols as `extra` more leading zero bytes each."""
+    return b"".join(bytes(extra) + payload[i:i + width]
+                    for i in range(0, len(payload), width))
+
+
+def test_plan_exists_for_derived_keys():
+    # the fast path must not go dead silently for the keys files get
+    rng = random.Random(0x3C0)
+    for i in range(200):
+        key = derive_file_key(rng.randrange(1, 1 << 61), f"file-{i}",
+                              mode=Mode.POWER, n=1 + i % MAX_POWER)
+        assert _plan(key, symbol_width(key)) is not None, key
+
+
+def test_plan_tables_decode_every_symbol():
+    key = derive_file_key(0x5EED, "plan.dat", mode=Mode.POWER, n=3)
+    width = symbol_width(key)
+    table = b"".join(_power_symbols(key.a, key.n, width))
+    k, t0, t1, t2 = _peeling_plan(table, width)
+    for s in range(256):
+        sym = table[s * width:(s + 1) * width]
+        assert t0[sym[k]] ^ t1[sym[k - 1]] ^ t2[sym[k - 2]] == s
+
+
+def test_decrypt_without_plan_uses_lookup():
+    key = CipherKey(a=256, n=8, mode=Mode.POWER)
+    width = symbol_width(key)
+    assert _plan(key, width) is None
+    data = bytes(range(256)) * 2
+    payload = encrypt_bytes(data, key)
+    assert decrypt_bytes(payload, key) == data
+    with pytest.raises(InexactRoot):
+        decrypt_bytes(payload[:width] + bytes(width - 1) + b"\x02" + payload[width:], key)
+
+
+derived_power_keys = st.builds(
+    lambda master, name, n: derive_file_key(master, name, mode=Mode.POWER, n=n),
+    st.integers(min_value=1, max_value=(1 << 61) - 1),
+    st.text(min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=MAX_POWER),
+)
+hand_power_keys = st.builds(
+    lambda a, n: CipherKey(a=a, n=n, mode=Mode.POWER),
+    st.integers(min_value=256, max_value=2000),
+    st.integers(min_value=1, max_value=MAX_POWER),
+)
+power_keys = st.one_of(derived_power_keys, hand_power_keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_keys, st.binary(max_size=2048), st.integers(min_value=0, max_value=2))
+def test_decrypt_matches_brute_force_oracle(key, data, extra):
+    width = symbol_width(key)
+    payload = _widen(encrypt_bytes(data, key), width, extra)
+    expected = slow_power_decrypt(payload, key.a, key.n, width + extra)
+    assert expected == data
+    assert decrypt_bytes(payload, key, width=width + extra) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(power_keys, st.binary(min_size=1, max_size=512),
+       st.integers(min_value=0, max_value=2), st.data())
+def test_corrupt_payload_raises_as_oracle(key, data, extra, choices):
+    width = symbol_width(key) + extra
+    payload = _widen(encrypt_bytes(data, key), symbol_width(key), extra)
+    a, n = key.a, key.n
+    kind = choices.draw(st.sampled_from(["flip", "non-power", "out-of-range"]))
+    if kind == "flip":
+        at = choices.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        mask = choices.draw(st.integers(min_value=1, max_value=255))
+        payload = payload[:at] + bytes([payload[at] ^ mask]) + payload[at + 1:]
+    else:
+        if kind == "non-power":
+            # strictly between two consecutive n-th powers when n >= 2
+            s = choices.draw(st.integers(min_value=0, max_value=255))
+            bad = (a - s) ** n + 1
+        else:
+            # a root outside [a - 255, a] maps outside [0, 255]
+            r = choices.draw(st.one_of(st.integers(min_value=0, max_value=a - 256),
+                                       st.integers(min_value=a + 1, max_value=a + 255)))
+            bad = r ** n
+        at = len(data) // 2 * width
+        payload = payload[:at] + bad.to_bytes(width, "big") + payload[at:]
+    expected = slow_power_decrypt(payload, a, n, width)
+    if isinstance(expected, str):
+        with pytest.raises(getattr(trishare, expected)):
+            decrypt_bytes(payload, key, width=width)
+    else:
+        assert decrypt_bytes(payload, key, width=width) == expected
 
 
 # ---------------------------------------------------------------- file keys

@@ -438,6 +438,17 @@ def test_malformed_numeric_argument_is_usage_error(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["keygen", "--p", "0"],
+    ["split", "--secret", "5", "--coeffs", "3,2", "--n-users", "3", "--p", "0"],
+    ["verify-example", "--p", "0"],
+], ids=["keygen", "split", "verify-example"])
+def test_zero_modulus_is_rejected(capsys, argv):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.splitlines() == ["error: 0 is not prime"]
+
+
 # ---------------------------------------------------------------- bench commands
 
 def test_bench_storage_json(capsys):
@@ -469,6 +480,18 @@ def test_bench_attrs_reports_fit(capsys):
     )
     assert rc == 0
     assert "split fit:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "attrs", "--k", "3", "--reps", "5"],
+    ["bench", "attrs", "--k", "3,3", "--reps", "5"],
+    ["bench", "encrypt", "--sizes", "-5", "--reps", "5"],
+], ids=["attrs-one-k", "attrs-repeated-k", "encrypt-negative-size"])
+def test_bench_bad_input_exits_with_one_error_line(capsys, argv):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------- entry point
