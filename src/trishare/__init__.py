@@ -13,11 +13,11 @@ from .field import (FieldModulus, InvalidModulus, InvalidPolynomial, M61,
                     SecretPolynomial, ZeroInverse, default_modulus,
                     integer_nth_root, is_prime, mod_inverse, modulus_for,
                     poly_eval)
-from .hashing import fnv1a64, mix64
+from .hashing import fnv1a64
 from .keystream import (InvalidParams, Lcg, LcgParams, MaskSchedule,
-                        MonobitStats, REFERENCE_RAND, REFERENCE_REP, TooFewBits,
-                        lcg_bits, mask_rand, mask_rep, monobit_check,
-                        recommended_rand, recommended_rep, xor_mask)
+                        REFERENCE_RAND, REFERENCE_REP, TooFewBits, lcg_bits,
+                        mask_rand, mask_rep, monobit_check, recommended_rand,
+                        recommended_rep, xor_mask)
 from .cipher import (BadHeader, CipherEnvelope, CipherKey, EmptyFilename,
                      InexactRoot, KeyOutOfRange, LengthMismatch, Mode,
                      SymbolOutOfRange, decrypt_bytes, derive_file_key,
@@ -33,7 +33,7 @@ from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
                           lagrange_basis_at, reconstruct_polynomial,
                           reconstruct_secret, verify_binding)
 from .storage import (ACL_BACKUP_FILENAME, HEADER_BYTES, IoFailure, NotFound,
-                      ObjectStore, POLICY_FILENAME, Receipt, Truncated,
+                      ObjectStore, POLICY_FILENAME, Truncated,
                       decode_envelope, encode_envelope, object_key)
 from .authz import (BindingMismatch, CorruptPolicy, DuplicateUser,
                     FileGrant, InsufficientPoints, InvalidFileId, NoConsumers,

@@ -25,7 +25,7 @@ import secrets as _secrets
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .cipher import CipherEnvelope, Mode, derive_file_key, open_file, seal_file
 from .errors import Error
@@ -163,7 +163,6 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
                  mode: Mode = Mode.ADDITIVE, n: int = 1,
                  secret: "int | None" = None,
                  coeffs: "Sequence[int] | None" = None,
-                 salt: "bytes | None" = None,
                  slots: "RoleSlots | None" = None,
                  ) -> Tuple[PolicyDb, "CipherEnvelope", SharePoint]:
     """Seal `data` under a fresh secret and split it across the roles.
@@ -173,7 +172,7 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     only be re-granted, not decrypted.  Granting an already-granted
     file_id replaces the previous grant.
 
-    The keyword overrides (secret, coeffs, salt, slots) exist for
+    The keyword overrides (secret, coeffs, slots) exist for
     deterministic fixtures; production callers leave them unset.
     """
     try:
@@ -196,8 +195,7 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
 
     if secret is None:
         secret = _secrets.randbelow(p)
-    if salt is None:
-        salt = os.urandom(16)
+    salt = os.urandom(16)
     if coeffs is None:
         coeffs = derive_attribute_tokens(_owner_attributes(owner, THRESHOLD),
                                          salt, THRESHOLD, db.modulus)
@@ -277,7 +275,7 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
 
     inp = ReconstructionInput(
         points=(grant.server_share, owner_point, receiver_point),
-        modulus=db.modulus, k=THRESHOLD)
+        modulus=db.modulus)
     try:
         poly = reconstruct_polynomial(inp)
     except InvalidPolynomial as exc:
@@ -342,10 +340,7 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str, *,
     del grant.consumer_shares[user_id]
 
     shift = lambda x: _delta_at(deltas, x, p)  # noqa: E731
-    grant.server_share = SharePoint(
-        x=grant.server_share.x,
-        y=(grant.server_share.y + shift(grant.server_share.x)) % p,
-        modulus=db.modulus)
+    grant.server_share = update_owner_share(grant.server_share, deltas)
     new_kc = (grant.binding.kc + shift(grant.binding.x_kc)) % p
     grant.binding = BindingCode(kc=new_kc, x_kc=grant.binding.x_kc)
     # Additive blinding commutes with the shift: adjusting y_enc re-issues
@@ -363,7 +358,8 @@ def _delta_at(deltas: Sequence[int], x: int, p: int) -> int:
 
 
 def update_owner_share(point: SharePoint, deltas: Sequence[int]) -> SharePoint:
-    """Move an owner point onto the post-revocation polynomial."""
+    """Move a share point onto the post-revocation polynomial: the owner
+    applies it to their own point, revoke_user to the server's."""
     p = point.modulus.p
     return SharePoint(x=point.x, y=(point.y + _delta_at(deltas, point.x, p)) % p,
                       modulus=point.modulus)

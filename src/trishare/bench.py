@@ -8,7 +8,6 @@ measured independently, so reported rows are internally consistent.
 
 from __future__ import annotations
 
-import io
 import platform
 import random
 import statistics
@@ -133,15 +132,29 @@ def _median_seconds(fn: Callable[[], object], reps: int) -> float:
     return statistics.median(samples)
 
 
+def _fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
+    """Least-squares line through (xs, ys): (slope, intercept)."""
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    den = sum((x - mean_x) ** 2 for x in xs)
+    slope = num / den
+    return slope, mean_y - slope * mean_x
+
+
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log(y) against log(x)."""
-    lx = [log(x) for x in xs]
-    ly = [log(y) for y in ys]
-    mean_x = sum(lx) / len(lx)
-    mean_y = sum(ly) / len(ly)
-    num = sum((a - mean_x) * (b - mean_y) for a, b in zip(lx, ly))
-    den = sum((a - mean_x) ** 2 for a in lx)
-    return num / den
+    return _fit([log(x) for x in xs], [log(y) for y in ys])[0]
+
+
+def _csv(header: str, rows: Sequence[dict]) -> str:
+    """CSV text: the header, then one line per row dict in header order.
+    Numbers are written by repr (exact for floats); None is written NA."""
+    columns = header.split(",")
+    lines = [header] + [
+        ",".join("NA" if row[c] is None else repr(row[c]) for c in columns)
+        for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _environment_note() -> str:
@@ -180,18 +193,7 @@ class BenchReport:
     rows: List[BenchRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(ENCRYPT_CSV_HEADER + "\n")
-        for r in self.rows:
-            tp = r.throughput_kb_per_s
-            buf.write(",".join([
-                str(r.input_size_bytes),
-                str(r.ciphertext_size_bytes),
-                repr(r.encrypt_seconds),
-                repr(r.decrypt_seconds),
-                "NA" if tp is None else repr(tp),
-            ]) + "\n")
-        return buf.getvalue()
+        return _csv(ENCRYPT_CSV_HEADER, self.to_dict()["rows"])
 
     def to_dict(self) -> dict:
         return {
@@ -262,12 +264,7 @@ class AttrBenchReport:
     split_fit_residual: float = 0.0
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(ATTRS_CSV_HEADER + "\n")
-        for r in self.rows:
-            buf.write(f"{r.k},{r.n_users},{r.split_seconds!r},"
-                      f"{r.reconstruct_seconds!r}\n")
-        return buf.getvalue()
+        return _csv(ATTRS_CSV_HEADER, self.to_dict()["rows"])
 
     def to_dict(self) -> dict:
         return {
@@ -296,6 +293,8 @@ def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
     if reps < MIN_REPS:
         raise Error(f"reps must be >= {MIN_REPS}")
     for k in k_values:
+        if k < 1:
+            raise Error(f"thresholds must be >= 1, got k={k}")
         if n_users < k:
             raise Error(f"n_users={n_users} below threshold k={k}")
     if len(set(k_values)) < 2:
@@ -318,11 +317,7 @@ def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
                                         reconstruct_seconds=rec_s))
     ks = [r.k for r in report.rows]
     ts = [r.split_seconds for r in report.rows]
-    mean_k = sum(ks) / len(ks)
-    mean_t = sum(ts) / len(ts)
-    den = sum((k - mean_k) ** 2 for k in ks)
-    slope = sum((k - mean_k) * (t - mean_t) for k, t in zip(ks, ts)) / den
-    intercept = mean_t - slope * mean_k
+    slope, intercept = _fit(ks, ts)
     residual = (sum((t - (slope * k + intercept)) ** 2
                     for k, t in zip(ks, ts)) / len(ks)) ** 0.5
     report.split_fit_slope = slope
@@ -340,18 +335,21 @@ class StorageOverheadModel:
     """Closed-form storage costs for this scheme and two published baselines.
 
     n_attrs_user: attributes per user (n); policy_attrs: attributes in
-    the access policy (t_c).  Baseline parameters default to the same
-    counts: n_aa authority attributes (DAC-MACS), m and k_c for the
-    pairing-based scheme's user and policy sides.
+    the access policy (t_c).  The baselines are costed at the same counts.
     """
 
     n_attrs_user: int = 10
     policy_attrs: int = 10
     element_bits: int = 256
     pairing_bits: int = 512
-    n_aa: "int | None" = None
-    m: "int | None" = None
-    k_c: "int | None" = None
+
+    def __post_init__(self) -> None:
+        if min(self.n_attrs_user, self.policy_attrs) < 0:
+            raise Error("attribute counts must be >= 0, got "
+                        f"n={self.n_attrs_user}, t_c={self.policy_attrs}")
+        if min(self.element_bits, self.pairing_bits) < 1:
+            raise Error("bit widths must be >= 1, got "
+                        f"element={self.element_bits}, pairing={self.pairing_bits}")
 
     def user_storage_bits(self) -> int:
         """This scheme, per user: (n + 1) field elements."""
@@ -362,19 +360,16 @@ class StorageOverheadModel:
         return (self.policy_attrs + 1) * self.element_bits
 
     def dacmacs_user_bits(self) -> int:
-        return ((self.n_aa if self.n_aa is not None else self.n_attrs_user) + 3) \
-            * self.element_bits
+        return (self.n_attrs_user + 3) * self.element_bits
 
     def dacmacs_server_bits(self) -> int:
         return (3 * self.policy_attrs + 3) * self.element_bits
 
     def pairing_user_bits(self) -> int:
-        return ((self.m if self.m is not None else self.n_attrs_user) + 1) \
-            * self.pairing_bits
+        return (self.n_attrs_user + 1) * self.pairing_bits
 
     def pairing_server_bits(self) -> int:
-        return ((self.k_c if self.k_c is not None else self.policy_attrs) + 1) \
-            * self.pairing_bits
+        return (self.policy_attrs + 1) * self.pairing_bits
 
 
 @dataclass

@@ -35,9 +35,6 @@ from .keystream import MaskSchedule, mask_rand, mask_rep, xor_mask
 
 DEFAULT_BLOCK_BYTES = 1024
 DEFAULT_REP_PERIOD_BITS = 64
-
-ENVELOPE_MAGIC = b"IFSC"
-ENVELOPE_VERSION = 1
 MAX_POWER = 8
 
 

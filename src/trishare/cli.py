@@ -12,7 +12,7 @@ import json
 import secrets as _secrets
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import authz, bench
 from .cipher import CipherKey, Mode, open_file, seal_file
@@ -136,6 +136,9 @@ def _cmd_register(args) -> int:
         db = authz.load_db(store)
     except NotFound:
         db = authz.PolicyDb(modulus=_modulus(args))
+    else:
+        if args.p is not None and args.p != db.modulus.p:
+            raise Error(f"--p {args.p} differs from the store's p = {db.modulus.p}")
     record = authz.UserRecord(user_id=args.user_id,
                               user_type=authz.UserType(args.type),
                               credentials=credentials)
@@ -162,8 +165,7 @@ def _cmd_grant(args) -> int:
     data = Path(args.infile).read_bytes()
     mode = _parse_mode(args.mode)
     db, envelope, owner_share = authz.grant_access(
-        db, store, args.file_id, owner, consumers, data, mode=mode,
-        n=args.n if mode == Mode.POWER else 1)
+        db, store, args.file_id, owner, consumers, data, mode=mode, n=args.n)
     authz.persist_db(db, store, backup=True)
     grant = db.grants[args.file_id]
     payload = {"file_id": args.file_id,
@@ -222,8 +224,7 @@ def _read_share_record(path: Path) -> EncryptedShare:
 
 
 def _cmd_verify_example(args) -> int:
-    modulus = modulus_for(args.p) if args.p is not None else None
-    report = bench.verify_reference_example(modulus=modulus)
+    report = bench.verify_reference_example(modulus=_modulus(args))
     payload = {"p": report.modulus_p, "passed": report.passed,
                "assertions": [{"name": a.name, "expected": a.expected,
                                "actual": a.actual, "ok": a.ok}
@@ -236,8 +237,7 @@ def _cmd_verify_example(args) -> int:
 def _cmd_bench_encrypt(args) -> int:
     sizes = args.sizes or bench.DEFAULT_BENCH_SIZES
     mode = _parse_mode(args.mode)
-    report = bench.bench_encrypt(sizes=sizes, mode=mode,
-                                 n=args.n if mode == Mode.POWER else 1,
+    report = bench.bench_encrypt(sizes=sizes, mode=mode, n=args.n,
                                  reps=args.reps)
     csv_text = report.to_csv()
     if args.csv:
@@ -274,12 +274,14 @@ def _cmd_bench_storage(args) -> int:
 # Parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, db_store: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, modulus: bool = False,
+                store: bool = False) -> None:
     sub.add_argument("--json", action="store_true",
                      help="machine-readable JSON on stdout")
-    sub.add_argument("--p", type=int, default=None,
-                     help=f"field modulus (default {M61})")
-    if db_store:
+    if modulus:
+        sub.add_argument("--p", type=int, default=None,
+                         help=f"field modulus (default {M61})")
+    if store:
         sub.add_argument("--store", default="store",
                          help="object store root directory (default ./store)")
 
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("keygen", help="generate a fresh file secret")
-    _add_common(s)
+    _add_common(s, modulus=True)
     s.set_defaults(fn=_cmd_keygen)
 
     s = subs.add_parser("encrypt", help="seal a file into an envelope")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_decrypt)
 
     s = subs.add_parser("split", help="split a secret into share points")
-    _add_common(s)
+    _add_common(s, modulus=True)
     s.add_argument("--secret", type=int, required=True)
     s.add_argument("--coeffs", type=_parse_int_list, required=True,
                    help="comma-separated a1,a2,... (threshold = count + 1)")
@@ -320,20 +322,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_split)
 
     s = subs.add_parser("reconstruct", help="recover the secret from points")
-    _add_common(s)
+    _add_common(s, modulus=True)
     s.add_argument("--points", type=_parse_points, required=True,
                    help="x:y,x:y,x:y")
     s.set_defaults(fn=_cmd_reconstruct)
 
     s = subs.add_parser("register", help="add a user to the policy db")
-    _add_common(s, db_store=True)
+    _add_common(s, modulus=True, store=True)
     s.add_argument("--user-id", required=True)
     s.add_argument("--type", required=True, choices=[t.value for t in authz.UserType])
     s.add_argument("--credentials", required=True)
     s.set_defaults(fn=_cmd_register)
 
     s = subs.add_parser("grant", help="seal a file and issue shares")
-    _add_common(s, db_store=True)
+    _add_common(s, store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--owner", required=True)
     s.add_argument("--consumers", required=True, help="comma-separated user ids")
@@ -343,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_grant)
 
     s = subs.add_parser("revoke", help="revoke a consumer and refresh shares")
-    _add_common(s, db_store=True)
+    _add_common(s, store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--user", required=True)
     s.set_defaults(fn=_cmd_revoke)
 
     s = subs.add_parser("request", help="decrypt with server+owner+receiver points")
-    _add_common(s, db_store=True)
+    _add_common(s, store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--receiver", required=True)
     s.add_argument("--owner-point", type=_parse_point, required=True, help="x:y")
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("verify-example",
                         help="check the pinned worked example, exit 1 on mismatch")
-    _add_common(s)
+    _add_common(s, modulus=True)
     s.set_defaults(fn=_cmd_verify_example)
 
     b = subs.add_parser("bench", help="benchmarks and storage models")
@@ -385,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", default=None)
     s.set_defaults(fn=_cmd_bench_attrs)
 
-    s = bsubs.add_parser("storage", help="storage-overhead formula table")
+    # No abbreviations here: --p would otherwise be read as --pairing-bits.
+    s = bsubs.add_parser("storage", help="storage-overhead formula table",
+                         allow_abbrev=False)
     _add_common(s)
     s.add_argument("--n", type=int, default=10, help="attributes per user")
     s.add_argument("--tc", type=int, default=10, help="policy attribute count")

@@ -87,18 +87,14 @@ class FieldModulus:
 
 
 @lru_cache(maxsize=None)
-def _modulus_for(p: int) -> FieldModulus:
-    return FieldModulus(p, test_profile=p < MIN_PRODUCTION_MODULUS)
-
-
 def modulus_for(p: int) -> FieldModulus:
     """FieldModulus for a raw prime, inferring the profile from its size."""
-    return _modulus_for(p)
+    return FieldModulus(p, test_profile=p < MIN_PRODUCTION_MODULUS)
 
 
 def default_modulus() -> FieldModulus:
     """The production modulus 2^61 - 1."""
-    return _modulus_for(M61)
+    return modulus_for(M61)
 
 
 ModulusLike = Union[FieldModulus, int]
@@ -109,23 +105,15 @@ def _p_of(modulus: ModulusLike) -> int:
 
 
 def mod_inverse(a: int, modulus: ModulusLike) -> int:
-    """Multiplicative inverse of a mod p via the extended Euclid algorithm.
+    """Multiplicative inverse of a mod p.
 
     Works for any prime p (no reliance on p's form).  Raises ZeroInverse
     when a is congruent to zero.
     """
     p = _p_of(modulus)
-    a = a % p
-    if a == 0:
+    if a % p == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
-    # Iterative extended Euclid: track only the coefficient of a.
-    old_r, r = a, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_s % p
+    return pow(a, -1, p)
 
 
 @dataclass(frozen=True)

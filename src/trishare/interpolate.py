@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import Error
-from .field import FieldModulus, SecretPolynomial, mod_inverse, poly_eval
-from .sharing import BindingCode, SharePoint, derive_binding_x
+from .field import FieldModulus, SecretPolynomial, mod_inverse
+from .sharing import BindingCode, SharePoint, binding_code
 
 
 class DuplicateAbscissa(Error):
@@ -41,6 +41,8 @@ class ReconstructionInput:
         object.__setattr__(self, "points", pts)
         expected = self.k if self.k is not None else len(pts)
         object.__setattr__(self, "k", expected)
+        if not pts:
+            raise NotEnoughPoints("got no points; a secret needs at least one")
         if len(pts) < expected:
             raise NotEnoughPoints(f"got {len(pts)} points, need {expected}")
         if len(pts) > expected:
@@ -124,8 +126,4 @@ def verify_binding(poly: SecretPolynomial, code: BindingCode,
     a single tampered share point changes the interpolant and flips this
     to False with probability 1 - 1/p.
     """
-    expected_x = derive_binding_x(file_id, poly.modulus)
-    if code.x_kc != expected_x:
-        return False
-    kc = (poly.coeffs[0] + poly_eval(poly, code.x_kc)) % poly.modulus.p
-    return kc == code.kc
+    return binding_code(poly.coeffs[0], poly, file_id) == code

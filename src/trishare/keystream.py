@@ -128,10 +128,6 @@ class Lcg:
         self.state = (self.params.a * self.state + self.params.c) % self.params.m
         return self.state
 
-    def bit(self) -> int:
-        """Advance once and return the new state's parity."""
-        return self.step() & 1
-
     def bits(self, count: int) -> List[int]:
         """The next `count` parity bits."""
         return [self.step() & 1 for _ in range(count)]

@@ -27,7 +27,6 @@ import os
 import stat
 import struct
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
@@ -94,14 +93,6 @@ def object_key(file_id: str, version: int = 0) -> str:
     return format(fnv1a64(f"{file_id}:{version}".encode("utf-8")), "016x")
 
 
-@dataclass(frozen=True)
-class Receipt:
-    """Acknowledgement of a durable write."""
-
-    key: str
-    length: int
-
-
 class ObjectStore:
     """Blob store keyed by object_key strings, plus root-level text files.
 
@@ -120,13 +111,12 @@ class ObjectStore:
             except OSError as exc:
                 raise IoFailure(f"cannot create store at {self.root}: {exc}") from exc
 
-    def put_object(self, key: str, data: bytes) -> Receipt:
+    def put_object(self, key: str, data: bytes) -> None:
         """Store a blob durably; atomic replace if the key exists."""
         if self.root is None:
             self.objects[key] = data
         else:
             _atomic_write(self.root / "objects" / key, data)
-        return Receipt(key=key, length=len(data))
 
     def get_object(self, key: str) -> bytes:
         """Fetch a blob; NotFound if it was never stored."""

@@ -17,6 +17,10 @@ import trishare.bench
 from trishare.bench import (
     ATTRS_CSV_HEADER,
     ENCRYPT_CSV_HEADER,
+    AttrBenchReport,
+    AttrBenchRow,
+    BenchReport,
+    BenchRow,
     EXAMPLE_COEFFS,
     EXAMPLE_POINTS,
     EXAMPLE_SECRET,
@@ -175,6 +179,45 @@ def test_storage_report_contents():
     assert len(report.lines()) == 5
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["measured"]["share_record_bytes"] == report.measured_share_record_bytes
+
+
+def test_bench_attributes_rejects_zero_threshold_before_timing(monkeypatch):
+    no_timing(monkeypatch)
+    with pytest.raises(Error, match="thresholds must be >= 1"):
+        bench_attributes(k_values=(0, 1), n_users=8, reps=5)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_attrs_user": -1}, {"policy_attrs": -5},
+    {"element_bits": 0}, {"pairing_bits": -512},
+], ids=["negative-n", "negative-tc", "zero-element-bits", "negative-pairing-bits"])
+def test_storage_model_rejects_nonsense_sizes(fields):
+    with pytest.raises(Error):
+        StorageOverheadModel(**fields)
+
+
+def test_storage_model_accepts_zero_attributes():
+    model = StorageOverheadModel(n_attrs_user=0, policy_attrs=0)
+    assert model.user_storage_bits() == model.server_storage_bits() == 256
+
+
+def test_csv_text_is_pinned():
+    enc = BenchReport(mode=Mode.ADDITIVE, reps=5, environment="env", rows=[
+        BenchRow(1024, 1024, 0.001, 0.0025),
+        BenchRow(0, 0, 1e-06, 2.5e-06),
+        BenchRow(3000, 9000, 0.1, 1 / 3)])
+    assert enc.to_csv() == (
+        "size_bytes,cipher_bytes,encrypt_s,decrypt_s,throughput_kbps\n"
+        "1024,1024,0.001,0.0025,1000.0\n"
+        "0,0,1e-06,2.5e-06,NA\n"
+        "3000,9000,0.1,0.3333333333333333,29.296875\n")
+    attrs = AttrBenchReport(reps=5, environment="env", rows=[
+        AttrBenchRow(3, 24, 1.5e-05, 0.000123),
+        AttrBenchRow(1, 2, 0.25, 1 / 7)])
+    assert attrs.to_csv() == (
+        "k,n_users,split_s,reconstruct_s\n"
+        "3,24,1.5e-05,0.000123\n"
+        "1,2,0.25,0.14285714285714285\n")
 
 
 @pytest.mark.parametrize("k_values", [(3,), (3, 3)])

@@ -67,6 +67,13 @@ def test_keygen_bounds(capsys):
     assert 0 <= int(out.strip()) < 97
 
 
+def test_reconstruct_from_no_points_exits_with_one_error_line(capsys):
+    rc, out, err = run_cli(["reconstruct", "--points", ""], capsys)
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_split_rejects_oversized_secret(capsys):
     rc, _, err = run_cli(
         ["split", "--secret", "1234", "--coeffs", "3,2", "--n-users", "3",
@@ -309,6 +316,34 @@ def test_corrupt_policy_exits_with_one_error_line(tmp_path, capsys, policy_corru
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_register_modulus_must_match_the_store(tmp_path, capsys):
+    store = tmp_path / "store"
+    register_users(store, capsys)
+    policy = (store / "policy.json").read_bytes()
+    argv = ["register", "--store", str(store), "--user-id", "dave",
+            "--type", "consumer", "--credentials", "cred-dave"]
+    rc, out, err = run_cli([*argv, "--p", "65537"], capsys)
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: --p 65537 differs from the store's p = {M61}"]
+    assert (store / "policy.json").read_bytes() == policy
+    rc, _, _ = run_cli([*argv, "--p", str(M61)], capsys)
+    assert rc == 0
+    users = json.loads((store / "policy.json").read_text())["users"]
+    assert "dave" in [u["user_id"] for u in users]
+
+
+def test_register_modulus_sets_a_new_store(tmp_path, capsys):
+    store = tmp_path / "store"
+    for uid, extra in (("olivia", ["--p", "65537"]), ("alice", [])):
+        rc, _, _ = run_cli(
+            ["register", "--store", str(store), "--user-id", uid,
+             "--type", "owner", "--credentials", "c", *extra], capsys)
+        assert rc == 0
+    doc = json.loads((store / "policy.json").read_text())
+    assert doc["p"] == 65537 and len(doc["users"]) == 2
+
+
 def test_register_duplicate_fails(tmp_path, capsys):
     store = tmp_path / "store"
     register_users(store, capsys)
@@ -439,6 +474,39 @@ def test_malformed_numeric_argument_is_usage_error(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("argv", [
+    ["encrypt", "--in", "a.bin", "--out", "b.bin", "--key", "300"],
+    ["decrypt", "--in", "a.bin", "--out", "b.bin", "--key", "300"],
+    ["grant", "--store", "store", "--file-id", "f", "--owner", "olivia",
+     "--consumers", "alice", "--in", "a.bin"],
+    ["revoke", "--store", "store", "--file-id", "f", "--user", "alice"],
+    ["request", "--store", "store", "--file-id", "f", "--receiver", "alice",
+     "--owner-point", "2:3"],
+    ["bench", "encrypt", "--sizes", "64"],
+    ["bench", "attrs", "--k", "3,5"],
+    ["bench", "storage"],
+], ids=["encrypt", "decrypt", "grant", "revoke", "request", "bench-encrypt",
+        "bench-attrs", "bench-storage"])
+def test_modulus_option_only_where_it_sets_the_modulus(tmp_path, monkeypatch,
+                                                       capsys, argv):
+    # A store's modulus is fixed when it is created, and the cipher and
+    # benchmark commands use no modulus, so --p here is a usage error.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch([*argv, "--p", "97"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --p 97" in err
+    assert not (tmp_path / "store").exists()
+
+
+def test_reconstruct_takes_a_modulus(capsys):
+    rc, out, _ = run_cli(["reconstruct", "--points", "1:10,2:19,3:32",
+                          "--p", "97"], capsys)
+    assert rc == 0
+    assert out.strip() == "5"
+
+
+@pytest.mark.parametrize("argv", [
     ["keygen", "--p", "0"],
     ["split", "--secret", "5", "--coeffs", "3,2", "--n-users", "3", "--p", "0"],
     ["verify-example", "--p", "0"],
@@ -486,7 +554,10 @@ def test_bench_attrs_reports_fit(capsys):
     ["bench", "attrs", "--k", "3", "--reps", "5"],
     ["bench", "attrs", "--k", "3,3", "--reps", "5"],
     ["bench", "encrypt", "--sizes", "-5", "--reps", "5"],
-], ids=["attrs-one-k", "attrs-repeated-k", "encrypt-negative-size"])
+    ["bench", "attrs", "--k", "0,1", "--reps", "5"],
+    ["bench", "storage", "--n", "-1", "--tc", "-5"],
+], ids=["attrs-one-k", "attrs-repeated-k", "encrypt-negative-size",
+        "attrs-zero-k", "storage-negative-n"])
 def test_bench_bad_input_exits_with_one_error_line(capsys, argv):
     rc, out, err = run_cli(argv, capsys)
     assert rc == 1 and out == ""

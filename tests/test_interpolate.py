@@ -47,6 +47,12 @@ def test_point_count_must_match_threshold(m61):
     assert ReconstructionInput(points=pts[:3], modulus=m61, k=3).k == 3
 
 
+@pytest.mark.parametrize("k", [None, 0, 3])
+def test_zero_points_rejected(m61, k):
+    with pytest.raises(NotEnoughPoints):
+        ReconstructionInput(points=(), modulus=m61, k=k)
+
+
 def test_threshold_defaults_to_point_count(m61):
     inp = ReconstructionInput(points=points_of(TABLE_POINTS, m61), modulus=m61)
     assert inp.k == 6
