@@ -33,8 +33,8 @@ for rec in (owner, bob, carol):
 print(f"registered: {sorted(db.users)}")
 
 body = b"wire the funds on friday\n" * 16
-db, envelope, owner_point = grant_access(db, store, "memo.txt", owner,
-                                         [bob, carol], body)
+db, envelope, owner_point = grant_access(db, store, "memo.txt", "alice",
+                                         ["bob", "carol"], body)
 grant = db.grants["memo.txt"]
 print(f"\ngranted memo.txt: server holds x={grant.server_share.x}, "
       f"consumers hold x={sorted(r.x for r in grant.consumer_shares.values())}")

@@ -158,7 +158,7 @@ def _owner_attributes(owner: UserRecord, k: int) -> List[bytes]:
 
 
 def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
-                 owner: UserRecord, consumers: Sequence[UserRecord],
+                 owner_id: str, consumer_ids: Sequence[str],
                  data: bytes, *,
                  mode: Mode = Mode.ADDITIVE, n: int = 1,
                  secret: "int | None" = None,
@@ -167,6 +167,8 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
                  ) -> Tuple[PolicyDb, "CipherEnvelope", SharePoint]:
     """Seal `data` under a fresh secret and split it across the roles.
 
+    The owner and every consumer are looked up in db.users, and each
+    consumer's share is blinded with the credentials registered there.
     Returns (db, envelope, owner_share).  The owner share is handed to
     the caller and never stored anywhere; losing it means the file can
     only be re-granted, not decrypted.  Granting an already-granted
@@ -180,18 +182,18 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     except UnicodeEncodeError as exc:
         raise InvalidFileId(f"file id {file_id!r} is not UTF-8 text") from exc
     p = db.modulus.p
-    registered_owner = db.users.get(owner.user_id)
-    if registered_owner is None or registered_owner.user_type != UserType.OWNER:
-        raise UnknownOwner(f"{owner.user_id!r} is not a registered owner")
-    if len(consumers) == 0:
+    owner = db.users.get(owner_id)
+    if owner is None or owner.user_type != UserType.OWNER:
+        raise UnknownOwner(f"{owner_id!r} is not a registered owner")
+    if len(consumer_ids) == 0:
         raise NoConsumers("a grant needs at least one consumer")
-    seen_ids = set()
-    for consumer in consumers:
-        if consumer.user_id not in db.users:
-            raise UnknownUser(f"consumer {consumer.user_id!r} is not registered")
-        if consumer.user_id in seen_ids:
-            raise DuplicateUser(f"consumer {consumer.user_id!r} listed twice")
-        seen_ids.add(consumer.user_id)
+    consumers: Dict[str, UserRecord] = {}
+    for cid in consumer_ids:
+        if cid not in db.users:
+            raise UnknownUser(f"consumer {cid!r} is not registered")
+        if cid in consumers:
+            raise DuplicateUser(f"consumer {cid!r} listed twice")
+        consumers[cid] = db.users[cid]
 
     if secret is None:
         secret = _secrets.randbelow(p)
@@ -221,13 +223,12 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     store.put_object(ref, encode_envelope(envelope))
 
     consumer_records = {
-        consumer.user_id: encrypt_share(by_x[x], consumer.credentials,
-                                        file_id, binding)
-        for consumer, x in zip(consumers, slots.consumer_xs)
+        cid: encrypt_share(by_x[x], consumer.credentials, file_id, binding)
+        for (cid, consumer), x in zip(consumers.items(), slots.consumer_xs)
     }
     db.grants[file_id] = FileGrant(
         file_id=file_id,
-        owner_id=owner.user_id,
+        owner_id=owner_id,
         server_share=by_x[slots.server_x],
         consumer_shares=consumer_records,
         binding=binding,
@@ -285,8 +286,7 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
 
     secret = poly.coeffs[0]
     envelope = decode_envelope(store.get_object(grant.envelope_ref))
-    key = derive_file_key(secret, file_id, mode=Mode(envelope.mode),
-                          n=envelope.n)
+    key = derive_file_key(secret, file_id, mode=envelope.mode, n=envelope.n)
     return open_file(envelope, key)
 
 

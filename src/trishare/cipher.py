@@ -113,7 +113,8 @@ def derive_file_key(master_key: int, filename: "bytes | str",
     Deterministic in both inputs; distinct filenames give distinct keys
     except for FNV collisions.  In Power mode a result below 256 is
     adjusted upward by 256 to stay in range; a zero result becomes 256
-    so the key stays positive.
+    so the key stays positive.  `n` is checked as CipherKey checks it:
+    Additive mode takes only n = 1.
     """
     if isinstance(filename, str):
         filename = filename.encode("utf-8")
@@ -124,7 +125,7 @@ def derive_file_key(master_key: int, filename: "bytes | str",
         a += 256
     if a == 0:
         a = 256
-    return CipherKey(a=a, n=n if mode == Mode.POWER else 1, mode=mode)
+    return CipherKey(a=a, n=n, mode=mode)
 
 
 def _additive_table(a: int) -> bytes:
@@ -270,7 +271,8 @@ class CipherEnvelope:
     """Sealed file: header fields plus the ciphertext payload.
 
     plaintext_len is the original byte length; payload length is
-    plaintext_len * symbol_width.
+    plaintext_len * symbol_width.  `mode` is stored as a Mode; an
+    Additive envelope has n = 1 and symbol_width = 1.
     """
 
     mode: Mode
@@ -281,12 +283,17 @@ class CipherEnvelope:
     payload: bytes
 
     def __post_init__(self) -> None:
-        if self.mode not in (Mode.ADDITIVE, Mode.POWER):
-            raise BadHeader(f"unknown mode {self.mode}")
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise BadHeader(f"unknown mode {self.mode!r}") from None
         if not 1 <= self.n <= MAX_POWER:
             raise BadHeader(f"n={self.n} outside [1, {MAX_POWER}]")
         if not 1 <= self.symbol_width <= 255:
             raise BadHeader(f"symbol_width={self.symbol_width} outside [1, 255]")
+        if self.mode == Mode.ADDITIVE and (self.n, self.symbol_width) != (1, 1):
+            raise BadHeader(f"additive envelope with n={self.n}, "
+                            f"symbol_width={self.symbol_width}; both must be 1")
         if not 1 <= self.block_bytes <= (1 << 32) - 1:
             raise BadHeader(f"block_bytes={self.block_bytes} outside u32 range")
         if self.plaintext_len < 0:
@@ -347,16 +354,14 @@ def open_file(envelope: CipherEnvelope, key: CipherKey,
     InexactRoot/SymbolOutOfRange in Power mode and as garbage output in
     Additive mode (no integrity).
     """
-    mode = Mode(envelope.mode)
-    expected = envelope.plaintext_len * (envelope.symbol_width if mode == Mode.POWER else 1)
+    expected = envelope.plaintext_len * envelope.symbol_width
     if len(envelope.payload) != expected:
         raise LengthMismatch(
             f"payload is {len(envelope.payload)} bytes, header implies {expected}"
         )
-    effective = CipherKey(a=key.a, n=envelope.n if mode == Mode.POWER else 1, mode=mode)
-    masked = decrypt_bytes(envelope.payload, effective,
-                           width=envelope.symbol_width if mode == Mode.POWER else None)
+    effective = CipherKey(a=key.a, n=envelope.n, mode=envelope.mode)
+    masked = decrypt_bytes(envelope.payload, effective, width=envelope.symbol_width)
     if schedule is None:
-        schedule = mask_schedule_for_key(effective.a, effective.n, mode,
+        schedule = mask_schedule_for_key(effective.a, effective.n, envelope.mode,
                                          envelope.block_bytes)
     return xor_mask(masked, schedule)

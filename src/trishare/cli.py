@@ -23,11 +23,16 @@ from .sharing import CorruptShareRecord, EncryptedShare, SharePoint, split_secre
 from .storage import NotFound, ObjectStore, decode_envelope, encode_envelope
 
 
-def _parse_mode(text: str) -> Mode:
+def _mode_and_n(args: argparse.Namespace) -> Tuple[Mode, int]:
+    """--mode and --n.  --n is the Power exponent, 2 when unset; Additive
+    mode takes only n = 1, and CipherKey rejects any other n."""
     try:
-        return Mode[text.upper()]
+        mode = Mode[args.mode.upper()]
     except KeyError:
-        raise Error(f"unknown mode {text!r}; use additive or power") from None
+        raise Error(f"unknown mode {args.mode!r}; use additive or power") from None
+    if args.n is not None:
+        return mode, args.n
+    return mode, 2 if mode == Mode.POWER else 1
 
 
 # argparse type= converters: a malformed value is a usage error (exit 2).
@@ -81,8 +86,8 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_encrypt(args) -> int:
-    mode = _parse_mode(args.mode)
-    key = CipherKey(a=args.key, n=args.n if mode == Mode.POWER else 1, mode=mode)
+    mode, n = _mode_and_n(args)
+    key = CipherKey(a=args.key, n=n, mode=mode)
     data = Path(args.infile).read_bytes()
     envelope = seal_file(data, key)
     blob = encode_envelope(envelope)
@@ -98,11 +103,8 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     blob = Path(args.infile).read_bytes()
-    envelope = decode_envelope(blob)
-    mode = Mode(envelope.mode)
-    key = CipherKey(a=args.key, n=envelope.n if mode == Mode.POWER else 1,
-                    mode=mode)
-    data = open_file(envelope, key)
+    # The header sets mode, n and width; open_file takes only a from the key.
+    data = open_file(decode_envelope(blob), CipherKey(a=args.key))
     Path(args.outfile).write_bytes(data)
     _emit(args, {"out_bytes": len(data)}, [f"opened {len(data)} B"])
     return 0
@@ -150,22 +152,13 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_grant(args) -> int:
+    mode, n = _mode_and_n(args)
     store = _store(args)
     db = authz.load_db(store)
-    owner = db.users.get(args.owner)
-    if owner is None:
-        raise authz.UnknownOwner(f"{args.owner!r} is not registered")
     consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
-    consumers = []
-    for cid in consumer_ids:
-        rec = db.users.get(cid)
-        if rec is None:
-            raise authz.UnknownUser(f"consumer {cid!r} is not registered")
-        consumers.append(rec)
     data = Path(args.infile).read_bytes()
-    mode = _parse_mode(args.mode)
     db, envelope, owner_share = authz.grant_access(
-        db, store, args.file_id, owner, consumers, data, mode=mode, n=args.n)
+        db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
     authz.persist_db(db, store, backup=True)
     grant = db.grants[args.file_id]
     payload = {"file_id": args.file_id,
@@ -173,7 +166,7 @@ def _cmd_grant(args) -> int:
                "envelope_ref": grant.envelope_ref,
                "consumers": sorted(grant.consumer_shares)}
     _emit(args, payload,
-          [f"granted {args.file_id} to {len(consumers)} consumer(s)",
+          [f"granted {args.file_id} to {len(consumer_ids)} consumer(s)",
            f"owner point (keep private, never stored): "
            f"{owner_share.x}:{owner_share.y}",
            f"envelope ref: {grant.envelope_ref}"])
@@ -236,9 +229,8 @@ def _cmd_verify_example(args) -> int:
 
 def _cmd_bench_encrypt(args) -> int:
     sizes = args.sizes or bench.DEFAULT_BENCH_SIZES
-    mode = _parse_mode(args.mode)
-    report = bench.bench_encrypt(sizes=sizes, mode=mode, n=args.n,
-                                 reps=args.reps)
+    mode, n = _mode_and_n(args)
+    report = bench.bench_encrypt(sizes=sizes, mode=mode, n=n, reps=args.reps)
     csv_text = report.to_csv()
     if args.csv:
         Path(args.csv).write_text(csv_text, encoding="utf-8")
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", dest="outfile", required=True)
     s.add_argument("--key", type=int, required=True, help="key value a")
     s.add_argument("--mode", default="additive", help="additive|power")
-    s.add_argument("--n", type=int, default=2, help="power-mode exponent")
+    s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
     s.set_defaults(fn=_cmd_encrypt)
 
     s = subs.add_parser("decrypt", help="open an envelope")
@@ -341,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--consumers", required=True, help="comma-separated user ids")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--mode", default="additive")
-    s.add_argument("--n", type=int, default=2)
+    s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
     s.set_defaults(fn=_cmd_grant)
 
     s = subs.add_parser("revoke", help="revoke a consumer and refresh shares")
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sizes", type=_parse_int_list, default=None,
                    help="comma-separated byte sizes")
     s.add_argument("--mode", default="additive")
-    s.add_argument("--n", type=int, default=2)
+    s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
     s.add_argument("--reps", type=int, default=bench.MIN_REPS)
     s.add_argument("--csv", default=None, help="also write CSV to this path")
     s.set_defaults(fn=_cmd_bench_encrypt)
@@ -406,10 +398,7 @@ def cli_dispatch(argv: "Sequence[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

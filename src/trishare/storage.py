@@ -30,7 +30,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
-from .cipher import BadHeader, CipherEnvelope, Mode
+from .cipher import BadHeader, CipherEnvelope
 from .errors import Error
 from .hashing import fnv1a64
 
@@ -73,12 +73,8 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
         raise BadHeader(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadHeader(f"unsupported version {version}")
-    try:
-        mode = Mode(mode)
-    except ValueError:
-        raise BadHeader(f"unknown mode byte {mode}") from None
     payload = data[HEADER_BYTES:]
-    expected = plaintext_len * (width if mode == Mode.POWER else 1)
+    expected = plaintext_len * width
     if len(payload) < expected:
         raise Truncated(f"payload is {len(payload)} bytes, header implies {expected}")
     if len(payload) > expected:

@@ -32,11 +32,13 @@ from trishare import (
     modulus_for,
     object_key,
     persist_db,
+    reconstruct_polynomial,
     reconstruct_secret,
     register_user,
     request_decrypt,
     revoke_user,
     update_owner_share,
+    verify_binding,
 )
 from trishare.authz import FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD
 from trishare.storage import ACL_BACKUP_FILENAME, POLICY_FILENAME
@@ -77,20 +79,36 @@ def test_grant_validation():
     db, store = base_db()
     ghost = UserRecord("ghost", UserType.OWNER, b"?")
     with pytest.raises(UnknownOwner):
-        grant_access(db, store, "f", ghost, [C1], DATA)
+        grant_access(db, store, "f", ghost.user_id, ["carol"], DATA)
     with pytest.raises(UnknownOwner):
-        grant_access(db, store, "f", C1, [C2], DATA)  # consumer cannot own
+        grant_access(db, store, "f", "carol", ["chuck"], DATA)  # consumer cannot own
     with pytest.raises(NoConsumers):
-        grant_access(db, store, "f", OWNER, [], DATA)
+        grant_access(db, store, "f", "olivia", [], DATA)
     with pytest.raises(UnknownUser):
-        grant_access(db, store, "f", OWNER, [UserRecord("who", UserType.CONSUMER, b"?")], DATA)
+        grant_access(db, store, "f", "olivia", ["who"], DATA)
     with pytest.raises(DuplicateUser):
-        grant_access(db, store, "f", OWNER, [C1, C1], DATA)
+        grant_access(db, store, "f", "olivia", ["carol", "carol"], DATA)
+
+
+def test_grant_blinds_with_registered_credentials():
+    db, store = base_db(UserRecord("bob", UserType.CONSUMER, b"cred-bob"))
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["bob"], DATA)
+    bob = db.users["bob"]
+    grant = db.grants["f"]
+    bob_pt = decrypt_share(grant.consumer_shares["bob"], bob.credentials)
+    inp = ReconstructionInput(points=(grant.server_share, owner_share, bob_pt),
+                              modulus=db.modulus)
+    assert verify_binding(reconstruct_polynomial(inp), grant.binding, b"f")
+    assert request_decrypt(db, store, "f", owner_share, bob) == DATA
+    # other credentials under bob's id open nothing
+    with pytest.raises(BindingMismatch):
+        request_decrypt(db, store, "f", owner_share,
+                        UserRecord("bob", UserType.CONSUMER, b"not-bob"))
 
 
 def test_grant_assigns_role_slots():
     db, store = base_db()
-    db, env, owner_share = grant_access(db, store, "f", OWNER, [C1, C2], DATA)
+    db, env, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     assert grant.server_share.x == SERVER_X == 1
     assert owner_share.x == OWNER_X == 2
@@ -100,7 +118,7 @@ def test_grant_assigns_role_slots():
 
 def test_grant_stores_envelope_under_content_key():
     db, store = base_db()
-    db, env, _ = grant_access(db, store, "f", OWNER, [C1], DATA)
+    db, env, _ = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     assert grant.envelope_ref == object_key("f", 0)
     blob = store.get_object(grant.envelope_ref)
@@ -109,7 +127,7 @@ def test_grant_stores_envelope_under_content_key():
 
 def test_owner_share_is_never_stored():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1, C2], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     stored_xs = {grant.server_share.x}
     stored_xs.update(rec.x for rec in grant.consumer_shares.values())
@@ -124,8 +142,8 @@ def test_owner_share_is_never_stored():
 
 def test_grant_replaces_previous_grant():
     db, store = base_db(C3)
-    db, _, share1 = grant_access(db, store, "f", OWNER, [C1, C2], DATA)
-    db, _, share2 = grant_access(db, store, "f", OWNER, [C3], b"new body")
+    db, _, share1 = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    db, _, share2 = grant_access(db, store, "f", "olivia", ["cindy"], b"new body")
     grant = db.grants["f"]
     assert set(grant.consumer_shares) == {"cindy"}
     out = request_decrypt(db, store, "f", share2, C3)
@@ -136,7 +154,7 @@ def test_grant_replaces_previous_grant():
 
 def test_three_genuine_points_lie_on_one_parabola():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     consumer_pt = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
     inp = ReconstructionInput(
@@ -152,7 +170,7 @@ def test_three_genuine_points_lie_on_one_parabola():
 
 def test_protocol_round_trip_additive():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1, C2], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     assert request_decrypt(db, store, "f", owner_share, C1) == DATA
     assert request_decrypt(db, store, "f", owner_share, C2) == DATA
 
@@ -160,14 +178,14 @@ def test_protocol_round_trip_additive():
 def test_protocol_round_trip_power():
     db, store = base_db()
     db, _, owner_share = grant_access(
-        db, store, "f", OWNER, [C1], DATA, mode=Mode.POWER, n=2
+        db, store, "f", "olivia", ["carol"], DATA, mode=Mode.POWER, n=2
     )
     assert request_decrypt(db, store, "f", owner_share, C1) == DATA
 
 
 def test_receiver_may_present_record_explicitly():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     record = db.grants["f"].consumer_shares["carol"]
     out = request_decrypt(db, store, "f", owner_share, C1, receiver_share_record=record)
     assert out == DATA
@@ -175,7 +193,7 @@ def test_receiver_may_present_record_explicitly():
 
 def test_request_error_cases():
     db, store = base_db(C3)
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     with pytest.raises(UnknownFile):
         request_decrypt(db, store, "nope", owner_share, C1)
     with pytest.raises(UnknownUser):
@@ -188,7 +206,7 @@ def test_request_error_cases():
 
 def test_tampered_server_share_fails_binding():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     bent = SharePoint(
         x=grant.server_share.x,
@@ -204,7 +222,7 @@ def test_borrowed_record_fails_binding():
     # C2 presents C1's record: unblinding with the wrong credentials
     # yields a point off the polynomial
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1, C2], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     stolen = db.grants["f"].consumer_shares["carol"]
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", owner_share, C2, receiver_share_record=stolen)
@@ -214,7 +232,7 @@ def test_stored_point_cannot_stand_in_for_the_owner():
     from trishare import RoleMismatch
 
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1, C2], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     # the server point and every consumer point sit on the polynomial,
     # so without the slot check they would pass the binding
@@ -227,7 +245,7 @@ def test_stored_point_cannot_stand_in_for_the_owner():
 
 def test_garbage_owner_point_fails_binding():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     fake = SharePoint(x=owner_share.x, y=(owner_share.y + 7) % db.modulus.p,
                       modulus=db.modulus)
     with pytest.raises(BindingMismatch):
@@ -242,7 +260,7 @@ def test_reference_walkthrough():
     db, store = base_db(C3, C4)
     slots = RoleSlots(server_x=2, owner_x=4, consumer_xs=(1, 3, 5, 6))
     db, env, owner_share = grant_access(
-        db, store, "report.pdf", OWNER, [C1, C2, C3, C4], DATA,
+        db, store, "report.pdf", "olivia", ["carol", "chuck", "cindy", "caleb"], DATA,
         secret=1234, coeffs=(166, 94), slots=slots,
     )
     grant = db.grants["report.pdf"]
@@ -265,7 +283,7 @@ def test_reference_walkthrough():
 
 def granted():
     db, store = base_db(C3)
-    db, env, owner_share = grant_access(db, store, "f", OWNER, [C1, C2, C3], DATA)
+    db, env, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck", "cindy"], DATA)
     return db, store, owner_share
 
 
@@ -339,7 +357,7 @@ def test_revocation_preserves_the_secret():
 
 def test_revoking_the_last_consumer():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     stale = db.grants["f"].consumer_shares["carol"]
     db, deltas = revoke_user(db, "f", "carol")
     assert db.grants["f"].consumer_shares == {}
@@ -369,7 +387,7 @@ def test_revoke_pinned_grant_needs_old_coeffs():
     db, store = base_db(C3, C4)
     slots = RoleSlots(server_x=2, owner_x=4, consumer_xs=(1, 3, 5, 6))
     db, _, owner_share = grant_access(
-        db, store, "report.pdf", OWNER, [C1, C2, C3, C4], DATA,
+        db, store, "report.pdf", "olivia", ["carol", "chuck", "cindy", "caleb"], DATA,
         secret=1234, coeffs=(166, 94), slots=slots,
     )
     db, deltas = revoke_user(db, "report.pdf", "chuck", old_coeffs=(166, 94))
@@ -427,7 +445,8 @@ def policies(draw):
     for file_id in draw(st.lists(TRICKY_TEXT.filter(bool), unique=True, max_size=3)):
         chosen = draw(st.lists(st.sampled_from(consumers), min_size=1,
                                unique_by=lambda u: u.user_id))
-        grant_access(db, store, file_id, owner, chosen, b"body")
+        grant_access(db, store, file_id, owner.user_id,
+                     [c.user_id for c in chosen], b"body")
         if draw(st.booleans()):
             for consumer in chosen:
                 revoke_user(db, file_id, consumer.user_id)
@@ -436,7 +455,7 @@ def policies(draw):
 
 def all_revoked_db():
     db, store = base_db()
-    grant_access(db, store, TRICKY_CHARS, OWNER, [C1, C2], DATA)
+    grant_access(db, store, TRICKY_CHARS, "olivia", ["carol", "chuck"], DATA)
     for consumer in (C1, C2):
         revoke_user(db, TRICKY_CHARS, consumer.user_id)
     return db
@@ -484,7 +503,7 @@ def test_persist_and_load(tmp_path):
     db = PolicyDb()
     for rec in (OWNER, C1, C2):
         db = register_user(db, rec)
-    db, _, owner_share = grant_access(db, store, "f", OWNER, [C1, C2], DATA)
+    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     persist_db(db, store, backup=True)
     assert (tmp_path / "store" / POLICY_FILENAME).exists()
     assert store.read_text(POLICY_FILENAME) == store.read_text(ACL_BACKUP_FILENAME)
@@ -500,7 +519,7 @@ def test_store_never_holds_plaintext(tmp_path):
     db = PolicyDb()
     for rec in (OWNER, C1):
         db = register_user(db, rec)
-    db, _, _ = grant_access(db, store, "f", OWNER, [C1], body)
+    db, _, _ = grant_access(db, store, "f", "olivia", ["carol"], body)
     persist_db(db, store, backup=True)
     for path in sorted((tmp_path / "store").rglob("*")):
         if path.is_file():

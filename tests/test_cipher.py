@@ -299,6 +299,12 @@ def test_file_key_empty_name_rejected():
         derive_file_key(1, b"")
 
 
+def test_file_key_additive_takes_only_n_one():
+    # the same rule as CipherKey(a, n=2, mode=Mode.ADDITIVE)
+    with pytest.raises(KeyOutOfRange):
+        derive_file_key(0x5EED, b"f", mode=Mode.ADDITIVE, n=2)
+
+
 def test_file_key_power_adjustment():
     # craft master so the xor lands below 256, forcing the +256 bump
     h = fnv1a64(b"f")

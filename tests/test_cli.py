@@ -136,6 +136,69 @@ def test_encrypt_bad_mode(tmp_path, capsys):
     assert "unknown mode" in err
 
 
+def assert_one_error_line(rc, out, err):
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_encrypt_additive_rejects_n_other_than_one(tmp_path, capsys):
+    src = tmp_path / "x"
+    src.write_bytes(b"hello")
+    sealed = tmp_path / "y"
+    rc, out, err = run_cli(
+        ["encrypt", "--in", str(src), "--out", str(sealed), "--key", "300",
+         "--n", "9"],
+        capsys,
+    )
+    assert_one_error_line(rc, out, err)
+    assert not sealed.exists()
+
+
+def test_encrypt_additive_accepts_n_one(tmp_path, capsys):
+    src = tmp_path / "x"
+    src.write_bytes(b"hello")
+    rc, out, _ = run_cli(
+        ["encrypt", "--in", str(src), "--out", str(tmp_path / "y"), "--key", "300",
+         "--mode", "additive", "--n", "1"],
+        capsys,
+    )
+    assert rc == 0
+    assert out == "sealed 5 B -> 25 B (additive, width 1)\n"
+
+
+def test_encrypt_power_defaults_to_n_two(tmp_path, capsys):
+    src = tmp_path / "x"
+    src.write_bytes(b"hello")
+    sealed = tmp_path / "y"
+    rc, out, _ = run_cli(
+        ["encrypt", "--json", "--in", str(src), "--out", str(sealed),
+         "--key", "1000", "--mode", "power"],
+        capsys,
+    )
+    assert rc == 0
+    assert json.loads(out)["n"] == 2
+    assert sealed.read_bytes()[6] == 2  # header byte n
+
+
+def test_decrypt_power_envelope_with_too_small_key(tmp_path, capsys):
+    src = tmp_path / "x"
+    src.write_bytes(b"hello")
+    sealed = tmp_path / "y"
+    rc, _, _ = run_cli(
+        ["encrypt", "--in", str(src), "--out", str(sealed), "--key", "1000",
+         "--mode", "power", "--n", "3"],
+        capsys,
+    )
+    assert rc == 0
+    rc, out, err = run_cli(
+        ["decrypt", "--in", str(sealed), "--out", str(tmp_path / "z"),
+         "--key", "100"],
+        capsys,
+    )
+    assert_one_error_line(rc, out, err)
+
+
 def test_decrypt_rejects_corrupt_envelope(tmp_path, capsys):
     bad = tmp_path / "bad.ifsc"
     bad.write_bytes(b"IFSC\x01")  # truncated header
@@ -368,6 +431,20 @@ def test_grant_unknown_owner_fails(tmp_path, capsys):
     assert rc == 1 and "error:" in err
 
 
+def test_grant_additive_rejects_n_other_than_one(tmp_path, capsys):
+    store, _ = granted_store(tmp_path, capsys)
+    before = (store / "policy.json").read_bytes()
+    objects = sorted((store / "objects").iterdir())
+    rc, out, err = run_cli(
+        ["grant", "--store", str(store), "--file-id", "g", "--owner", "olivia",
+         "--consumers", "alice", "--in", str(tmp_path / "f.bin"), "--n", "9"],
+        capsys,
+    )
+    assert_one_error_line(rc, out, err)
+    assert (store / "policy.json").read_bytes() == before
+    assert sorted((store / "objects").iterdir()) == objects
+
+
 def test_request_with_presented_share_record(tmp_path, capsys):
     store = tmp_path / "store"
     body = b"hand-carried record"
@@ -563,6 +640,15 @@ def test_bench_bad_input_exits_with_one_error_line(capsys, argv):
     assert rc == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_bench_encrypt_additive_rejects_n_before_timing(capsys, monkeypatch):
+    def fail(fn, reps):
+        raise AssertionError("timed before validating its input")
+    monkeypatch.setattr(trishare.bench, "_median_seconds", fail)
+    rc, out, err = run_cli(
+        ["bench", "encrypt", "--sizes", "64", "--n", "42", "--reps", "5"], capsys)
+    assert_one_error_line(rc, out, err)
 
 
 # ---------------------------------------------------------------- entry point

@@ -87,6 +87,38 @@ def test_decode_rejects_unknown_mode():
         decode_envelope(bytes(blob))
 
 
+@pytest.mark.parametrize("offset, value", [(6, 7), (6, 2), (7, 9), (7, 2)],
+                         ids=["n7", "n2", "width9", "width2"])
+def test_decode_rejects_additive_header_with_n_or_width_not_one(offset, value):
+    blob = bytearray(encode_envelope(seal_file(b"additive body", CipherKey(a=300))))
+    assert blob[5:8] == b"\x00\x01\x01"  # mode, n, width
+    blob[offset] = value
+    with pytest.raises(BadHeader):
+        decode_envelope(bytes(blob))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_power_envelopes_decode_for_every_n(n):
+    env = seal_file(b"power body", CipherKey(a=300, n=n, mode=Mode.POWER))
+    assert decode_envelope(encode_envelope(env)) == env
+
+
+def test_envelope_mode_is_a_mode():
+    env = CipherEnvelope(mode=0, n=1, symbol_width=1, block_bytes=1024,
+                         plaintext_len=2, payload=b"hi")
+    assert env.mode is Mode.ADDITIVE
+    assert envelope(mode=1, n=2, width=3).mode is Mode.POWER
+    for bad in (2, "power", None):
+        with pytest.raises(BadHeader):
+            envelope(mode=bad)
+
+
+@pytest.mark.parametrize("n, width", [(2, 1), (1, 4), (7, 9)])
+def test_envelope_rejects_additive_n_or_width_not_one(n, width):
+    with pytest.raises(BadHeader):
+        envelope(mode=Mode.ADDITIVE, n=n, width=width)
+
+
 def test_decode_rejects_short_header():
     blob = encode_envelope(envelope())
     for cut in (0, 1, 19):
