@@ -73,7 +73,7 @@ class CipherKey:
 
     Additive requires n = 1 (the effective key is a mod 256).  Power
     requires a >= 256 so that a - s > 0 for every byte s, and n in
-    [1, 8].
+    [1, 8].  `mode` is stored as a Mode; any other value is rejected.
     """
 
     a: int
@@ -81,6 +81,10 @@ class CipherKey:
     mode: Mode = Mode.ADDITIVE
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise KeyOutOfRange(f"unknown mode {self.mode!r}") from None
         if self.a < 1:
             raise KeyOutOfRange(f"a={self.a} must be positive")
         if self.mode == Mode.ADDITIVE:
@@ -310,8 +314,11 @@ def mask_schedule_for_key(key_a: int, n: int, mode: Mode,
 
     Both seeds come from a multiply-xor-shift cascade over (a, n, mode),
     so anyone holding the key re-derives the identical mask; the
-    envelope only records block_bytes.
+    envelope only records block_bytes.  key_a must be positive, as in
+    CipherKey.
     """
+    if key_a < 1:
+        raise KeyOutOfRange(f"a={key_a} must be positive")
     base = mix64(fold64(key_a) ^ (n << 8) ^ int(mode))
     rand_seed = mix64(base ^ _RAND_TAG)
     rep_seed = mix64(base ^ _REP_TAG)

@@ -34,6 +34,8 @@ def mix64(x: int) -> int:
 
 def fold64(x: int) -> int:
     """Fold an arbitrarily large non-negative int down to 64 bits by XOR."""
+    if x < 0:
+        raise ValueError(f"fold64 needs a non-negative int, got {x}")
     v = 0
     while x:
         v ^= x & _MASK64

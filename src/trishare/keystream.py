@@ -6,11 +6,12 @@ from the Rep stream and tiled across it.  Applying the mask twice is the
 identity, which is what the cipher layer relies on.
 
 Both mask streams are Lehmer generators (c = 0, m = p = 2^31 - 1), so
-state i is x0 * a^i mod p and the stream can jump ahead: _lcg_bits_int
-computes K = 2048 consecutive states per chunk with a handful of
-big-int operations, one 64-bit lane per state, instead of stepping one
-state per Python iteration.  The result is bit-identical to the plain
-recurrence, which every other parameter set still uses.
+state i is x0 * a^i mod p and any state can be computed out of order:
+_lcg_bits_int computes them bit-sliced, 64 sub-streams across one slab
+of 64-bit lane words, so that every lane word already holds 64
+consecutive output bits.  A slab takes a few hundred big-int operations
+instead of one Python iteration per state.  The result is bit-identical
+to the plain recurrence, which every other parameter set still uses.
 
 Low-order LCG bits are a weak randomness source, especially for
 power-of-two moduli where the parity bit simply alternates.  That is
@@ -144,42 +145,61 @@ def lcg_bits(params: LcgParams, count: int) -> List[int]:
     return [(byte >> b) & 1 for byte in packed for b in range(8)][:count]
 
 
-#: States per chunk of the lane-parallel Lehmer generator; each state
-#: takes one 64-bit lane of a single Python int.
+#: 64-bit lane words per slab of the bit-sliced Lehmer generator; one
+#: slab yields 64 * _LANES stream bits.
 _LANES = 2048
+
+
+def _lane_constant(word: int) -> int:
+    """The 64-bit `word` repeated in every lane of a slab."""
+    return int.from_bytes(word.to_bytes(8, "little") * _LANES, "little")
+
+
 #: p = 2^31 - 1 in the low bits of every lane.
-_LANE_LOW = int.from_bytes(MASK_MODULUS.to_bytes(8, "little") * _LANES, "little")
-#: Lane low byte -> ASCII parity digit, for int(digits, 2).
-_PARITY_DIGITS = bytes(ord("0") + (i & 1) for i in range(256))
+_LANE_LOW = _lane_constant(MASK_MODULUS)
+#: Bits 0 and 31 of every lane: the two bits of a folded lane that its
+#: parity depends on.
+_LANE_TAPS = _lane_constant(1 | 1 << 31)
+#: The even and the odd bits of every lane.
+_LANE_EVEN = _lane_constant(0x5555555555555555)
+_LANE_ODD = _lane_constant(0xAAAAAAAAAAAAAAAA)
 
 
 @lru_cache(maxsize=4)
-def _lehmer_lanes(a: int) -> Tuple[int, int]:
-    """(lane vector [a^1 .. a^K] mod p, a^K mod p) for multiplier a."""
-    powers = []
+def _lehmer_slab(a: int) -> Tuple[int, Tuple[int, ...], int]:
+    """(lane vector [a^(64 l)], sub-stream factors [a^(j+1)], a^(64 K)), all mod p."""
+    step = pow(a, 64, MASK_MODULUS)
+    lanes = []
     x = 1
     for _ in range(_LANES):
-        x = x * a % MASK_MODULUS
-        powers.append(x.to_bytes(8, "little"))
-    return int.from_bytes(b"".join(powers), "little"), x
+        lanes.append(x.to_bytes(8, "little"))
+        x = x * step % MASK_MODULUS
+    factors = tuple(pow(a, j + 1, MASK_MODULUS) for j in range(64))
+    return int.from_bytes(b"".join(lanes), "little"), factors, x
 
 
 def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
-    """_lcg_bits_int for c = 0, m = 2^31 - 1, K lanes at a time."""
-    vector, stride = _lehmer_lanes(a)
-    low = _LANE_LOW
-    chunks = []
-    x = x0 * vector
-    for done in range(0, count, _LANES):
-        lanes = min(_LANES, count - done)
-        if lanes < _LANES:
-            x &= (1 << (64 * lanes)) - 1
-        x = (x & low) + ((x >> 31) & low)
-        x = (x & low) + ((x >> 31) & low)
-        digits = x.to_bytes(8 * lanes, "little")[::8].translate(_PARITY_DIGITS)
-        chunks.append(int(digits[::-1], 2).to_bytes((lanes + 7) // 8, "little"))
-        x *= stride
-    return int.from_bytes(b"".join(chunks), "little")
+    """_lcg_bits_int for c = 0, m = 2^31 - 1, one slab of K lane words at a time."""
+    vector, factors, stride = _lehmer_slab(a)
+    p = MASK_MODULUS
+    low, taps = _LANE_LOW, _LANE_TAPS
+    slabs = []
+    base = x0
+    for done in range(0, count, 64 * _LANES):
+        lanes = min(_LANES, -(-(count - done) // 64))
+        v = vector if lanes == _LANES else vector & ((1 << (64 * lanes)) - 1)
+        even = odd = 0
+        for j in range(0, 64, 2):
+            x = base * factors[j] % p * v
+            even ^= (((x & low) + (x >> 31)) & taps) << j
+            x = base * factors[j + 1] % p * v
+            odd ^= (((x & low) + (x >> 31)) & taps) << (j + 1)
+        word = ((even ^ (even >> 31)) & _LANE_EVEN) | ((odd ^ (odd >> 31)) & _LANE_ODD)
+        if count - done < 64 * lanes:
+            word &= (1 << (count - done)) - 1
+        slabs.append(word.to_bytes(8 * lanes, "little"))
+        base = base * stride % p
+    return int.from_bytes(b"".join(slabs), "little")
 
 
 def _lcg_bits_int(params: LcgParams, count: int) -> int:
@@ -190,20 +210,34 @@ def _lcg_bits_int(params: LcgParams, count: int) -> int:
     patterns are views of it.
 
     Lehmer streams (c = 0, m = p = 2^31 - 1) have s_i = x0 * a^i mod p,
-    so they are computed K states at a time.  One Python int holds K
-    consecutive states in 64-bit lanes, lane j at bits 64j..64j+63.  The
-    first chunk is x0 times a cached lane vector [a^1 .. a^K] mod p; each
-    later chunk is the previous one times a^K mod p.  Both factors of
-    every lane product are below 2^31, so a product is below 2^62 and
-    never carries into the next lane.  Each lane is then reduced with
-    two Mersenne folds (2^31 = 1 mod p), (x & p) + (x >> 31 & p), done
-    on all lanes at once with a mask holding p in every lane: the first
-    leaves a value below 2^32 - 1, the second one in [0, p].  It equals
-    p only if the product is 0 mod p; p is prime and both factors lie in
-    [0, p - 1], so that product is 0 itself and folds to 0.  Every lane
-    therefore ends exactly at its state, whose parity is the low bit of
-    the lane's low byte.  Those bytes become '0'/'1' digits that
-    int(..., 2) packs, one chunk at a time.
+    so they are computed bit-sliced (Biham, FSE 1997), one slab of
+    K = _LANES 64-bit lane words at a time: bit j of lane word l is
+    stream bit 64l + j of the slab, so the lane words, laid end to end,
+    are already the packed output.  Sub-stream j (j = 0..63) runs down
+    the lanes: its lane l holds the state (b * a^(j+1) mod p) * a^(64l)
+    mod p, where b is the slab's base state, and all K lanes come from
+    one product of that scalar with the cached lane vector
+    V = [a^(64l) mod p].  Both factors are below p, so every lane
+    product x is below 2^62 and never carries into the next lane.  A
+    short count shrinks the slab to ceil(count / 64) lanes.
+
+    One Mersenne fold (2^31 = 1 mod p) takes each lane to
+    s = (x & p) + (x >> 31), done on all lanes at once with a mask
+    holding p in every lane.  The shift drags the next lane's low bits
+    into bits 33..63, but s < 2^32, so no carry reaches them and bits
+    0..31 are exact.  s is congruent to x mod p and below 2p.  s = p
+    would need x = 0 mod p; p is prime and both factors lie in
+    [0, p - 1], so then x = 0 and s = 0.  Hence x mod p is s below 2^31
+    and s - p from 2^31 on, and as p is odd its parity is bit 0 of s
+    XOR bit 31 of s.
+
+    Those two bits of sub-stream j are XORed into an accumulator
+    shifted by j: bit 0 lands on bit j and bit 31 on bit j + 31 (in the
+    next lane word for j > 32).  Even and odd j use separate
+    accumulators, so the two kinds of bit sit on bits of opposite
+    parity and never overlap.  Per slab, acc ^ (acc >> 31) brings each
+    bit-31 copy onto its bit-0 copy, and keeping the even (odd) bits
+    leaves every sub-stream's parity at bit j.
 
     Every other (a, c, m) steps the recurrence one state at a time.
     """

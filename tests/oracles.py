@@ -34,6 +34,14 @@ def slow_lcg_bits(x0, a, c, m, n):
     return [s & 1 for s in slow_lcg_states(x0, a, c, m, n)]
 
 
+def lehmer_window_bits(x0, a, m, start, n):
+    """Bits start .. start+n-1 of the c = 0 stream, jumping ahead with pow.
+
+    Bit i of the stream is the parity of state i+1 = x0 * a^(i+1) mod m.
+    """
+    return slow_lcg_bits(x0 * pow(a, start, m) % m, a, 0, m, n)
+
+
 def slow_poly_eval(coeffs, x, p):
     """Power-sum evaluation, no Horner."""
     return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p

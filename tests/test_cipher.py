@@ -25,6 +25,7 @@ from trishare import (
 )
 import trishare
 from trishare.cipher import DEFAULT_BLOCK_BYTES, MAX_POWER, _peeling_plan, _power_symbols
+from trishare.hashing import fold64
 from oracles import slow_fnv1a64, slow_power_decrypt
 
 
@@ -57,6 +58,16 @@ def test_key_validation():
         CipherKey(a=1000, n=MAX_POWER + 1, mode=Mode.POWER)
     assert CipherKey(a=44).n == 1
     assert CipherKey(a=256, n=MAX_POWER, mode=Mode.POWER).a == 256
+
+
+def test_key_mode_must_be_a_mode():
+    with pytest.raises(KeyOutOfRange):
+        CipherKey(a=300, n=2, mode=7)
+    with pytest.raises(KeyOutOfRange):
+        CipherKey(a=300, n=1, mode=-1)
+    key = CipherKey(a=300, n=2, mode=1)
+    assert key.mode is Mode.POWER
+    assert CipherKey(a=44, mode=0).mode is Mode.ADDITIVE
 
 
 def test_symbol_width_frozen():
@@ -358,6 +369,20 @@ def test_mask_schedule_is_key_dependent_and_stable():
     assert s1 == s2
     assert s1.rand_params != s3.rand_params
     assert s1.block_bytes == DEFAULT_BLOCK_BYTES
+
+
+def test_mask_schedule_rejects_non_positive_key():
+    # fold64 of a negative key would never reach 0 and never return
+    for key_a in (0, -1, -(1 << 70)):
+        with pytest.raises(KeyOutOfRange):
+            mask_schedule_for_key(key_a, 1, Mode.ADDITIVE)
+
+
+def test_fold64_rejects_negative_input():
+    assert fold64(0) == 0
+    assert fold64((5 << 64) | 3) == 6
+    with pytest.raises(ValueError):
+        fold64(-1)
 
 
 def test_open_uses_header_geometry():

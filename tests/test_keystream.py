@@ -24,6 +24,7 @@ from trishare.keystream import (MASK_MODULUS, MASK_RAND_MULTIPLIER,
 from oracles import (
     bytes_to_bits,
     lcg_period,
+    lehmer_window_bits,
     slow_lcg_bits,
     slow_lcg_states,
     slow_mask,
@@ -102,36 +103,61 @@ def test_packed_bit_generator_matches_list_form():
         assert [(packed >> i) & 1 for i in range(count)] == lcg_bits(params, count)
 
 
-# Chunk edges of the lane-parallel Lehmer generator, K = _LANES states a chunk.
-LANE_EDGE_COUNTS = (0, 1, 63, 64, 65, _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 5)
+# Slab edges of the bit-sliced Lehmer generator: a slab is K = _LANES
+# 64-bit lane words, 64 * K stream bits, and a count short of a slab
+# shrinks it to ceil(count / 64) lanes.
+SLAB_BITS = 64 * _LANES
+LANE_EDGE_COUNTS = (
+    0, 1, 31, 32, 33, 63, 64, 65, 127, 129, 1000,
+    _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 5,
+    SLAB_BITS - 65, SLAB_BITS - 1, SLAB_BITS, SLAB_BITS + 1,
+    SLAB_BITS + 100, SLAB_BITS + 4097, 2 * SLAB_BITS + 65,
+)
+# Any c = 0, m = p multiplier takes the bit-sliced path, not only the
+# two mask multipliers.
+LEHMER_MULTIPLIERS = (MASK_RAND_MULTIPLIER, MASK_REP_MULTIPLIER, 1, MASK_MODULUS - 1,
+                      random.Random(17).randrange(2, MASK_MODULUS - 1))
 
 
-def packed_oracle_bits(packed, count):
-    return bytes_to_bits(packed.to_bytes((count + 7) // 8, "little"))[:count]
+def bits_to_int(bits):
+    return int("".join(map(str, reversed(bits))) or "0", 2)
 
 
 def test_lane_generator_matches_recurrence_oracle_at_chunk_edges():
     x0s = (0, 1, MASK_MODULUS - 1, random.Random(13).randrange(1, MASK_MODULUS))
-    for a in (MASK_RAND_MULTIPLIER, MASK_REP_MULTIPLIER):
+    longest = max(LANE_EDGE_COUNTS)
+    for a in LEHMER_MULTIPLIERS:
         for x0 in x0s:
             params = LcgParams(x0, a, 0, MASK_MODULUS)
+            expected = bits_to_int(slow_lcg_bits(x0, a, 0, MASK_MODULUS, longest))
             for count in LANE_EDGE_COUNTS:
-                expected = slow_lcg_bits(x0, a, 0, MASK_MODULUS, count)
-                assert packed_oracle_bits(_lcg_bits_int(params, count), count) == expected
+                prefix = expected & ((1 << count) - 1)
+                assert _lcg_bits_int(params, count) == prefix, (a, x0, count)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from((MASK_RAND_MULTIPLIER, MASK_REP_MULTIPLIER)),
+    st.one_of(st.sampled_from(LEHMER_MULTIPLIERS),
+              st.integers(min_value=0, max_value=MASK_MODULUS - 1)),
     st.one_of(st.sampled_from((1, MASK_MODULUS - 1)),
-              st.integers(min_value=1, max_value=MASK_MODULUS - 1)),
+              st.integers(min_value=0, max_value=MASK_MODULUS - 1)),
     st.one_of(st.sampled_from(LANE_EDGE_COUNTS),
-              st.integers(min_value=0, max_value=5 * _LANES)),
+              st.integers(min_value=0, max_value=5 * _LANES),
+              st.integers(min_value=0, max_value=3 * SLAB_BITS)),
 )
 def test_lane_generator_matches_recurrence_oracle(a, x0, count):
+    # the recurrence over windows of 5 * K bits (the whole stream for a
+    # short count): at the start, across every slab boundary and at the
+    # end, each started from a jump-ahead state x0 * a^start mod p
     packed = _lcg_bits_int(LcgParams(x0, a, 0, MASK_MODULUS), count)
-    assert packed_oracle_bits(packed, count) == slow_lcg_bits(x0, a, 0, MASK_MODULUS, count)
     assert packed >> count == 0
+    width = 5 * _LANES
+    starts = {0, max(0, count - width)}
+    starts.update(max(0, b - width // 2) for b in range(SLAB_BITS, count, SLAB_BITS))
+    for start in sorted(starts):
+        n = min(width, count - start)
+        window = bits_to_int(lehmer_window_bits(x0, a, MASK_MODULUS, start, n))
+        assert (packed >> start) & ((1 << n) - 1) == window, (start, n)
 
 
 def test_recommended_params_have_full_period():

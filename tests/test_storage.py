@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import random
 import stat
@@ -177,6 +178,25 @@ def test_sealed_file_survives_the_codec():
     key = CipherKey(a=1000, n=2, mode=Mode.POWER)
     env = seal_file(b"through the wire", key)
     assert decode_envelope(encode_envelope(env)) == env
+
+
+# Digests of sealed envelopes for a payload of 16 full keystream slabs
+# (64 * 2048 bits each) plus a partial one, pinned before the keystream
+# was bit-sliced.  Unlike a round trip through the self-inverse mask,
+# they catch a keystream that drifts after its first slab.
+LARGE_PAYLOAD_BYTES = 262_147
+LARGE_ENVELOPE_SHA256 = {
+    (Mode.ADDITIVE, 1): "e5848852d66fa73269042e2384dbb4f06fb3f4652d7a002b502f25682e40ce75",
+    (Mode.POWER, 3): "32eb0603ca3e54687017b77f972a3ea7e298bff81ffd71402f0b62c3c68448e9",
+}
+
+
+@pytest.mark.parametrize("mode,n", sorted(LARGE_ENVELOPE_SHA256))
+def test_large_sealed_envelope_is_pinned(mode, n):
+    payload = random.Random(20251221).randbytes(LARGE_PAYLOAD_BYTES)
+    key = CipherKey(a=11400714819323198485, n=n, mode=mode)
+    blob = encode_envelope(seal_file(payload, key))
+    assert hashlib.sha256(blob).hexdigest() == LARGE_ENVELOPE_SHA256[(mode, n)]
 
 
 # ---------------------------------------------------------------- object keys
