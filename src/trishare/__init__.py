@@ -6,6 +6,9 @@ organization server, the data owner, and one authorized receiver to each
 contribute a point.  Lagrange interpolation recovers the secret, a
 binding code ties the polynomial to the file, and revocation
 re-randomizes the polynomial without touching the sealed data.
+
+The benchmarks and the pinned worked example live in `trishare.bench`,
+which this package does not import.
 """
 
 from .errors import Error
@@ -42,8 +45,5 @@ from .authz import (BindingMismatch, CorruptPolicy, DuplicateUser,
                     db_from_json, db_to_json, grant_access, load_db,
                     persist_db, register_user, request_decrypt, revoke_user,
                     update_owner_share)
-from .bench import (BenchReport, ExampleMismatch, StorageOverheadModel,
-                    bench_attributes, bench_encrypt, loglog_slope,
-                    storage_overhead_report, verify_reference_example)
 
 __version__ = "0.1.0"

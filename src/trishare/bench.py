@@ -4,6 +4,10 @@ Timing uses the monotonic clock, discards one warm-up run, and reports
 medians of at least five repetitions.  Throughput is computed from the
 measured encryption time (plaintext size / encrypt seconds), never
 measured independently, so reported rows are internally consistent.
+
+Each benchmark returns the plain dict that `trishare verify-example
+--json` or `trishare bench ... --json` prints; `csv_text`,
+`example_lines` and `storage_lines` render those documents as text.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import log
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .authz import (PolicyDb, UserRecord, UserType, _grant_json,
                     grant_access, register_user)
@@ -42,56 +46,28 @@ EXAMPLE_POINTS = ((1, 1494), (2, 1942), (3, 2578), (4, 3402), (5, 4414), (6, 561
 EXAMPLE_RECONSTRUCTION_XS = (2, 4, 5)
 
 
-@dataclass(frozen=True)
-class AssertionResult:
-    name: str
-    expected: object
-    actual: object
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass
-class ExampleReport:
-    """All assertions of the worked example; raised-through on failure."""
-
-    modulus_p: int
-    assertions: List[AssertionResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(a.ok for a in self.assertions)
-
-    def lines(self) -> List[str]:
-        out = []
-        for a in self.assertions:
-            mark = "ok" if a.ok else "MISMATCH"
-            out.append(f"{mark:8s} {a.name}: expected {a.expected}, got {a.actual}")
-        return out
-
-
 def verify_reference_example(modulus: "FieldModulus | None" = None,
                          reconstruction_points: "Sequence[Tuple[int, int]] | None" = None,
-                         ) -> ExampleReport:
+                         ) -> dict:
     """Check the pinned split/reconstruct example end to end.
 
-    Raises ExampleMismatch at the first failing assertion.  Running
-    under a small modulus fails by design: the pinned values exceed p
-    and wrap.  `reconstruction_points` substitutes the three points fed
-    to reconstruction (fault-injection hook).
+    Returns {"p", "passed", "assertions"}, each assertion a {"name",
+    "expected", "actual", "ok"} dict.  Raises ExampleMismatch at the
+    first failing assertion, so a returned document always passed.
+    Running under a small modulus fails by design: the pinned values
+    exceed p and wrap.  `reconstruction_points` substitutes the three
+    points fed to reconstruction (fault-injection hook).
     """
     if modulus is None:
         modulus = default_modulus()
-    report = ExampleReport(modulus_p=modulus.p)
+    assertions = []
 
     def check(name: str, expected, actual) -> None:
-        result = AssertionResult(name=name, expected=expected, actual=actual)
-        report.assertions.append(result)
-        if not result.ok:
+        if expected != actual:
             raise ExampleMismatch(
                 f"{name}: expected {expected}, got {actual} (p={modulus.p})")
+        assertions.append({"name": name, "expected": expected,
+                           "actual": actual, "ok": True})
 
     try:
         shares = split_secret(EXAMPLE_SECRET, EXAMPLE_COEFFS, EXAMPLE_N_POINTS,
@@ -112,7 +88,14 @@ def verify_reference_example(modulus: "FieldModulus | None" = None,
     poly = reconstruct_polynomial(inp)
     check("reconstructed coefficients",
           (EXAMPLE_SECRET, *EXAMPLE_COEFFS), poly.coeffs)
-    return report
+    return {"p": modulus.p, "passed": True, "assertions": assertions}
+
+
+def example_lines(doc: dict) -> List[str]:
+    """verify_reference_example's document as text, one line per assertion."""
+    return [f"ok       {a['name']}: expected {a['expected']}, got {a['actual']}"
+            for a in doc["assertions"]] + [
+        f"PASS with {len(doc['assertions'])} assertions"]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +128,7 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return _fit([log(x) for x in xs], [log(y) for y in ys])[0]
 
 
-def _csv(header: str, rows: Sequence[dict]) -> str:
+def csv_text(header: str, rows: Sequence[dict]) -> str:
     """CSV text: the header, then one line per row dict in header order.
     Numbers are written by repr (exact for floats); None is written NA."""
     columns = header.split(",")
@@ -168,51 +151,16 @@ DEFAULT_BENCH_SIZES = tuple(kb * 1024 for kb in (5, 10, 15, 20, 25, 30))
 ENCRYPT_CSV_HEADER = "size_bytes,cipher_bytes,encrypt_s,decrypt_s,throughput_kbps"
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    input_size_bytes: int
-    ciphertext_size_bytes: int
-    encrypt_seconds: float
-    decrypt_seconds: float
-
-    @property
-    def throughput_kb_per_s(self) -> Optional[float]:
-        """Plaintext size over encryption time, in KB (1024 B) per second."""
-        if self.input_size_bytes == 0:
-            return None
-        return (self.input_size_bytes / 1024) / self.encrypt_seconds
-
-
-@dataclass
-class BenchReport:
-    mode: Mode
-    reps: int
-    environment: str
-    rows: List[BenchRow] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        return _csv(ENCRYPT_CSV_HEADER, self.to_dict()["rows"])
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.name.lower(),
-            "reps": self.reps,
-            "environment": self.environment,
-            "rows": [
-                {"size_bytes": r.input_size_bytes,
-                 "cipher_bytes": r.ciphertext_size_bytes,
-                 "encrypt_s": r.encrypt_seconds,
-                 "decrypt_s": r.decrypt_seconds,
-                 "throughput_kbps": r.throughput_kb_per_s}
-                for r in self.rows
-            ],
-        }
-
-
 def bench_encrypt(sizes: Sequence[int] = DEFAULT_BENCH_SIZES,
                   mode: Mode = Mode.ADDITIVE, n: int = 1,
-                  reps: int = MIN_REPS, seed: int = 0xC0FFEE) -> BenchReport:
-    """Seal/open timing over random corpora of the given sizes."""
+                  reps: int = MIN_REPS, seed: int = 0xC0FFEE) -> dict:
+    """Seal/open timing over random corpora of the given sizes.
+
+    Returns {"mode", "reps", "environment", "rows"}, one row per size
+    with ENCRYPT_CSV_HEADER's keys.  throughput_kbps is the plaintext
+    size over the encrypt time in KB (1024 B) per second, None for an
+    empty plaintext.
+    """
     if reps < MIN_REPS:
         raise Error(f"reps must be >= {MIN_REPS}")
     if any(size < 0 for size in sizes):
@@ -220,19 +168,17 @@ def bench_encrypt(sizes: Sequence[int] = DEFAULT_BENCH_SIZES,
     rng = random.Random(seed)
     master = rng.randrange(1, default_modulus().p)
     key = derive_file_key(master, "bench.dat", mode=mode, n=n)
-    report = BenchReport(mode=mode, reps=reps, environment=_environment_note())
+    rows = []
     for size in sizes:
         data = rng.randbytes(size)
         envelope = seal_file(data, key)
         enc_s = _median_seconds(lambda: seal_file(data, key), reps)
         dec_s = _median_seconds(lambda: open_file(envelope, key), reps)
-        report.rows.append(BenchRow(
-            input_size_bytes=size,
-            ciphertext_size_bytes=len(envelope.payload),
-            encrypt_seconds=enc_s,
-            decrypt_seconds=dec_s,
-        ))
-    return report
+        rows.append({"size_bytes": size, "cipher_bytes": len(envelope.payload),
+                     "encrypt_s": enc_s, "decrypt_s": dec_s,
+                     "throughput_kbps": (size / 1024) / enc_s if size else None})
+    return {"mode": mode.name.lower(), "reps": reps,
+            "environment": _environment_note(), "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -244,48 +190,15 @@ DEFAULT_K_VALUES = (3, 5, 9, 13, 17, 21)
 ATTRS_CSV_HEADER = "k,n_users,split_s,reconstruct_s"
 
 
-@dataclass(frozen=True)
-class AttrBenchRow:
-    k: int
-    n_users: int
-    split_seconds: float
-    reconstruct_seconds: float
-
-
-@dataclass
-class AttrBenchReport:
-    reps: int
-    environment: str
-    rows: List[AttrBenchRow] = field(default_factory=list)
-    split_fit_slope: float = 0.0
-    split_fit_intercept: float = 0.0
-    split_fit_residual: float = 0.0
-
-    def to_csv(self) -> str:
-        return _csv(ATTRS_CSV_HEADER, self.to_dict()["rows"])
-
-    def to_dict(self) -> dict:
-        return {
-            "reps": self.reps,
-            "environment": self.environment,
-            "rows": [
-                {"k": r.k, "n_users": r.n_users, "split_s": r.split_seconds,
-                 "reconstruct_s": r.reconstruct_seconds}
-                for r in self.rows
-            ],
-            "split_fit": {"slope": self.split_fit_slope,
-                          "intercept": self.split_fit_intercept,
-                          "residual": self.split_fit_residual},
-        }
-
-
 def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
                      n_users: int = 24, reps: int = MIN_REPS,
-                     seed: int = 0xA77) -> AttrBenchReport:
+                     seed: int = 0xA77) -> dict:
     """Split/reconstruct timing as the threshold k grows.
 
-    Fits split time linearly in k and reports the RMS residual; split
-    work is n evaluations of a degree-(k-1) polynomial, so the fit
+    Returns {"reps", "environment", "rows", "split_fit"}, one row per k
+    with ATTRS_CSV_HEADER's keys.  split_fit is the least-squares line
+    of split time in k ("slope", "intercept") and its RMS "residual";
+    split work is n evaluations of a degree-(k-1) polynomial, so the fit
     should be tight.
     """
     if reps < MIN_REPS:
@@ -301,7 +214,7 @@ def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
     modulus = default_modulus()
     p = modulus.p
     rng = random.Random(seed)
-    report = AttrBenchReport(reps=reps, environment=_environment_note())
+    rows = []
     for k in k_values:
         secret = rng.randrange(p)
         coeffs = [rng.randrange(1, p) for _ in range(k - 1)]
@@ -310,18 +223,16 @@ def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
         shares = split_secret(secret, coeffs, n_users, modulus)[:k]
         inp = ReconstructionInput(points=tuple(shares), modulus=modulus)
         rec_s = _median_seconds(lambda: reconstruct_secret(inp), reps)
-        report.rows.append(AttrBenchRow(k=k, n_users=n_users,
-                                        split_seconds=split_s,
-                                        reconstruct_seconds=rec_s))
-    ks = [r.k for r in report.rows]
-    ts = [r.split_seconds for r in report.rows]
+        rows.append({"k": k, "n_users": n_users, "split_s": split_s,
+                     "reconstruct_s": rec_s})
+    ks = [r["k"] for r in rows]
+    ts = [r["split_s"] for r in rows]
     slope, intercept = _fit(ks, ts)
     residual = (sum((t - (slope * k + intercept)) ** 2
                     for k, t in zip(ks, ts)) / len(ks)) ** 0.5
-    report.split_fit_slope = slope
-    report.split_fit_intercept = intercept
-    report.split_fit_residual = residual
-    return report
+    return {"reps": reps, "environment": _environment_note(), "rows": rows,
+            "split_fit": {"slope": slope, "intercept": intercept,
+                          "residual": residual}}
 
 
 # ---------------------------------------------------------------------------
@@ -370,58 +281,23 @@ class StorageOverheadModel:
         return (self.policy_attrs + 1) * self.pairing_bits
 
 
-@dataclass
-class StorageOverheadReport:
-    model: StorageOverheadModel
-    rows: List[dict] = field(default_factory=list)
-    measured_share_record_bytes: int = 0
-    measured_grant_bytes: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "model": {
-                "n_attrs_user": self.model.n_attrs_user,
-                "policy_attrs": self.model.policy_attrs,
-                "element_bits": self.model.element_bits,
-                "pairing_bits": self.model.pairing_bits,
-            },
-            "rows": self.rows,
-            "measured": {
-                "share_record_bytes": self.measured_share_record_bytes,
-                "grant_bytes": self.measured_grant_bytes,
-            },
-        }
-
-    def lines(self) -> List[str]:
-        out = [f"{'scheme':12s} {'user bits':>10s} {'user bytes':>10s} "
-               f"{'server bits':>11s} {'server bytes':>12s}"]
-        for r in self.rows:
-            out.append(f"{r['scheme']:12s} {r['user_bits']:>10d} "
-                       f"{r['user_bytes']:>10d} {r['server_bits']:>11d} "
-                       f"{r['server_bytes']:>12d}")
-        out.append(f"measured share record: {self.measured_share_record_bytes} B, "
-                   f"grant: {self.measured_grant_bytes} B (JSON)")
-        return out
-
-
 def storage_overhead_report(model: "StorageOverheadModel | None" = None,
-                            ) -> StorageOverheadReport:
-    """Formula table plus measured sizes from an actual serialized grant."""
+                            ) -> dict:
+    """Formula table plus measured sizes from an actual serialized grant.
+
+    Returns {"model", "rows", "measured"}: the model's fields, one row
+    per scheme with its user and server bits and bytes, and the JSON
+    sizes of one share record and one grant.
+    """
     if model is None:
         model = StorageOverheadModel()
-    report = StorageOverheadReport(model=model)
-    for scheme, user_bits, server_bits in (
-        ("proposed", model.user_storage_bits(), model.server_storage_bits()),
-        ("dac-macs", model.dacmacs_user_bits(), model.dacmacs_server_bits()),
-        ("pairing", model.pairing_user_bits(), model.pairing_server_bits()),
-    ):
-        report.rows.append({
-            "scheme": scheme,
-            "user_bits": user_bits,
-            "user_bytes": user_bits // 8,
-            "server_bits": server_bits,
-            "server_bytes": server_bits // 8,
-        })
+    rows = [{"scheme": scheme, "user_bits": user_bits,
+             "user_bytes": user_bits // 8, "server_bits": server_bits,
+             "server_bytes": server_bits // 8}
+            for scheme, user_bits, server_bits in (
+                ("proposed", model.user_storage_bits(), model.server_storage_bits()),
+                ("dac-macs", model.dacmacs_user_bits(), model.dacmacs_server_bits()),
+                ("pairing", model.pairing_user_bits(), model.pairing_server_bits()))]
 
     db = PolicyDb()
     store = ObjectStore()
@@ -433,8 +309,18 @@ def storage_overhead_report(model: "StorageOverheadModel | None" = None,
                  b"sample payload")
     grant = db.grants["sample.dat"]
     record = next(iter(grant.consumer_shares.values()))
-    report.measured_share_record_bytes = len(record.to_json().encode("utf-8"))
     # The grant as policy.json stores it (the emitter writes ASCII only).
-    report.measured_grant_bytes = len(_grant_json(grant))
-    return report
+    return {"model": asdict(model), "rows": rows,
+            "measured": {"share_record_bytes": len(record.to_json().encode("utf-8")),
+                         "grant_bytes": len(_grant_json(grant))}}
+
+
+def storage_lines(doc: dict) -> List[str]:
+    """storage_overhead_report's document as a text table."""
+    return [f"{'scheme':12s} {'user bits':>10s} {'user bytes':>10s} "
+            f"{'server bits':>11s} {'server bytes':>12s}"] + [
+        f"{r['scheme']:12s} {r['user_bits']:>10d} {r['user_bytes']:>10d} "
+        f"{r['server_bits']:>11d} {r['server_bytes']:>12d}" for r in doc["rows"]] + [
+        f"measured share record: {doc['measured']['share_record_bytes']} B, "
+        f"grant: {doc['measured']['grant_bytes']} B (JSON)"]
 

@@ -302,6 +302,10 @@ class CipherEnvelope:
             raise BadHeader(f"block_bytes={self.block_bytes} outside u32 range")
         if self.plaintext_len < 0:
             raise BadHeader("negative plaintext length")
+        expected = self.plaintext_len * self.symbol_width
+        if len(self.payload) != expected:
+            raise LengthMismatch(
+                f"payload is {len(self.payload)} bytes, header implies {expected}")
 
 
 _RAND_TAG = 0x52414E44  # "RAND"
@@ -361,11 +365,6 @@ def open_file(envelope: CipherEnvelope, key: CipherKey,
     InexactRoot/SymbolOutOfRange in Power mode and as garbage output in
     Additive mode (no integrity).
     """
-    expected = envelope.plaintext_len * envelope.symbol_width
-    if len(envelope.payload) != expected:
-        raise LengthMismatch(
-            f"payload is {len(envelope.payload)} bytes, header implies {expected}"
-        )
     effective = CipherKey(a=key.a, n=envelope.n, mode=envelope.mode)
     masked = decrypt_bytes(envelope.payload, effective, width=envelope.symbol_width)
     if schedule is None:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
-from . import authz, bench
+from . import authz
 from .cipher import CipherKey, Mode, open_file, seal_file
 from .errors import Error
 from .field import FieldModulus, M61, default_modulus, modulus_for
@@ -216,49 +216,55 @@ def _read_share_record(path: Path) -> EncryptedShare:
     return EncryptedShare.from_json(text)
 
 
+# verify-example and bench import trishare.bench on first use, so the
+# other commands never load it.
+
 def _cmd_verify_example(args) -> int:
-    report = bench.verify_reference_example(modulus=_modulus(args))
-    payload = {"p": report.modulus_p, "passed": report.passed,
-               "assertions": [{"name": a.name, "expected": a.expected,
-                               "actual": a.actual, "ok": a.ok}
-                              for a in report.assertions]}
-    _emit(args, payload, report.lines() +
-          [f"PASS with {len(report.assertions)} assertions"])
+    from . import bench
+    doc = bench.verify_reference_example(modulus=_modulus(args))
+    _emit(args, doc, bench.example_lines(doc))
     return 0
 
 
-def _cmd_bench_encrypt(args) -> int:
-    sizes = args.sizes or bench.DEFAULT_BENCH_SIZES
-    mode, n = _mode_and_n(args)
-    report = bench.bench_encrypt(sizes=sizes, mode=mode, n=n, reps=args.reps)
-    csv_text = report.to_csv()
+def _emit_table(args, doc: dict, header: str, lines: Sequence[str] = ()) -> None:
+    """Write --csv, then print the document as JSON, or its rows as CSV
+    followed by `lines`."""
+    from .bench import csv_text
+    text = csv_text(header, doc["rows"])
     if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
-    _emit(args, report.to_dict(), csv_text.splitlines())
+        Path(args.csv).write_text(text, encoding="utf-8")
+    _emit(args, doc, text.splitlines() + list(lines))
+
+
+def _cmd_bench_encrypt(args) -> int:
+    from . import bench
+    mode, n = _mode_and_n(args)
+    doc = bench.bench_encrypt(
+        sizes=args.sizes or bench.DEFAULT_BENCH_SIZES, mode=mode, n=n,
+        reps=bench.MIN_REPS if args.reps is None else args.reps)
+    _emit_table(args, doc, bench.ENCRYPT_CSV_HEADER)
     return 0
 
 
 def _cmd_bench_attrs(args) -> int:
-    k_values = args.k or bench.DEFAULT_K_VALUES
-    report = bench.bench_attributes(k_values=k_values, n_users=args.n_users,
-                                    reps=args.reps)
-    csv_text = report.to_csv()
-    if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
-    lines = csv_text.splitlines() + [
-        f"split fit: slope {report.split_fit_slope:.3e} s/k, "
-        f"intercept {report.split_fit_intercept:.3e} s, "
-        f"residual {report.split_fit_residual:.3e} s"]
-    _emit(args, report.to_dict(), lines)
+    from . import bench
+    doc = bench.bench_attributes(
+        k_values=args.k or bench.DEFAULT_K_VALUES, n_users=args.n_users,
+        reps=bench.MIN_REPS if args.reps is None else args.reps)
+    fit = doc["split_fit"]
+    _emit_table(args, doc, bench.ATTRS_CSV_HEADER, [
+        f"split fit: slope {fit['slope']:.3e} s/k, "
+        f"intercept {fit['intercept']:.3e} s, residual {fit['residual']:.3e} s"])
     return 0
 
 
 def _cmd_bench_storage(args) -> int:
+    from . import bench
     model = bench.StorageOverheadModel(
         n_attrs_user=args.n, policy_attrs=args.tc,
         element_bits=args.element_bits, pairing_bits=args.pairing_bits)
-    report = bench.storage_overhead_report(model)
-    _emit(args, report.to_dict(), report.lines())
+    doc = bench.storage_overhead_report(model)
+    _emit(args, doc, bench.storage_lines(doc))
     return 0
 
 
@@ -366,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated byte sizes")
     s.add_argument("--mode", default="additive")
     s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
-    s.add_argument("--reps", type=int, default=bench.MIN_REPS)
+    s.add_argument("--reps", type=int, help="timed repetitions per row")
     s.add_argument("--csv", default=None, help="also write CSV to this path")
     s.set_defaults(fn=_cmd_bench_encrypt)
 
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=_parse_int_list, default=None,
                    help="comma-separated thresholds")
     s.add_argument("--n-users", type=int, default=24)
-    s.add_argument("--reps", type=int, default=bench.MIN_REPS)
+    s.add_argument("--reps", type=int, help="timed repetitions per row")
     s.add_argument("--csv", default=None)
     s.set_defaults(fn=_cmd_bench_attrs)
 

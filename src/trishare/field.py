@@ -22,9 +22,13 @@ M61 = (1 << 61) - 1
 #: Smallest modulus accepted outside test profiles.
 MIN_PRODUCTION_MODULUS = 1 << 16
 
-# Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24,
-# which covers every modulus this package supports.
+# Deterministic Miller-Rabin witness set: the first 12 primes.  It is
+# proven exact only below _MR_BOUND (about 3.2 * 10^23), the smallest
+# strong pseudoprime to all 12 bases (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases"), so is_prime refuses to decide
+# at or above it.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
 
 
 class InvalidModulus(Error):
@@ -40,9 +44,16 @@ class InvalidPolynomial(Error):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality check for the supported range."""
+    """Deterministic Miller-Rabin primality check.
+
+    Raises InvalidModulus for n >= _MR_BOUND, where the witness set is
+    not proven to tell primes from composites.
+    """
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise InvalidModulus(f"{n} is at or above {_MR_BOUND}, beyond the "
+                             "range where primality is decided exactly")
     for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small

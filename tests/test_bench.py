@@ -3,28 +3,24 @@ import math
 
 import pytest
 
-from trishare import (
-    Error,
-    Mode,
-    StorageOverheadModel,
-    bench_attributes,
-    bench_encrypt,
-    loglog_slope,
-    storage_overhead_report,
-    verify_reference_example,
-)
+from trishare import Error, Mode
 import trishare.bench
 from trishare.bench import (
     ATTRS_CSV_HEADER,
     ENCRYPT_CSV_HEADER,
-    AttrBenchReport,
-    AttrBenchRow,
-    BenchReport,
-    BenchRow,
     EXAMPLE_COEFFS,
     EXAMPLE_POINTS,
     EXAMPLE_SECRET,
     ExampleMismatch,
+    StorageOverheadModel,
+    bench_attributes,
+    bench_encrypt,
+    csv_text,
+    example_lines,
+    loglog_slope,
+    storage_lines,
+    storage_overhead_report,
+    verify_reference_example,
 )
 
 
@@ -40,9 +36,9 @@ def test_example_constants_are_the_reference_table():
 
 def test_verify_example_passes():
     report = verify_reference_example()
-    assert report.passed
-    assert len(report.lines()) == 8
-    assert all(res.ok for res in report.assertions)
+    assert report["passed"]
+    assert len(example_lines(report)) == 9
+    assert all(res["ok"] for res in report["assertions"])
 
 
 def test_verify_example_catches_perturbation():
@@ -62,33 +58,33 @@ def test_verify_example_needs_a_big_enough_field(p97):
 
 def test_bench_encrypt_rows():
     report = bench_encrypt(sizes=(256, 1024), reps=5)
-    assert [r.input_size_bytes for r in report.rows] == [256, 1024]
-    for row in report.rows:
-        assert row.ciphertext_size_bytes == row.input_size_bytes  # additive
-        assert row.encrypt_seconds > 0 and row.decrypt_seconds > 0
-        assert row.throughput_kb_per_s == pytest.approx(
-            (row.input_size_bytes / 1024) / row.encrypt_seconds
+    assert [r["size_bytes"] for r in report["rows"]] == [256, 1024]
+    for row in report["rows"]:
+        assert row["cipher_bytes"] == row["size_bytes"]  # additive
+        assert row["encrypt_s"] > 0 and row["decrypt_s"] > 0
+        assert row["throughput_kbps"] == pytest.approx(
+            (row["size_bytes"] / 1024) / row["encrypt_s"]
         )
 
 
 def test_bench_encrypt_power_mode_width():
     report = bench_encrypt(sizes=(128,), mode=Mode.POWER, n=2, reps=5)
-    row = report.rows[0]
-    assert row.ciphertext_size_bytes % row.input_size_bytes == 0
-    assert row.ciphertext_size_bytes // row.input_size_bytes >= 2
+    row = report["rows"][0]
+    assert row["cipher_bytes"] % row["size_bytes"] == 0
+    assert row["cipher_bytes"] // row["size_bytes"] >= 2
 
 
 def test_bench_encrypt_csv_round_trip():
     report = bench_encrypt(sizes=(0, 256), reps=5)
-    lines = report.to_csv().strip().splitlines()
+    lines = csv_text(ENCRYPT_CSV_HEADER, report["rows"]).strip().splitlines()
     assert lines[0] == ENCRYPT_CSV_HEADER
     assert len(lines) == 3
     zero_row = lines[1].split(",")
     assert zero_row[0] == "0" and zero_row[4] == "NA"
     parsed = lines[2].split(",")
     # repr round-trips floats exactly
-    assert float(parsed[2]) == report.rows[1].encrypt_seconds
-    assert float(parsed[4]) == report.rows[1].throughput_kb_per_s
+    assert float(parsed[2]) == report["rows"][1]["encrypt_s"]
+    assert float(parsed[4]) == report["rows"][1]["throughput_kbps"]
 
 
 def test_bench_encrypt_rejects_thin_sampling():
@@ -111,22 +107,20 @@ def test_bench_encrypt_rejects_negative_size_before_timing(monkeypatch):
 def test_bench_encrypt_is_deterministic_in_data():
     a = bench_encrypt(sizes=(128,), reps=5, seed=1)
     b = bench_encrypt(sizes=(128,), reps=5, seed=1)
-    assert a.rows[0].ciphertext_size_bytes == b.rows[0].ciphertext_size_bytes
+    assert a["rows"][0]["cipher_bytes"] == b["rows"][0]["cipher_bytes"]
 
 
 # ---------------------------------------------------------------- attribute bench
 
 def test_bench_attributes_rows_and_fit():
     report = bench_attributes(k_values=(3, 5, 9), n_users=16, reps=5)
-    assert [r.k for r in report.rows] == [3, 5, 9]
-    assert all(r.n_users == 16 for r in report.rows)
-    assert math.isfinite(report.split_fit_slope)
-    assert math.isfinite(report.split_fit_residual)
-    lines = report.to_csv().strip().splitlines()
+    assert [r["k"] for r in report["rows"]] == [3, 5, 9]
+    assert all(r["n_users"] == 16 for r in report["rows"])
+    assert math.isfinite(report["split_fit"]["slope"])
+    assert math.isfinite(report["split_fit"]["residual"])
+    lines = csv_text(ATTRS_CSV_HEADER, report["rows"]).strip().splitlines()
     assert lines[0] == ATTRS_CSV_HEADER
     assert len(lines) == 4
-    doc = report.to_dict()
-    assert doc["split_fit"]["slope"] == report.split_fit_slope
 
 
 def test_bench_attributes_validates_threshold():
@@ -168,17 +162,17 @@ def test_storage_formulas_scale_linearly():
 
 def test_storage_report_contents():
     report = storage_overhead_report()
-    schemes = [row["scheme"] for row in report.rows]
+    schemes = [row["scheme"] for row in report["rows"]]
     assert schemes == ["proposed", "dac-macs", "pairing"]
-    by_scheme = {row["scheme"]: row for row in report.rows}
+    by_scheme = {row["scheme"]: row for row in report["rows"]}
     assert by_scheme["proposed"]["user_bytes"] == 352
     assert by_scheme["proposed"]["server_bytes"] == 352
     assert by_scheme["dac-macs"]["user_bytes"] == 416
-    assert report.measured_share_record_bytes > 0
-    assert report.measured_grant_bytes > report.measured_share_record_bytes
-    assert len(report.lines()) == 5
-    doc = json.loads(json.dumps(report.to_dict()))
-    assert doc["measured"]["share_record_bytes"] == report.measured_share_record_bytes
+    measured = report["measured"]
+    assert measured["share_record_bytes"] > 0
+    assert measured["grant_bytes"] > measured["share_record_bytes"]
+    assert len(storage_lines(report)) == 5
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_bench_attributes_rejects_zero_threshold_before_timing(monkeypatch):
@@ -201,20 +195,23 @@ def test_storage_model_accepts_zero_attributes():
     assert model.user_storage_bits() == model.server_storage_bits() == 256
 
 
+def encrypt_row(size, cipher, enc_s, dec_s, kbps):
+    return {"size_bytes": size, "cipher_bytes": cipher, "encrypt_s": enc_s,
+            "decrypt_s": dec_s, "throughput_kbps": kbps}
+
+
 def test_csv_text_is_pinned():
-    enc = BenchReport(mode=Mode.ADDITIVE, reps=5, environment="env", rows=[
-        BenchRow(1024, 1024, 0.001, 0.0025),
-        BenchRow(0, 0, 1e-06, 2.5e-06),
-        BenchRow(3000, 9000, 0.1, 1 / 3)])
-    assert enc.to_csv() == (
+    enc = [encrypt_row(1024, 1024, 0.001, 0.0025, 1000.0),
+           encrypt_row(0, 0, 1e-06, 2.5e-06, None),
+           encrypt_row(3000, 9000, 0.1, 1 / 3, 29.296875)]
+    assert csv_text(ENCRYPT_CSV_HEADER, enc) == (
         "size_bytes,cipher_bytes,encrypt_s,decrypt_s,throughput_kbps\n"
         "1024,1024,0.001,0.0025,1000.0\n"
         "0,0,1e-06,2.5e-06,NA\n"
         "3000,9000,0.1,0.3333333333333333,29.296875\n")
-    attrs = AttrBenchReport(reps=5, environment="env", rows=[
-        AttrBenchRow(3, 24, 1.5e-05, 0.000123),
-        AttrBenchRow(1, 2, 0.25, 1 / 7)])
-    assert attrs.to_csv() == (
+    attrs = [{"k": 3, "n_users": 24, "split_s": 1.5e-05, "reconstruct_s": 0.000123},
+             {"k": 1, "n_users": 2, "split_s": 0.25, "reconstruct_s": 1 / 7}]
+    assert csv_text(ATTRS_CSV_HEADER, attrs) == (
         "k,n_users,split_s,reconstruct_s\n"
         "3,24,1.5e-05,0.000123\n"
         "1,2,0.25,0.14285714285714285\n")
@@ -225,3 +222,15 @@ def test_bench_attributes_needs_two_thresholds_before_timing(monkeypatch, k_valu
     no_timing(monkeypatch)
     with pytest.raises(Error, match="at least two distinct thresholds"):
         bench_attributes(k_values=k_values, n_users=8, reps=5)
+
+
+def test_bench_encrypt_throughput_is_pinned(monkeypatch):
+    # The first and last rows of test_csv_text_is_pinned, through the
+    # bench itself: throughput is KB (1024 B) over the encrypt time.
+    timings = iter([0.001, 0.0025, 1e-06, 2.5e-06, 0.1, 1 / 3])
+    monkeypatch.setattr(trishare.bench, "_median_seconds",
+                        lambda fn, reps: next(timings))
+    rows = bench_encrypt(sizes=(1024, 0, 3000), reps=5)["rows"]
+    assert rows == [encrypt_row(1024, 1024, 0.001, 0.0025, 1000.0),
+                    encrypt_row(0, 0, 1e-06, 2.5e-06, None),
+                    encrypt_row(3000, 3000, 0.1, 1 / 3, 29.296875)]

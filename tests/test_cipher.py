@@ -405,16 +405,15 @@ def test_open_with_custom_schedule():
 def test_open_detects_truncated_payload():
     key = CipherKey(a=44)
     env = seal_file(b"0123456789", key)
-    clipped = type(env)(
-        mode=env.mode,
-        n=env.n,
-        symbol_width=env.symbol_width,
-        block_bytes=env.block_bytes,
-        plaintext_len=env.plaintext_len,
-        payload=env.payload[:-1],
-    )
     with pytest.raises(LengthMismatch):
-        open_file(clipped, key)
+        type(env)(
+            mode=env.mode,
+            n=env.n,
+            symbol_width=env.symbol_width,
+            block_bytes=env.block_bytes,
+            plaintext_len=env.plaintext_len,
+            payload=env.payload[:-1],
+        )
 
 
 @settings(max_examples=30, deadline=None)

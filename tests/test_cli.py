@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import trishare
+import trishare.bench
 from trishare import M61, SharePoint, default_modulus, update_owner_share
 from trishare.cli import cli_dispatch
 
@@ -594,6 +595,21 @@ def test_zero_modulus_is_rejected(capsys, argv):
     assert err.splitlines() == ["error: 0 is not prime"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["keygen"],
+    ["split", "--secret", "5", "--coeffs", "3,2", "--n-users", "3"],
+    ["register", "--store", "store", "--user-id", "olivia", "--type", "owner",
+     "--credentials", "c1"],
+], ids=["keygen", "split", "register"])
+def test_modulus_beyond_the_primality_bound_is_rejected(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin for the 12 witnesses
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli([*argv, "--p", "3317044064679887385961981"], capsys)
+    assert_one_error_line(rc, out, err)
+    assert not (tmp_path / "store" / "policy.json").exists()
+
+
 # ---------------------------------------------------------------- bench commands
 
 def test_bench_storage_json(capsys):
@@ -719,6 +735,19 @@ def test_cli_import_leaves_numpy_out(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, trishare.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_bench_out(tmp_path, child_env):
+    # only verify-example and bench need trishare.bench (and the
+    # statistics and platform modules it brings); the policy commands
+    # should not pay for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trishare.cli; print('trishare.bench' in sys.modules)"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr

@@ -50,6 +50,26 @@ def test_primality_agrees_with_sieve_below_10k():
         assert is_prime(n) == sieve[n], n
 
 
+@pytest.mark.parametrize("n, factors", [
+    (318665857834031151167461, (399165290221, 798330580441)),
+    (3317044064679887385961981, (1287836182261, 2575672364521)),
+])
+def test_strong_pseudoprimes_to_the_witnesses_are_refused(n, factors):
+    # Both pass Miller-Rabin for all 12 witnesses; the first is the
+    # smallest such number, so nothing at or above it is decided.
+    assert factors[0] * factors[1] == n
+    with pytest.raises(InvalidModulus):
+        is_prime(n)
+    with pytest.raises(InvalidModulus):
+        modulus_for(n)
+
+
+def test_primality_is_decided_below_the_proven_bound():
+    # the largest prime below the bound, and the even number beneath it
+    assert is_prime(318665857834031151167441)
+    assert not is_prime(318665857834031151167460)
+
+
 # ---------------------------------------------------------------- modulus objects
 
 def test_default_modulus_is_m61_production():

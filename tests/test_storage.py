@@ -15,6 +15,7 @@ from trishare import (
     CipherKey,
     HEADER_BYTES,
     IoFailure,
+    LengthMismatch,
     Mode,
     NotFound,
     ObjectStore,
@@ -118,6 +119,19 @@ def test_envelope_mode_is_a_mode():
 def test_envelope_rejects_additive_n_or_width_not_one(n, width):
     with pytest.raises(BadHeader):
         envelope(mode=Mode.ADDITIVE, n=n, width=width)
+
+
+@pytest.mark.parametrize("mode, n, width, length, payload", [
+    (Mode.ADDITIVE, 1, 1, 5, b"ab"),
+    (Mode.ADDITIVE, 1, 1, 0, b"a"),
+    (Mode.POWER, 2, 3, 2, b"abcde"),
+    (Mode.POWER, 2, 3, 2, b"abcdefg"),
+], ids=["additive-short", "additive-long", "power-short", "power-long"])
+def test_envelope_payload_must_match_its_header(mode, n, width, length, payload):
+    # encode_envelope would write bytes that decode_envelope rejects
+    with pytest.raises(LengthMismatch):
+        CipherEnvelope(mode=mode, n=n, symbol_width=width, block_bytes=1024,
+                       plaintext_len=length, payload=payload)
 
 
 def test_decode_rejects_short_header():
