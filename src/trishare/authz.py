@@ -13,8 +13,9 @@ remaining consumers' records are refreshed without ever decrypting them,
 and the owner refreshes their own point from the returned coefficient
 deltas - the server never learns it.
 
-Mutations are a single-writer contract per file_id: callers serialize
-grant/revoke on the same file; read-only queries may run concurrently.
+Mutations are a single-writer contract per store: every grant, revoke
+and register rewrites the whole policy.json, so callers serialize them
+across all files of a store; read-only queries may run concurrently.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 import json
 import os
 import secrets as _secrets
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .cipher import CipherEnvelope, Mode, derive_file_key, open_file, seal_file
 from .errors import Error
@@ -35,8 +37,9 @@ from .interpolate import ReconstructionInput, reconstruct_polynomial, verify_bin
 from .sharing import (BindingCode, EncryptedShare, SharePoint, binding_code,
                       decrypt_share, derive_attribute_tokens, encrypt_share,
                       split_secret)
-from .storage import (ACL_BACKUP_FILENAME, POLICY_FILENAME, ObjectStore,
-                      decode_envelope, encode_envelope, object_key)
+from .storage import (ACL_BACKUP_FILENAME, POLICY_DIGEST_FILENAME,
+                      POLICY_FILENAME, ObjectStore, decode_envelope,
+                      encode_envelope, object_key)
 
 #: Reconstruction threshold: server + owner + receiver.
 THRESHOLD = 3
@@ -135,13 +138,64 @@ class FileGrant:
     envelope_ref: str
 
 
+class Grants(MutableMapping):
+    """file_id -> FileGrant.
+
+    A policy loaded from its digest-verified text keeps each grant as the
+    text of its JSON block (after _GRANT_MARK) until the grant is first
+    read; db_to_json writes a block never read back as it was.
+    """
+
+    def __init__(self, unread: "Dict[str, str] | None" = None,
+                 modulus: "FieldModulus | None" = None):
+        self._grants: Dict[str, FileGrant] = {}
+        self._unread = unread if unread is not None else {}
+        self._modulus = modulus
+
+    def __getitem__(self, file_id: str) -> FileGrant:
+        grant = self._grants.get(file_id)
+        if grant is None:
+            block = self._unread[file_id]
+            grant = self._grants[file_id] = _parsed(
+                _GRANT_MARK + block, _grant_from_doc, self._modulus)
+            del self._unread[file_id]
+        return grant
+
+    def __setitem__(self, file_id: str, grant: FileGrant) -> None:
+        self._unread.pop(file_id, None)
+        self._grants[file_id] = grant
+
+    def __delitem__(self, file_id: str) -> None:
+        if self._unread.pop(file_id, None) is None:
+            del self._grants[file_id]
+
+    def __contains__(self, file_id: object) -> bool:
+        return file_id in self._grants or file_id in self._unread
+
+    def __iter__(self) -> Iterator[str]:
+        # A snapshot: reading a grant moves it from _unread to _grants.
+        return iter([*self._grants, *self._unread])
+
+    def __len__(self) -> int:
+        return len(self._grants) + len(self._unread)
+
+    def blocks(self) -> List[str]:
+        """Every grant's block after _GRANT_MARK, in file_id order: an
+        unread one as it was read, any other through _grant_json."""
+        cut = len(_GRANT_MARK)
+        pairs = [(g.file_id, _grant_json(g)[cut:]) for g in self._grants.values()]
+        pairs += self._unread.items()
+        pairs.sort(key=lambda pair: pair[0])
+        return [block for _, block in pairs]
+
+
 @dataclass
 class PolicyDb:
     """User table plus per-file grants, all under one modulus."""
 
     modulus: FieldModulus = field(default_factory=default_modulus)
     users: Dict[str, UserRecord] = field(default_factory=dict)
-    grants: Dict[str, FileGrant] = field(default_factory=dict)
+    grants: Grants = field(default_factory=Grants)
 
 
 def register_user(db: PolicyDb, record: UserRecord) -> PolicyDb:
@@ -413,15 +467,57 @@ def _block(items: List[str], open_: str, close: str, indent: int) -> str:
     return open_ + ",".join(items) + "\n" + " " * indent + close
 
 
+# A file db_to_json wrote is cut at these template seams.  A JSON string
+# holds no raw newline, and only a grant opens a block at indent 4 inside
+# the grants array, so each seam marks the same place in every such file.
+_GRANTS_KEY = ',\n  "grants": '
+_GRANT_MARK = '\n    {\n      "file_id": '
+_OWNER_KEY = ',\n      "owner_id": '
+_GRANTS_END = '\n  ]\n}'
+
+
 def db_to_json(db: PolicyDb) -> str:
     """Serialize to the documented policy schema (stable key order)."""
     users = [_user_json(u)
              for u in sorted(db.users.values(), key=lambda u: u.user_id)]
-    grants = [_grant_json(g)
-              for g in sorted(db.grants.values(), key=lambda g: g.file_id)]
-    return (f'{{\n  "p": {_int(db.modulus.p)},'
-            f'\n  "users": {_block(users, "[", "]", 2)},'
-            f'\n  "grants": {_block(grants, "[", "]", 2)}\n}}')
+    head = (f'{{\n  "p": {_int(db.modulus.p)},'
+            f'\n  "users": {_block(users, "[", "]", 2)}{_GRANTS_KEY}')
+    grants = db.grants.blocks()
+    if not grants:
+        return head + "[]\n}"
+    # One join copies the whole text once: the first and last grant carry
+    # the text around them, and the seam is the one _sliced_db splits at.
+    grants[0] = f"{head}[{_GRANT_MARK}{grants[0]}"
+    grants[-1] += _GRANTS_END
+    return ("," + _GRANT_MARK).join(grants)
+
+
+def _sliced_db(text: str) -> PolicyDb:
+    """PolicyDb from text db_to_json wrote: p and the users are parsed
+    now, each grant block only when first read (see Grants)."""
+    at = text.find(_GRANTS_KEY)
+    start = at + len(_GRANTS_KEY)
+    empty = len(text) == start + 4 and text.endswith("[]\n}")
+    if at < 0 or not empty and not (text.startswith("[" + _GRANT_MARK, start)
+                                    and text.endswith(_GRANTS_END)):
+        raise CorruptPolicy("policy does not have the layout db_to_json writes")
+    db = _parsed(text[:at] + "\n}", _db_from_doc)
+    unread = {}
+    if not empty:
+        # db_to_json's join undone, with no copy of the grants section.
+        blocks = text.split("," + _GRANT_MARK)
+        blocks[0] = blocks[0][start + 1 + len(_GRANT_MARK):]
+        blocks[-1] = blocks[-1][:-len(_GRANTS_END)]
+        try:
+            for block in blocks:
+                quoted = block[:block.index(_OWNER_KEY)]
+                # A JSON string with no escape is its text between quotes.
+                unread[quoted[1:-1] if "\\" not in quoted
+                       else json.loads(quoted)] = block
+        except (ValueError, TypeError) as exc:
+            raise CorruptPolicy(f"a grant block is out of layout: {exc}") from exc
+    db.grants = Grants(unread, db.modulus)
+    return db
 
 
 def db_from_json(text: str) -> PolicyDb:
@@ -430,12 +526,18 @@ def db_from_json(text: str) -> PolicyDb:
     Raises CorruptPolicy when the text is not JSON or does not follow the
     schema (missing keys, wrong types or values).
     """
+    return _parsed(text, _db_from_doc)
+
+
+def _parsed(text: str, read, *args):
+    """read(json.loads(text), *args); CorruptPolicy for text that is not
+    JSON or for a document outside the schema."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
         raise CorruptPolicy(f"policy is not valid JSON: {exc}") from exc
     try:
-        return _db_from_doc(doc)
+        return read(doc, *args)
     except KeyError as exc:
         raise CorruptPolicy(f"policy entry lacks key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError, Error) as exc:
@@ -454,7 +556,6 @@ def _text(value) -> str:
 def _db_from_doc(doc: dict) -> PolicyDb:
     modulus = modulus_for(int(doc["p"]))
     db = PolicyDb(modulus=modulus)
-    read_share = EncryptedShare.from_dict
     for u in doc.get("users", []):
         user_id = _text(u["user_id"])
         db.users[user_id] = UserRecord(
@@ -462,34 +563,55 @@ def _db_from_doc(doc: dict) -> PolicyDb:
             user_type=UserType(u["user_type"]),
             credentials=bytes.fromhex(u["credentials_hex"]))
     for g in doc.get("grants", []):
-        file_id = _text(g["file_id"])
-        db.grants[file_id] = FileGrant(
-            file_id=file_id,
-            owner_id=_text(g["owner_id"]),
-            server_share=SharePoint(x=int(g["server_share"]["x"]),
-                                    y=int(g["server_share"]["y"]),
-                                    modulus=modulus),
-            consumer_shares={uid: read_share(rec)
-                             for uid, rec in g["consumers"].items()},
-            binding=BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"])),
-            salt=bytes.fromhex(g["salt_hex"]),
-            envelope_ref=_text(g["envelope_ref"]))
+        grant = _grant_from_doc(g, modulus)
+        db.grants[grant.file_id] = grant
     return db
 
 
+def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
+    read_share = EncryptedShare.from_dict
+    return FileGrant(
+        file_id=_text(g["file_id"]),
+        owner_id=_text(g["owner_id"]),
+        server_share=SharePoint(x=int(g["server_share"]["x"]),
+                                y=int(g["server_share"]["y"]),
+                                modulus=modulus),
+        consumer_shares={uid: read_share(rec)
+                         for uid, rec in g["consumers"].items()},
+        binding=BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"])),
+        salt=bytes.fromhex(g["salt_hex"]),
+        envelope_ref=_text(g["envelope_ref"]))
+
+
+def _digest(text: str) -> str:
+    """The policy sidecar's content: SHA-256 hex of the policy bytes."""
+    import hashlib  # here: commands that touch no policy never load it
+    return hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
+
+
 def persist_db(db: PolicyDb, store: ObjectStore, backup: bool = False) -> None:
-    """Write policy.json at the store root; mirror the ACL backup too when
-    asked (grant/revoke paths)."""
+    """Write policy.json at the store root, then its digest sidecar; mirror
+    the ACL backup too when asked (grant/revoke paths)."""
     text = db_to_json(db)
     store.write_text(POLICY_FILENAME, text)
+    store.write_text(POLICY_DIGEST_FILENAME, _digest(text))
     if backup:
         store.write_text(ACL_BACKUP_FILENAME, text)
 
 
 def load_db(store: ObjectStore) -> PolicyDb:
-    """Load policy.json from the store root; CorruptPolicy if unreadable."""
+    """Load policy.json from the store root; CorruptPolicy if unreadable.
+
+    When the sidecar holds the digest of the policy bytes, persist_db
+    wrote them and they are sliced (see Grants); a missing or stale
+    sidecar only costs a full parse.
+    """
     try:
         text = store.read_text(POLICY_FILENAME)
     except UnicodeDecodeError as exc:
         raise CorruptPolicy(f"{POLICY_FILENAME} is not UTF-8: {exc}") from exc
-    return db_from_json(text)
+    try:
+        sidecar = store.read_text(POLICY_DIGEST_FILENAME)
+    except (Error, ValueError):  # absent or unreadable: it is only a cache
+        sidecar = ""
+    return _sliced_db(text) if sidecar == _digest(text) else db_from_json(text)

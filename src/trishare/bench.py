@@ -281,6 +281,13 @@ class StorageOverheadModel:
         return (self.policy_attrs + 1) * self.pairing_bits
 
 
+#: The sample grant's secret and coefficients, fixed so that its measured
+#: sizes reproduce (the coefficients are the owner's attribute tokens
+#: under the salt bytes(range(16))).
+SAMPLE_SECRET = 123456789
+SAMPLE_COEFFS = (737422080316760823, 737420980805132612)
+
+
 def storage_overhead_report(model: "StorageOverheadModel | None" = None,
                             ) -> dict:
     """Formula table plus measured sizes from an actual serialized grant.
@@ -306,7 +313,7 @@ def storage_overhead_report(model: "StorageOverheadModel | None" = None,
     register_user(db, owner)
     register_user(db, consumer)
     grant_access(db, store, "sample.dat", owner.user_id, [consumer.user_id],
-                 b"sample payload")
+                 b"sample payload", secret=SAMPLE_SECRET, coeffs=SAMPLE_COEFFS)
     grant = db.grants["sample.dat"]
     record = next(iter(grant.consumer_shares.values()))
     # The grant as policy.json stores it (the emitter writes ASCII only).

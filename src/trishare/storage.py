@@ -10,8 +10,10 @@ bytes, or a short payload are all rejected, so encode/decode is a
 bijection on valid envelopes.
 
 The store maps hex(fnv1a64(file_id || ":" || version)) to blobs under
-<root>/objects/ and keeps root-level text files (policy, ACL backup)
-beside that directory.  Every read goes to disk and nothing is cached.
+<root>/objects/ and keeps root-level text files beside that directory:
+policy.json, its digest sidecar policy.json.sha256 and acl-backup.json.
+A missing or stale sidecar only costs the next load a full parse of
+policy.json.  Every read goes to disk and nothing is cached.
 Writes go to a temp file of their own, are fsynced, and then
 os.replace the target, whose directory is fsynced in turn, so a reader
 never observes a half-written object or policy.  A new file is created
@@ -40,6 +42,7 @@ MAGIC = b"IFSC"
 VERSION = 1
 
 POLICY_FILENAME = "policy.json"
+POLICY_DIGEST_FILENAME = POLICY_FILENAME + ".sha256"
 ACL_BACKUP_FILENAME = "acl-backup.json"
 
 
@@ -134,7 +137,8 @@ class ObjectStore:
         return iter(sorted(names))
 
     def write_text(self, filename: str, text: str) -> None:
-        """Atomically write a root-level text file (policy, ACL backup)."""
+        """Atomically write a root-level text file (policy, its sidecar,
+        ACL backup)."""
         if self.root is None:
             self.texts[filename] = text
         else:

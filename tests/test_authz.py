@@ -1,4 +1,6 @@
 import json
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,8 +42,10 @@ from trishare import (
     update_owner_share,
     verify_binding,
 )
+import trishare.authz
 from trishare.authz import FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD
-from trishare.storage import ACL_BACKUP_FILENAME, POLICY_FILENAME
+from trishare.storage import (ACL_BACKUP_FILENAME, POLICY_DIGEST_FILENAME,
+                              POLICY_FILENAME)
 
 OWNER = UserRecord("olivia", UserType.OWNER, b"cred-olivia")
 C1 = UserRecord("carol", UserType.CONSUMER, b"cred-carol")
@@ -475,6 +479,7 @@ def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
     db, _, _ = granted()
     store = ObjectStore(tmp_path / "store")
     persist_db(db, store)
+    assert (tmp_path / "store" / POLICY_DIGEST_FILENAME).exists()
     path = tmp_path / "store" / POLICY_FILENAME
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(CorruptPolicy) as info:
@@ -524,3 +529,156 @@ def test_store_never_holds_plaintext(tmp_path):
     for path in sorted((tmp_path / "store").rglob("*")):
         if path.is_file():
             assert sentinel not in path.read_bytes(), path
+
+
+# ------------------------------------------------- sliced loads (digest sidecar)
+
+def full_loads_forbidden():
+    """Fail the test if load_db falls back to parsing the whole policy."""
+    return mock.patch.object(trishare.authz, "db_from_json",
+                             side_effect=AssertionError("full parse"))
+
+
+def test_sliced_load_parses_only_the_grants_it_reads(tmp_path):
+    db, _, owner_share = granted()
+    store = ObjectStore(tmp_path / "store")
+    grant_access(db, store, "g", "olivia", ["chuck"], DATA)
+    persist_db(db, store)
+    with full_loads_forbidden():
+        loaded = load_db(store)
+    assert set(loaded.grants) == {"f", "g"} and "f" in loaded.grants
+    assert loaded.grants._unread.keys() == {"f", "g"}
+    assert loaded.grants["f"] == db.grants["f"]
+    assert loaded.grants._unread.keys() == {"g"}
+    assert loaded == db
+
+
+@pytest.mark.parametrize("db", [PolicyDb(), base_db()[0]], ids=["empty", "users-only"])
+def test_sliced_load_of_a_policy_without_grants(db):
+    store = ObjectStore()
+    persist_db(db, store)
+    with full_loads_forbidden():
+        loaded = load_db(store)
+    assert loaded == db and len(loaded.grants) == 0
+    assert db_to_json(loaded) == store.read_text(POLICY_FILENAME)
+
+
+def test_missing_sidecar_takes_the_full_parse_and_persist_writes_one(tmp_path):
+    db, _, _ = granted()
+    store = ObjectStore(tmp_path / "store")
+    persist_db(db, store)
+    sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
+    digest = sidecar.read_text()
+    sidecar.unlink()
+    with mock.patch.object(trishare.authz, "db_from_json",
+                           wraps=trishare.authz.db_from_json) as full:
+        loaded = load_db(store)
+    assert full.call_count == 1 and loaded == db
+    persist_db(loaded, store)
+    assert sidecar.read_text() == digest
+    with full_loads_forbidden():
+        assert load_db(store) == db
+
+
+def test_stale_sidecar_takes_the_full_parse(tmp_path):
+    db, store, owner_share = granted()
+    disk = ObjectStore(tmp_path / "store")
+    for ref in store.keys():
+        disk.put_object(ref, store.get_object(ref))
+    persist_db(db, disk)
+    # The crash-between-writes state: a new policy.json, the old sidecar.
+    revoke_user(db, "f", "chuck")
+    disk.write_text(POLICY_FILENAME, db_to_json(db))
+    loaded = load_db(disk)
+    assert loaded == db
+    assert "chuck" not in loaded.grants["f"].consumer_shares
+    with pytest.raises(BindingMismatch):
+        request_decrypt(loaded, disk, "f", owner_share, C1)
+
+
+def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
+    db, _, _ = granted()
+    store = ObjectStore(tmp_path / "store")
+    text = db_to_json(db).replace('"kc": ', '"kc": "', 1)
+    store.write_text(POLICY_FILENAME, text)
+    store.write_text(POLICY_DIGEST_FILENAME, trishare.authz._digest(text))
+    loaded = load_db(store)
+    assert "f" in loaded.grants
+    with pytest.raises(CorruptPolicy) as info:
+        loaded.grants["f"]
+    assert isinstance(info.value.__cause__, json.JSONDecodeError)
+    with pytest.raises(CorruptPolicy):  # still unread, still corrupt
+        loaded.grants.get("f")
+
+
+@pytest.mark.parametrize("name", ["users-only", "no-grants-key", "reindented"])
+def test_out_of_layout_policy_under_a_matching_digest(tmp_path, name):
+    db, _, _ = granted()
+    doc = json.loads(db_to_json(db))
+    text = {"users-only": json.dumps({"p": doc["p"], "users": doc["users"]}),
+            "no-grants-key": db_to_json(db).replace('"grants"', '"grunts"'),
+            "reindented": json.dumps(doc, indent=1)}[name]
+    store = ObjectStore(tmp_path / "store")
+    store.write_text(POLICY_FILENAME, text)
+    store.write_text(POLICY_DIGEST_FILENAME, trishare.authz._digest(text))
+    with pytest.raises(CorruptPolicy):
+        load_db(store)
+
+
+def _det_urandom(seed):
+    rng = random.Random(seed)
+    return lambda k: rng.randbytes(k)
+
+
+def _run_policy_command(store, op, ids, file_ids):
+    """Load, apply one register/grant/revoke, persist.  The caller fixes
+    os.urandom, so two stores given the same commands agree."""
+    kind, a, b = op
+    db = load_db(store)
+    registered = sorted(db.users)
+    backup = True
+    if kind == "register":
+        pending = [uid for uid in ids if uid not in db.users]
+        if not pending:
+            return
+        register_user(db, UserRecord(pending[0], list(UserType)[a % 3],
+                                     f"cred-{b}".encode("utf-8")))
+        backup = False
+    elif kind == "grant":
+        consumers = [uid for i, uid in enumerate(registered) if b >> i & 1]
+        grant_access(db, store, file_ids[a % len(file_ids)], ids[0],
+                     consumers or registered[:1], DATA,
+                     secret=(a * 7919 + b) % db.modulus.p)
+    else:
+        live = [fid for fid in sorted(db.grants) if db.grants[fid].consumer_shares]
+        if not live:
+            return
+        fid = live[a % len(live)]
+        consumers = sorted(db.grants[fid].consumer_shares)
+        revoke_user(db, fid, consumers[b % len(consumers)])
+    persist_db(db, store, backup=backup)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([M61, (1 << 31) - 1, 65537]),
+       ids=st.lists(TRICKY_TEXT, min_size=2, max_size=5, unique=True),
+       file_ids=st.lists(TRICKY_TEXT.filter(bool), min_size=1, max_size=3,
+                         unique=True),
+       ops=st.lists(st.tuples(st.sampled_from(["register", "grant", "revoke"]),
+                              st.integers(0, 63), st.integers(0, 63)),
+                    max_size=12))
+def test_sliced_and_full_loads_write_the_same_bytes(p, ids, file_ids, ops):
+    sliced, full = ObjectStore(), ObjectStore()
+    for store in (sliced, full):
+        db = register_user(PolicyDb(modulus=modulus_for(p)),
+                           UserRecord(ids[0], UserType.OWNER, b"cred-owner"))
+        persist_db(db, store)
+    for step, op in enumerate(ops):
+        with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
+            with full_loads_forbidden():
+                _run_policy_command(sliced, op, ids, file_ids)
+        full.texts.pop(POLICY_DIGEST_FILENAME, None)
+        with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
+            _run_policy_command(full, op, ids, file_ids)
+        for name in (POLICY_FILENAME, ACL_BACKUP_FILENAME):
+            assert sliced.texts.get(name) == full.texts.get(name), (step, op, name)

@@ -60,3 +60,14 @@ def run_pinned(argv, tmp_path, monkeypatch, capsys):
 def test_bench_output_is_pinned(name, tmp_path, monkeypatch, capsys):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run_pinned(COMMANDS[name], tmp_path, monkeypatch, capsys) == expected
+
+
+@pytest.mark.parametrize("name", ["storage", "storage-json", "storage-custom"])
+def test_bench_storage_reproduces_without_fixing_randomness(name, capsys):
+    """The sample grant is seeded, so the storage table is the same bytes
+    on every run with nothing patched."""
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    for _ in range(2):
+        rc = cli_dispatch(COMMANDS[name])
+        out, err = capsys.readouterr()
+        assert {"rc": rc, "stdout": out, "stderr": err, "csv": None} == expected

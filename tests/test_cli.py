@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -365,10 +366,38 @@ def test_failed_policy_write_leaves_policy_intact(tmp_path, capsys, monkeypatch)
     assert (store / "policy.json").read_bytes() == before
 
 
+def test_crash_before_the_sidecar_write_costs_only_a_full_parse(
+        tmp_path, capsys, monkeypatch):
+    store = tmp_path / "store"
+    register_users(store, capsys)
+    stale = (store / "policy.json.sha256").read_bytes()
+    real_replace = trishare.storage.os.replace
+
+    def fail_sidecar_replace(src, dst):
+        if str(dst).endswith(".sha256"):
+            raise OSError("simulated crash before the sidecar rename")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(trishare.storage.os, "replace", fail_sidecar_replace)
+    register = ["register", "--store", str(store), "--type", "consumer",
+                "--credentials", "c"]
+    rc, _, err = run_cli([*register, "--user-id", "carl"], capsys)
+    assert rc == 1 and "error:" in err
+    assert (store / "policy.json.sha256").read_bytes() == stale
+    monkeypatch.setattr(trishare.storage.os, "replace", real_replace)
+    rc, _, _ = run_cli([*register, "--user-id", "dave"], capsys)
+    assert rc == 0
+    users = {u["user_id"] for u in json.loads((store / "policy.json").read_text())["users"]}
+    assert users == {"olivia", "alice", "bob", "carl", "dave"}
+    digest = hashlib.sha256((store / "policy.json").read_bytes()).hexdigest()
+    assert (store / "policy.json.sha256").read_text() == digest + "\n"
+
+
 def test_corrupt_policy_exits_with_one_error_line(tmp_path, capsys, policy_corruption):
     corrupt, _ = policy_corruption
     store = tmp_path / "store"
     register_users(store, capsys)
+    assert (store / "policy.json.sha256").exists()
     policy = store / "policy.json"
     policy.write_bytes(corrupt(policy.read_bytes()))
     for argv in (["register", "--user-id", "dave", "--type", "consumer",
