@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 operation failure (any trishare Error),
 2 usage error (argparse).  Every subcommand accepts --json for
-machine-readable output on stdout.
+machine-readable output on stdout.  `request` without --out writes the
+plaintext to stdout, so `request --json` needs --out (exit 1 otherwise).
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def _cmd_revoke(args) -> int:
 
 
 def _cmd_request(args) -> int:
+    if args.json and not args.outfile:
+        raise Error("--json needs --out: the plaintext would go to stdout")
     store = _store(args)
     db = authz.load_db(store)
     receiver = db.users.get(args.receiver)
@@ -284,18 +287,15 @@ def _add_common(sub: argparse.ArgumentParser, modulus: bool = False,
                          help="object store root directory (default ./store)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trishare",
-        description="Seal files with an involution stream cipher and split "
-                    "the key across server, owner, and receivers.")
-    subs = parser.add_subparsers(dest="command", required=True)
+# One row per subcommand: name -> (add_parser keyword arguments, the
+# function that adds its arguments).  `bench` holds a table of its own.
 
-    s = subs.add_parser("keygen", help="generate a fresh file secret")
+def _keygen_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
     s.set_defaults(fn=_cmd_keygen)
 
-    s = subs.add_parser("encrypt", help="seal a file into an envelope")
+
+def _encrypt_args(s: argparse.ArgumentParser) -> None:
     _add_common(s)
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", dest="outfile", required=True)
@@ -304,14 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
     s.set_defaults(fn=_cmd_encrypt)
 
-    s = subs.add_parser("decrypt", help="open an envelope")
+
+def _decrypt_args(s: argparse.ArgumentParser) -> None:
     _add_common(s)
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", dest="outfile", required=True)
     s.add_argument("--key", type=int, required=True)
     s.set_defaults(fn=_cmd_decrypt)
 
-    s = subs.add_parser("split", help="split a secret into share points")
+
+def _split_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
     s.add_argument("--secret", type=int, required=True)
     s.add_argument("--coeffs", type=_parse_int_list, required=True,
@@ -319,20 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-users", type=int, required=True)
     s.set_defaults(fn=_cmd_split)
 
-    s = subs.add_parser("reconstruct", help="recover the secret from points")
+
+def _reconstruct_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
     s.add_argument("--points", type=_parse_points, required=True,
                    help="x:y,x:y,x:y")
     s.set_defaults(fn=_cmd_reconstruct)
 
-    s = subs.add_parser("register", help="add a user to the policy db")
+
+def _register_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True, store=True)
     s.add_argument("--user-id", required=True)
     s.add_argument("--type", required=True, choices=[t.value for t in authz.UserType])
     s.add_argument("--credentials", required=True)
     s.set_defaults(fn=_cmd_register)
 
-    s = subs.add_parser("grant", help="seal a file and issue shares")
+
+def _grant_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--owner", required=True)
@@ -342,13 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
     s.set_defaults(fn=_cmd_grant)
 
-    s = subs.add_parser("revoke", help="revoke a consumer and refresh shares")
+
+def _revoke_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--user", required=True)
     s.set_defaults(fn=_cmd_revoke)
 
-    s = subs.add_parser("request", help="decrypt with server+owner+receiver points")
+
+def _request_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--receiver", required=True)
@@ -358,15 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", dest="outfile", default=None)
     s.set_defaults(fn=_cmd_request)
 
-    s = subs.add_parser("verify-example",
-                        help="check the pinned worked example, exit 1 on mismatch")
+
+def _verify_example_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
     s.set_defaults(fn=_cmd_verify_example)
 
-    b = subs.add_parser("bench", help="benchmarks and storage models")
-    bsubs = b.add_subparsers(dest="bench_command", required=True)
 
-    s = bsubs.add_parser("encrypt", help="seal/open throughput over sizes")
+def _bench_encrypt_args(s: argparse.ArgumentParser) -> None:
     _add_common(s)
     s.add_argument("--sizes", type=_parse_int_list, default=None,
                    help="comma-separated byte sizes")
@@ -376,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", default=None, help="also write CSV to this path")
     s.set_defaults(fn=_cmd_bench_encrypt)
 
-    s = bsubs.add_parser("attrs", help="split/reconstruct timing vs threshold")
+
+def _bench_attrs_args(s: argparse.ArgumentParser) -> None:
     _add_common(s)
     s.add_argument("--k", type=_parse_int_list, default=None,
                    help="comma-separated thresholds")
@@ -385,9 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", default=None)
     s.set_defaults(fn=_cmd_bench_attrs)
 
-    # No abbreviations here: --p would otherwise be read as --pairing-bits.
-    s = bsubs.add_parser("storage", help="storage-overhead formula table",
-                         allow_abbrev=False)
+
+def _bench_storage_args(s: argparse.ArgumentParser) -> None:
     _add_common(s)
     s.add_argument("--n", type=int, default=10, help="attributes per user")
     s.add_argument("--tc", type=int, default=10, help="policy attribute count")
@@ -395,13 +400,73 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pairing-bits", type=int, default=512)
     s.set_defaults(fn=_cmd_bench_storage)
 
+
+_BENCH_COMMANDS = {
+    "encrypt": ({"help": "seal/open throughput over sizes"}, _bench_encrypt_args),
+    "attrs": ({"help": "split/reconstruct timing vs threshold"}, _bench_attrs_args),
+    # No abbreviations here: --p would otherwise be read as --pairing-bits.
+    "storage": ({"help": "storage-overhead formula table", "allow_abbrev": False},
+                _bench_storage_args),
+}
+
+_COMMANDS = {
+    "keygen": ({"help": "generate a fresh file secret"}, _keygen_args),
+    "encrypt": ({"help": "seal a file into an envelope"}, _encrypt_args),
+    "decrypt": ({"help": "open an envelope"}, _decrypt_args),
+    "split": ({"help": "split a secret into share points"}, _split_args),
+    "reconstruct": ({"help": "recover the secret from points"}, _reconstruct_args),
+    "register": ({"help": "add a user to the policy db"}, _register_args),
+    "grant": ({"help": "seal a file and issue shares"}, _grant_args),
+    "revoke": ({"help": "revoke a consumer and refresh shares"}, _revoke_args),
+    "request": ({"help": "decrypt with server+owner+receiver points"},
+                _request_args),
+    "verify-example": (
+        {"help": "check the pinned worked example, exit 1 on mismatch"},
+        _verify_example_args),
+    "bench": ({"help": "benchmarks and storage models"}, _BENCH_COMMANDS),
+}
+
+
+def _add_subcommands(parser: argparse.ArgumentParser, dest: str, table: dict,
+                     argv: "Sequence[str] | None") -> None:
+    """Add the subcommands of `table` to `parser`.  When argv[0] names one,
+    only that one is built; otherwise (no argv, help first, a missing or
+    unknown name) all are, so argparse's help and errors read as for the
+    whole tree.  A nested table gets the same treatment with argv[1:]."""
+    if argv and argv[0] in table:
+        names, rest = argv[:1], argv[1:]
+        # A usage line printed from here, as for "unrecognized
+        # arguments", still lists every name.
+        metavar = "{" + ",".join(table) + "}"
+    else:
+        names, rest, metavar = list(table), None, None
+    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in names:
+        kwargs, add_arguments = table[name]
+        sub = subs.add_parser(name, **kwargs)
+        if isinstance(add_arguments, dict):
+            _add_subcommands(sub, f"{name}_command", add_arguments, rest)
+        else:
+            add_arguments(sub)
+
+
+def build_parser(argv: "Sequence[str] | None" = None) -> argparse.ArgumentParser:
+    """The parser for `argv`: the whole tree, or only the subcommand
+    argv names (see _add_subcommands).  Either parses argv alike."""
+    parser = argparse.ArgumentParser(
+        prog="trishare",
+        description="Seal files with an involution stream cipher and split "
+                    "the key across server, owner, and receivers.")
+    _add_subcommands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def cli_dispatch(argv: "Sequence[str] | None" = None) -> int:
-    """Parse argv and run; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv (default sys.argv[1:]) and run; returns the process exit
+    code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except (Error, OSError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,8 +10,9 @@ import pytest
 
 import trishare
 import trishare.bench
+import trishare.cli
 from trishare import M61, SharePoint, default_modulus, update_owner_share
-from trishare.cli import cli_dispatch
+from trishare.cli import build_parser, cli_dispatch
 
 
 def run_cli(argv, capsys):
@@ -226,6 +228,66 @@ def test_missing_required_argument_is_usage_error(capsys):
         cli_dispatch(["reconstruct"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- parser
+
+# One valid argv per subcommand and bench subcommand, with the
+# `--opt=value` form and abbreviated option names among them.
+VALID_ARGVS = [
+    ["keygen", "--json", "--p", "97"],
+    ["encrypt", "--in", "a", "--out", "b", "--key=5", "--mode", "power",
+     "--n", "3"],
+    ["decrypt", "--in", "a", "--out", "b", "--key", "5"],
+    ["split", "--secret", "5", "--coeffs", "3,4", "--n-users", "3"],
+    ["reconstruct", "--json", "--points", "1:2,3:4"],
+    ["register", "--store", "s", "--user-id", "u", "--type", "owner",
+     "--credentials", "c"],
+    ["grant", "--file", "f", "--own", "o", "--consumers", "c", "--in", "x"],
+    ["revoke", "--store=s", "--file-id", "f", "--user", "u"],
+    ["request", "--file-id", "f", "--receiver", "r", "--owner-p", "1:2",
+     "--out", "o"],
+    ["verify-example", "--p=97"],
+    ["bench", "encrypt", "--sizes", "64", "--reps=1"],
+    ["bench", "attrs", "--k", "2,3", "--n-u", "5", "--csv", "out.csv"],
+    ["bench", "storage", "--n", "3", "--element-bits=128"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_parser_for_argv_parses_like_the_whole_tree(argv):
+    assert (vars(build_parser(argv).parse_args(argv))
+            == vars(build_parser().parse_args(argv)))
+
+
+def subcommand_names(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parser_for_grant_holds_one_subparser():
+    names = subcommand_names(build_parser(["grant", "--file-id", "f"]))
+    assert list(names) == ["grant"]
+
+
+def test_parser_for_bench_encrypt_holds_one_bench_subparser():
+    names = subcommand_names(build_parser(["bench", "encrypt"]))
+    assert list(names) == ["bench"]
+    assert list(subcommand_names(names["bench"])) == ["encrypt"]
+
+
+def test_dispatch_without_argv_reads_sys_argv(monkeypatch, capsys):
+    argv = ["reconstruct", "--points", "2:1942,4:3402,5:4414"]
+    monkeypatch.setattr(sys, "argv", ["trishare", *argv])
+    # The tracer wraps build_parser by its module-global name, so
+    # cli_dispatch must look it up there, and hand it the resolved argv.
+    seen = []
+    monkeypatch.setattr(trishare.cli, "build_parser",
+                        lambda a=None: seen.append(a) or build_parser(a))
+    assert cli_dispatch() == 0
+    assert capsys.readouterr().out.strip() == "1234"
+    assert seen == [argv]
 
 
 # ---------------------------------------------------------------- worked example
@@ -516,6 +578,19 @@ def granted_store(tmp_path, capsys):
     assert rc == 0
     point = json.loads(out)["owner_point"]
     return store, f"{point['x']}:{point['y']}"
+
+
+def test_request_json_without_out_is_refused(tmp_path, capsys):
+    # Without --out the plaintext goes to stdout, which --json promises
+    # to JSON; the refusal comes before the store is opened.
+    store, owner_point = granted_store(tmp_path, capsys)
+    for root in (store, tmp_path / "absent"):
+        rc, out, err = run_cli(
+            ["request", "--json", "--store", str(root), "--file-id", "f",
+             "--receiver", "alice", "--owner-point", owner_point], capsys)
+        assert_one_error_line(rc, out, err)
+        assert "--out" in err
+    assert not (tmp_path / "absent").exists()
 
 
 @pytest.mark.parametrize("content", [

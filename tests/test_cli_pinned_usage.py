@@ -38,6 +38,18 @@ COMMANDS = {
     "refused-p-grant": ["grant", "--p", "97", "--file-id", "f", "--owner", "o",
                         "--consumers", "c", "--in", "x"],
     "refused-p-bench-storage": ["bench", "storage", "--p", "97"],
+    # A parser built for one subcommand must still fail the way the
+    # whole tree does: top-level usage with the full subcommand list.
+    "unrecognized-after-grant": ["grant", "--file-id", "f", "--owner", "o",
+                                 "--consumers", "c", "--in", "x", "extra"],
+    "unrecognized-after-bench-encrypt": ["bench", "encrypt", "--reps", "1",
+                                         "--bogus"],
+    "refused-p-bench-storage-extra": ["bench", "storage", "--p", "97",
+                                      "extra"],
+    "bench-no-subcommand": ["bench"],
+    "help-before-subcommand": ["-h", "grant"],
+    "ambiguous-abbreviation": ["request", "--o", "1:2"],
+    "refused-abbreviation-bench-storage": ["bench", "storage", "--pair", "5"],
 }
 
 
