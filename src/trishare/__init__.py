@@ -17,10 +17,7 @@ from .field import (FieldModulus, InvalidModulus, InvalidPolynomial, M61,
                     integer_nth_root, is_prime, mod_inverse, modulus_for,
                     poly_eval)
 from .hashing import fnv1a64
-from .keystream import (InvalidParams, Lcg, LcgParams, MaskSchedule,
-                        REFERENCE_RAND, REFERENCE_REP, TooFewBits, lcg_bits,
-                        mask_rand, mask_rep, monobit_check, recommended_rand,
-                        recommended_rep, xor_mask)
+from .keystream import InvalidParams, MaskSchedule, xor_mask
 from .cipher import (BadHeader, CipherEnvelope, CipherKey, EmptyFilename,
                      InexactRoot, KeyOutOfRange, LengthMismatch, Mode,
                      SymbolOutOfRange, decrypt_bytes, derive_file_key,

@@ -18,9 +18,12 @@ Two exact realizations of the same involution family:
   integer n-th root says how (not a perfect power, or a root that maps
   outside the byte range).
 
-The pipeline is mask-then-encrypt: seal_file XORs data with a two-stream
-keystream mask first, so equal plaintext bytes do not map to equal
-symbols.  Mask seeds are derived from the key, never stored.
+The pipeline is mask-then-encrypt: seal_file XORs data with the
+two-stream Lehmer mask first (keystream._lehmer_bits_int computes both
+streams), so equal plaintext bytes do not map to equal symbols.  The
+mask's start states are derived from the key, never stored; the
+envelope records only the mask's block size, and open_file rebuilds the
+schedule from the key and that header field.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from enum import IntEnum
 from .errors import Error
 from .field import integer_nth_root
 from .hashing import fnv1a64, fold64, mix64
-from .keystream import MaskSchedule, mask_rand, mask_rep, xor_mask
+from .keystream import MaskSchedule, start_state, xor_mask
 
 DEFAULT_BLOCK_BYTES = 1024
-DEFAULT_REP_PERIOD_BITS = 64
 MAX_POWER = 8
 
 
@@ -314,36 +316,28 @@ _REP_TAG = 0x52455031  # "REP1"
 
 def mask_schedule_for_key(key_a: int, n: int, mode: Mode,
                           block_bytes: int = DEFAULT_BLOCK_BYTES) -> MaskSchedule:
-    """Keystream schedule with seeds derived from the key, never stored.
+    """Keystream schedule with start states derived from the key, never stored.
 
     Both seeds come from a multiply-xor-shift cascade over (a, n, mode),
-    so anyone holding the key re-derives the identical mask; the
-    envelope only records block_bytes.  key_a must be positive, as in
-    CipherKey.
+    and keystream.start_state folds each into a Lehmer start state, so
+    anyone holding the key re-derives the identical mask; the envelope
+    only records block_bytes.  key_a must be positive, as in CipherKey.
     """
     if key_a < 1:
         raise KeyOutOfRange(f"a={key_a} must be positive")
     base = mix64(fold64(key_a) ^ (n << 8) ^ int(mode))
-    rand_seed = mix64(base ^ _RAND_TAG)
-    rep_seed = mix64(base ^ _REP_TAG)
-    return MaskSchedule(
-        rand_params=mask_rand(rand_seed),
-        rep_params=mask_rep(rep_seed),
-        rep_period_bits=DEFAULT_REP_PERIOD_BITS,
-        block_bytes=block_bytes,
-    )
+    return MaskSchedule(rand_x0=start_state(mix64(base ^ _RAND_TAG)),
+                        rep_x0=start_state(mix64(base ^ _REP_TAG)),
+                        block_bytes=block_bytes)
 
 
-def seal_file(data: bytes, key: CipherKey,
-              schedule: "MaskSchedule | None" = None) -> CipherEnvelope:
+def seal_file(data: bytes, key: CipherKey) -> CipherEnvelope:
     """Mask then encrypt; returns the envelope (header + payload).
 
-    The default schedule is derived from the key, which is what
-    open_file reconstructs; pass a custom schedule only if the opener
-    will supply the same one.
+    The mask schedule is derived from the key at the default block
+    size, which the header records for open_file.
     """
-    if schedule is None:
-        schedule = mask_schedule_for_key(key.a, key.n, key.mode)
+    schedule = mask_schedule_for_key(key.a, key.n, key.mode)
     masked = xor_mask(data, schedule)
     payload = encrypt_bytes(masked, key)
     return CipherEnvelope(
@@ -356,18 +350,18 @@ def seal_file(data: bytes, key: CipherKey,
     )
 
 
-def open_file(envelope: CipherEnvelope, key: CipherKey,
-              schedule: "MaskSchedule | None" = None) -> bytes:
+def open_file(envelope: CipherEnvelope, key: CipherKey) -> bytes:
     """Decrypt then unmask; returns the plaintext.
 
     The header's mode, n, symbol width and block size are authoritative:
-    only `a` is taken from the supplied key.  A wrong `a` surfaces as
+    only `a` is taken from the supplied key, and the mask schedule comes
+    from `a` and the header.  A header block size that is not a whole
+    number of Rep periods raises InvalidParams.  A wrong `a` surfaces as
     InexactRoot/SymbolOutOfRange in Power mode and as garbage output in
     Additive mode (no integrity).
     """
     effective = CipherKey(a=key.a, n=envelope.n, mode=envelope.mode)
     masked = decrypt_bytes(envelope.payload, effective, width=envelope.symbol_width)
-    if schedule is None:
-        schedule = mask_schedule_for_key(effective.a, effective.n, envelope.mode,
-                                         envelope.block_bytes)
+    schedule = mask_schedule_for_key(effective.a, effective.n, envelope.mode,
+                                     envelope.block_bytes)
     return xor_mask(masked, schedule)

@@ -17,8 +17,10 @@ policy.json.  Every read goes to disk and nothing is cached.
 Writes go to a temp file of their own, are fsynced, and then
 os.replace the target, whose directory is fsynced in turn, so a reader
 never observes a half-written object or policy.  A new file is created
-mode 0600; a rewrite keeps the mode the file had.  Only with
-root=None is the store memory-only (tests, dry runs).
+mode 0600; a rewrite keeps the mode the file had.  Opening a store
+creates nothing: the first write makes the directory it writes into,
+so a mistyped path fails a read without leaving a skeleton behind.
+Only with root=None is the store memory-only (tests, dry runs).
 """
 
 from __future__ import annotations
@@ -104,11 +106,6 @@ class ObjectStore:
         self.root: Optional[Path] = Path(root) if root is not None else None
         self.objects: Dict[str, bytes] = {}
         self.texts: Dict[str, str] = {}
-        if self.root is not None:
-            try:
-                (self.root / "objects").mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise IoFailure(f"cannot create store at {self.root}: {exc}") from exc
 
     def put_object(self, key: str, data: bytes) -> None:
         """Store a blob durably; atomic replace if the key exists."""
@@ -132,6 +129,8 @@ class ObjectStore:
         try:
             names = [entry.name for entry in (self.root / "objects").iterdir()
                      if entry.is_file() and not entry.name.endswith(".tmp")]
+        except FileNotFoundError:
+            return iter(())  # nothing was ever put
         except OSError as exc:
             raise IoFailure(f"cannot list {self.root / 'objects'}: {exc}") from exc
         return iter(sorted(names))
@@ -169,6 +168,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
     # target's mode onto it first.
     tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                    suffix=".tmp")
         with open(fd, "wb") as fh:

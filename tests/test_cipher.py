@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,10 +10,9 @@ from trishare import (
     InexactRoot,
     KeyOutOfRange,
     LengthMismatch,
-    MaskSchedule,
+    CipherEnvelope,
+    InvalidParams,
     Mode,
-    REFERENCE_RAND,
-    REFERENCE_REP,
     SymbolOutOfRange,
     decrypt_bytes,
     derive_file_key,
@@ -22,6 +22,7 @@ from trishare import (
     open_file,
     seal_file,
     symbol_width,
+    xor_mask,
 )
 import trishare
 from trishare.cipher import DEFAULT_BLOCK_BYTES, MAX_POWER, _peeling_plan, _power_symbols
@@ -367,7 +368,8 @@ def test_mask_schedule_is_key_dependent_and_stable():
     s2 = mask_schedule_for_key(1000, 2, Mode.POWER)
     s3 = mask_schedule_for_key(1001, 2, Mode.POWER)
     assert s1 == s2
-    assert s1.rand_params != s3.rand_params
+    assert s1.rand_x0 != s3.rand_x0
+    assert s1.rep_x0 != s3.rep_x0
     assert s1.block_bytes == DEFAULT_BLOCK_BYTES
 
 
@@ -376,6 +378,97 @@ def test_mask_schedule_rejects_non_positive_key():
     for key_a in (0, -1, -(1 << 70)):
         with pytest.raises(KeyOutOfRange):
             mask_schedule_for_key(key_a, 1, Mode.ADDITIVE)
+
+
+# SHA-256 of the mask itself, xor_mask over zeros, for every header
+# block size in use (1024 by default, 512 and 8 as a header may carry)
+# and lengths around a block edge and across 2048-lane slabs (131,073 B
+# is 8 full slabs of 64 * 2048 bits plus a byte).  Pinned before the
+# keystream lost its general-LCG branch; the mask must never drift.
+MASK_PIN_KEY_A = 11400714819323198485
+MASK_SHA256 = {
+    (Mode.ADDITIVE, 1024, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (Mode.ADDITIVE, 1024, 1):
+        "ef6cbd2161eaea7943ce8693b9824d23d1793ffb1c0fca05b600d3899b44c977",
+    (Mode.ADDITIVE, 1024, 1023):
+        "4939c604f556954e6391cc5611516e584564c0b1873eddc7635ddc7606aa1436",
+    (Mode.ADDITIVE, 1024, 1024):
+        "67422dbf648cbb1ca8f7029686da6660f814021d6d18227e3a700d62b5dcd68b",
+    (Mode.ADDITIVE, 1024, 1025):
+        "4677a2054af6361d829506b69971ac095a596fb4e15ff220ce5136de6227abb8",
+    (Mode.ADDITIVE, 1024, 131073):
+        "86acacc1089f7db7ab000241575fd6ed52fb7bdc9d92d288c4bbab820d01328d",
+    (Mode.ADDITIVE, 512, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (Mode.ADDITIVE, 512, 1):
+        "ef6cbd2161eaea7943ce8693b9824d23d1793ffb1c0fca05b600d3899b44c977",
+    (Mode.ADDITIVE, 512, 1023):
+        "769b8a8b9158f102c404aa88c71b46e56291156c39e8ec2a3b23f81c6109d5e6",
+    (Mode.ADDITIVE, 512, 1024):
+        "db178d64905582554210aab802ecb5166e45d8c373a24180a99bda52533b74d1",
+    (Mode.ADDITIVE, 512, 1025):
+        "62b7ba30d7b609e8e91b9d9d903d32ef7911adb5199eb8d0a0daf9da6609d933",
+    (Mode.ADDITIVE, 512, 131073):
+        "0c480ffcd982e4e9935e69f35c3598e0f5c0a8af1bef15574ea2f204a0741d45",
+    (Mode.ADDITIVE, 8, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (Mode.ADDITIVE, 8, 1):
+        "ef6cbd2161eaea7943ce8693b9824d23d1793ffb1c0fca05b600d3899b44c977",
+    (Mode.ADDITIVE, 8, 1023):
+        "922e06cd2f817e0dad700549206f5aa79659f7a4a5320f6434ca7957cfed3750",
+    (Mode.ADDITIVE, 8, 1024):
+        "9e04dfeefcdc8b17dddd983ade9df4899a2d249d357187d3a1714c2591b53f08",
+    (Mode.ADDITIVE, 8, 1025):
+        "6263a5b6f8b30d9e550c1a53d77d3497747536761f5e840151882cc208855424",
+    (Mode.ADDITIVE, 8, 131073):
+        "8da3528b4599336ede5bd8925426fa17b9bf07d88a029fff53945e58be08603b",
+    (Mode.POWER, 1024, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (Mode.POWER, 1024, 1):
+        "19152ddfba193b5b09fcb80d1bba5248f36027c06e81670db5a7146fb654d4ec",
+    (Mode.POWER, 1024, 1023):
+        "17a6a0016ee02dfaa5ac995e8f0e4ea1f992dd03c3822f6342dda495ff9b0545",
+    (Mode.POWER, 1024, 1024):
+        "bfa3915e146a768a5844a54461cddaa89116660174909c999d15a15b15f65f2b",
+    (Mode.POWER, 1024, 1025):
+        "29dfbadd7612048d1d792e5ca86338d492173b6913e4a20acd4cc5d4dd9c717b",
+    (Mode.POWER, 1024, 131073):
+        "db2c0122bc2227449511b03c2ef82697d4db2fcc26cad1fd80d3ec26c07a6287",
+    (Mode.POWER, 512, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (Mode.POWER, 512, 1):
+        "19152ddfba193b5b09fcb80d1bba5248f36027c06e81670db5a7146fb654d4ec",
+    (Mode.POWER, 512, 1023):
+        "7814f09e4fd9b04d2ed7c2e7ee2647ba530408a0ff82a1f99caa7fdf47f44dd5",
+    (Mode.POWER, 512, 1024):
+        "ce009d4b745c39e5c164436bc5ada235bbda2da932ec3f18b98335ac4fc27400",
+    (Mode.POWER, 512, 1025):
+        "dbe3db2d86e6f038886077112623bdb5f6fd4621b8a0effdd4b8770787d359c1",
+    (Mode.POWER, 512, 131073):
+        "df7643cafcfd85084689009ae54ecc0d701c73473194fa9ed9f7f50268de26a3",
+    (Mode.POWER, 8, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (Mode.POWER, 8, 1):
+        "19152ddfba193b5b09fcb80d1bba5248f36027c06e81670db5a7146fb654d4ec",
+    (Mode.POWER, 8, 1023):
+        "324749203c689db5cdd60e07e4919d4b1a9564fdc401029a58bb2ce67785be5a",
+    (Mode.POWER, 8, 1024):
+        "59e8f9aea16f9f0a2b12da779840094dc54c57902a4990ff68e4326031fa7547",
+    (Mode.POWER, 8, 1025):
+        "22911c552d36b0316e66c54e9ef1b6e86bfcf7849d59ca7e6cd48c87a9d4b91d",
+    (Mode.POWER, 8, 131073):
+        "952a9c86b7a24f4cc2fdf362fa1faf37f8b706f84b95cb2fc4cab3812b4be79d",
+}
+
+
+@pytest.mark.parametrize("mode,block_bytes,length", sorted(MASK_SHA256),
+                         ids=lambda v: v.name.lower() if isinstance(v, Mode) else str(v))
+def test_key_schedule_mask_is_pinned(mode, block_bytes, length):
+    n = 1 if mode == Mode.ADDITIVE else 3
+    schedule = mask_schedule_for_key(MASK_PIN_KEY_A, n, mode, block_bytes)
+    digest = hashlib.sha256(xor_mask(bytes(length), schedule)).hexdigest()
+    assert digest == MASK_SHA256[(mode, block_bytes, length)]
 
 
 def test_fold64_rejects_negative_input():
@@ -393,13 +486,25 @@ def test_open_uses_header_geometry():
     assert open_file(env, bare) == b"hello"
 
 
-def test_open_with_custom_schedule():
-    sched = MaskSchedule(REFERENCE_RAND, REFERENCE_REP, rep_period_bits=32, block_bytes=512)
+def test_open_takes_the_mask_block_size_from_the_header():
     key = CipherKey(a=5)
     data = b"x" * 700
-    env = seal_file(data, key, schedule=sched)
-    assert open_file(env, key, schedule=sched) == data
-    assert open_file(env, key) != data  # default schedule cannot unmask
+    masked = xor_mask(data, mask_schedule_for_key(key.a, key.n, key.mode, 512))
+    env = CipherEnvelope(mode=key.mode, n=1, symbol_width=1, block_bytes=512,
+                         plaintext_len=len(data), payload=encrypt_bytes(masked, key))
+    assert open_file(env, key) == data
+    assert env.payload != seal_file(data, key).payload  # the default block differs
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 100, 1020])
+def test_open_refuses_a_header_block_size_off_the_rep_period(block_bytes):
+    # the 64-bit Rep pattern must tile the block, so the header's block
+    # size must be a multiple of 8 bytes
+    key = CipherKey(a=5)
+    env = CipherEnvelope(mode=key.mode, n=1, symbol_width=1, block_bytes=block_bytes,
+                         plaintext_len=3, payload=b"abc")
+    with pytest.raises(InvalidParams):
+        open_file(env, key)
 
 
 def test_open_detects_truncated_payload():

@@ -499,6 +499,23 @@ def test_register_modulus_sets_a_new_store(tmp_path, capsys):
     assert doc["p"] == 65537 and len(doc["users"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["request", "--file-id", "f", "--owner-point", "1:2", "--receiver", "bob"],
+    ["grant", "--file-id", "f", "--owner", "olivia", "--consumers", "alice",
+     "--in", "BODY"],
+    ["revoke", "--file-id", "f", "--user", "alice"],
+], ids=["request", "grant", "revoke"])
+def test_policy_command_on_a_missing_store_creates_nothing(tmp_path, capsys, argv):
+    body = tmp_path / "f.bin"
+    body.write_bytes(b"body")
+    argv = [str(body) if arg == "BODY" else arg for arg in argv]
+    rc, out, err = run_cli([*argv, "--store", str(tmp_path / "typo" / "store")], capsys)
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin"]
+
+
 def test_register_duplicate_fails(tmp_path, capsys):
     store = tmp_path / "store"
     register_users(store, capsys)

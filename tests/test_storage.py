@@ -345,6 +345,22 @@ def test_new_file_is_private_and_rewrite_keeps_mode(tmp_path):
     assert path.read_text() == "{ }"
 
 
+def test_store_is_created_by_its_first_write(tmp_path):
+    root = tmp_path / "a" / "store"
+    store = ObjectStore(root)
+    assert not (tmp_path / "a").exists()
+    with pytest.raises(NotFound):
+        store.get_object("k")
+    with pytest.raises(NotFound):
+        store.read_text(POLICY_FILENAME)
+    assert list(store.keys()) == []
+    assert not (tmp_path / "a").exists()
+    store.write_text(POLICY_FILENAME, "{}")
+    assert sorted(p.name for p in root.iterdir()) == [POLICY_FILENAME]
+    store.put_object("k", b"blob")
+    assert sorted(p.name for p in (root / "objects").iterdir()) == ["k"]
+
+
 def test_stale_temp_files_ignored_on_open(tmp_path):
     root = tmp_path / "store"
     store = ObjectStore(root)
