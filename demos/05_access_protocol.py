@@ -33,8 +33,10 @@ for rec in (owner, bob, carol):
 print(f"registered: {sorted(db.users)}")
 
 body = b"wire the funds on friday\n" * 16
-db, envelope, owner_point = grant_access(db, store, "memo.txt", "alice",
-                                         ["bob", "carol"], body)
+# grant_access seals the file into the store and records the grant in
+# db; it returns only the owner point, which is stored nowhere.
+owner_point = grant_access(db, store, "memo.txt", "alice", ["bob", "carol"],
+                           body)
 grant = db.grants["memo.txt"]
 print(f"\ngranted memo.txt: server holds x={grant.server_share.x}, "
       f"consumers hold x={sorted(r.x for r in grant.consumer_shares.values())}")
@@ -56,7 +58,7 @@ except RoleMismatch as exc:
 # Revoke carol.  The polynomial is re-randomized by a delta with
 # delta(0) = 0: same secret, same ciphertext, all old shares dead.
 stale_record = grant.consumer_shares["carol"]
-db, deltas = revoke_user(db, "memo.txt", "carol")
+deltas = revoke_user(db, "memo.txt", "carol")
 print(f"\nrevoked carol; owner applies deltas {deltas} to their point")
 
 new_owner_point = update_owner_share(owner_point, deltas)

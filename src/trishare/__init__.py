@@ -29,15 +29,15 @@ from .sharing import (BindingCode, CorruptShareRecord, EncryptedShare,
                       derive_attribute_tokens, derive_binding_x,
                       encrypt_share, split_secret)
 from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
-                          ReconstructionInput, TooManyPoints,
-                          lagrange_basis_at, reconstruct_polynomial,
-                          reconstruct_secret, verify_binding)
+                          ReconstructionInput, lagrange_basis_at,
+                          reconstruct_polynomial, reconstruct_secret,
+                          verify_binding)
 from .storage import (ACL_BACKUP_FILENAME, HEADER_BYTES, IoFailure, NotFound,
                       ObjectStore, POLICY_FILENAME, Truncated,
                       decode_envelope, encode_envelope, object_key)
 from .authz import (BindingMismatch, CorruptPolicy, DuplicateUser,
                     FileGrant, InsufficientPoints, InvalidFileId, NoConsumers,
-                    NotGranted, PolicyDb, RoleMismatch, RoleSlots, THRESHOLD,
+                    NotGranted, PolicyDb, RoleMismatch, THRESHOLD,
                     UnknownFile, UnknownOwner, UnknownUser, UserRecord, UserType,
                     db_from_json, db_to_json, grant_access, load_db,
                     persist_db, register_user, request_decrypt, revoke_user,

@@ -29,7 +29,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .cipher import CipherEnvelope, Mode, derive_file_key, open_file, seal_file
+from .cipher import Mode, derive_file_key, open_file, seal_file
 from .errors import Error
 from .field import (FieldModulus, InvalidPolynomial, SecretPolynomial,
                     default_modulus, modulus_for, poly_eval)
@@ -44,7 +44,7 @@ from .storage import (ACL_BACKUP_FILENAME, POLICY_DIGEST_FILENAME,
 #: Reconstruction threshold: server + owner + receiver.
 THRESHOLD = 3
 
-#: Default x-slot convention.  The owner's slot is never stored.
+#: x-slot convention.  The owner's slot is never stored.
 SERVER_X = 1
 OWNER_X = 2
 FIRST_CONSUMER_X = 3
@@ -107,22 +107,6 @@ class UserRecord:
     user_id: str
     user_type: UserType
     credentials: bytes
-
-
-@dataclass(frozen=True)
-class RoleSlots:
-    """Explicit x-slot assignment overriding the 1/2/3.. convention."""
-
-    server_x: int
-    owner_x: int
-    consumer_xs: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        xs = (self.server_x, self.owner_x, *self.consumer_xs)
-        if len(set(xs)) != len(xs):
-            raise Error(f"role slots must be distinct, got {xs}")
-        if min(xs) < 1:
-            raise Error("role slots must be >= 1")
 
 
 @dataclass
@@ -198,12 +182,11 @@ class PolicyDb:
     grants: Grants = field(default_factory=Grants)
 
 
-def register_user(db: PolicyDb, record: UserRecord) -> PolicyDb:
+def register_user(db: PolicyDb, record: UserRecord) -> None:
     """Append a user; the rest of the db is untouched."""
     if record.user_id in db.users:
         raise DuplicateUser(f"user {record.user_id!r} already registered")
     db.users[record.user_id] = record
-    return db
 
 
 def _owner_attributes(owner: UserRecord, k: int) -> List[bytes]:
@@ -216,20 +199,20 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
                  data: bytes, *,
                  mode: Mode = Mode.ADDITIVE, n: int = 1,
                  secret: "int | None" = None,
-                 coeffs: "Sequence[int] | None" = None,
-                 slots: "RoleSlots | None" = None,
-                 ) -> Tuple[PolicyDb, "CipherEnvelope", SharePoint]:
+                 coeffs: "Sequence[int] | None" = None) -> SharePoint:
     """Seal `data` under a fresh secret and split it across the roles.
 
     The owner and every consumer are looked up in db.users, and each
     consumer's share is blinded with the credentials registered there.
-    Returns (db, envelope, owner_share).  The owner share is handed to
-    the caller and never stored anywhere; losing it means the file can
-    only be re-granted, not decrypted.  Granting an already-granted
-    file_id replaces the previous grant.
+    The server takes x = SERVER_X, the owner OWNER_X and the consumers
+    FIRST_CONSUMER_X onwards, in the order given.  The envelope goes to
+    `store` and the grant into db.grants; the owner share is returned
+    and never stored anywhere, so losing it means the file can only be
+    re-granted, not decrypted.  Granting an already-granted file_id
+    replaces the previous grant.
 
-    The keyword overrides (secret, coeffs, slots) exist for
-    deterministic fixtures; production callers leave them unset.
+    `secret` and `coeffs` pin the polynomial for a reproducible grant;
+    left unset, both are fresh.
     """
     try:
         file_id_bytes = file_id.encode("utf-8")
@@ -256,17 +239,7 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
         coeffs = derive_attribute_tokens(_owner_attributes(owner, THRESHOLD),
                                          salt, THRESHOLD, db.modulus)
 
-    n_points = len(consumers) + 2
-    if slots is None:
-        slots = RoleSlots(server_x=SERVER_X, owner_x=OWNER_X,
-                          consumer_xs=tuple(range(FIRST_CONSUMER_X,
-                                                  FIRST_CONSUMER_X + len(consumers))))
-    if len(slots.consumer_xs) != len(consumers):
-        raise Error(f"{len(slots.consumer_xs)} slots for {len(consumers)} consumers")
-    if max((slots.server_x, slots.owner_x, *slots.consumer_xs)) > n_points:
-        raise Error(f"slot beyond the {n_points} issued points")
-
-    shares = split_secret(secret, coeffs, n_points, db.modulus)
+    shares = split_secret(secret, coeffs, len(consumers) + 2, db.modulus)
     by_x = {pt.x: pt for pt in shares}
     poly = SecretPolynomial((secret, *coeffs), db.modulus)
     binding = binding_code(secret, poly, file_id_bytes)
@@ -278,18 +251,18 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
 
     consumer_records = {
         cid: encrypt_share(by_x[x], consumer.credentials, file_id, binding)
-        for (cid, consumer), x in zip(consumers.items(), slots.consumer_xs)
+        for x, (cid, consumer) in enumerate(consumers.items(), FIRST_CONSUMER_X)
     }
     db.grants[file_id] = FileGrant(
         file_id=file_id,
         owner_id=owner_id,
-        server_share=by_x[slots.server_x],
+        server_share=by_x[SERVER_X],
         consumer_shares=consumer_records,
         binding=binding,
         salt=salt,
         envelope_ref=ref,
     )
-    return db, envelope, by_x[slots.owner_x]
+    return by_x[OWNER_X]
 
 
 def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
@@ -344,9 +317,7 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
     return open_file(envelope, key)
 
 
-def revoke_user(db: PolicyDb, file_id: str, user_id: str, *,
-                old_coeffs: "Sequence[int] | None" = None,
-                ) -> Tuple[PolicyDb, Tuple[int, ...]]:
+def revoke_user(db: PolicyDb, file_id: str, user_id: str) -> Tuple[int, ...]:
     """Remove a consumer and re-randomize every remaining share.
 
     Re-salts the attribute-derived coefficients and shifts the whole
@@ -354,11 +325,12 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str, *,
     secret and the sealed envelope are untouched, but every old share
     point falls off the new polynomial (guaranteed, not just probable:
     salts are resampled until delta is nonzero at every issued x).
+    Only the difference of the two salts' tokens matters, so a grant
+    made with pinned coefficients is revoked the same way.
 
-    Returns (db, deltas) where deltas are the coefficient differences
-    (delta_1, ..., delta_{k-1}); the owner applies them to their own
-    never-stored point via update_owner_share.  `old_coeffs` must be
-    supplied for grants created with pinned coefficients.
+    The grant is updated in db; the return value is the coefficient
+    differences (delta_1, ..., delta_{k-1}), which the owner applies to
+    their own never-stored point via update_owner_share.
     """
     grant = db.grants.get(file_id)
     if grant is None:
@@ -371,10 +343,8 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str, *,
 
     p = db.modulus.p
     attrs = _owner_attributes(owner, THRESHOLD)
-    if old_coeffs is None:
-        old_coeffs = derive_attribute_tokens(attrs, grant.salt, THRESHOLD,
-                                             db.modulus)
-    old_coeffs = [c % p for c in old_coeffs]
+    old_tokens = derive_attribute_tokens(attrs, grant.salt, THRESHOLD,
+                                         db.modulus)
 
     # Every x that ever held a share must move off the old polynomial.
     issued_xs = {rec.x for rec in grant.consumer_shares.values()}
@@ -382,9 +352,9 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str, *,
 
     while True:
         new_salt = os.urandom(16)
-        new_coeffs = derive_attribute_tokens(attrs, new_salt, THRESHOLD,
+        new_tokens = derive_attribute_tokens(attrs, new_salt, THRESHOLD,
                                              db.modulus)
-        deltas = tuple((nc - oc) % p for nc, oc in zip(new_coeffs, old_coeffs))
+        deltas = tuple((nc - oc) % p for nc, oc in zip(new_tokens, old_tokens))
         if all(d == 0 for d in deltas):
             continue
         if any(_delta_at(deltas, x, p) == 0 for x in issued_xs):
@@ -403,7 +373,7 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str, *,
         grant.consumer_shares[uid] = rec._replace(
             y_enc=(rec.y_enc + shift(rec.x)) % p, kc=new_kc)
     grant.salt = new_salt
-    return db, deltas
+    return deltas
 
 
 def _delta_at(deltas: Sequence[int], x: int, p: int) -> int:

@@ -46,17 +46,14 @@ EXAMPLE_POINTS = ((1, 1494), (2, 1942), (3, 2578), (4, 3402), (5, 4414), (6, 561
 EXAMPLE_RECONSTRUCTION_XS = (2, 4, 5)
 
 
-def verify_reference_example(modulus: "FieldModulus | None" = None,
-                         reconstruction_points: "Sequence[Tuple[int, int]] | None" = None,
-                         ) -> dict:
+def verify_reference_example(modulus: "FieldModulus | None" = None) -> dict:
     """Check the pinned split/reconstruct example end to end.
 
     Returns {"p", "passed", "assertions"}, each assertion a {"name",
     "expected", "actual", "ok"} dict.  Raises ExampleMismatch at the
     first failing assertion, so a returned document always passed.
     Running under a small modulus fails by design: the pinned values
-    exceed p and wrap.  `reconstruction_points` substitutes the three
-    points fed to reconstruction (fault-injection hook).
+    exceed p and wrap.
     """
     if modulus is None:
         modulus = default_modulus()
@@ -78,11 +75,8 @@ def verify_reference_example(modulus: "FieldModulus | None" = None,
     for (x, y), share in zip(EXAMPLE_POINTS, shares):
         check(f"point x={x}", y, share.y)
 
-    if reconstruction_points is None:
-        reconstruction_points = [(x, y) for x, y in EXAMPLE_POINTS
-                                 if x in EXAMPLE_RECONSTRUCTION_XS]
     pts = tuple(SharePoint(x=x, y=y, modulus=modulus)
-                for x, y in reconstruction_points)
+                for x, y in EXAMPLE_POINTS if x in EXAMPLE_RECONSTRUCTION_XS)
     inp = ReconstructionInput(points=pts, modulus=modulus)
     check("reconstructed secret", EXAMPLE_SECRET, reconstruct_secret(inp))
     poly = reconstruct_polynomial(inp)

@@ -158,7 +158,7 @@ def _cmd_grant(args) -> int:
     db = authz.load_db(store)
     consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
     data = Path(args.infile).read_bytes()
-    db, envelope, owner_share = authz.grant_access(
+    owner_share = authz.grant_access(
         db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
     authz.persist_db(db, store, backup=True)
     grant = db.grants[args.file_id]
@@ -177,7 +177,7 @@ def _cmd_grant(args) -> int:
 def _cmd_revoke(args) -> int:
     store = _store(args)
     db = authz.load_db(store)
-    db, deltas = authz.revoke_user(db, args.file_id, args.user)
+    deltas = authz.revoke_user(db, args.file_id, args.user)
     authz.persist_db(db, store, backup=True)
     delta_text = ",".join(str(d) for d in deltas)
     _emit(args, {"file_id": args.file_id, "revoked": args.user,

@@ -1,9 +1,8 @@
-"""Lagrange reconstruction of the sharing polynomial from k points.
+"""Lagrange reconstruction of the sharing polynomial from its points.
 
-Given exactly k points with distinct abscissae, the degree-(k-1)
-polynomial through them is unique; the secret is its value at 0.
-Supplying more than k points is an error rather than a fit: extra
-points would silently mask inconsistencies.
+Through k points with distinct abscissae runs exactly one polynomial of
+degree at most k-1; the secret is its value at 0.  The point count sets
+the degree: the caller supplies exactly the threshold's worth of points.
 """
 
 from __future__ import annotations
@@ -21,35 +20,21 @@ class DuplicateAbscissa(Error):
 
 
 class NotEnoughPoints(Error):
-    """Fewer points than the expected threshold k."""
-
-
-class TooManyPoints(Error):
-    """More points than k; refuse to guess which to drop."""
+    """No points at all; a secret needs at least one."""
 
 
 @dataclass(frozen=True)
 class ReconstructionInput:
-    """k points plus the modulus; validates distinctness at construction."""
+    """Points plus the modulus; validates distinctness at construction."""
 
     points: Tuple[SharePoint, ...]
     modulus: FieldModulus
-    k: "int | None" = None
 
     def __post_init__(self) -> None:
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        expected = self.k if self.k is not None else len(pts)
-        object.__setattr__(self, "k", expected)
         if not pts:
             raise NotEnoughPoints("got no points; a secret needs at least one")
-        if len(pts) < expected:
-            raise NotEnoughPoints(f"got {len(pts)} points, need {expected}")
-        if len(pts) > expected:
-            raise TooManyPoints(
-                f"got {len(pts)} points for threshold {expected}; "
-                "refusing to least-squares-fit"
-            )
         seen = set()
         for pt in pts:
             if pt.modulus.p != self.modulus.p:

@@ -150,15 +150,10 @@ def derive_binding_x(file_id: bytes, modulus: FieldModulus) -> int:
     return fnv1a64(file_id) % (modulus.p - 1) + 1
 
 
-def binding_code(secret: int, poly: SecretPolynomial, file_id: bytes,
-                 x_kc: "int | None" = None) -> BindingCode:
-    """kc = (secret + F(x_kc)) mod p at the file-derived x_kc.
-
-    `x_kc` may be pinned explicitly (diagnostics); by default it is
-    derived from the file identity.
-    """
-    if x_kc is None:
-        x_kc = derive_binding_x(file_id, poly.modulus)
+def binding_code(secret: int, poly: SecretPolynomial,
+                 file_id: bytes) -> BindingCode:
+    """kc = (secret + F(x_kc)) mod p at the file-derived x_kc."""
+    x_kc = derive_binding_x(file_id, poly.modulus)
     kc = (secret + poly_eval(poly, x_kc)) % poly.modulus.p
     return BindingCode(kc=kc, x_kc=x_kc)
 

@@ -251,8 +251,8 @@ def _random_sequence(seq_index: int):
             fid = f"file{rng.randrange(3)}"
             chosen = rng.sample(consumers, rng.randrange(1, len(consumers) + 1))
             body = b"body:" + fid.encode()
-            db, _, owner_pt = grant_access(db, store, fid, owner.user_id,
-                                           [c.user_id for c in chosen], body)
+            owner_pt = grant_access(db, store, fid, owner.user_id,
+                                    [c.user_id for c in chosen], body)
             owner_points[fid] = owner_pt
             bodies[fid] = body
         elif op == "request" and owner_points:
@@ -268,7 +268,7 @@ def _random_sequence(seq_index: int):
             grant = db.grants[fid]
             if grant.consumer_shares:
                 uid = rng.choice(sorted(grant.consumer_shares))
-                db, deltas = revoke_user(db, fid, uid)
+                deltas = revoke_user(db, fid, uid)
                 owner_points[fid] = update_owner_share(owner_points[fid], deltas)
         _assert_owner_points_absent(db)
     # the server alone (no owner point) must never decrypt
@@ -285,9 +285,9 @@ def _revocation_semantics():
     register_user(db, c1)
     register_user(db, c2)
     body = b"criterion seven body"
-    db, _, owner_pt = grant_access(db, store, "f", owner.user_id, ["keep", "drop"], body)
+    owner_pt = grant_access(db, store, "f", owner.user_id, ["keep", "drop"], body)
     stale = db.grants["f"].consumer_shares["drop"]
-    db, deltas = revoke_user(db, "f", "drop")
+    deltas = revoke_user(db, "f", "drop")
     new_owner = update_owner_share(owner_pt, deltas)
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", new_owner, c2, receiver_share_record=stale)
@@ -295,7 +295,7 @@ def _revocation_semantics():
         request_decrypt(db, store, "f", new_owner, c2)
     assert request_decrypt(db, store, "f", new_owner, c1) == body
     # re-issue to the revoked user: a fresh grant decrypts again
-    db, _, owner_pt2 = grant_access(db, store, "f", owner.user_id, ["keep", "drop"], body)
+    owner_pt2 = grant_access(db, store, "f", owner.user_id, ["keep", "drop"], body)
     assert request_decrypt(db, store, "f", owner_pt2, c2) == body
 
 
@@ -305,8 +305,8 @@ def _collusion_fixture():
     for rec in cs:
         register_user(db, rec)
     body = b"colluders must fail"
-    db, _, owner_pt = grant_access(db, store, "f", owner.user_id,
-                                   [c.user_id for c in cs], body)
+    owner_pt = grant_access(db, store, "f", owner.user_id,
+                            [c.user_id for c in cs], body)
     grant = db.grants["f"]
     genuine = {"server": grant.server_share, "owner": owner_pt}
     records = dict(grant.consumer_shares)

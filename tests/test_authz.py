@@ -19,7 +19,6 @@ from trishare import (
     ObjectStore,
     PolicyDb,
     ReconstructionInput,
-    RoleSlots,
     SharePoint,
     UnknownFile,
     UnknownOwner,
@@ -59,7 +58,7 @@ DATA = b"the cargo leaves at midnight" * 10
 def base_db(*extra):
     db = PolicyDb()
     for rec in (OWNER, C1, C2) + extra:
-        db = register_user(db, rec)
+        register_user(db, rec)
     return db, ObjectStore()
 
 
@@ -96,7 +95,7 @@ def test_grant_validation():
 
 def test_grant_blinds_with_registered_credentials():
     db, store = base_db(UserRecord("bob", UserType.CONSUMER, b"cred-bob"))
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["bob"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["bob"], DATA)
     bob = db.users["bob"]
     grant = db.grants["f"]
     bob_pt = decrypt_share(grant.consumer_shares["bob"], bob.credentials)
@@ -112,7 +111,7 @@ def test_grant_blinds_with_registered_credentials():
 
 def test_grant_assigns_role_slots():
     db, store = base_db()
-    db, env, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     assert grant.server_share.x == SERVER_X == 1
     assert owner_share.x == OWNER_X == 2
@@ -120,18 +119,29 @@ def test_grant_assigns_role_slots():
     assert xs == [FIRST_CONSUMER_X, FIRST_CONSUMER_X + 1] == [3, 4]
 
 
+def test_protocol_calls_return_only_what_is_not_stored():
+    db, store = PolicyDb(), ObjectStore()
+    assert register_user(db, OWNER) is None
+    register_user(db, C1)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    assert isinstance(owner_share, SharePoint) and owner_share.x == OWNER_X
+    deltas = revoke_user(db, "f", "carol")
+    assert isinstance(deltas, tuple) and len(deltas) == THRESHOLD - 1
+
+
 def test_grant_stores_envelope_under_content_key():
     db, store = base_db()
-    db, env, _ = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     assert grant.envelope_ref == object_key("f", 0)
     blob = store.get_object(grant.envelope_ref)
-    assert len(blob) == 20 + len(env.payload)
+    # the 20-byte header, then one additive-mode byte per plaintext byte
+    assert len(blob) == 20 + len(DATA)
 
 
 def test_owner_share_is_never_stored():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     stored_xs = {grant.server_share.x}
     stored_xs.update(rec.x for rec in grant.consumer_shares.values())
@@ -146,8 +156,8 @@ def test_owner_share_is_never_stored():
 
 def test_grant_replaces_previous_grant():
     db, store = base_db(C3)
-    db, _, share1 = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
-    db, _, share2 = grant_access(db, store, "f", "olivia", ["cindy"], b"new body")
+    grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    share2 = grant_access(db, store, "f", "olivia", ["cindy"], b"new body")
     grant = db.grants["f"]
     assert set(grant.consumer_shares) == {"cindy"}
     out = request_decrypt(db, store, "f", share2, C3)
@@ -158,13 +168,12 @@ def test_grant_replaces_previous_grant():
 
 def test_three_genuine_points_lie_on_one_parabola():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     consumer_pt = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
     inp = ReconstructionInput(
         points=(grant.server_share, owner_share, consumer_pt),
         modulus=db.modulus,
-        k=THRESHOLD,
     )
     secret = reconstruct_secret(inp)
     assert 0 <= secret < db.modulus.p
@@ -174,14 +183,14 @@ def test_three_genuine_points_lie_on_one_parabola():
 
 def test_protocol_round_trip_additive():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     assert request_decrypt(db, store, "f", owner_share, C1) == DATA
     assert request_decrypt(db, store, "f", owner_share, C2) == DATA
 
 
 def test_protocol_round_trip_power():
     db, store = base_db()
-    db, _, owner_share = grant_access(
+    owner_share = grant_access(
         db, store, "f", "olivia", ["carol"], DATA, mode=Mode.POWER, n=2
     )
     assert request_decrypt(db, store, "f", owner_share, C1) == DATA
@@ -189,7 +198,7 @@ def test_protocol_round_trip_power():
 
 def test_receiver_may_present_record_explicitly():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     record = db.grants["f"].consumer_shares["carol"]
     out = request_decrypt(db, store, "f", owner_share, C1, receiver_share_record=record)
     assert out == DATA
@@ -197,7 +206,7 @@ def test_receiver_may_present_record_explicitly():
 
 def test_request_error_cases():
     db, store = base_db(C3)
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     with pytest.raises(UnknownFile):
         request_decrypt(db, store, "nope", owner_share, C1)
     with pytest.raises(UnknownUser):
@@ -210,7 +219,7 @@ def test_request_error_cases():
 
 def test_tampered_server_share_fails_binding():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     bent = SharePoint(
         x=grant.server_share.x,
@@ -226,7 +235,7 @@ def test_borrowed_record_fails_binding():
     # C2 presents C1's record: unblinding with the wrong credentials
     # yields a point off the polynomial
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     stolen = db.grants["f"].consumer_shares["carol"]
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", owner_share, C2, receiver_share_record=stolen)
@@ -236,7 +245,7 @@ def test_stored_point_cannot_stand_in_for_the_owner():
     from trishare import RoleMismatch
 
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     # the server point and every consumer point sit on the polynomial,
     # so without the slot check they would pass the binding
@@ -249,7 +258,7 @@ def test_stored_point_cannot_stand_in_for_the_owner():
 
 def test_garbage_owner_point_fails_binding():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     fake = SharePoint(x=owner_share.x, y=(owner_share.y + 7) % db.modulus.p,
                       modulus=db.modulus)
     with pytest.raises(BindingMismatch):
@@ -258,25 +267,26 @@ def test_garbage_owner_point_fails_binding():
 
 # ---------------------------------------------------------------- reference fixture
 
-def test_reference_walkthrough():
-    # pinned secret/coefficients with the documented role layout:
-    # server at x=2, owner at x=4, consumers at x=1,3,5,6
+def pinned_report_grant():
+    # the worked example's polynomial F(X) = 1234 + 166 X + 94 X^2 under
+    # the role layout: server at x=1, owner at x=2, consumers at x=3..6
     db, store = base_db(C3, C4)
-    slots = RoleSlots(server_x=2, owner_x=4, consumer_xs=(1, 3, 5, 6))
-    db, env, owner_share = grant_access(
+    owner_share = grant_access(
         db, store, "report.pdf", "olivia", ["carol", "chuck", "cindy", "caleb"], DATA,
-        secret=1234, coeffs=(166, 94), slots=slots,
+        secret=1234, coeffs=(166, 94),
     )
+    return db, store, owner_share
+
+
+def test_reference_walkthrough():
+    db, store, owner_share = pinned_report_grant()
     grant = db.grants["report.pdf"]
-    assert (grant.server_share.x, grant.server_share.y) == (2, 1942)
-    assert (owner_share.x, owner_share.y) == (4, 3402)
-    table = {1: 1494, 3: 2578, 5: 4414, 6: 5614}
-    for rec, user in zip(
-        (grant.consumer_shares[c.user_id] for c in (C1, C2, C3, C4)),
-        (C1, C2, C3, C4),
-    ):
-        pt = decrypt_share(rec, user.credentials)
-        assert pt.y == table[pt.x]
+    assert (grant.server_share.x, grant.server_share.y) == (1, 1494)
+    assert (owner_share.x, owner_share.y) == (2, 1942)
+    table = {3: 2578, 4: 3402, 5: 4414, 6: 5614}
+    for user, x in zip((C1, C2, C3, C4), table):
+        pt = decrypt_share(grant.consumer_shares[user.user_id], user.credentials)
+        assert (pt.x, pt.y) == (x, table[x])
     receiver = C3  # holds the x=5 share
     pt = decrypt_share(grant.consumer_shares["cindy"], C3.credentials)
     assert (pt.x, pt.y) == (5, 4414)
@@ -287,13 +297,13 @@ def test_reference_walkthrough():
 
 def granted():
     db, store = base_db(C3)
-    db, env, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck", "cindy"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck", "cindy"], DATA)
     return db, store, owner_share
 
 
 def test_revoked_record_goes_stale():
     db, store, owner_share = granted()
-    db, deltas = revoke_user(db, "f", "chuck")
+    deltas = revoke_user(db, "f", "chuck")
     assert "chuck" not in db.grants["f"].consumer_shares
     with pytest.raises(NotGranted):
         request_decrypt(db, store, "f", update_owner_share(owner_share, deltas), C2)
@@ -302,7 +312,7 @@ def test_revoked_record_goes_stale():
 def test_stale_record_fails_binding_even_if_presented():
     db, store, owner_share = granted()
     stale = db.grants["f"].consumer_shares["chuck"]
-    db, deltas = revoke_user(db, "f", "chuck")
+    deltas = revoke_user(db, "f", "chuck")
     new_owner = update_owner_share(owner_share, deltas)
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", new_owner, C2, receiver_share_record=stale)
@@ -310,7 +320,7 @@ def test_stale_record_fails_binding_even_if_presented():
 
 def test_remaining_users_keep_access():
     db, store, owner_share = granted()
-    db, deltas = revoke_user(db, "f", "chuck")
+    deltas = revoke_user(db, "f", "chuck")
     new_owner = update_owner_share(owner_share, deltas)
     assert request_decrypt(db, store, "f", new_owner, C1) == DATA
     assert request_decrypt(db, store, "f", new_owner, C3) == DATA
@@ -318,7 +328,7 @@ def test_remaining_users_keep_access():
 
 def test_old_owner_point_goes_stale_too():
     db, store, owner_share = granted()
-    db, _ = revoke_user(db, "f", "chuck")
+    revoke_user(db, "f", "chuck")
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", owner_share, C1)
 
@@ -327,7 +337,7 @@ def test_revocation_leaves_envelope_untouched():
     db, store, owner_share = granted()
     ref = db.grants["f"].envelope_ref
     before = store.get_object(ref)
-    db, _ = revoke_user(db, "f", "chuck")
+    revoke_user(db, "f", "chuck")
     assert db.grants["f"].envelope_ref == ref
     assert store.get_object(ref) == before
 
@@ -336,7 +346,7 @@ def test_revocation_rotates_salt_and_binding():
     db, store, owner_share = granted()
     old = db.grants["f"]
     old_salt, old_kc = old.salt, old.binding.kc
-    db, deltas = revoke_user(db, "f", "chuck")
+    deltas = revoke_user(db, "f", "chuck")
     new = db.grants["f"]
     assert new.salt != old_salt
     assert new.binding.kc != old_kc or new.binding.x_kc == old.binding.x_kc
@@ -350,7 +360,7 @@ def test_revocation_preserves_the_secret():
     pt1 = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
     before = reconstruct_secret(ReconstructionInput(
         points=(grant.server_share, owner_share, pt1), modulus=db.modulus))
-    db, deltas = revoke_user(db, "f", "chuck")
+    deltas = revoke_user(db, "f", "chuck")
     grant = db.grants["f"]
     new_owner = update_owner_share(owner_share, deltas)
     pt1b = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
@@ -361,9 +371,9 @@ def test_revocation_preserves_the_secret():
 
 def test_revoking_the_last_consumer():
     db, store = base_db()
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     stale = db.grants["f"].consumer_shares["carol"]
-    db, deltas = revoke_user(db, "f", "carol")
+    deltas = revoke_user(db, "f", "carol")
     assert db.grants["f"].consumer_shares == {}
     new_owner = update_owner_share(owner_share, deltas)
     with pytest.raises(NotGranted):
@@ -387,24 +397,23 @@ def test_revoke_error_cases():
         revoke_user(db2, "f", "carol")
 
 
-def test_revoke_pinned_grant_needs_old_coeffs():
-    db, store = base_db(C3, C4)
-    slots = RoleSlots(server_x=2, owner_x=4, consumer_xs=(1, 3, 5, 6))
-    db, _, owner_share = grant_access(
-        db, store, "report.pdf", "olivia", ["carol", "chuck", "cindy", "caleb"], DATA,
-        secret=1234, coeffs=(166, 94), slots=slots,
-    )
-    db, deltas = revoke_user(db, "report.pdf", "chuck", old_coeffs=(166, 94))
-    new_owner = update_owner_share(owner_share, deltas)
+def test_revoke_pinned_grant_twice():
+    # delta(0) = 0 whatever the pinned coefficients were, so revocation
+    # needs nothing beyond the grant's own record
+    db, store, owner_share = pinned_report_grant()
+    d1 = revoke_user(db, "report.pdf", "chuck")
+    d2 = revoke_user(db, "report.pdf", "caleb")
+    new_owner = update_owner_share(update_owner_share(owner_share, d1), d2)
     assert request_decrypt(db, store, "report.pdf", new_owner, C1) == DATA
+    assert request_decrypt(db, store, "report.pdf", new_owner, C3) == DATA
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "report.pdf", owner_share, C1)
 
 
 def test_double_revocation_compounds():
     db, store, owner_share = granted()
-    db, d1 = revoke_user(db, "f", "chuck")
-    db, d2 = revoke_user(db, "f", "cindy")
+    d1 = revoke_user(db, "f", "chuck")
+    d2 = revoke_user(db, "f", "cindy")
     owner2 = update_owner_share(update_owner_share(owner_share, d1), d2)
     assert request_decrypt(db, store, "f", owner2, C1) == DATA
     half = update_owner_share(owner_share, d1)
@@ -507,8 +516,8 @@ def test_persist_and_load(tmp_path):
     store = ObjectStore(tmp_path / "store")
     db = PolicyDb()
     for rec in (OWNER, C1, C2):
-        db = register_user(db, rec)
-    db, _, owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+        register_user(db, rec)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     persist_db(db, store, backup=True)
     assert (tmp_path / "store" / POLICY_FILENAME).exists()
     assert store.read_text(POLICY_FILENAME) == store.read_text(ACL_BACKUP_FILENAME)
@@ -523,8 +532,8 @@ def test_store_never_holds_plaintext(tmp_path):
     store = ObjectStore(tmp_path / "store")
     db = PolicyDb()
     for rec in (OWNER, C1):
-        db = register_user(db, rec)
-    db, _, _ = grant_access(db, store, "f", "olivia", ["carol"], body)
+        register_user(db, rec)
+    grant_access(db, store, "f", "olivia", ["carol"], body)
     persist_db(db, store, backup=True)
     for path in sorted((tmp_path / "store").rglob("*")):
         if path.is_file():
@@ -670,8 +679,8 @@ def _run_policy_command(store, op, ids, file_ids):
 def test_sliced_and_full_loads_write_the_same_bytes(p, ids, file_ids, ops):
     sliced, full = ObjectStore(), ObjectStore()
     for store in (sliced, full):
-        db = register_user(PolicyDb(modulus=modulus_for(p)),
-                           UserRecord(ids[0], UserType.OWNER, b"cred-owner"))
+        db = PolicyDb(modulus=modulus_for(p))
+        register_user(db, UserRecord(ids[0], UserType.OWNER, b"cred-owner"))
         persist_db(db, store)
     for step, op in enumerate(ops):
         with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):

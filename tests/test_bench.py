@@ -41,11 +41,13 @@ def test_verify_example_passes():
     assert all(res["ok"] for res in report["assertions"])
 
 
-def test_verify_example_catches_perturbation():
-    bad = [(x, y + 1 if x == 2 else y) for x, y in EXAMPLE_POINTS
-           if x in (2, 4, 5)]
-    with pytest.raises(ExampleMismatch):
-        verify_reference_example(reconstruction_points=bad)
+def test_verify_example_catches_perturbation(monkeypatch):
+    # a reconstruction that is off by one must fail the pinned secret
+    reconstruct = trishare.bench.reconstruct_secret
+    monkeypatch.setattr(trishare.bench, "reconstruct_secret",
+                        lambda inp: reconstruct(inp) + 1)
+    with pytest.raises(ExampleMismatch, match="reconstructed secret"):
+        verify_reference_example()
 
 
 def test_verify_example_needs_a_big_enough_field(p97):

@@ -12,7 +12,6 @@ from trishare import (
     ReconstructionInput,
     SecretPolynomial,
     SharePoint,
-    TooManyPoints,
     binding_code,
     lagrange_basis_at,
     mod_inverse,
@@ -38,24 +37,20 @@ def test_duplicate_abscissa_rejected(m61):
         ReconstructionInput(points=pts, modulus=m61)
 
 
-def test_point_count_must_match_threshold(m61):
+def test_point_count_sets_the_degree(m61):
     pts = points_of(TABLE_POINTS, m61)
+    # two points of the parabola give the line through them, not F(0)
+    line = reconstruct_polynomial(ReconstructionInput(points=pts[:2], modulus=m61))
+    assert line.coeffs == (1046, 448)
+    # any three give F itself; more leave the secret as it is
+    for count in (3, 4, 6):
+        inp = ReconstructionInput(points=pts[:count], modulus=m61)
+        assert reconstruct_secret(inp) == 1234
+
+
+def test_zero_points_rejected(m61):
     with pytest.raises(NotEnoughPoints):
-        ReconstructionInput(points=pts[:2], modulus=m61, k=3)
-    with pytest.raises(TooManyPoints):
-        ReconstructionInput(points=pts[:4], modulus=m61, k=3)
-    assert ReconstructionInput(points=pts[:3], modulus=m61, k=3).k == 3
-
-
-@pytest.mark.parametrize("k", [None, 0, 3])
-def test_zero_points_rejected(m61, k):
-    with pytest.raises(NotEnoughPoints):
-        ReconstructionInput(points=(), modulus=m61, k=k)
-
-
-def test_threshold_defaults_to_point_count(m61):
-    inp = ReconstructionInput(points=points_of(TABLE_POINTS, m61), modulus=m61)
-    assert inp.k == 6
+        ReconstructionInput(points=(), modulus=m61)
 
 
 def test_mixed_moduli_rejected(m61, p97):
@@ -186,8 +181,9 @@ def test_verify_binding_rejects_tampered_kc(m61):
 
 def test_verify_binding_rejects_foreign_x(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"report.pdf", x_kc=7)
-    # x_kc pinned away from the file-derived abscissa must not verify
+    # F(7) = 1234 + 166*7 + 94*49 = 7002: a kc that is right at x = 7,
+    # away from the file-derived abscissa, must not verify
+    code = BindingCode(kc=1234 + 7002, x_kc=7)
     assert not verify_binding(poly, code, b"report.pdf")
 
 

@@ -137,10 +137,11 @@ def test_tokens_require_enough_attributes(m61):
 
 def test_binding_frozen_value(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"any", x_kc=7)
-    # F(7) = 1234 + 166*7 + 94*49 = 7002; kc = 1234 + 7002
-    assert code.x_kc == 7
-    assert code.kc == 8236
+    code = binding_code(1234, poly, b"any")
+    # x_kc is derived from the file id; kc = 1234 + F(x_kc) mod p
+    assert code.x_kc == derive_binding_x(b"any", m61) == 502067903028274140
+    assert code.kc == (1234 + poly_eval(poly, code.x_kc)) % M61
+    assert code.kc == 651749777246912713
 
 
 def test_binding_x_in_range(m61, p97):
