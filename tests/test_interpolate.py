@@ -37,20 +37,44 @@ def test_duplicate_abscissa_rejected(m61):
         ReconstructionInput(points=pts, modulus=m61)
 
 
-def test_point_count_sets_the_degree(m61):
+def test_point_count_must_match_threshold(m61):
     pts = points_of(TABLE_POINTS, m61)
-    # two points of the parabola give the line through them, not F(0)
+    # two points of the threshold-3 parabola give the line through them,
+    # not F(0)
     line = reconstruct_polynomial(ReconstructionInput(points=pts[:2], modulus=m61))
     assert line.coeffs == (1046, 448)
-    # any three give F itself; more leave the secret as it is
-    for count in (3, 4, 6):
+    # three give F itself
+    poly = reconstruct_polynomial(ReconstructionInput(points=pts[:3], modulus=m61))
+    assert poly.coeffs == (1234, 166, 94)
+    # a fourth leaves the secret as it is, but the cubic term of the
+    # interpolant is zero, which the production profile refuses to mint
+    for count in (4, 6):
         inp = ReconstructionInput(points=pts[:count], modulus=m61)
         assert reconstruct_secret(inp) == 1234
+        with pytest.raises(InvalidPolynomial):
+            reconstruct_polynomial(inp)
 
 
-def test_zero_points_rejected(m61):
+@pytest.mark.parametrize("k", [None, 0, 3])
+def test_zero_points_rejected(m61, k):
+    # a prefix of the table (all of it, none of it, three points) is a
+    # valid input exactly when it holds a point
+    pts = points_of(TABLE_POINTS[:k], m61)
+    if pts:
+        assert reconstruct_secret(ReconstructionInput(points=pts, modulus=m61)) == 1234
     with pytest.raises(NotEnoughPoints):
-        ReconstructionInput(points=(), modulus=m61)
+        ReconstructionInput(points=pts[:0], modulus=m61)
+
+
+def test_threshold_defaults_to_point_count(m61, p97):
+    # the input names no threshold: the interpolant's k is the point count
+    for count in (1, 2, 3):
+        inp = ReconstructionInput(points=points_of(TABLE_POINTS[:count], m61), modulus=m61)
+        assert reconstruct_polynomial(inp).k == count
+    inp = ReconstructionInput(points=points_of(TABLE_POINTS, p97), modulus=p97)
+    poly = reconstruct_polynomial(inp)
+    assert poly.k == 6
+    assert poly.coeffs == (1234 % 97, 166 % 97, 94, 0, 0, 0)
 
 
 def test_mixed_moduli_rejected(m61, p97):
