@@ -560,13 +560,18 @@ def _digest(text: str) -> str:
 
 
 def persist_db(db: PolicyDb, store: ObjectStore, backup: bool = False) -> None:
-    """Write policy.json at the store root, then its digest sidecar; mirror
-    the ACL backup too when asked (grant/revoke paths)."""
+    """Commit policy.json, its digest sidecar and, when asked (grant and
+    revoke), the ACL backup as one group: policy and backup are fsynced,
+    the sidecar is not, the three are renamed in that order and the
+    store root is fsynced once.  A failure before the first rename
+    changes none of them.  The sidecar is only a cache: a crash may
+    leave it stale, empty or one commit ahead, and load_db then takes
+    the full parse; acl-backup.json may be one commit ahead of
+    policy.json."""
     text = db_to_json(db)
-    store.write_text(POLICY_FILENAME, text)
-    store.write_text(POLICY_DIGEST_FILENAME, _digest(text))
-    if backup:
-        store.write_text(ACL_BACKUP_FILENAME, text)
+    store.write_text(POLICY_FILENAME, text,
+                     cache=(POLICY_DIGEST_FILENAME, _digest(text)),
+                     copies=(ACL_BACKUP_FILENAME,) if backup else ())
 
 
 def load_db(store: ObjectStore) -> PolicyDb:

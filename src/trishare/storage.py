@@ -14,12 +14,20 @@ The store maps hex(fnv1a64(file_id || ":" || version)) to blobs under
 policy.json, its digest sidecar policy.json.sha256 and acl-backup.json.
 A missing or stale sidecar only costs the next load a full parse of
 policy.json.  Every read goes to disk and nothing is cached.
-Writes go to a temp file of their own, are fsynced, and then
-os.replace the target, whose directory is fsynced in turn, so a reader
-never observes a half-written object or policy.  A new file is created
-mode 0600; a rewrite keeps the mode the file had.  Opening a store
-creates nothing: the first write makes the directory it writes into,
-so a mistyped path fails a read without leaving a skeleton behind.
+
+Every write is a group commit of one or more files in one directory.
+Each file goes to a temp file of its own; each durable one is fsynced.
+Only then are the temp files os.replace'd onto their targets, in the
+given order, and the directory is fsynced once, so a reader never
+observes a half-written object or policy, and a write that fails
+before its first rename leaves every target as it was.  A policy
+commit renames policy.json (fsynced), then its sidecar (not fsynced:
+after a crash it may be stale, empty, truncated or one commit ahead,
+which a load takes as a miss), then acl-backup.json (fsynced) when
+asked for.  A new file is created mode 0600; a rewrite keeps the mode
+the file had.  Opening a store creates nothing, so a mistyped path
+fails a read without leaving a skeleton behind: the first write makes
+the directories it writes into and fsyncs the parent of each.
 Only with root=None is the store memory-only (tests, dry runs).
 """
 
@@ -32,7 +40,7 @@ import stat
 import struct
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cipher import BadHeader, CipherEnvelope
 from .errors import Error
@@ -112,7 +120,7 @@ class ObjectStore:
         if self.root is None:
             self.objects[key] = data
         else:
-            _atomic_write(self.root / "objects" / key, data)
+            _atomic_write(self.root / "objects", [(key, data, True)])
 
     def get_object(self, key: str) -> bytes:
         """Fetch a blob; NotFound if it was never stored."""
@@ -135,13 +143,24 @@ class ObjectStore:
             raise IoFailure(f"cannot list {self.root / 'objects'}: {exc}") from exc
         return iter(sorted(names))
 
-    def write_text(self, filename: str, text: str) -> None:
-        """Atomically write a root-level text file (policy, its sidecar,
-        ACL backup)."""
+    def write_text(self, filename: str, text: str, *,
+                   cache: Optional[Tuple[str, str]] = None,
+                   copies: Sequence[str] = ()) -> None:
+        """Atomically write a root-level text file, in one group commit
+        with an optional ``cache`` (filename, text) written beside it
+        unsynced, and ``copies`` that hold the same text, fsynced."""
         if self.root is None:
             self.texts[filename] = text
-        else:
-            _atomic_write(self.root / filename, text.encode("utf-8"))
+            if cache is not None:
+                self.texts[cache[0]] = cache[1]
+            self.texts.update(dict.fromkeys(copies, text))
+            return
+        data = text.encode("utf-8")
+        files = [(filename, data, True)]
+        if cache is not None:
+            files.append((cache[0], cache[1].encode("utf-8"), False))
+        files.extend((name, data, True) for name in copies)
+        _atomic_write(self.root, files)
 
     def read_text(self, filename: str) -> str:
         """Read a root-level text file; NotFound if absent."""
@@ -162,45 +181,74 @@ def _read(path: Path) -> bytes:
         raise IoFailure(f"read failed for {path}: {exc}") from exc
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    # A temp file unique to this write, in the same directory so os.replace
-    # stays on one filesystem.  mkstemp makes it 0600; a rewrite copies the
-    # target's mode onto it first.
-    tmp = None
+def _atomic_write(directory: Path,
+                  files: Sequence[Tuple[str, bytes, bool]]) -> None:
+    """Commit (name, data, durable) files into `directory` as one group.
+
+    Every temp file is written, and each durable one fsynced, before the
+    first os.replace; the renames run in the order given and one fsync
+    of `directory` makes them durable.  A directory the write had to make
+    is synced into its parent too, so a new store survives a crash.
+    """
+    # Each temp file is unique to this write and sits beside its target,
+    # so os.replace stays on one filesystem.  mkstemp makes it 0600; a
+    # rewrite copies the target's mode onto it first.
+    temps: List[str] = []
+    renamed = 0
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                                   suffix=".tmp")
-        with open(fd, "wb") as fh:
-            with contextlib.suppress(FileNotFoundError):
-                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        tmp = None
+        made = _make_dirs(directory)
+        for name, data, durable in files:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".",
+                                       suffix=".tmp")
+            temps.append(tmp)
+            with open(fd, "wb") as fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fh.fileno(),
+                              stat.S_IMODE(os.stat(directory / name).st_mode))
+                fh.write(data)
+                if durable:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+        for tmp, (name, _, _) in zip(temps, files):
+            os.replace(tmp, directory / name)
+            renamed += 1
     except OSError as exc:
-        raise IoFailure(f"write failed for {path}: {exc}") from exc
+        raise IoFailure(f"write failed for {directory / files[0][0]}: "
+                        f"{exc}") from exc
     finally:
-        if tmp is not None:
+        for tmp in temps[renamed:]:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-    _fsync_dir(path)
+    _fsync_dir(directory, f"{directory / files[0][0]} was replaced")
+    for new_dir in made:
+        _fsync_dir(new_dir.parent, f"{new_dir} was created")
+
+
+def _make_dirs(directory: Path) -> List[Path]:
+    """Create `directory` and its missing parents; return the ones made,
+    innermost first, so the caller can sync each into its parent."""
+    missing = []
+    while not directory.is_dir():
+        missing.append(directory)
+        directory = directory.parent
+    for new_dir in reversed(missing):
+        new_dir.mkdir(exist_ok=True)
+    return missing
 
 
 # errno values with which a filesystem says it cannot fsync a directory.
 _NO_DIR_FSYNC = frozenset({errno.EINVAL, errno.ENOTSUP, errno.EOPNOTSUPP})
 
 
-def _fsync_dir(path: Path) -> None:
-    """Make the rename onto `path` durable.
+def _fsync_dir(directory: Path, done: str) -> None:
+    """Make the entries just changed in `directory` durable.
 
-    The new file is already in place and synced, so a filesystem that
-    cannot fsync a directory is taken as it is (SQLite does the same);
-    any other failure is reported as such, not as a failed write.
+    What `done` names is already in place and synced, so a filesystem
+    that cannot fsync a directory is taken as it is (SQLite does the
+    same); any other failure is reported as such, not as a failed write.
     """
     try:
-        dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
         try:
             os.fsync(dir_fd)
         finally:
@@ -208,6 +256,5 @@ def _fsync_dir(path: Path) -> None:
     except OSError as exc:
         if exc.errno in _NO_DIR_FSYNC:
             return
-        raise IoFailure(f"{path} was replaced, but syncing its directory "
-                        f"failed, so the change may not survive a crash: "
-                        f"{exc}") from exc
+        raise IoFailure(f"{done}, but syncing {directory} failed, so the "
+                        f"change may not survive a crash: {exc}") from exc

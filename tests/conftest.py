@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,6 +18,23 @@ def m61():
 @pytest.fixture(scope="session")
 def p97():
     return modulus_for(97)
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """The inode of each descriptor the store fsyncs, in call order.  A
+    temp file keeps its inode when it is renamed onto its target."""
+    import trishare.storage
+
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(trishare.storage.os, "fsync", recording_fsync)
+    return synced
 
 
 def _drop_user_type(raw):

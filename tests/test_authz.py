@@ -589,20 +589,42 @@ def test_missing_sidecar_takes_the_full_parse_and_persist_writes_one(tmp_path):
         assert load_db(store) == db
 
 
-def test_stale_sidecar_takes_the_full_parse(tmp_path):
+@pytest.mark.parametrize("sidecar", ["old-digest", "empty", "truncated",
+                                     "next-digest"])
+def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
     db, store, owner_share = granted()
     disk = ObjectStore(tmp_path / "store")
     for ref in store.keys():
         disk.put_object(ref, store.get_object(ref))
     persist_db(db, disk)
-    # The crash-between-writes state: a new policy.json, the old sidecar.
+    before = db_to_json(db)
     revoke_user(db, "f", "chuck")
-    disk.write_text(POLICY_FILENAME, db_to_json(db))
-    loaded = load_db(disk)
-    assert loaded == db
-    assert "chuck" not in loaded.grants["f"].consumer_shares
-    with pytest.raises(BindingMismatch):
-        request_decrypt(loaded, disk, "f", owner_share, C1)
+    after = db_to_json(db)
+    # The states a crash can leave the unsynced sidecar in, beside the
+    # policy.json that was committed.
+    digest = trishare.authz._digest
+    committed, stale = {"old-digest": (after, digest(before)),
+                        "empty": (after, ""),
+                        "truncated": (after, digest(after)[:32]),
+                        "next-digest": (before, digest(after))}[sidecar]
+    (tmp_path / "store" / POLICY_FILENAME).write_text(committed)
+    sidecar_path = tmp_path / "store" / POLICY_DIGEST_FILENAME
+    sidecar_path.write_text(stale)
+    with mock.patch.object(trishare.authz, "db_from_json",
+                           wraps=trishare.authz.db_from_json) as full:
+        loaded = load_db(disk)
+    assert full.call_count == 1
+    assert db_to_json(loaded) == committed
+    if committed == after:
+        assert "chuck" not in loaded.grants["f"].consumer_shares
+        with pytest.raises(BindingMismatch):
+            request_decrypt(loaded, disk, "f", owner_share, C1)
+    else:
+        assert request_decrypt(loaded, disk, "f", owner_share, C1) == DATA
+    persist_db(loaded, disk)
+    assert sidecar_path.read_text() == digest(committed)
+    with full_loads_forbidden():
+        assert db_to_json(load_db(disk)) == committed
 
 
 def test_corrupt_grant_block_under_a_matching_digest(tmp_path):

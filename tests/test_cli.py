@@ -1,9 +1,11 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -595,6 +597,52 @@ def granted_store(tmp_path, capsys):
     assert rc == 0
     point = json.loads(out)["owner_point"]
     return store, f"{point['x']}:{point['y']}"
+
+
+def test_policy_commands_fsync_each_durable_file_and_the_root_once(
+        tmp_path, capsys, fsyncs):
+    store, _ = granted_store(tmp_path, capsys)
+    src = tmp_path / "g.bin"
+    src.write_bytes(b"body")
+    fsyncs.clear()
+    for argv, count in (
+            (["register", "--user-id", "dave", "--type", "consumer",
+              "--credentials", "c"], 2),  # policy, root
+            (["grant", "--file-id", "g", "--owner", "olivia",
+              "--consumers", "alice", "--in", str(src)], 5),  # + blob, objects/
+            (["revoke", "--file-id", "f", "--user", "alice"], 3)):  # + backup
+        rc, _, _ = run_cli([*argv, "--store", str(store)], capsys)
+        assert rc == 0 and len(fsyncs) == count, argv
+        fsyncs.clear()
+
+
+def test_failed_backup_fsync_changes_no_policy_file(tmp_path, capsys, monkeypatch):
+    store, _ = granted_store(tmp_path, capsys)
+    names = ("policy.json", "policy.json.sha256", "acl-backup.json")
+    before = {name: (store / name).read_bytes() for name in names}
+    backup_fds = set()
+    real_mkstemp, real_fsync = tempfile.mkstemp, os.fsync
+
+    def recording_mkstemp(*args, **kwargs):
+        fd, path = real_mkstemp(*args, **kwargs)
+        if os.path.basename(path).startswith("acl-backup.json."):
+            backup_fds.add(fd)
+        return fd, path
+
+    def fsync(fd):
+        if fd in backup_fds:
+            raise OSError(errno.EIO, "simulated failure syncing the backup")
+        real_fsync(fd)
+
+    monkeypatch.setattr(trishare.storage.tempfile, "mkstemp", recording_mkstemp)
+    monkeypatch.setattr(trishare.storage.os, "fsync", fsync)
+    rc, out, err = run_cli(["revoke", "--store", str(store), "--file-id", "f",
+                            "--user", "alice"], capsys)
+    monkeypatch.undo()
+    assert rc == 1 and out == "" and err.startswith("error: ")
+    assert backup_fds
+    assert {name: (store / name).read_bytes() for name in names} == before
+    assert [p.name for p in store.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_request_json_without_out_is_refused(tmp_path, capsys):

@@ -289,18 +289,39 @@ def test_writes_to_one_path_use_distinct_temp_names(tmp_path, monkeypatch):
     assert all(name.startswith("k.") and name.endswith(".tmp") for name in sources)
 
 
-def test_write_fsyncs_file_then_directory(tmp_path, monkeypatch):
+def synced_paths(fsyncs, base):
+    """Name each fsynced inode by its path under `base` ("." for `base`
+    itself), then forget them."""
+    paths = {p.stat().st_ino: p.relative_to(base).as_posix()
+             for p in [base, *base.rglob("*")]}
+    names = [paths[ino] for ino in fsyncs]
+    fsyncs.clear()
+    return names
+
+
+def test_write_fsyncs_file_then_directory(tmp_path, fsyncs):
     store = ObjectStore(tmp_path / "store")
-    synced = []
-    real_fsync = os.fsync
-
-    def recording_fsync(fd):
-        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
-        real_fsync(fd)
-
-    monkeypatch.setattr(trishare.storage.os, "fsync", recording_fsync)
+    store.put_object("k", b"old")
+    persist_db(PolicyDb(), store)
+    fsyncs.clear()
     store.put_object("k", b"blob")
-    assert synced == [False, True]
+    assert synced_paths(fsyncs, tmp_path) == ["store/objects/k", "store/objects"]
+    persist_db(PolicyDb(), store)
+    assert synced_paths(fsyncs, tmp_path) == ["store/policy.json", "store"]
+    # The sidecar is renamed in but never fsynced: it is only a cache.
+    persist_db(PolicyDb(), store, backup=True)
+    assert synced_paths(fsyncs, tmp_path) == [
+        "store/policy.json", "store/acl-backup.json", "store"]
+
+
+def test_first_write_syncs_the_parent_of_each_directory_it_made(tmp_path, fsyncs):
+    store = ObjectStore(tmp_path / "a" / "store")
+    persist_db(PolicyDb(), store)
+    assert synced_paths(fsyncs, tmp_path) == [
+        "a/store/policy.json", "a/store", "a", "."]
+    store.put_object("k", b"blob")
+    assert synced_paths(fsyncs, tmp_path) == [
+        "a/store/objects/k", "a/store/objects", "a/store"]
 
 
 def _failing_directory_fsync(monkeypatch, err):
