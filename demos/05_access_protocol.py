@@ -76,9 +76,7 @@ try:
 except BindingMismatch:
     print("the pre-revocation owner point is stale too")
 
-# The policy db serializes to JSON; persist_db drops it (plus an ACL
-# backup) into the store.
-persist_db(db, store, backup=True)
-print(f"\npersisted policy: {len(store.read_text('policy.json'))} B of JSON, "
-      f"backup matches: "
-      f"{store.read_text('policy.json') == store.read_text('acl-backup.json')}")
+# The policy db serializes to JSON; persist_db commits it, with its
+# digest sidecar, into the store.
+persist_db(db, store)
+print(f"\npersisted policy: {len(store.read_text('policy.json'))} B of JSON")

@@ -32,9 +32,9 @@ from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
                           ReconstructionInput, lagrange_basis_at,
                           reconstruct_polynomial, reconstruct_secret,
                           verify_binding)
-from .storage import (ACL_BACKUP_FILENAME, HEADER_BYTES, IoFailure, NotFound,
-                      ObjectStore, POLICY_FILENAME, Truncated,
-                      decode_envelope, encode_envelope, object_key)
+from .storage import (HEADER_BYTES, IoFailure, NotFound, ObjectStore,
+                      POLICY_FILENAME, Truncated, decode_envelope,
+                      encode_envelope, object_key)
 from .authz import (BindingMismatch, CorruptPolicy, DuplicateUser,
                     FileGrant, InsufficientPoints, InvalidFileId, NoConsumers,
                     NotGranted, PolicyDb, RoleMismatch, THRESHOLD,

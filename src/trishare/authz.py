@@ -37,9 +37,8 @@ from .interpolate import ReconstructionInput, reconstruct_polynomial, verify_bin
 from .sharing import (BindingCode, EncryptedShare, SharePoint, binding_code,
                       decrypt_share, derive_attribute_tokens, encrypt_share,
                       split_secret)
-from .storage import (ACL_BACKUP_FILENAME, POLICY_DIGEST_FILENAME,
-                      POLICY_FILENAME, ObjectStore, decode_envelope,
-                      encode_envelope, object_key)
+from .storage import (POLICY_DIGEST_FILENAME, POLICY_FILENAME, ObjectStore,
+                      decode_envelope, encode_envelope, object_key)
 
 #: Reconstruction threshold: server + owner + receiver.
 THRESHOLD = 3
@@ -559,19 +558,16 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
 
 
-def persist_db(db: PolicyDb, store: ObjectStore, backup: bool = False) -> None:
-    """Commit policy.json, its digest sidecar and, when asked (grant and
-    revoke), the ACL backup as one group: policy and backup are fsynced,
-    the sidecar is not, the three are renamed in that order and the
-    store root is fsynced once.  A failure before the first rename
-    changes none of them.  The sidecar is only a cache: a crash may
-    leave it stale, empty or one commit ahead, and load_db then takes
-    the full parse; acl-backup.json may be one commit ahead of
-    policy.json."""
+def persist_db(db: PolicyDb, store: ObjectStore) -> None:
+    """Commit policy.json and its digest sidecar as one group, the same
+    for every command: the policy is fsynced, the sidecar is not, the
+    two are renamed in that order and the store root is fsynced once.
+    A failure before the first rename changes neither.  The sidecar is
+    only a cache: a crash may leave it stale, empty or one commit ahead,
+    and load_db then takes the full parse."""
     text = db_to_json(db)
     store.write_text(POLICY_FILENAME, text,
-                     cache=(POLICY_DIGEST_FILENAME, _digest(text)),
-                     copies=(ACL_BACKUP_FILENAME,) if backup else ())
+                     cache=(POLICY_DIGEST_FILENAME, _digest(text)))
 
 
 def load_db(store: ObjectStore) -> PolicyDb:

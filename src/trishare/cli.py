@@ -160,7 +160,7 @@ def _cmd_grant(args) -> int:
     data = Path(args.infile).read_bytes()
     owner_share = authz.grant_access(
         db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
-    authz.persist_db(db, store, backup=True)
+    authz.persist_db(db, store)
     grant = db.grants[args.file_id]
     payload = {"file_id": args.file_id,
                "owner_point": {"x": owner_share.x, "y": owner_share.y},
@@ -178,7 +178,7 @@ def _cmd_revoke(args) -> int:
     store = _store(args)
     db = authz.load_db(store)
     deltas = authz.revoke_user(db, args.file_id, args.user)
-    authz.persist_db(db, store, backup=True)
+    authz.persist_db(db, store)
     delta_text = ",".join(str(d) for d in deltas)
     _emit(args, {"file_id": args.file_id, "revoked": args.user,
                  "owner_deltas": list(deltas)},

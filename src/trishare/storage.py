@@ -11,7 +11,7 @@ bijection on valid envelopes.
 
 The store maps hex(fnv1a64(file_id || ":" || version)) to blobs under
 <root>/objects/ and keeps root-level text files beside that directory:
-policy.json, its digest sidecar policy.json.sha256 and acl-backup.json.
+policy.json and its digest sidecar policy.json.sha256.
 A missing or stale sidecar only costs the next load a full parse of
 policy.json.  Every read goes to disk and nothing is cached.
 
@@ -20,14 +20,14 @@ Each file goes to a temp file of its own; each durable one is fsynced.
 Only then are the temp files os.replace'd onto their targets, in the
 given order, and the directory is fsynced once, so a reader never
 observes a half-written object or policy, and a write that fails
-before its first rename leaves every target as it was.  A policy
+before its first rename leaves every target as it was.  Every policy
 commit renames policy.json (fsynced), then its sidecar (not fsynced:
 after a crash it may be stale, empty, truncated or one commit ahead,
-which a load takes as a miss), then acl-backup.json (fsynced) when
-asked for.  A new file is created mode 0600; a rewrite keeps the mode
-the file had.  Opening a store creates nothing, so a mistyped path
-fails a read without leaving a skeleton behind: the first write makes
-the directories it writes into and fsyncs the parent of each.
+which a load takes as a miss).  A new file is created mode 0600; a
+rewrite keeps the mode the file had.  Opening a store creates nothing,
+so a mistyped path fails a read without leaving a skeleton behind: the
+first write makes the directories it writes into and fsyncs the parent
+of each.
 Only with root=None is the store memory-only (tests, dry runs).
 """
 
@@ -53,7 +53,6 @@ VERSION = 1
 
 POLICY_FILENAME = "policy.json"
 POLICY_DIGEST_FILENAME = POLICY_FILENAME + ".sha256"
-ACL_BACKUP_FILENAME = "acl-backup.json"
 
 
 class IoFailure(Error):
@@ -144,22 +143,18 @@ class ObjectStore:
         return iter(sorted(names))
 
     def write_text(self, filename: str, text: str, *,
-                   cache: Optional[Tuple[str, str]] = None,
-                   copies: Sequence[str] = ()) -> None:
-        """Atomically write a root-level text file, in one group commit
-        with an optional ``cache`` (filename, text) written beside it
-        unsynced, and ``copies`` that hold the same text, fsynced."""
+                   cache: Optional[Tuple[str, str]] = None) -> None:
+        """Atomically write a root-level text file, fsynced, in one group
+        commit with an optional ``cache`` (filename, text) renamed after
+        it, unsynced."""
         if self.root is None:
             self.texts[filename] = text
             if cache is not None:
                 self.texts[cache[0]] = cache[1]
-            self.texts.update(dict.fromkeys(copies, text))
             return
-        data = text.encode("utf-8")
-        files = [(filename, data, True)]
+        files = [(filename, text.encode("utf-8"), True)]
         if cache is not None:
             files.append((cache[0], cache[1].encode("utf-8"), False))
-        files.extend((name, data, True) for name in copies)
         _atomic_write(self.root, files)
 
     def read_text(self, filename: str) -> str:
@@ -193,28 +188,30 @@ def _atomic_write(directory: Path,
     # Each temp file is unique to this write and sits beside its target,
     # so os.replace stays on one filesystem.  mkstemp makes it 0600; a
     # rewrite copies the target's mode onto it first.
+    # `target` is the file being worked on, so a failure names it.
     temps: List[str] = []
     renamed = 0
+    target = directory / files[0][0]
     try:
         made = _make_dirs(directory)
         for name, data, durable in files:
+            target = directory / name
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".",
                                        suffix=".tmp")
             temps.append(tmp)
             with open(fd, "wb") as fh:
                 with contextlib.suppress(FileNotFoundError):
-                    os.fchmod(fh.fileno(),
-                              stat.S_IMODE(os.stat(directory / name).st_mode))
+                    os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
                 fh.write(data)
                 if durable:
                     fh.flush()
                     os.fsync(fh.fileno())
         for tmp, (name, _, _) in zip(temps, files):
-            os.replace(tmp, directory / name)
+            target = directory / name
+            os.replace(tmp, target)
             renamed += 1
     except OSError as exc:
-        raise IoFailure(f"write failed for {directory / files[0][0]}: "
-                        f"{exc}") from exc
+        raise IoFailure(f"write failed for {target}: {exc}") from exc
     finally:
         for tmp in temps[renamed:]:
             with contextlib.suppress(OSError):

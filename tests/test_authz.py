@@ -43,8 +43,7 @@ from trishare import (
 )
 import trishare.authz
 from trishare.authz import FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD
-from trishare.storage import (ACL_BACKUP_FILENAME, POLICY_DIGEST_FILENAME,
-                              POLICY_FILENAME)
+from trishare.storage import POLICY_DIGEST_FILENAME, POLICY_FILENAME
 
 OWNER = UserRecord("olivia", UserType.OWNER, b"cred-olivia")
 C1 = UserRecord("carol", UserType.CONSUMER, b"cred-carol")
@@ -518,9 +517,8 @@ def test_persist_and_load(tmp_path):
     for rec in (OWNER, C1, C2):
         register_user(db, rec)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
-    persist_db(db, store, backup=True)
-    assert (tmp_path / "store" / POLICY_FILENAME).exists()
-    assert store.read_text(POLICY_FILENAME) == store.read_text(ACL_BACKUP_FILENAME)
+    persist_db(db, store)
+    assert (tmp_path / "store" / POLICY_FILENAME).read_text() == db_to_json(db)
     fresh_store = ObjectStore(tmp_path / "store")
     db2 = load_db(fresh_store)
     assert request_decrypt(db2, fresh_store, "f", owner_share, C1) == DATA
@@ -534,7 +532,7 @@ def test_store_never_holds_plaintext(tmp_path):
     for rec in (OWNER, C1):
         register_user(db, rec)
     grant_access(db, store, "f", "olivia", ["carol"], body)
-    persist_db(db, store, backup=True)
+    persist_db(db, store)
     for path in sorted((tmp_path / "store").rglob("*")):
         if path.is_file():
             assert sentinel not in path.read_bytes(), path
@@ -667,14 +665,12 @@ def _run_policy_command(store, op, ids, file_ids):
     kind, a, b = op
     db = load_db(store)
     registered = sorted(db.users)
-    backup = True
     if kind == "register":
         pending = [uid for uid in ids if uid not in db.users]
         if not pending:
             return
         register_user(db, UserRecord(pending[0], list(UserType)[a % 3],
                                      f"cred-{b}".encode("utf-8")))
-        backup = False
     elif kind == "grant":
         consumers = [uid for i, uid in enumerate(registered) if b >> i & 1]
         grant_access(db, store, file_ids[a % len(file_ids)], ids[0],
@@ -687,7 +683,7 @@ def _run_policy_command(store, op, ids, file_ids):
         fid = live[a % len(live)]
         consumers = sorted(db.grants[fid].consumer_shares)
         revoke_user(db, fid, consumers[b % len(consumers)])
-    persist_db(db, store, backup=backup)
+    persist_db(db, store)
 
 
 @settings(max_examples=40, deadline=None)
@@ -711,5 +707,4 @@ def test_sliced_and_full_loads_write_the_same_bytes(p, ids, file_ids, ops):
         full.texts.pop(POLICY_DIGEST_FILENAME, None)
         with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
             _run_policy_command(full, op, ids, file_ids)
-        for name in (POLICY_FILENAME, ACL_BACKUP_FILENAME):
-            assert sliced.texts.get(name) == full.texts.get(name), (step, op, name)
+        assert sliced.texts[POLICY_FILENAME] == full.texts[POLICY_FILENAME], (step, op)

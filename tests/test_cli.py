@@ -405,10 +405,7 @@ def test_policy_files_live_in_the_store(tmp_path, capsys):
         capsys,
     )
     assert rc == 0
-    policy = (store / "policy.json").read_text()
-    backup = (store / "acl-backup.json").read_text()
-    assert policy == backup
-    doc = json.loads(policy)
+    doc = json.loads((store / "policy.json").read_text())
     assert {u["user_id"] for u in doc["users"]} == {"olivia", "alice", "bob"}
     assert (store / "objects").is_dir()
 
@@ -609,29 +606,29 @@ def test_policy_commands_fsync_each_durable_file_and_the_root_once(
             (["register", "--user-id", "dave", "--type", "consumer",
               "--credentials", "c"], 2),  # policy, root
             (["grant", "--file-id", "g", "--owner", "olivia",
-              "--consumers", "alice", "--in", str(src)], 5),  # + blob, objects/
-            (["revoke", "--file-id", "f", "--user", "alice"], 3)):  # + backup
+              "--consumers", "alice", "--in", str(src)], 4),  # + blob, objects/
+            (["revoke", "--file-id", "f", "--user", "alice"], 2)):  # policy, root
         rc, _, _ = run_cli([*argv, "--store", str(store)], capsys)
         assert rc == 0 and len(fsyncs) == count, argv
         fsyncs.clear()
 
 
-def test_failed_backup_fsync_changes_no_policy_file(tmp_path, capsys, monkeypatch):
+def test_failed_policy_fsync_changes_no_policy_file(tmp_path, capsys, monkeypatch):
     store, _ = granted_store(tmp_path, capsys)
-    names = ("policy.json", "policy.json.sha256", "acl-backup.json")
+    names = ("policy.json", "policy.json.sha256")
     before = {name: (store / name).read_bytes() for name in names}
-    backup_fds = set()
+    policy_fds = set()
     real_mkstemp, real_fsync = tempfile.mkstemp, os.fsync
 
     def recording_mkstemp(*args, **kwargs):
         fd, path = real_mkstemp(*args, **kwargs)
-        if os.path.basename(path).startswith("acl-backup.json."):
-            backup_fds.add(fd)
+        if os.path.basename(path).startswith("policy.json."):
+            policy_fds.add(fd)
         return fd, path
 
     def fsync(fd):
-        if fd in backup_fds:
-            raise OSError(errno.EIO, "simulated failure syncing the backup")
+        if fd in policy_fds:
+            raise OSError(errno.EIO, "simulated failure syncing the policy")
         real_fsync(fd)
 
     monkeypatch.setattr(trishare.storage.tempfile, "mkstemp", recording_mkstemp)
@@ -639,10 +636,39 @@ def test_failed_backup_fsync_changes_no_policy_file(tmp_path, capsys, monkeypatc
     rc, out, err = run_cli(["revoke", "--store", str(store), "--file-id", "f",
                             "--user", "alice"], capsys)
     monkeypatch.undo()
-    assert rc == 1 and out == "" and err.startswith("error: ")
-    assert backup_fds
+    assert_one_error_line(rc, out, err)
+    assert policy_fds
     assert {name: (store / name).read_bytes() for name in names} == before
     assert [p.name for p in store.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_legacy_acl_backup_is_left_in_place(tmp_path, capsys):
+    # Older stores hold acl-backup.json, a copy of policy.json written on
+    # grant and revoke.  Nothing reads, rewrites or deletes it now.
+    store, _ = granted_store(tmp_path, capsys)
+    legacy = store / "acl-backup.json"
+    legacy.write_bytes((store / "policy.json").read_bytes())
+    before = legacy.read_bytes()
+    src, fetched = tmp_path / "g.bin", tmp_path / "g.out"
+    src.write_bytes(b"second body")
+    rc, _, _ = run_cli(["register", "--store", str(store), "--user-id", "dave",
+                        "--type", "consumer", "--credentials", "c"], capsys)
+    assert rc == 0
+    rc, out, _ = run_cli(["grant", "--json", "--store", str(store), "--file-id",
+                          "g", "--owner", "olivia", "--consumers", "dave",
+                          "--in", str(src)], capsys)
+    assert rc == 0
+    point = json.loads(out)["owner_point"]
+    rc, _, _ = run_cli(["revoke", "--store", str(store), "--file-id", "f",
+                        "--user", "alice"], capsys)
+    assert rc == 0
+    rc, _, _ = run_cli(["request", "--store", str(store), "--file-id", "g",
+                        "--receiver", "dave", "--owner-point",
+                        f"{point['x']}:{point['y']}", "--out", str(fetched)],
+                       capsys)
+    assert rc == 0 and fetched.read_bytes() == b"second body"
+    assert legacy.read_bytes() == before
+    assert legacy.read_bytes() != (store / "policy.json").read_bytes()
 
 
 def test_request_json_without_out_is_refused(tmp_path, capsys):

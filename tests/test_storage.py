@@ -4,10 +4,12 @@ import os
 import random
 import stat
 import struct
+import tempfile
 
 import pytest
 
 import trishare.storage
+from trishare.storage import POLICY_DIGEST_FILENAME
 
 from trishare import (
     BadHeader,
@@ -273,6 +275,30 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, step):
     assert store.get_object("k") == b"old"
 
 
+def test_failed_sidecar_write_names_the_sidecar(tmp_path, monkeypatch):
+    store = ObjectStore(tmp_path / "store")
+    persist_db(PolicyDb(), store)
+    before = (tmp_path / "store" / POLICY_FILENAME).read_bytes()
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
+    real_mkstemp = tempfile.mkstemp
+
+    def mkstemp(*args, prefix, **kwargs):
+        if prefix == POLICY_DIGEST_FILENAME + ".":
+            raise OSError(errno.ENOSPC, "simulated failure creating the sidecar")
+        return real_mkstemp(*args, prefix=prefix, **kwargs)
+
+    monkeypatch.setattr(trishare.storage.tempfile, "mkstemp", mkstemp)
+    with pytest.raises(IoFailure) as info:
+        persist_db(db, store)
+    monkeypatch.undo()
+    sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
+    assert str(info.value).startswith(f"write failed for {sidecar}: ")
+    assert (tmp_path / "store" / POLICY_FILENAME).read_bytes() == before
+    assert [p.name for p in (tmp_path / "store").iterdir()
+            if p.name.endswith(".tmp")] == []
+
+
 def test_writes_to_one_path_use_distinct_temp_names(tmp_path, monkeypatch):
     store = ObjectStore(tmp_path / "store")
     sources = []
@@ -306,12 +332,9 @@ def test_write_fsyncs_file_then_directory(tmp_path, fsyncs):
     fsyncs.clear()
     store.put_object("k", b"blob")
     assert synced_paths(fsyncs, tmp_path) == ["store/objects/k", "store/objects"]
+    # The sidecar is renamed in but never fsynced: it is only a cache.
     persist_db(PolicyDb(), store)
     assert synced_paths(fsyncs, tmp_path) == ["store/policy.json", "store"]
-    # The sidecar is renamed in but never fsynced: it is only a cache.
-    persist_db(PolicyDb(), store, backup=True)
-    assert synced_paths(fsyncs, tmp_path) == [
-        "store/policy.json", "store/acl-backup.json", "store"]
 
 
 def test_first_write_syncs_the_parent_of_each_directory_it_made(tmp_path, fsyncs):
@@ -405,7 +428,7 @@ def test_text_files_are_not_objects(tmp_path):
     register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
     for store in (ObjectStore(), ObjectStore(tmp_path / "s")):
         store.put_object("k", b"blob")
-        persist_db(db, store, backup=True)
+        persist_db(db, store)
         assert list(store.keys()) == ["k"]
         with pytest.raises(NotFound):
             store.get_object("::policy.json")
