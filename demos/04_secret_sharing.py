@@ -33,14 +33,13 @@ for pt in shares:
 
 # Any 3 of the 6 reconstruct the same secret; try them all.
 secrets = {
-    reconstruct_secret(ReconstructionInput(points=trio, modulus=m))
+    reconstruct_secret(ReconstructionInput(trio))
     for trio in combinations(shares, 3)
 }
 print(f"\nall {sum(1 for _ in combinations(shares, 3))} 3-subsets agree: "
       f"{secrets == {1234}}")
 
-poly = reconstruct_polynomial(
-    ReconstructionInput(points=tuple(shares[:3]), modulus=m))
+poly = reconstruct_polynomial(ReconstructionInput(tuple(shares[:3])))
 print(f"recovered coefficients: {poly.coeffs}")
 
 # Coefficients in the protocol come from salted attribute hashes, so

@@ -29,9 +29,8 @@ from .sharing import (BindingCode, CorruptShareRecord, EncryptedShare,
                       derive_attribute_tokens, derive_binding_x,
                       encrypt_share, split_secret)
 from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
-                          ReconstructionInput, lagrange_basis_at,
-                          reconstruct_polynomial, reconstruct_secret,
-                          verify_binding)
+                          ReconstructionInput, reconstruct_polynomial,
+                          reconstruct_secret, verify_binding)
 from .storage import (HEADER_BYTES, IoFailure, NotFound, ObjectStore,
                       POLICY_FILENAME, Truncated, decode_envelope,
                       encode_envelope, object_key)

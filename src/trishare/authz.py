@@ -126,50 +126,43 @@ class Grants(MutableMapping):
 
     A policy loaded from its digest-verified text keeps each grant as the
     text of its JSON block (after _GRANT_MARK) until the grant is first
-    read; db_to_json writes a block never read back as it was.
+    read, which parses it in place; db_to_json writes a block never read
+    back as it was.
     """
 
-    def __init__(self, unread: "Dict[str, str] | None" = None,
+    def __init__(self, grants: "Dict[str, FileGrant | str] | None" = None,
                  modulus: "FieldModulus | None" = None):
-        self._grants: Dict[str, FileGrant] = {}
-        self._unread = unread if unread is not None else {}
+        self._grants = grants if grants is not None else {}
         self._modulus = modulus
 
     def __getitem__(self, file_id: str) -> FileGrant:
-        grant = self._grants.get(file_id)
-        if grant is None:
-            block = self._unread[file_id]
+        grant = self._grants[file_id]
+        if isinstance(grant, str):
             grant = self._grants[file_id] = _parsed(
-                _GRANT_MARK + block, _grant_from_doc, self._modulus)
-            del self._unread[file_id]
+                _GRANT_MARK + grant, _grant_from_doc, self._modulus)
         return grant
 
     def __setitem__(self, file_id: str, grant: FileGrant) -> None:
-        self._unread.pop(file_id, None)
         self._grants[file_id] = grant
 
     def __delitem__(self, file_id: str) -> None:
-        if self._unread.pop(file_id, None) is None:
-            del self._grants[file_id]
+        del self._grants[file_id]
 
     def __contains__(self, file_id: object) -> bool:
-        return file_id in self._grants or file_id in self._unread
+        return file_id in self._grants
 
     def __iter__(self) -> Iterator[str]:
-        # A snapshot: reading a grant moves it from _unread to _grants.
-        return iter([*self._grants, *self._unread])
+        return iter(self._grants)
 
     def __len__(self) -> int:
-        return len(self._grants) + len(self._unread)
+        return len(self._grants)
 
     def blocks(self) -> List[str]:
         """Every grant's block after _GRANT_MARK, in file_id order: an
         unread one as it was read, any other through _grant_json."""
         cut = len(_GRANT_MARK)
-        pairs = [(g.file_id, _grant_json(g)[cut:]) for g in self._grants.values()]
-        pairs += self._unread.items()
-        pairs.sort(key=lambda pair: pair[0])
-        return [block for _, block in pairs]
+        return [g if isinstance(g, str) else _grant_json(g)[cut:]
+                for _, g in sorted(self._grants.items())]
 
 
 @dataclass
@@ -300,9 +293,7 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
             f"x={owner_point.x} belongs to a stored share, not the owner slot"
         )
 
-    inp = ReconstructionInput(
-        points=(grant.server_share, owner_point, receiver_point),
-        modulus=db.modulus)
+    inp = ReconstructionInput((grant.server_share, owner_point, receiver_point))
     try:
         poly = reconstruct_polynomial(inp)
     except InvalidPolynomial as exc:
@@ -354,8 +345,6 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str) -> Tuple[int, ...]:
         new_tokens = derive_attribute_tokens(attrs, new_salt, THRESHOLD,
                                              db.modulus)
         deltas = tuple((nc - oc) % p for nc, oc in zip(new_tokens, old_tokens))
-        if all(d == 0 for d in deltas):
-            continue
         if any(_delta_at(deltas, x, p) == 0 for x in issued_xs):
             continue
         break
@@ -554,7 +543,10 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
 
 def _digest(text: str) -> str:
     """The policy sidecar's content: SHA-256 hex of the policy bytes."""
-    import hashlib  # here: commands that touch no policy never load it
+    # Imported here for ROADMAP item 3: `secrets` still loads hashlib
+    # through hmac, but once os.urandom replaces it, commands that touch
+    # no policy will not load hashlib.
+    import hashlib
     return hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
 
 

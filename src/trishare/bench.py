@@ -77,7 +77,7 @@ def verify_reference_example(modulus: "FieldModulus | None" = None) -> dict:
 
     pts = tuple(SharePoint(x=x, y=y, modulus=modulus)
                 for x, y in EXAMPLE_POINTS if x in EXAMPLE_RECONSTRUCTION_XS)
-    inp = ReconstructionInput(points=pts, modulus=modulus)
+    inp = ReconstructionInput(pts)
     check("reconstructed secret", EXAMPLE_SECRET, reconstruct_secret(inp))
     poly = reconstruct_polynomial(inp)
     check("reconstructed coefficients",
@@ -215,7 +215,7 @@ def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
         split_s = _median_seconds(
             lambda: split_secret(secret, coeffs, n_users, modulus), reps)
         shares = split_secret(secret, coeffs, n_users, modulus)[:k]
-        inp = ReconstructionInput(points=tuple(shares), modulus=modulus)
+        inp = ReconstructionInput(tuple(shares))
         rec_s = _median_seconds(lambda: reconstruct_secret(inp), reps)
         rows.append({"k": k, "n_users": n_users, "split_s": split_s,
                      "reconstruct_s": rec_s})

@@ -124,7 +124,7 @@ def _cmd_reconstruct(args) -> int:
     modulus = _modulus(args)
     pts = tuple(SharePoint(x=x, y=y, modulus=modulus)
                 for x, y in args.points)
-    secret = reconstruct_secret(ReconstructionInput(points=pts, modulus=modulus))
+    secret = reconstruct_secret(ReconstructionInput(pts))
     _emit(args, {"secret": secret, "p": modulus.p}, [str(secret)])
     return 0
 

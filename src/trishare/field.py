@@ -2,9 +2,11 @@
 
 All values are Python ints (never numpy fixed-width types): share math
 must be exact, and intermediate products overflow 64 bits long before
-p = 2^61 - 1.  The default modulus is that Mersenne prime; small primes
-such as 97 are allowed only for test-profile moduli, where exhaustive
-enumeration is feasible.
+p = 2^61 - 1.  The default modulus is that Mersenne prime.  A prime below
+2^16, such as 97, is a test-profile modulus: small enough for exhaustive
+enumeration, and it admits degenerate sharing polynomials.  The profile
+follows from p alone.  poly_eval and mod_inverse take the modulus as a
+plain int.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import Error
 
 #: Default production modulus: the Mersenne prime 2^61 - 1.
 M61 = (1 << 61) - 1
 
-#: Smallest modulus accepted outside test profiles.
+#: Smallest modulus outside the test profile.
 MIN_PRODUCTION_MODULUS = 1 << 16
 
 # Deterministic Miller-Rabin witness set: the first 12 primes.  It is
@@ -32,7 +34,7 @@ _MR_BOUND = 318665857834031151167461
 
 
 class InvalidModulus(Error):
-    """Modulus is not prime, or too small for a production profile."""
+    """Modulus is not prime, or too large to decide."""
 
 
 class ZeroInverse(Error):
@@ -77,30 +79,25 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldModulus:
-    """A verified prime modulus.
-
-    `test_profile=True` admits small primes (and degenerate sharing
-    polynomials) for exhaustive tests; production profiles require
-    p >= 2^16.
-    """
+    """A verified prime modulus."""
 
     p: int
-    test_profile: bool = False
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise InvalidModulus(f"{self.p} is not prime")
-        if not self.test_profile and self.p < MIN_PRODUCTION_MODULUS:
-            raise InvalidModulus(
-                f"p={self.p} below {MIN_PRODUCTION_MODULUS}; "
-                "use test_profile=True for small primes"
-            )
+
+    @property
+    def test_profile(self) -> bool:
+        """p < 2^16: a field small enough to enumerate, where degenerate
+        sharing polynomials are allowed."""
+        return self.p < MIN_PRODUCTION_MODULUS
 
 
 @lru_cache(maxsize=None)
 def modulus_for(p: int) -> FieldModulus:
-    """FieldModulus for a raw prime, inferring the profile from its size."""
-    return FieldModulus(p, test_profile=p < MIN_PRODUCTION_MODULUS)
+    """FieldModulus(p), checked for primality once per p."""
+    return FieldModulus(p)
 
 
 def default_modulus() -> FieldModulus:
@@ -108,20 +105,12 @@ def default_modulus() -> FieldModulus:
     return modulus_for(M61)
 
 
-ModulusLike = Union[FieldModulus, int]
-
-
-def _p_of(modulus: ModulusLike) -> int:
-    return modulus.p if isinstance(modulus, FieldModulus) else int(modulus)
-
-
-def mod_inverse(a: int, modulus: ModulusLike) -> int:
-    """Multiplicative inverse of a mod p.
+def mod_inverse(a: int, p: int) -> int:
+    """Multiplicative inverse of a mod the prime p.
 
     Works for any prime p (no reliance on p's form).  Raises ZeroInverse
     when a is congruent to zero.
     """
-    p = _p_of(modulus)
     if a % p == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
     return pow(a, -1, p)
@@ -131,9 +120,10 @@ def mod_inverse(a: int, modulus: ModulusLike) -> int:
 class SecretPolynomial:
     """Coefficients [a0, a1, ..., a_{k-1}] of a sharing polynomial, low first.
 
-    a0 is the shared secret.  All coefficients are reduced mod p at
-    construction.  Outside test profiles the leading coefficient must be
-    nonzero when k > 1, otherwise the effective threshold silently drops.
+    a0 is the shared secret and k = len(coeffs) the threshold.  All
+    coefficients are reduced mod p at construction.  Outside the test
+    profile the leading coefficient must be nonzero when k > 1,
+    otherwise the effective threshold silently drops.
     """
 
     coeffs: tuple
@@ -150,27 +140,10 @@ class SecretPolynomial:
                 "leading coefficient is zero: threshold would silently drop"
             )
 
-    @property
-    def k(self) -> int:
-        """Number of coefficients; the reconstruction threshold."""
-        return len(self.coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def poly_eval(poly: "SecretPolynomial | Sequence[int]", x: int,
-              modulus: ModulusLike | None = None) -> int:
-    """Evaluate the polynomial at x mod p using Horner's rule."""
-    if isinstance(poly, SecretPolynomial):
-        coeffs = poly.coeffs
-        p = poly.modulus.p
-    else:
-        if modulus is None:
-            raise ValueError("modulus required when passing raw coefficients")
-        coeffs = tuple(poly)
-        p = _p_of(modulus)
+def poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
+    """Evaluate a0 + a1*x + ... (coefficients low first) mod p by Horner's
+    rule."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % p

@@ -3,6 +3,7 @@
 Through k points with distinct abscissae runs exactly one polynomial of
 degree at most k-1; the secret is its value at 0.  The point count sets
 the degree: the caller supplies exactly the threshold's worth of points.
+The points carry the modulus, and all of them must share it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import Error
-from .field import FieldModulus, SecretPolynomial, mod_inverse
+from .field import SecretPolynomial, mod_inverse
 from .sharing import BindingCode, SharePoint, binding_code
 
 
@@ -25,47 +26,39 @@ class NotEnoughPoints(Error):
 
 @dataclass(frozen=True)
 class ReconstructionInput:
-    """Points plus the modulus; validates distinctness at construction."""
+    """Points on one polynomial; at least one, with distinct x and one
+    modulus, checked at construction."""
 
     points: Tuple[SharePoint, ...]
-    modulus: FieldModulus
 
     def __post_init__(self) -> None:
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
         if not pts:
             raise NotEnoughPoints("got no points; a secret needs at least one")
+        p = pts[0].modulus.p
         seen = set()
         for pt in pts:
-            if pt.modulus.p != self.modulus.p:
-                raise Error(
-                    f"point modulus {pt.modulus.p} != input modulus {self.modulus.p}"
-                )
+            if pt.modulus.p != p:
+                raise Error(f"point modulus {pt.modulus.p} != first point's {p}")
             if pt.x in seen:
                 raise DuplicateAbscissa(f"duplicate abscissa x={pt.x}")
             seen.add(pt.x)
 
 
-def lagrange_basis_at(inp: ReconstructionInput, j: int, x: int) -> int:
-    """Value of the j-th Lagrange basis polynomial at x, mod p."""
-    p = inp.modulus.p
-    xj = inp.points[j].x
-    num = 1
-    den = 1
-    for m, pt in enumerate(inp.points):
-        if m == j:
-            continue
-        num = num * (x - pt.x) % p
-        den = den * (xj - pt.x) % p
-    return num * mod_inverse(den, p) % p
-
-
 def reconstruct_secret(inp: ReconstructionInput) -> int:
-    """F(0): the shared secret."""
-    p = inp.modulus.p
+    """F(0) = sum_j y_j * l_j(0): the shared secret."""
+    p = inp.points[0].modulus.p
     acc = 0
     for j, pt in enumerate(inp.points):
-        acc = (acc + pt.y * lagrange_basis_at(inp, j, 0)) % p
+        num = 1  # l_j(0) = prod_{m != j} (0 - x_m) / (x_j - x_m)
+        den = 1
+        for m, other in enumerate(inp.points):
+            if m == j:
+                continue
+            num = num * -other.x % p
+            den = den * (pt.x - other.x) % p
+        acc = (acc + pt.y * num * mod_inverse(den, p)) % p
     return acc
 
 
@@ -77,7 +70,8 @@ def reconstruct_polynomial(inp: ReconstructionInput) -> SecretPolynomial:
     leading coefficient) raises InvalidPolynomial; with honest shares
     that only happens with probability ~1/p.
     """
-    p = inp.modulus.p
+    modulus = inp.points[0].modulus
+    p = modulus.p
     k = len(inp.points)
     coeffs = [0] * k
     for j, pt in enumerate(inp.points):
@@ -91,7 +85,7 @@ def reconstruct_polynomial(inp: ReconstructionInput) -> SecretPolynomial:
         scale = pt.y * mod_inverse(den, p) % p
         for i, c in enumerate(num):
             coeffs[i] = (coeffs[i] + c * scale) % p
-    return SecretPolynomial(tuple(coeffs), inp.modulus)
+    return SecretPolynomial(tuple(coeffs), modulus)
 
 
 def _mul_linear(coeffs: List[int], root: int, p: int) -> List[int]:

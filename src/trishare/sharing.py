@@ -141,7 +141,7 @@ def split_secret(secret: int, coeffs: Sequence[int], n_users: int,
     if n_users < k:
         raise NotEnoughUsers(f"{n_users} users cannot meet threshold k={k}")
     poly = SecretPolynomial((secret, *coeffs), modulus)
-    return [SharePoint(x=x, y=poly_eval(poly, x), modulus=modulus)
+    return [SharePoint(x=x, y=poly_eval(poly.coeffs, x, p), modulus=modulus)
             for x in range(1, n_users + 1)]
 
 
@@ -153,8 +153,9 @@ def derive_binding_x(file_id: bytes, modulus: FieldModulus) -> int:
 def binding_code(secret: int, poly: SecretPolynomial,
                  file_id: bytes) -> BindingCode:
     """kc = (secret + F(x_kc)) mod p at the file-derived x_kc."""
+    p = poly.modulus.p
     x_kc = derive_binding_x(file_id, poly.modulus)
-    kc = (secret + poly_eval(poly, x_kc)) % poly.modulus.p
+    kc = (secret + poly_eval(poly.coeffs, x_kc, p)) % p
     return BindingCode(kc=kc, x_kc=x_kc)
 
 

@@ -86,7 +86,7 @@ def test_criterion_1_worked_example_exact():
         pts = split_secret(1234, [166, 94], 6, m)
         assert tuple((pt.x, pt.y) for pt in pts) == TABLE_POINTS
         chosen = tuple(pt for pt in pts if pt.x in (2, 4, 5))
-        inp = ReconstructionInput(points=chosen, modulus=m)
+        inp = ReconstructionInput(chosen)
         assert reconstruct_secret(inp) == 1234
         assert reconstruct_polynomial(inp).coeffs == (1234, 166, 94)
         assert verify_reference_example()["passed"]
@@ -121,7 +121,7 @@ def test_criterion_3_any_three_of_six():
         m = default_modulus()
         pts = split_secret(1234, [166, 94], 6, m)
         for trio in combinations(pts, 3):
-            inp = ReconstructionInput(points=tuple(trio), modulus=m)
+            inp = ReconstructionInput(tuple(trio))
             assert reconstruct_secret(inp) == 1234
             assert reconstruct_polynomial(inp).coeffs == (1234, 166, 94)
 
@@ -207,7 +207,7 @@ def test_criterion_6_complexity_trends():
         for k in ks:
             coeffs = [rng.randrange(1, p) for _ in range(k - 1)]
             pts = tuple(split_secret(99, coeffs, k, m))
-            inp = ReconstructionInput(points=pts, modulus=m)
+            inp = ReconstructionInput(pts)
             fns.append(lambda inp=inp: reconstruct_secret(inp))
         slope_r = loglog_slope(ks, _min_seconds_round_robin(fns, reps))
         assert 1.5 <= slope_r <= 2.6, f"reconstruct-vs-k slope {slope_r:.3f}"

@@ -98,8 +98,7 @@ def test_grant_blinds_with_registered_credentials():
     bob = db.users["bob"]
     grant = db.grants["f"]
     bob_pt = decrypt_share(grant.consumer_shares["bob"], bob.credentials)
-    inp = ReconstructionInput(points=(grant.server_share, owner_share, bob_pt),
-                              modulus=db.modulus)
+    inp = ReconstructionInput((grant.server_share, owner_share, bob_pt))
     assert verify_binding(reconstruct_polynomial(inp), grant.binding, b"f")
     assert request_decrypt(db, store, "f", owner_share, bob) == DATA
     # other credentials under bob's id open nothing
@@ -170,10 +169,7 @@ def test_three_genuine_points_lie_on_one_parabola():
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     consumer_pt = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
-    inp = ReconstructionInput(
-        points=(grant.server_share, owner_share, consumer_pt),
-        modulus=db.modulus,
-    )
+    inp = ReconstructionInput((grant.server_share, owner_share, consumer_pt))
     secret = reconstruct_secret(inp)
     assert 0 <= secret < db.modulus.p
 
@@ -357,14 +353,14 @@ def test_revocation_preserves_the_secret():
     db, store, owner_share = granted()
     grant = db.grants["f"]
     pt1 = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
-    before = reconstruct_secret(ReconstructionInput(
-        points=(grant.server_share, owner_share, pt1), modulus=db.modulus))
+    before = reconstruct_secret(
+        ReconstructionInput((grant.server_share, owner_share, pt1)))
     deltas = revoke_user(db, "f", "chuck")
     grant = db.grants["f"]
     new_owner = update_owner_share(owner_share, deltas)
     pt1b = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
-    after = reconstruct_secret(ReconstructionInput(
-        points=(grant.server_share, new_owner, pt1b), modulus=db.modulus))
+    after = reconstruct_secret(
+        ReconstructionInput((grant.server_share, new_owner, pt1b)))
     assert before == after
 
 
@@ -418,6 +414,31 @@ def test_double_revocation_compounds():
     half = update_owner_share(owner_share, d1)
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", half, C1)
+
+
+def test_revoke_redraws_a_salt_that_moves_no_share():
+    # the first salt drawn is the grant's own, so every delta is zero and
+    # no issued x would move: revoke_user must draw again
+    db, store, owner_share = granted()
+    grant = db.grants["f"]
+    issued = {rec.x for rec in grant.consumer_shares.values()}
+    issued.add(grant.server_share.x)
+    old_salt = grant.salt
+    draws = []
+
+    def urandom(n):
+        draws.append(bytes(range(n)) if draws else old_salt)
+        return draws[-1]
+
+    with mock.patch.object(trishare.authz.os, "urandom", urandom):
+        deltas = revoke_user(db, "f", "chuck")
+    assert draws == [old_salt, bytes(range(16))]
+    assert db.grants["f"].salt == bytes(range(16))
+    assert any(deltas)
+    for x in issued:
+        assert update_owner_share(SharePoint(x, 0, db.modulus), deltas).y != 0
+    assert request_decrypt(db, store, "f", update_owner_share(owner_share, deltas),
+                           C1) == DATA
 
 
 # ---------------------------------------------------------------- persistence
@@ -554,10 +575,30 @@ def test_sliced_load_parses_only_the_grants_it_reads(tmp_path):
     with full_loads_forbidden():
         loaded = load_db(store)
     assert set(loaded.grants) == {"f", "g"} and "f" in loaded.grants
-    assert loaded.grants._unread.keys() == {"f", "g"}
+    assert unread(loaded.grants) == {"f", "g"}
     assert loaded.grants["f"] == db.grants["f"]
-    assert loaded.grants._unread.keys() == {"g"}
+    assert unread(loaded.grants) == {"g"}
     assert loaded == db
+
+
+def unread(grants):
+    """The file ids whose grant is still its unparsed block."""
+    return {fid for fid, g in grants._grants.items() if isinstance(g, str)}
+
+
+def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
+    # a read parses the block in place: the keys stay as they were, so
+    # the loop may read every grant it visits
+    db, _, _ = granted()
+    store = ObjectStore(tmp_path / "store")
+    grant_access(db, store, "g", "olivia", ["chuck"], DATA)
+    persist_db(db, store)
+    with full_loads_forbidden():
+        loaded = load_db(store)
+    assert [loaded.grants[fid] for fid in loaded.grants] == [
+        db.grants["f"], db.grants["g"]]
+    assert unread(loaded.grants) == set()
+    assert db_to_json(loaded) == store.read_text(POLICY_FILENAME)
 
 
 @pytest.mark.parametrize("db", [PolicyDb(), base_db()[0]], ids=["empty", "users-only"])

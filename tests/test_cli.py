@@ -13,7 +13,8 @@ import pytest
 import trishare
 import trishare.bench
 import trishare.cli
-from trishare import M61, SharePoint, default_modulus, update_owner_share
+from trishare import (M61, SharePoint, default_modulus, modulus_for,
+                      update_owner_share)
 from trishare.cli import build_parser, cli_dispatch
 
 
@@ -29,6 +30,13 @@ def test_reconstruct_reference_secret(capsys):
     rc, out, _ = run_cli(["reconstruct", "--points", "2:1942,4:3402,5:4414"], capsys)
     assert rc == 0
     assert out.strip() == "1234"
+
+
+def test_reconstruct_constant_points(capsys):
+    # the secret needs no polynomial: a zero leading coefficient, which
+    # M61 refuses to mint, does not stop reconstruct
+    rc, out, err = run_cli(["reconstruct", "--points", "1:5,2:5,3:5"], capsys)
+    assert (rc, out, err) == (0, "5\n", "")
 
 
 def test_reconstruct_json(capsys):
@@ -487,6 +495,38 @@ def test_register_modulus_must_match_the_store(tmp_path, capsys):
     assert "dave" in [u["user_id"] for u in users]
 
 
+def test_small_field_store_grants_requests_and_revokes(tmp_path, capsys):
+    # p = 97 is a test-profile field, read from the stored p alone
+    store = tmp_path / "store"
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"small-field body")
+    for uid, typ, extra in (("olivia", "owner", ["--p", "97"]),
+                            ("alice", "consumer", []), ("bob", "consumer", [])):
+        rc, _, _ = run_cli(
+            ["register", "--store", str(store), "--user-id", uid, "--type", typ,
+             "--credentials", f"cred-{uid}", *extra], capsys)
+        assert rc == 0
+    rc, out, _ = run_cli(
+        ["grant", "--json", "--store", str(store), "--file-id", "f",
+         "--owner", "olivia", "--consumers", "alice,bob", "--in", str(src)],
+        capsys)
+    assert rc == 0
+    pt = json.loads(out)["owner_point"]
+    assert json.loads((store / "policy.json").read_text())["p"] == 97
+    rc, out, _ = run_cli(
+        ["revoke", "--json", "--store", str(store), "--file-id", "f",
+         "--user", "bob"], capsys)
+    assert rc == 0
+    owner = update_owner_share(SharePoint(pt["x"], pt["y"], modulus_for(97)),
+                               json.loads(out)["owner_deltas"])
+    fetched = tmp_path / "out.bin"
+    rc, _, err = run_cli(
+        ["request", "--store", str(store), "--file-id", "f", "--receiver", "alice",
+         "--owner-point", f"{owner.x}:{owner.y}", "--out", str(fetched)], capsys)
+    assert rc == 0, err
+    assert fetched.read_bytes() == b"small-field body"
+
+
 def test_register_modulus_sets_a_new_store(tmp_path, capsys):
     store = tmp_path / "store"
     for uid, extra in (("olivia", ["--p", "65537"]), ("alice", [])):
@@ -690,7 +730,9 @@ def test_request_json_without_out_is_refused(tmp_path, capsys):
     b"[1, 2]",
     b'{"file_id": "f"}',
     b'{"file_id": "f", "x": "abc", "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
-], ids=["not-utf8", "not-json", "json-list", "missing-key", "non-numeric-x"])
+    b'{"file_id": "f", "x": 3, "y_enc": 1, "p": 65537, "kc": 1, "x_kc": 1}',
+], ids=["not-utf8", "not-json", "json-list", "missing-key", "non-numeric-x",
+        "other-p"])
 def test_bad_share_record_file_exits_with_one_error_line(tmp_path, capsys, content):
     store, owner_point = granted_store(tmp_path, capsys)
     share_file = tmp_path / "share.json"
@@ -938,11 +980,11 @@ def test_cli_import_leaves_numpy_out(tmp_path, child_env):
 
 def test_cli_import_leaves_bench_out(tmp_path, child_env):
     # only verify-example and bench need trishare.bench (and the
-    # statistics and platform modules it brings); the policy commands
-    # should not pay for importing it
+    # statistics and platform modules it brings); neither the package
+    # nor the policy commands should pay for importing it
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, trishare.cli; print('trishare.bench' in sys.modules)"],
+        [sys.executable, "-c", "import sys, trishare, trishare.cli; "
+         "print('trishare.bench' in sys.modules)"],
         capture_output=True, text=True, cwd=tmp_path, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr

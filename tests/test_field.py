@@ -79,14 +79,18 @@ def test_default_modulus_is_m61_production():
 
 
 def test_small_prime_needs_test_profile():
+    # the profile follows from p: below 2^16 is the test profile
+    assert FieldModulus(97).test_profile
+    assert not FieldModulus(M61).test_profile
+    assert not FieldModulus(65537).test_profile  # the smallest prime >= 2^16
+    assert FieldModulus(65521).test_profile  # the largest prime below it
     with pytest.raises(InvalidModulus):
-        FieldModulus(97)
-    assert FieldModulus(97, test_profile=True).p == 97
+        FieldModulus(91)
 
 
 def test_composite_rejected_either_way():
     with pytest.raises(InvalidModulus):
-        FieldModulus(91, test_profile=True)
+        FieldModulus(91)
     with pytest.raises(InvalidModulus):
         FieldModulus(1 << 61)
 
@@ -99,33 +103,32 @@ def test_modulus_for_infers_profile():
 
 # ---------------------------------------------------------------- inverses
 
-def test_inverse_frozen_value(p97):
+def test_inverse_frozen_value():
     # oracle: 3 * 65 = 195 = 2*97 + 1
-    assert mod_inverse(3, p97) == 65
+    assert mod_inverse(3, 97) == 65
 
 
-def test_inverse_exhaustive_small_prime(p97):
+def test_inverse_exhaustive_small_prime():
     for a in range(1, 97):
-        inv = mod_inverse(a, p97)
+        inv = mod_inverse(a, 97)
         assert inv == brute_inverse(a, 97)
         assert (a * inv) % 97 == 1
-        assert mod_inverse(inv, p97) == a
+        assert mod_inverse(inv, 97) == a
 
 
-def test_zero_has_no_inverse(p97, m61):
+def test_zero_has_no_inverse():
     with pytest.raises(ZeroInverse):
-        mod_inverse(0, p97)
+        mod_inverse(0, 97)
     with pytest.raises(ZeroInverse):
-        mod_inverse(97, p97)  # reduces to zero
+        mod_inverse(97, 97)  # reduces to zero
     with pytest.raises(ZeroInverse):
-        mod_inverse(M61, m61)
+        mod_inverse(M61, M61)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=M61 - 1))
 def test_inverse_property_production(a):
-    m = default_modulus()
-    inv = mod_inverse(a, m)
+    inv = mod_inverse(a, M61)
     assert 1 <= inv < M61
     assert (a * inv) % M61 == 1
 
@@ -134,14 +137,15 @@ def test_inverse_property_production(a):
 
 def test_eval_frozen_values(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    assert poly_eval(poly, 1) == 1494
-    assert poly_eval(poly, 6) == 5614
+    assert poly_eval(poly.coeffs, 1, M61) == 1494
+    assert poly_eval(poly.coeffs, 6, M61) == 5614
 
 
-def test_eval_accepts_raw_coefficients(m61):
-    assert poly_eval([1234, 166, 94], 2, m61) == 1942
-    with pytest.raises(ValueError):
-        poly_eval([1, 2], 3)  # raw coeffs need an explicit modulus
+def test_eval_accepts_raw_coefficients():
+    # a list or a tuple, reduced mod p at every step
+    assert poly_eval([1234, 166, 94], 2, M61) == 1942
+    assert poly_eval((1234, 166, 94), 2, 97) == 1942 % 97
+    assert poly_eval((M61 + 5,), 9, M61) == 5
 
 
 def test_eval_matches_power_sum_oracle(p97, m61):
@@ -154,14 +158,13 @@ def test_eval_matches_power_sum_oracle(p97, m61):
             if k > 1:
                 coeffs[-1] = rng.randrange(1, p)
             x = rng.randrange(p)
-            assert poly_eval(coeffs, x, modulus) == slow_poly_eval(coeffs, x, p)
+            assert poly_eval(coeffs, x, p) == slow_poly_eval(coeffs, x, p)
 
 
 def test_polynomial_reduces_coefficients(p97):
     poly = SecretPolynomial((100, 98, 1), p97)
     assert poly.coeffs == (3, 1, 1)
-    assert poly.k == 3
-    assert poly.degree == 2
+    assert len(poly.coeffs) == 3
 
 
 def test_polynomial_rejects_empty(m61):

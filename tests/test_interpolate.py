@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trishare import (
     M61,
@@ -13,8 +14,8 @@ from trishare import (
     SecretPolynomial,
     SharePoint,
     binding_code,
-    lagrange_basis_at,
-    mod_inverse,
+    modulus_for,
+    poly_eval,
     reconstruct_polynomial,
     reconstruct_secret,
     split_secret,
@@ -34,22 +35,22 @@ def points_of(pairs, modulus):
 def test_duplicate_abscissa_rejected(m61):
     pts = points_of([(1, 1), (1, 2), (3, 3)], m61)
     with pytest.raises(DuplicateAbscissa):
-        ReconstructionInput(points=pts, modulus=m61)
+        ReconstructionInput(pts)
 
 
 def test_point_count_must_match_threshold(m61):
     pts = points_of(TABLE_POINTS, m61)
     # two points of the threshold-3 parabola give the line through them,
     # not F(0)
-    line = reconstruct_polynomial(ReconstructionInput(points=pts[:2], modulus=m61))
+    line = reconstruct_polynomial(ReconstructionInput(pts[:2]))
     assert line.coeffs == (1046, 448)
     # three give F itself
-    poly = reconstruct_polynomial(ReconstructionInput(points=pts[:3], modulus=m61))
+    poly = reconstruct_polynomial(ReconstructionInput(pts[:3]))
     assert poly.coeffs == (1234, 166, 94)
     # a fourth leaves the secret as it is, but the cubic term of the
     # interpolant is zero, which the production profile refuses to mint
     for count in (4, 6):
-        inp = ReconstructionInput(points=pts[:count], modulus=m61)
+        inp = ReconstructionInput(pts[:count])
         assert reconstruct_secret(inp) == 1234
         with pytest.raises(InvalidPolynomial):
             reconstruct_polynomial(inp)
@@ -61,19 +62,19 @@ def test_zero_points_rejected(m61, k):
     # valid input exactly when it holds a point
     pts = points_of(TABLE_POINTS[:k], m61)
     if pts:
-        assert reconstruct_secret(ReconstructionInput(points=pts, modulus=m61)) == 1234
+        assert reconstruct_secret(ReconstructionInput(pts)) == 1234
     with pytest.raises(NotEnoughPoints):
-        ReconstructionInput(points=pts[:0], modulus=m61)
+        ReconstructionInput(pts[:0])
 
 
 def test_threshold_defaults_to_point_count(m61, p97):
     # the input names no threshold: the interpolant's k is the point count
     for count in (1, 2, 3):
-        inp = ReconstructionInput(points=points_of(TABLE_POINTS[:count], m61), modulus=m61)
-        assert reconstruct_polynomial(inp).k == count
-    inp = ReconstructionInput(points=points_of(TABLE_POINTS, p97), modulus=p97)
+        inp = ReconstructionInput(points_of(TABLE_POINTS[:count], m61))
+        assert len(reconstruct_polynomial(inp).coeffs) == count
+    inp = ReconstructionInput(points_of(TABLE_POINTS, p97))
     poly = reconstruct_polynomial(inp)
-    assert poly.k == 6
+    assert len(poly.coeffs) == 6
     assert poly.coeffs == (1234 % 97, 166 % 97, 94, 0, 0, 0)
 
 
@@ -83,51 +84,36 @@ def test_mixed_moduli_rejected(m61, p97):
         SharePoint(x=2, y=19, modulus=p97),
         SharePoint(x=3, y=32, modulus=p97),
     )
-    with pytest.raises(Error):
-        ReconstructionInput(points=pts, modulus=p97)
-
-
-# ---------------------------------------------------------------- basis polynomials
-
-def test_basis_frozen_value(m61):
-    inp = ReconstructionInput(
-        points=points_of([(2, 1942), (4, 3402), (5, 4414)], m61), modulus=m61
-    )
-    # l_0(0) for abscissas {2,4,5} is (0-4)(0-5) / (2-4)(2-5) = 20/6 = 10/3
-    expected = 20 * mod_inverse(6, m61) % M61
-    assert lagrange_basis_at(inp, 0, 0) == expected
-    assert expected == 10 * mod_inverse(3, m61) % M61
-
-
-def test_basis_kronecker_property(m61, p97):
-    rng = random.Random(0x1A6)
-    for modulus in (p97, m61):
-        for _ in range(50):
-            xs = rng.sample(range(1, min(modulus.p, 500)), 4)
-            pts = tuple(
-                SharePoint(x=x, y=rng.randrange(modulus.p), modulus=modulus)
-                for x in xs
-            )
-            inp = ReconstructionInput(points=pts, modulus=modulus)
-            for j in range(4):
-                for i in range(4):
-                    want = 1 if i == j else 0
-                    assert lagrange_basis_at(inp, j, xs[i]) == want
-
-
-def test_basis_weights_sum_to_one_at_zero(m61):
-    # sum of l_j(0) is the interpolation of the constant 1
-    inp = ReconstructionInput(points=points_of(TABLE_POINTS[:3], m61), modulus=m61)
-    total = sum(lagrange_basis_at(inp, j, 0) for j in range(3)) % M61
-    assert total == 1
+    # the points carry the modulus: an odd one out is rejected wherever it is
+    for order in (pts, pts[::-1]):
+        with pytest.raises(Error):
+            ReconstructionInput(order)
 
 
 # ---------------------------------------------------------------- reconstruction
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([97, M61]), st.data())
+def test_interpolant_passes_through_every_point(p, data):
+    # the interpolant takes each y at its x, and the secret is its
+    # constant term wherever the polynomial is defined
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    xs = data.draw(st.lists(st.integers(1, p - 1), min_size=k, max_size=k,
+                            unique=True))
+    ys = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    modulus = modulus_for(p)
+    inp = ReconstructionInput(points_of(zip(xs, ys), modulus))
+    try:
+        poly = reconstruct_polynomial(inp)
+    except InvalidPolynomial:
+        assert not modulus.test_profile  # a zero leading coefficient
+        return
+    assert [poly_eval(poly.coeffs, x, p) for x in xs] == ys
+    assert reconstruct_secret(inp) == poly.coeffs[0]
+
+
 def test_reference_reconstruction(m61):
-    inp = ReconstructionInput(
-        points=points_of([(2, 1942), (4, 3402), (5, 4414)], m61), modulus=m61
-    )
+    inp = ReconstructionInput(points_of([(2, 1942), (4, 3402), (5, 4414)], m61))
     assert reconstruct_secret(inp) == 1234
     poly = reconstruct_polynomial(inp)
     assert poly.coeffs == (1234, 166, 94)
@@ -138,13 +124,13 @@ def test_all_three_subsets_of_reference_table(m61):
 
     pts = points_of(TABLE_POINTS, m61)
     for trio in combinations(pts, 3):
-        inp = ReconstructionInput(points=trio, modulus=m61)
+        inp = ReconstructionInput(trio)
         assert reconstruct_secret(inp) == 1234
         assert reconstruct_polynomial(inp).coeffs == (1234, 166, 94)
 
 
 def test_constant_data_reconstructs_constant(m61):
-    inp = ReconstructionInput(points=points_of([(1, 5), (2, 5), (3, 5)], m61), modulus=m61)
+    inp = ReconstructionInput(points_of([(1, 5), (2, 5), (3, 5)], m61))
     assert reconstruct_secret(inp) == 5
 
 
@@ -153,9 +139,9 @@ def test_degenerate_polynomial_surfaces_under_production(m61, p97):
     # profile refuses to mint that polynomial, the test profile allows it
     pts_prod = points_of([(1, 5), (2, 5), (3, 5)], m61)
     with pytest.raises(InvalidPolynomial):
-        reconstruct_polynomial(ReconstructionInput(points=pts_prod, modulus=m61))
+        reconstruct_polynomial(ReconstructionInput(pts_prod))
     pts_test = points_of([(1, 5), (2, 5), (3, 5)], p97)
-    poly = reconstruct_polynomial(ReconstructionInput(points=pts_test, modulus=p97))
+    poly = reconstruct_polynomial(ReconstructionInput(pts_test))
     assert poly.coeffs == (5, 0, 0)
 
 
@@ -167,7 +153,7 @@ def test_matches_gaussian_elimination_oracle(m61, p97):
             k = rng.randrange(1, 7)
             xs = rng.sample(range(1, min(p, 10_000)), k)
             pairs = [(x, rng.randrange(p)) for x in xs]
-            inp = ReconstructionInput(points=points_of(pairs, modulus), modulus=modulus)
+            inp = ReconstructionInput(points_of(pairs, modulus))
             expected = gauss_coeffs(pairs, p)
             assert reconstruct_secret(inp) == expected[0]
             if modulus.test_profile or k == 1 or expected[-1] != 0:
@@ -181,7 +167,7 @@ def test_split_then_reconstruct_round_trip(m61):
         coeffs = [rng.randrange(M61), rng.randrange(1, M61)]
         pts = split_secret(secret, coeffs, 6, m61)
         sample = tuple(rng.sample(pts, 3))
-        inp = ReconstructionInput(points=sample, modulus=m61)
+        inp = ReconstructionInput(sample)
         assert reconstruct_secret(inp) == secret
         assert reconstruct_polynomial(inp).coeffs == tuple(
             c % M61 for c in [secret] + coeffs

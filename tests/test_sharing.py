@@ -140,7 +140,7 @@ def test_binding_frozen_value(m61):
     code = binding_code(1234, poly, b"any")
     # x_kc is derived from the file id; kc = 1234 + F(x_kc) mod p
     assert code.x_kc == derive_binding_x(b"any", m61) == 502067903028274140
-    assert code.kc == (1234 + poly_eval(poly, code.x_kc)) % M61
+    assert code.kc == (1234 + poly_eval(poly.coeffs, code.x_kc, M61)) % M61
     assert code.kc == 651749777246912713
 
 
@@ -170,7 +170,7 @@ def test_binding_default_x_is_file_derived(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
     code = binding_code(1234, poly, b"report.pdf")
     assert code.x_kc == derive_binding_x(b"report.pdf", m61)
-    assert code.kc == (1234 + poly_eval(poly, code.x_kc)) % M61
+    assert code.kc == (1234 + poly_eval(poly.coeffs, code.x_kc, M61)) % M61
 
 
 def test_binding_constant_poly_doubles_secret(p97):
@@ -313,5 +313,5 @@ def test_split_blind_unblind_reconstruct_identity(m61, p97):
             n = rng.randrange(3, 8)
             pts = split_secret(secret, coeffs, n, modulus)
             chosen = rng.sample(pts, 3)
-            inp = ReconstructionInput(points=tuple(chosen), modulus=modulus)
+            inp = ReconstructionInput(tuple(chosen))
             assert reconstruct_secret(inp) == secret
