@@ -385,6 +385,9 @@ def test_mask_schedule_rejects_non_positive_key():
 # and lengths around a block edge and across 2048-lane slabs (131,073 B
 # is 8 full slabs of 64 * 2048 bits plus a byte).  Pinned before the
 # keystream lost its general-LCG branch; the mask must never drift.
+# The 8, 4099 and 1,048,581 B pins (one Rep period, a few blocks and a
+# bit, and 64 full slabs plus a partial one) were added before the
+# Lehmer kernel moved to 96-bit tap lanes.
 MASK_PIN_KEY_A = 11400714819323198485
 MASK_SHA256 = {
     (Mode.ADDITIVE, 1024, 0):
@@ -397,8 +400,14 @@ MASK_SHA256 = {
         "67422dbf648cbb1ca8f7029686da6660f814021d6d18227e3a700d62b5dcd68b",
     (Mode.ADDITIVE, 1024, 1025):
         "4677a2054af6361d829506b69971ac095a596fb4e15ff220ce5136de6227abb8",
+    (Mode.ADDITIVE, 1024, 8):
+        "532331309e26ef7dbd196bb8ccd7bebecde4e20cf34fb4ebce6e36daed858ba8",
+    (Mode.ADDITIVE, 1024, 4099):
+        "7f9adc6d609112e4344e9257bf181b61861886cba29c4ec901e32ea89f508fb2",
     (Mode.ADDITIVE, 1024, 131073):
         "86acacc1089f7db7ab000241575fd6ed52fb7bdc9d92d288c4bbab820d01328d",
+    (Mode.ADDITIVE, 1024, 1048581):
+        "94c01628867be1d2de0807061d4701b8f260bf97593acf504824b27412eec7d9",
     (Mode.ADDITIVE, 512, 0):
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     (Mode.ADDITIVE, 512, 1):
@@ -433,8 +442,14 @@ MASK_SHA256 = {
         "bfa3915e146a768a5844a54461cddaa89116660174909c999d15a15b15f65f2b",
     (Mode.POWER, 1024, 1025):
         "29dfbadd7612048d1d792e5ca86338d492173b6913e4a20acd4cc5d4dd9c717b",
+    (Mode.POWER, 1024, 8):
+        "f45d8c4e85a363a05cbeffc2cd12cadf8118f7aaf88238cb3da190267cbc5add",
+    (Mode.POWER, 1024, 4099):
+        "5372fa8c0c873d5492d576a314113aaf3b90537fd54d8422f3a16465ec577178",
     (Mode.POWER, 1024, 131073):
         "db2c0122bc2227449511b03c2ef82697d4db2fcc26cad1fd80d3ec26c07a6287",
+    (Mode.POWER, 1024, 1048581):
+        "dcfe2ecb2353507cf65d35a2fabea89a4352f29b20561451b011452ba1e4f8a3",
     (Mode.POWER, 512, 0):
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     (Mode.POWER, 512, 1):

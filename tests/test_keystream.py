@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -118,6 +119,23 @@ def test_lane_generator_matches_recurrence_oracle(a, x0, count):
         n = min(width, count - start)
         window = bits_to_int(lehmer_window_bits(x0, a, MASK_MODULUS, start, n))
         assert (packed >> start) & ((1 << n) - 1) == window, (start, n)
+
+
+# SHA-256 of _lehmer_bits_int from start_state(2024) for both mask
+# multipliers at three 2048-lane slabs plus 65 bits, pinned before the
+# kernel moved to 96-bit tap lanes.
+LEHMER_PIN_COUNT = 3 * 64 * 2048 + 65
+LEHMER_SHA256 = {
+    MASK_RAND_MULTIPLIER: "bfb8ce7cfea746592ded3ca950f91580d6befe25b9531e166a8996b6581c1098",
+    MASK_REP_MULTIPLIER: "0fdd196820da845b6d706b8ec37355b3a6cdab6413ec8d0ba191b15580ecfb47",
+}
+
+
+@pytest.mark.parametrize("a", sorted(LEHMER_SHA256))
+def test_lehmer_bits_are_pinned(a):
+    packed = _lehmer_bits_int(RAND_X0, a, LEHMER_PIN_COUNT)
+    digest = hashlib.sha256(packed.to_bytes(-(-LEHMER_PIN_COUNT // 8), "little")).hexdigest()
+    assert digest == LEHMER_SHA256[a]
 
 
 def test_mask_params_do_not_alternate():
