@@ -11,14 +11,32 @@ bit i of a stream is the parity of state i + 1.  The odd prime modulus
 keeps that parity well distributed; with a power-of-two modulus and an
 odd increment the parity bit of an LCG simply alternates.  State i is
 x0 * a^i mod p, so _lehmer_bits_int, the one bit generator, computes
-states out of order and bit-sliced.
+states out of order and bit-sliced, and reads each parity off two bits
+of a product instead of reducing the product mod p.  Two identities
+make that work.
+
+Tap identity.  For 0 <= z < 2^62 that is 0 or not a multiple of p,
+parity(z mod p) = bit 0 XOR bit 62 of y = z * (2^31 + 1).  Write
+z = h * 2^31 + l with h, l < 2^31 and s = h + l < 2^32.  Then
+y = l + s * 2^31 + h * 2^62; l fills bits 0..30 and s * 2^31 bits
+31..62, so bit 0 of y is bit 0 of l and bit 62 is bit 31 of s XOR
+bit 0 of h, and the two taps XOR to bit 0 XOR bit 31 of s.  As
+2^31 = 1 mod p, z = s mod p with 0 <= s <= 2p.  Below p, s is z mod p
+and its bit 31 is 0.  Between p and 2p, its bit 31 is 1 and z mod p is
+s - p, of the other parity as p is odd.  s = p or 2p would need
+z = 0 mod p with z > 0; the generator's z is a product of two residues
+in [0, p - 1], and p is prime, so that never happens.
+
+Negation identity.  For z not a multiple of p,
+parity(-z mod p) = 1 XOR parity(z mod p), since -z mod p is
+p - (z mod p) and p is odd.  So a scalar c >= 2^30 is replaced by
+p - c < 2^30, which fits one 30-bit CPython digit, and the bits it
+yields are flipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Tuple
 
 from .errors import Error
 
@@ -43,37 +61,52 @@ def start_state(seed: int) -> int:
     return seed % (MASK_MODULUS - 1) + 1
 
 
-#: 64-bit lane words per slab of the bit-sliced Lehmer generator; one
-#: slab yields 64 * _LANES stream bits.
+#: Lanes per slab of the bit-sliced Lehmer generator; a lane carries 64
+#: stream bits, so one slab yields 64 * _LANES stream bits.
 _LANES = 2048
 
-
-def _lane_constant(word: int) -> int:
-    """The 64-bit `word` repeated in every lane of a slab."""
-    return int.from_bytes(word.to_bytes(8, "little") * _LANES, "little")
-
-
-#: p = 2^31 - 1 in the low bits of every lane.
-_LANE_LOW = _lane_constant(MASK_MODULUS)
-#: Bits 0 and 31 of every lane: the two bits of a folded lane that its
-#: parity depends on.
-_LANE_TAPS = _lane_constant(1 | 1 << 31)
-#: The even and the odd bits of every lane.
-_LANE_EVEN = _lane_constant(0x5555555555555555)
-_LANE_ODD = _lane_constant(0xAAAAAAAAAAAAAAAA)
+#: _slab_tables per multiplier, built on first use and grown to the
+#: largest call; past four multipliers the oldest entry is dropped.
+_TABLES: dict[int, tuple] = {}
 
 
-@lru_cache(maxsize=4)
-def _lehmer_slab(a: int) -> Tuple[int, Tuple[int, ...], int]:
-    """(lane vector [a^(64 l)], sub-stream factors [a^(j+1)], a^(64 K)), all mod p."""
-    step = pow(a, 64, MASK_MODULUS)
-    lanes = []
-    x = 1
-    for _ in range(_LANES):
-        lanes.append(x.to_bytes(8, "little"))
-        x = x * step % MASK_MODULUS
-    factors = tuple(pow(a, j + 1, MASK_MODULUS) for j in range(64))
-    return int.from_bytes(b"".join(lanes), "little"), factors, x
+def _slab_tables(a: int, lanes: int) -> tuple:
+    """(lanes, factors, stride, vectors, taps, slots) for multiplier `a`.
+
+    factors are the sub-stream scalars a^(j+1) mod p (j = 0..63) and
+    stride is a^(64 _LANES) mod p, the step between slab base states.
+    The three lane tables cover at least `lanes` 96-bit lanes: vectors[g]
+    is the lane vector, lane l holding (a^(64l) mod p) * (2^31 + 1),
+    shifted by 8g; taps[g] is bits 0 and 62 of every lane, shifted by
+    8g; slots is bits 0, 8, .., 56 of every lane.
+    """
+    tables = _TABLES.get(a)
+    if tables is not None and tables[0] >= lanes:
+        return tables
+    p = MASK_MODULUS
+    step = pow(a, 64, p)
+    x, words = 1, []
+    for _ in range(lanes):
+        words.append(x.to_bytes(12, "little"))
+        x = x * step % p
+    vector = int.from_bytes(b"".join(words), "little")
+    vector += vector << 31
+    taps = int.from_bytes((1 | 1 << 62).to_bytes(12, "little") * lanes, "little")
+    factors, f = [], 1
+    for _ in range(64):
+        f = f * a % p
+        factors.append(f)
+    if tables is None and len(_TABLES) >= 4:
+        del _TABLES[next(iter(_TABLES))]
+    tables = _TABLES[a] = (
+        lanes,
+        tuple(factors),
+        pow(a, 64 * _LANES, p),
+        tuple(vector << 8 * g for g in range(8)),
+        tuple(taps << 8 * g for g in range(8)),
+        int.from_bytes((b"\x01" * 8 + bytes(4)) * lanes, "little"),
+    )
+    return tables
 
 
 def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
@@ -83,54 +116,68 @@ def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
     byte i of the little-endian encoding holds bits 8i..8i+7.
 
     The states are computed bit-sliced (Biham, FSE 1997), one slab of
-    K = _LANES 64-bit lane words at a time: bit j of lane word l is
-    stream bit 64l + j of the slab, so the lane words, laid end to end,
-    are already the packed output.  Sub-stream j (j = 0..63) runs down
-    the lanes: its lane l holds the state (b * a^(j+1) mod p) * a^(64l)
-    mod p, where b is the slab's base state, and all K lanes come from
-    one product of that scalar with the cached lane vector
-    V = [a^(64l) mod p].  Both factors are below p, so every lane
-    product x is below 2^62 and never carries into the next lane.  A
-    short count shrinks the slab to ceil(count / 64) lanes.
+    K = _LANES lanes at a time: stream bit 64l + j of a slab is the
+    parity of (b * a^(j+1) mod p) * a^(64l) mod p, where b is the slab's
+    base state.  Sub-stream j (j = 0..63) runs down the lanes, and all
+    K of its lanes come from one product of its scalar
+    c = b * a^(j+1) mod p, negated below 2^30 (module docstring), with
+    the cached lane vector, whose 96-bit lane l holds
+    (a^(64l) mod p) * (2^31 + 1).  Lane l of the product is
+    y = z * (2^31 + 1) with z = c * (a^(64l) mod p) < 2^30 * 2^31, so
+    y < 2^92: no product carries into the next lane, and the tap
+    identity reads the parity off bits 0 and 62 of y.
 
-    One Mersenne fold (2^31 = 1 mod p) takes each lane to
-    s = (x & p) + (x >> 31), done on all lanes at once with a mask
-    holding p in every lane.  The shift drags the next lane's low bits
-    into bits 33..63, but s < 2^32, so no carry reaches them and bits
-    0..31 are exact.  s is congruent to x mod p and below 2p.  s = p
-    would need x = 0 mod p; p is prime and both factors lie in
-    [0, p - 1], so then x = 0 and s = 0.  Hence x mod p is s below 2^31
-    and s - p from 2^31 on, and as p is odd its parity is bit 0 of s
-    XOR bit 31 of s.
+    Sub-stream j = 8g + r (g, r = 0..7) multiplies the copy of the
+    vector shifted by 8g, keeps its taps, bits 8g and 8g + 62 of each
+    lane, and is XORed into accumulator r.  For g >= 5 the second tap
+    lies past bit 95, in the next lane's span; it is still lane l's
+    bit.  In one accumulator the eight sub-streams' taps sit at lane
+    offsets 0, 8, .., 56 and 62, 70, 78, 86, 94, 6, 14, 22 (mod 96), all
+    distinct.  Once per slab, A ^ (A >> 62) moves each bit-62 tap onto
+    its bit-0 tap, a wrapped one back from the next lane, while the
+    bit-0 taps move to offsets 34, 42, .., 90, none of them a slot
+    (0, 8, .., 56).  Masking with the slots leaves sub-stream 8g + r's
+    parity at offset 8g, and shifting by r puts it at offset j.  The
+    low 8 bytes of each 12-byte lane are then the lane's 64 stream
+    bits, gathered with 8 strided copies, and the negated sub-streams
+    are flipped with one 64-bit word per lane.
 
-    Those two bits of sub-stream j are XORed into an accumulator
-    shifted by j: bit 0 lands on bit j and bit 31 on bit j + 31 (in the
-    next lane word for j > 32).  Even and odd j use separate
-    accumulators, so the two kinds of bit sit on bits of opposite
-    parity and never overlap.  Per slab, acc ^ (acc >> 31) brings each
-    bit-31 copy onto its bit-0 copy, and keeping the even (odd) bits
-    leaves every sub-stream's parity at bit j.
+    A short count shrinks the slab to ceil(count / 64) lanes, and the
+    tables are built for the lanes the call needs, grown by a later
+    call that needs more.
     """
-    vector, factors, stride = _lehmer_slab(a)
     p = MASK_MODULUS
-    low, taps = _LANE_LOW, _LANE_TAPS
-    slabs = []
+    built, factors, stride, shifted, taps, slots = _slab_tables(
+        a, min(_LANES, -(-count // 64)))
+    words, flips = [], []
     base = x0
     for done in range(0, count, 64 * _LANES):
         lanes = min(_LANES, -(-(count - done) // 64))
-        v = vector if lanes == _LANES else vector & ((1 << (64 * lanes)) - 1)
-        even = odd = 0
-        for j in range(0, 64, 2):
-            x = base * factors[j] % p * v
-            even ^= (((x & low) + (x >> 31)) & taps) << j
-            x = base * factors[j + 1] % p * v
-            odd ^= (((x & low) + (x >> 31)) & taps) << (j + 1)
-        word = ((even ^ (even >> 31)) & _LANE_EVEN) | ((odd ^ (odd >> 31)) & _LANE_ODD)
-        if count - done < 64 * lanes:
-            word &= (1 << (count - done)) - 1
-        slabs.append(word.to_bytes(8 * lanes, "little"))
+        vectors = shifted if lanes == built else [
+            v & ((1 << (96 * lanes + 8 * g)) - 1) for g, v in enumerate(shifted)]
+        scalars, flip = [], 0
+        for j, f in enumerate(factors):
+            c = base * f % p
+            if c >> 30:
+                c = p - c
+                flip |= 1 << j
+            scalars.append(c)
+        out = 0
+        for r in range(8):
+            acc = 0
+            for g in range(8):
+                acc ^= scalars[8 * g + r] * vectors[g] & taps[g]
+            out |= ((acc ^ (acc >> 62)) & slots) << r
+        lane_bytes = out.to_bytes(12 * lanes, "little")
+        word = bytearray(8 * lanes)
+        for i in range(8):
+            word[i::8] = lane_bytes[i::12]
+        words.append(word)
+        flips.append(flip.to_bytes(8, "little") * lanes)
         base = base * stride % p
-    return int.from_bytes(b"".join(slabs), "little")
+    bits = (int.from_bytes(b"".join(words), "little")
+            ^ int.from_bytes(b"".join(flips), "little"))
+    return bits & ((1 << count) - 1) if count % 64 else bits
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trishare import InvalidParams, MaskSchedule, xor_mask
+from trishare import keystream
 from trishare.keystream import (MASK_MODULUS, MASK_RAND_MULTIPLIER,
-                                MASK_REP_MULTIPLIER, _LANES, _lehmer_bits_int,
+                                MASK_REP_MULTIPLIER, _LANES, _TABLES, _lehmer_bits_int,
                                 start_state)
 from oracles import (
     bytes_to_bits,
@@ -65,9 +66,78 @@ def test_period_never_exceeds_modulus():
         assert lcg_period(*params) <= m
 
 
+# ---------------------------------------------------------------- kernel identities
+
+def tap_parity(z):
+    """Bit 0 XOR bit 62 of z * (2^31 + 1), as the kernel reads a lane."""
+    y = z * ((1 << 31) + 1)
+    return (y ^ (y >> 62)) & 1
+
+
+TAP_EDGES = (0, 1, MASK_MODULUS - 1, MASK_MODULUS, MASK_MODULUS + 1,
+             1 << 31, 1 << 61, (1 << 62) - 1)
+
+
+def test_tap_identity_at_edges():
+    # z mod p's parity, except that a nonzero multiple of p (p itself,
+    # and 2^62 - 1 = p * (2^31 + 1)) reads 1: its s = h + l is p or 2p
+    for z in TAP_EDGES:
+        multiple = z > 0 and z % MASK_MODULUS == 0
+        assert tap_parity(z) == (z % MASK_MODULUS & 1) ^ multiple, z
+    assert tap_parity(MASK_MODULUS) == tap_parity((1 << 62) - 1) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 62) - 1))
+def test_tap_identity(z):
+    multiple = z > 0 and z % MASK_MODULUS == 0
+    assert tap_parity(z) == (z % MASK_MODULUS & 1) ^ multiple
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=MASK_MODULUS - 1),
+       st.integers(min_value=1, max_value=MASK_MODULUS - 1))
+def test_tap_identity_holds_for_every_lane_product(c, v):
+    # the kernel's z is a product of two nonzero residues, never a
+    # multiple of p, so the exception above cannot occur
+    assert tap_parity(c * v) == c * v % MASK_MODULUS & 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=MASK_MODULUS - 1),
+       st.integers(min_value=1, max_value=MASK_MODULUS - 1))
+def test_negation_identity(c, v):
+    p = MASK_MODULUS
+    assert (p - c) * v % p & 1 == 1 ^ (c * v % p & 1)
+
+
+def test_lane_products_fit_96_bit_lanes():
+    p = MASK_MODULUS
+    # a scalar at or above 2^30 negates to below 2^30, one CPython digit
+    assert p - (1 << 30) < 1 << 30
+    # c < 2^30 and V < p: z = c * V is inside the tap identity's range,
+    # and the lane product z * (2^31 + 1) stays below 2^92
+    biggest = ((1 << 30) - 1) * (p - 1)
+    assert biggest < 1 << 62
+    assert biggest * ((1 << 31) + 1) < 1 << 92
+
+
+def test_slab_tables_are_built_for_the_lanes_a_call_needs():
+    a = 7  # a multiplier no other test draws on purpose
+    _TABLES.pop(a, None)
+    _lehmer_bits_int(RAND_X0, a, 64 * 5 + 1)
+    assert _TABLES[a][0] == 6
+    _lehmer_bits_int(RAND_X0, a, 64)  # a shorter call reuses them
+    assert _TABLES[a][0] == 6
+    _lehmer_bits_int(RAND_X0, a, 2 * 64 * _LANES + 1)  # grown to one slab, no more
+    assert _TABLES[a][0] == _LANES
+    # no lane table is a module constant
+    assert all(v.bit_length() <= 64 for v in vars(keystream).values() if type(v) is int)
+
+
 # Slab edges of the bit-sliced Lehmer generator: a slab is K = _LANES
-# 64-bit lane words, 64 * K stream bits, and a count short of a slab
-# shrinks it to ceil(count / 64) lanes.
+# lanes of 64 stream bits each, 64 * K stream bits, and a count short
+# of a slab shrinks it to ceil(count / 64) lanes.
 SLAB_BITS = 64 * _LANES
 LANE_EDGE_COUNTS = (
     0, 1, 31, 32, 33, 63, 64, 65, 127, 129, 1000,

@@ -304,14 +304,17 @@ def test_split_blind_unblind_reconstruct_identity(m61, p97):
     rng = random.Random(0xABCD)
     for modulus in (p97, m61):
         p = modulus.p
+        zero_leading = 0
         for _ in range(500):
             secret = rng.randrange(p)
-            if modulus.test_profile:
-                coeffs = [rng.randrange(p), rng.randrange(1, p)]
-            else:
-                coeffs = [rng.randrange(p), rng.randrange(1, p)]
+            # the test profile accepts a zero leading coefficient
+            coeffs = [rng.randrange(p),
+                      rng.randrange(p) if modulus.test_profile else rng.randrange(1, p)]
+            zero_leading += coeffs[-1] == 0
             n = rng.randrange(3, 8)
             pts = split_secret(secret, coeffs, n, modulus)
             chosen = rng.sample(pts, 3)
             inp = ReconstructionInput(tuple(chosen))
             assert reconstruct_secret(inp) == secret
+        if modulus.test_profile:
+            assert zero_leading > 0
