@@ -66,7 +66,7 @@ def start_state(seed: int) -> int:
 _LANES = 2048
 
 #: _slab_tables per multiplier, built on first use and grown to the
-#: largest call; past four multipliers the oldest entry is dropped.
+#: largest call; a fifth multiplier empties it first.
 _TABLES: dict[int, tuple] = {}
 
 
@@ -96,8 +96,8 @@ def _slab_tables(a: int, lanes: int) -> tuple:
     for _ in range(64):
         f = f * a % p
         factors.append(f)
-    if tables is None and len(_TABLES) >= 4:
-        del _TABLES[next(iter(_TABLES))]
+    if len(_TABLES) >= 4:
+        _TABLES.clear()
     tables = _TABLES[a] = (
         lanes,
         tuple(factors),
