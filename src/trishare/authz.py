@@ -16,6 +16,12 @@ deltas - the server never learns it.
 Mutations are a single-writer contract per store: every grant, revoke
 and register rewrites the whole policy.json, so callers serialize them
 across all files of a store; read-only queries may run concurrently.
+
+A command works on the policy bytes themselves once their digest
+sidecar verifies them: a lookup is a binary search over the grant
+blocks, which db_to_json writes sorted by file id, and parses only the
+block it finds; a commit splices the edited blocks between slices of
+the untouched ones and streams the pieces to disk and to SHA-256.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ from .sharing import (BindingCode, EncryptedShare, SharePoint, binding_code,
                       decrypt_share, derive_attribute_tokens, encrypt_share,
                       split_secret)
 from .storage import (POLICY_DIGEST_FILENAME, POLICY_FILENAME, ObjectStore,
-                      decode_envelope, encode_envelope, object_key)
+                      decode_envelope, envelope_pieces, object_key)
+# Unused here, but perfbench/tracing.py wraps it in this namespace.
+from .storage import encode_envelope  # noqa: F401
 
 #: Reconstruction threshold: server + owner + receiver.
 THRESHOLD = 3
@@ -122,47 +130,147 @@ class FileGrant:
 
 
 class Grants(MutableMapping):
-    """file_id -> FileGrant.
+    """file_id -> FileGrant, kept as edits against the verified policy.
 
-    A policy loaded from its digest-verified text keeps each grant as the
-    text of its JSON block (after _GRANT_MARK) until the grant is first
-    read, which parses it in place; db_to_json writes a block never read
-    back as it was.
+    A policy loaded through its sidecar keeps its bytes, whose grant
+    blocks sit in text[lo:hi] sorted by file id, joined by ",".  A lookup
+    finds a block by binary search over byte offsets: each probe takes
+    the block that starts nearest the middle and decodes only its quoted
+    file id.  Only the block a lookup returns is parsed.  Each grant read
+    or stored becomes an edit against its block's span, and a new file
+    id's span is empty, at its sorted place; _spliced gives every run of
+    blocks no edit touches as a slice of the text.  With no text (a new
+    db or a full parse) every grant is such an insert.
     """
 
-    def __init__(self, grants: "Dict[str, FileGrant | str] | None" = None,
+    def __init__(self, text: bytes = b"", lo: int = 0, hi: int = 0,
                  modulus: "FieldModulus | None" = None):
-        self._grants = grants if grants is not None else {}
+        self._text, self._lo, self._hi = text, lo, hi
         self._modulus = modulus
+        # file_id -> (start, end, grant); a deleted block's grant is None
+        self._edits: Dict[str, Tuple[int, int, "FileGrant | None"]] = {}
 
     def __getitem__(self, file_id: str) -> FileGrant:
-        grant = self._grants[file_id]
-        if isinstance(grant, str):
-            grant = self._grants[file_id] = _parsed(
-                _GRANT_MARK + grant, _grant_from_doc, self._modulus)
+        edit = self._edits.get(file_id)
+        if edit is not None:
+            if edit[2] is None:
+                raise KeyError(file_id)
+            return edit[2]
+        start, end = self._span(file_id)
+        if start == end:
+            raise KeyError(file_id)
+        grant = _parsed(self._text[start:end], _grant_from_doc, self._modulus)
+        if grant.file_id != file_id:
+            raise CorruptPolicy(f"the block found for {file_id!r} is "
+                                f"{grant.file_id!r}'s")
+        self._edits[file_id] = (start, end, grant)
         return grant
 
     def __setitem__(self, file_id: str, grant: FileGrant) -> None:
-        self._grants[file_id] = grant
+        start, end = self._place(file_id)
+        self._edits[file_id] = (start, end, grant)
 
     def __delitem__(self, file_id: str) -> None:
-        del self._grants[file_id]
+        if file_id not in self:
+            raise KeyError(file_id)
+        start, end = self._place(file_id)
+        if start == end:  # an insert: nothing in the text to remove
+            del self._edits[file_id]
+        else:
+            self._edits[file_id] = (start, end, None)
 
     def __contains__(self, file_id: object) -> bool:
-        return file_id in self._grants
+        if not isinstance(file_id, str):
+            return False
+        edit = self._edits.get(file_id)
+        if edit is not None:
+            return edit[2] is not None
+        start, end = self._span(file_id)
+        return start < end
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._grants)
+        ids, start = [], self._lo
+        while start < self._hi:
+            ids.append(self._id_at(start))
+            start = self._next_start(start + 1)
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise CorruptPolicy("grant blocks are not in file id order")
+        edits = self._edits
+        return iter(sorted([fid for fid in ids if fid not in edits]
+                           + [fid for fid, e in edits.items() if e[2] is not None]))
 
     def __len__(self) -> int:
-        return len(self._grants)
+        n = self._text.count(_SEAM, self._lo, self._hi) + (self._lo < self._hi)
+        for start, end, grant in self._edits.values():
+            n += (start == end) - (grant is None)
+        return n
 
-    def blocks(self) -> List[str]:
-        """Every grant's block after _GRANT_MARK, in file_id order: an
-        unread one as it was read, any other through _grant_json."""
-        cut = len(_GRANT_MARK)
-        return [g if isinstance(g, str) else _grant_json(g)[cut:]
-                for _, g in sorted(self._grants.items())]
+    def _spliced(self) -> List[bytes]:
+        """Every grant block in file id order, for _policy_pieces: each
+        run that no edit touches as one slice of the text (its blocks
+        still joined by ","), each edited grant rendered anew."""
+        text, cursor, hi = memoryview(self._text), self._lo, self._hi
+        items = []
+        # An insert sorts before the block whose start it shares.
+        for start, end, _, grant in sorted(
+                (start, end, fid, grant)
+                for fid, (start, end, grant) in self._edits.items()):
+            if cursor < start:  # the run before start, less the "," ending it
+                items.append(text[cursor:start - 1 if start < hi else hi])
+            if grant is not None:
+                items.append(_grant_json(grant).encode("ascii"))
+            cursor = start if start == end else min(end + 1, hi)
+        if cursor < hi:
+            items.append(text[cursor:hi])
+        return items
+
+    def _place(self, file_id: str) -> Tuple[int, int]:
+        edit = self._edits.get(file_id)
+        return edit[:2] if edit is not None else self._span(file_id)
+
+    def _span(self, file_id: str) -> Tuple[int, int]:
+        """The text span of file_id's block, or an empty span where it
+        would go.  CorruptPolicy if its neighbours are out of order."""
+        lo, hi = self._lo, self._hi
+        # Blocks starting before a hold smaller ids, blocks starting at
+        # or after b larger or equal ones; a and b are block starts or hi.
+        a, b = lo, hi
+        while a < b:
+            probe = self._next_start((a + b) // 2)
+            if probe >= b:
+                probe = a
+            if self._id_at(probe) < file_id:
+                a = self._next_start(probe + 1)
+            else:
+                b = probe
+        if a == hi or self._id_at(a) != file_id:
+            return a, a
+        after = self._next_start(a + 1)
+        before = self._text.rfind(_SEAM, lo, a - 1) + 1 or lo
+        if (after < hi and self._id_at(after) <= file_id
+                or a > lo and self._id_at(before) >= file_id):
+            raise CorruptPolicy(f"the grant blocks around {file_id!r} are "
+                                "not in file id order")
+        return a, after - 1 if after < hi else hi
+
+    def _next_start(self, pos: int) -> int:
+        """The first block start at or after pos, or hi."""
+        if pos <= self._lo:
+            return self._lo
+        seam = self._text.find(_SEAM, pos - 1, self._hi)
+        return seam + 1 if seam >= 0 else self._hi
+
+    def _id_at(self, start: int) -> str:
+        """The file id quoted at the head of the block at start."""
+        at = start + len(_GRANT_MARK)
+        stop = self._text.find(_OWNER_KEY, at, self._hi)
+        try:
+            file_id = json.loads(self._text[at:stop]) if stop >= 0 else None
+        except ValueError as exc:
+            raise CorruptPolicy(f"a grant block's file id is not JSON: {exc}") from exc
+        if not isinstance(file_id, str):
+            raise CorruptPolicy(f"the grant block at byte {start} has no file id")
+        return file_id
 
 
 @dataclass
@@ -239,7 +347,7 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     key = derive_file_key(secret, file_id_bytes, mode=mode, n=n)
     envelope = seal_file(data, key)
     ref = object_key(file_id, 0)
-    store.put_object(ref, encode_envelope(envelope))
+    store.put_object(ref, envelope_pieces(envelope))
 
     consumer_records = {
         cid: encrypt_share(by_x[x], consumer.credentials, file_id, binding)
@@ -428,53 +536,49 @@ def _block(items: List[str], open_: str, close: str, indent: int) -> str:
 # A file db_to_json wrote is cut at these template seams.  A JSON string
 # holds no raw newline, and only a grant opens a block at indent 4 inside
 # the grants array, so each seam marks the same place in every such file.
-_GRANTS_KEY = ',\n  "grants": '
-_GRANT_MARK = '\n    {\n      "file_id": '
-_OWNER_KEY = ',\n      "owner_id": '
-_GRANTS_END = '\n  ]\n}'
+_GRANTS_KEY = b',\n  "grants": '
+_GRANT_MARK = b'\n    {\n      "file_id": '
+_SEAM = b"," + _GRANT_MARK
+_OWNER_KEY = b',\n      "owner_id": '
+_GRANTS_END = b'\n  ]\n}'
+
+
+def _policy_pieces(db: PolicyDb) -> List[bytes]:
+    """The policy text in pieces, which persist_db streams and whose join
+    db_to_json returns: the rendered head, then the grant blocks as
+    Grants._spliced gives them, with the array's brackets and commas."""
+    users = [_user_json(u)
+             for u in sorted(db.users.values(), key=lambda u: u.user_id)]
+    head = (f'{{\n  "p": {_int(db.modulus.p)},'
+            f'\n  "users": {_block(users, "[", "]", 2)}').encode("ascii")
+    items = db.grants._spliced()
+    if not items:
+        return [head, _GRANTS_KEY + b"[]\n}"]
+    pieces = [head, _GRANTS_KEY + b"["]
+    for item in items:
+        pieces += (item, b",")
+    pieces[-1] = _GRANTS_END
+    return pieces
 
 
 def db_to_json(db: PolicyDb) -> str:
     """Serialize to the documented policy schema (stable key order)."""
-    users = [_user_json(u)
-             for u in sorted(db.users.values(), key=lambda u: u.user_id)]
-    head = (f'{{\n  "p": {_int(db.modulus.p)},'
-            f'\n  "users": {_block(users, "[", "]", 2)}{_GRANTS_KEY}')
-    grants = db.grants.blocks()
-    if not grants:
-        return head + "[]\n}"
-    # One join copies the whole text once: the first and last grant carry
-    # the text around them, and the seam is the one _sliced_db splits at.
-    grants[0] = f"{head}[{_GRANT_MARK}{grants[0]}"
-    grants[-1] += _GRANTS_END
-    return ("," + _GRANT_MARK).join(grants)
+    return b"".join(_policy_pieces(db)).decode("ascii")
 
 
-def _sliced_db(text: str) -> PolicyDb:
-    """PolicyDb from text db_to_json wrote: p and the users are parsed
+def _sliced_db(data: bytes) -> PolicyDb:
+    """PolicyDb over bytes db_to_json wrote: p and the users are parsed
     now, each grant block only when first read (see Grants)."""
-    at = text.find(_GRANTS_KEY)
+    at = data.find(_GRANTS_KEY)
     start = at + len(_GRANTS_KEY)
-    empty = len(text) == start + 4 and text.endswith("[]\n}")
-    if at < 0 or not empty and not (text.startswith("[" + _GRANT_MARK, start)
-                                    and text.endswith(_GRANTS_END)):
+    empty = len(data) == start + 4 and data.endswith(b"[]\n}")
+    if at < 0 or not data.isascii() or not empty and not (
+            data.startswith(b"[" + _GRANT_MARK, start)
+            and data.endswith(_GRANTS_END)):
         raise CorruptPolicy("policy does not have the layout db_to_json writes")
-    db = _parsed(text[:at] + "\n}", _db_from_doc)
-    unread = {}
-    if not empty:
-        # db_to_json's join undone, with no copy of the grants section.
-        blocks = text.split("," + _GRANT_MARK)
-        blocks[0] = blocks[0][start + 1 + len(_GRANT_MARK):]
-        blocks[-1] = blocks[-1][:-len(_GRANTS_END)]
-        try:
-            for block in blocks:
-                quoted = block[:block.index(_OWNER_KEY)]
-                # A JSON string with no escape is its text between quotes.
-                unread[quoted[1:-1] if "\\" not in quoted
-                       else json.loads(quoted)] = block
-        except (ValueError, TypeError) as exc:
-            raise CorruptPolicy(f"a grant block is out of layout: {exc}") from exc
-    db.grants = Grants(unread, db.modulus)
+    lo, hi = (0, 0) if empty else (start + 1, len(data) - len(_GRANTS_END))
+    db = _parsed(data[:at] + b"\n}", _db_from_doc)
+    db.grants = Grants(data, lo, hi, db.modulus)
     return db
 
 
@@ -541,13 +645,16 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
         envelope_ref=_text(g["envelope_ref"]))
 
 
-def _digest(text: str) -> str:
+def _digest(pieces: Sequence[bytes]) -> bytes:
     """The policy sidecar's content: SHA-256 hex of the policy bytes."""
     # Imported here for ROADMAP item 3: `secrets` still loads hashlib
     # through hmac, but once os.urandom replaces it, commands that touch
     # no policy will not load hashlib.
     import hashlib
-    return hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
+    sha = hashlib.sha256()
+    for piece in pieces:
+        sha.update(piece)
+    return sha.hexdigest().encode("ascii") + b"\n"
 
 
 def persist_db(db: PolicyDb, store: ObjectStore) -> None:
@@ -556,25 +663,32 @@ def persist_db(db: PolicyDb, store: ObjectStore) -> None:
     two are renamed in that order and the store root is fsynced once.
     A failure before the first rename changes neither.  The sidecar is
     only a cache: a crash may leave it stale, empty or one commit ahead,
-    and load_db then takes the full parse."""
-    text = db_to_json(db)
-    store.write_text(POLICY_FILENAME, text,
-                     cache=(POLICY_DIGEST_FILENAME, _digest(text)))
+    and load_db then takes the full parse.
+
+    The policy is spliced, not rebuilt: its pieces (see _policy_pieces)
+    are streamed into the file and hashed as they are, with no copy of
+    the whole text."""
+    pieces = _policy_pieces(db)
+    store.write_text(POLICY_FILENAME, pieces,
+                     cache=(POLICY_DIGEST_FILENAME, _digest(pieces)))
 
 
 def load_db(store: ObjectStore) -> PolicyDb:
     """Load policy.json from the store root; CorruptPolicy if unreadable.
 
-    When the sidecar holds the digest of the policy bytes, persist_db
-    wrote them and they are sliced (see Grants); a missing or stale
-    sidecar only costs a full parse.
+    The file is read once, as bytes.  When the sidecar holds their
+    digest, persist_db wrote them, and they become the db's working copy
+    (see Grants); a missing or stale sidecar only costs a full parse.
     """
+    data = store.read_bytes(POLICY_FILENAME)
     try:
-        text = store.read_text(POLICY_FILENAME)
+        sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
+    except Error:  # absent or unreadable: it is only a cache
+        sidecar = b""
+    if sidecar == _digest([data]):
+        return _sliced_db(data)
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptPolicy(f"{POLICY_FILENAME} is not UTF-8: {exc}") from exc
-    try:
-        sidecar = store.read_text(POLICY_DIGEST_FILENAME)
-    except (Error, ValueError):  # absent or unreadable: it is only a cache
-        sidecar = ""
-    return _sliced_db(text) if sidecar == _digest(text) else db_from_json(text)
+    return db_from_json(text)

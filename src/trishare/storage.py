@@ -16,7 +16,10 @@ A missing or stale sidecar only costs the next load a full parse of
 policy.json.  Every read goes to disk and nothing is cached.
 
 Every write is a group commit of one or more files in one directory.
-Each file goes to a temp file of its own; each durable one is fsynced.
+Each file is given as pieces (bytes or memoryviews), which a disk store
+streams in order to a temp file of its own and never joins: a policy
+commit passes slices of the policy it loaded, an envelope its header
+and its payload.  Each durable temp file is fsynced.
 Only then are the temp files os.replace'd onto their targets, in the
 given order, and the directory is fsynced once, so a reader never
 observes a half-written object or policy, and a write that fails
@@ -51,6 +54,10 @@ HEADER_BYTES = _HEADER.size  # 20
 MAGIC = b"IFSC"
 VERSION = 1
 
+#: A file's bytes as the pieces they join from, each bytes or a memoryview:
+#: a write streams them in order and never joins them.
+Pieces = Sequence["bytes | memoryview"]
+
 POLICY_FILENAME = "policy.json"
 POLICY_DIGEST_FILENAME = POLICY_FILENAME + ".sha256"
 
@@ -67,12 +74,18 @@ class Truncated(BadHeader):
     """Envelope bytes end before the header or payload does."""
 
 
-def encode_envelope(envelope: CipherEnvelope) -> bytes:
-    """Serialize an envelope to the wire format."""
+def envelope_pieces(envelope: CipherEnvelope) -> Tuple[bytes, bytes]:
+    """The wire format as (20-byte header, payload), for put_object."""
     header = _HEADER.pack(MAGIC, VERSION, int(envelope.mode), envelope.n,
                           envelope.symbol_width, envelope.block_bytes,
                           envelope.plaintext_len)
-    return header + envelope.payload
+    return header, envelope.payload
+
+
+def encode_envelope(envelope: CipherEnvelope) -> bytes:
+    """Serialize an envelope to the wire format."""
+    header, payload = envelope_pieces(envelope)
+    return header + payload
 
 
 def decode_envelope(data: bytes) -> CipherEnvelope:
@@ -112,14 +125,15 @@ class ObjectStore:
     def __init__(self, root: "str | Path | None" = None):
         self.root: Optional[Path] = Path(root) if root is not None else None
         self.objects: Dict[str, bytes] = {}
-        self.texts: Dict[str, str] = {}
+        self.texts: Dict[str, bytes] = {}
 
-    def put_object(self, key: str, data: bytes) -> None:
-        """Store a blob durably; atomic replace if the key exists."""
+    def put_object(self, key: str, pieces: Pieces) -> None:
+        """Store the join of `pieces` durably; atomic replace if the key
+        exists."""
         if self.root is None:
-            self.objects[key] = data
+            self.objects[key] = b"".join(pieces)
         else:
-            _atomic_write(self.root / "objects", [(key, data, True)])
+            _atomic_write(self.root / "objects", [(key, pieces, True)])
 
     def get_object(self, key: str) -> bytes:
         """Fetch a blob; NotFound if it was never stored."""
@@ -142,29 +156,33 @@ class ObjectStore:
             raise IoFailure(f"cannot list {self.root / 'objects'}: {exc}") from exc
         return iter(sorted(names))
 
-    def write_text(self, filename: str, text: str, *,
-                   cache: Optional[Tuple[str, str]] = None) -> None:
-        """Atomically write a root-level text file, fsynced, in one group
-        commit with an optional ``cache`` (filename, text) renamed after
-        it, unsynced."""
+    def write_text(self, filename: str, pieces: Pieces, *,
+                   cache: Optional[Tuple[str, bytes]] = None) -> None:
+        """Atomically write the join of `pieces` to a root-level file,
+        fsynced, in one group commit with an optional ``cache``
+        (filename, bytes) renamed after it, unsynced."""
         if self.root is None:
-            self.texts[filename] = text
+            self.texts[filename] = b"".join(pieces)
             if cache is not None:
                 self.texts[cache[0]] = cache[1]
             return
-        files = [(filename, text.encode("utf-8"), True)]
+        files = [(filename, pieces, True)]
         if cache is not None:
-            files.append((cache[0], cache[1].encode("utf-8"), False))
+            files.append((cache[0], (cache[1],), False))
         _atomic_write(self.root, files)
 
-    def read_text(self, filename: str) -> str:
-        """Read a root-level text file; NotFound if absent."""
+    def read_bytes(self, filename: str) -> bytes:
+        """Read a root-level file; NotFound if absent."""
         if self.root is not None:
-            return _read(self.root / filename).decode("utf-8")
+            return _read(self.root / filename)
         try:
             return self.texts[filename]
         except KeyError:
             raise NotFound(f"no file {filename} in memory store") from None
+
+    def read_text(self, filename: str) -> str:
+        """Read a root-level text file; NotFound if absent."""
+        return self.read_bytes(filename).decode("utf-8")
 
 
 def _read(path: Path) -> bytes:
@@ -177,8 +195,8 @@ def _read(path: Path) -> bytes:
 
 
 def _atomic_write(directory: Path,
-                  files: Sequence[Tuple[str, bytes, bool]]) -> None:
-    """Commit (name, data, durable) files into `directory` as one group.
+                  files: Sequence[Tuple[str, Pieces, bool]]) -> None:
+    """Commit (name, pieces, durable) files into `directory` as one group.
 
     Every temp file is written, and each durable one fsynced, before the
     first os.replace; the renames run in the order given and one fsync
@@ -194,7 +212,7 @@ def _atomic_write(directory: Path,
     target = directory / files[0][0]
     try:
         made = _make_dirs(directory)
-        for name, data, durable in files:
+        for name, pieces, durable in files:
             target = directory / name
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".",
                                        suffix=".tmp")
@@ -202,7 +220,7 @@ def _atomic_write(directory: Path,
             with open(fd, "wb") as fh:
                 with contextlib.suppress(FileNotFoundError):
                     os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-                fh.write(data)
+                fh.writelines(pieces)
                 if durable:
                     fh.flush()
                     os.fsync(fh.fileno())

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -135,6 +136,16 @@ def test_grant_stores_envelope_under_content_key():
     blob = store.get_object(grant.envelope_ref)
     # the 20-byte header, then one additive-mode byte per plaintext byte
     assert len(blob) == 20 + len(DATA)
+
+
+def test_grant_hands_the_store_header_and_payload_as_two_pieces():
+    db, store = base_db()
+    with mock.patch.object(store, "put_object", wraps=store.put_object) as put:
+        grant_access(db, store, "f", "olivia", ["carol"], DATA,
+                     mode=Mode.POWER, n=3)
+    (ref, (header, payload)), = [call.args for call in put.call_args_list]
+    assert len(header) == 20 and len(payload) > len(DATA)
+    assert store.get_object(ref) == header + payload
 
 
 def test_owner_share_is_never_stored():
@@ -567,23 +578,27 @@ def full_loads_forbidden():
                              side_effect=AssertionError("full parse"))
 
 
+def counted_grant_parses():
+    """Count the grant blocks parsed (each goes through _grant_from_doc)."""
+    return mock.patch.object(trishare.authz, "_grant_from_doc",
+                             wraps=trishare.authz._grant_from_doc)
+
+
 def test_sliced_load_parses_only_the_grants_it_reads(tmp_path):
     db, _, owner_share = granted()
     store = ObjectStore(tmp_path / "store")
     grant_access(db, store, "g", "olivia", ["chuck"], DATA)
     persist_db(db, store)
-    with full_loads_forbidden():
+    with full_loads_forbidden(), counted_grant_parses() as parses:
         loaded = load_db(store)
-    assert set(loaded.grants) == {"f", "g"} and "f" in loaded.grants
-    assert unread(loaded.grants) == {"f", "g"}
-    assert loaded.grants["f"] == db.grants["f"]
-    assert unread(loaded.grants) == {"g"}
+        assert set(loaded.grants) == {"f", "g"} and "f" in loaded.grants
+        assert len(loaded.grants) == 2 and "h" not in loaded.grants
+        assert parses.call_count == 0
+        assert loaded.grants["f"] == db.grants["f"]
+        assert parses.call_count == 1
+        assert loaded.grants["f"] is loaded.grants["f"]
+        assert parses.call_count == 1
     assert loaded == db
-
-
-def unread(grants):
-    """The file ids whose grant is still its unparsed block."""
-    return {fid for fid, g in grants._grants.items() if isinstance(g, str)}
 
 
 def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
@@ -593,11 +608,14 @@ def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
     store = ObjectStore(tmp_path / "store")
     grant_access(db, store, "g", "olivia", ["chuck"], DATA)
     persist_db(db, store)
-    with full_loads_forbidden():
+    with full_loads_forbidden(), counted_grant_parses() as parses:
         loaded = load_db(store)
-    assert [loaded.grants[fid] for fid in loaded.grants] == [
-        db.grants["f"], db.grants["g"]]
-    assert unread(loaded.grants) == set()
+        assert [loaded.grants[fid] for fid in loaded.grants] == [
+            db.grants["f"], db.grants["g"]]
+        assert parses.call_count == 2
+        assert [loaded.grants[fid] for fid in loaded.grants] == [
+            db.grants["f"], db.grants["g"]]
+        assert parses.call_count == 2
     assert db_to_json(loaded) == store.read_text(POLICY_FILENAME)
 
 
@@ -634,14 +652,16 @@ def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
     db, store, owner_share = granted()
     disk = ObjectStore(tmp_path / "store")
     for ref in store.keys():
-        disk.put_object(ref, store.get_object(ref))
+        disk.put_object(ref, [store.get_object(ref)])
     persist_db(db, disk)
     before = db_to_json(db)
     revoke_user(db, "f", "chuck")
     after = db_to_json(db)
     # The states a crash can leave the unsynced sidecar in, beside the
     # policy.json that was committed.
-    digest = trishare.authz._digest
+    def digest(text):
+        return trishare.authz._digest([text.encode("utf-8")]).decode("ascii")
+
     committed, stale = {"old-digest": (after, digest(before)),
                         "empty": (after, ""),
                         "truncated": (after, digest(after)[:32]),
@@ -666,12 +686,18 @@ def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
         assert db_to_json(load_db(disk)) == committed
 
 
+def forge(store, text):
+    """Commit `text` as the policy with the sidecar persist_db would write."""
+    data = text.encode("utf-8")
+    store.write_text(POLICY_FILENAME, [data],
+                     cache=(POLICY_DIGEST_FILENAME, trishare.authz._digest([data])))
+
+
 def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
     db, _, _ = granted()
     store = ObjectStore(tmp_path / "store")
     text = db_to_json(db).replace('"kc": ', '"kc": "', 1)
-    store.write_text(POLICY_FILENAME, text)
-    store.write_text(POLICY_DIGEST_FILENAME, trishare.authz._digest(text))
+    forge(store, text)
     loaded = load_db(store)
     assert "f" in loaded.grants
     with pytest.raises(CorruptPolicy) as info:
@@ -681,18 +707,123 @@ def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
         loaded.grants.get("f")
 
 
-@pytest.mark.parametrize("name", ["users-only", "no-grants-key", "reindented"])
+@pytest.mark.parametrize("name", ["users-only", "no-grants-key", "reindented",
+                                  "not-ascii"])
 def test_out_of_layout_policy_under_a_matching_digest(tmp_path, name):
     db, _, _ = granted()
     doc = json.loads(db_to_json(db))
     text = {"users-only": json.dumps({"p": doc["p"], "users": doc["users"]}),
             "no-grants-key": db_to_json(db).replace('"grants"', '"grunts"'),
-            "reindented": json.dumps(doc, indent=1)}[name]
+            "reindented": json.dumps(doc, indent=1),
+            # db_to_json escapes every non-ASCII character
+            "not-ascii": db_to_json(db).replace('"carol"', '"c\u00e1rol"'),
+            }[name]
     store = ObjectStore(tmp_path / "store")
-    store.write_text(POLICY_FILENAME, text)
-    store.write_text(POLICY_DIGEST_FILENAME, trishare.authz._digest(text))
+    forge(store, text)
     with pytest.raises(CorruptPolicy):
         load_db(store)
+
+
+def forged_policy(forgery):
+    """Text in db_to_json's layout that persist_db never wrote: blocks f1
+    and f2 swapped, a second, different f2 block after f2, or an f1 block
+    that names f3 in a second file_id key."""
+    db, store = base_db()
+    for i in range(5):
+        grant_access(db, store, f"f{i}", "olivia", ["carol"], DATA)
+    doc = json.loads(db_to_json(db))
+    grants = doc["grants"]
+    if forgery == "swapped":
+        grants[1], grants[2] = grants[2], grants[1]
+    elif forgery == "duplicate":
+        grants.insert(3, dict(grants[2], salt_hex="00" * 16))
+    # db_to_json writes what json.dumps(doc, indent=2) writes (see the oracle)
+    text = json.dumps(doc, indent=2)
+    owner = '"owner_id": "olivia",'
+    if forgery == "two-ids":
+        text = text.replace(f'"f1",\n      {owner}', f'"f1",\n      {owner} "file_id": "f3",')
+    return db, text
+
+
+# Every lookup either finds the block that holds its own file id or fails
+# typed; none returns another id's grant.
+@pytest.mark.parametrize("forgery, outcomes", [
+    ("swapped", {"f0": "own", "f1": "UnknownFile", "f2": "UnknownFile",
+                 "f3": "own", "f4": "own"}),
+    ("duplicate", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
+                   "f3": "own", "f4": "own"}),
+    ("two-ids", {"f0": "own", "f1": "CorruptPolicy", "f2": "own",
+                 "f3": "own", "f4": "own"}),
+])
+def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
+                                                           outcomes):
+    db, text = forged_policy(forgery)
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    loaded = load_db(store)
+    seen = {}
+    for fid in outcomes:
+        try:
+            grant = loaded.grants.get(fid)
+        except CorruptPolicy:
+            seen[fid] = "CorruptPolicy"
+            continue
+        seen[fid] = ("UnknownFile" if grant is None
+                     else "own" if grant == db.grants[fid] else "another's")
+    assert seen == outcomes
+    for fid, outcome in outcomes.items():
+        if outcome != "own":
+            with pytest.raises(getattr(trishare.authz, outcome)):
+                request_decrypt(loaded, store, fid,
+                                SharePoint(OWNER_X, 1, db.modulus), C1)
+    # Listing checks the order of every quoted id, and only that.
+    try:
+        listed = list(loaded.grants)
+    except CorruptPolicy:
+        listed = "CorruptPolicy"
+    assert listed == (list(outcomes) if forgery == "two-ids" else "CorruptPolicy")
+
+
+def churn_policy(store):
+    """A policy shaped like the policy-churn workload's: 300 grants of 8
+    consumers each, drawn from 64."""
+    db = PolicyDb()
+    register_user(db, OWNER)
+    consumers = [f"u{i:03d}" for i in range(64)]
+    for uid in consumers:
+        register_user(db, UserRecord(uid, UserType.CONSUMER, uid.encode()))
+    rng, envelopes = random.Random(300), ObjectStore()
+    for i in range(300):
+        grant_access(db, envelopes, f"f{i:03d}", "olivia",
+                     rng.sample(consumers, 8), b"x")
+    persist_db(db, store)
+
+
+def test_policy_commands_copy_no_whole_policy(tmp_path):
+    # A load keeps the bytes it read as the working copy, and a commit
+    # streams slices of them: no decoded, split or joined whole policy.
+    store = ObjectStore(tmp_path / "store")
+    churn_policy(store)
+    size = (tmp_path / "store" / POLICY_FILENAME).stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_db(store)
+        gone = min(loaded.grants["f150"].consumer_shares)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        revoke_user(loaded, "f150", gone)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        persist_db(loaded, store)
+        persist_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.2 * size, load_peak / size
+    assert persist_peak <= 0.25 * size, persist_peak / size
+    with full_loads_forbidden():
+        reloaded = load_db(store)
+    assert gone not in reloaded.grants["f150"].consumer_shares
+    assert reloaded.grants["f151"] == loaded.grants["f151"]
+    assert len(reloaded.grants) == 300
 
 
 def _det_urandom(seed):
@@ -717,6 +848,11 @@ def _run_policy_command(store, op, ids, file_ids):
         grant_access(db, store, file_ids[a % len(file_ids)], ids[0],
                      consumers or registered[:1], DATA,
                      secret=(a * 7919 + b) % db.modulus.p)
+    elif kind == "delete":
+        granted_ids = sorted(db.grants)
+        if not granted_ids:
+            return
+        del db.grants[granted_ids[a % len(granted_ids)]]
     else:
         live = [fid for fid in sorted(db.grants) if db.grants[fid].consumer_shares]
         if not live:
@@ -727,14 +863,26 @@ def _run_policy_command(store, op, ids, file_ids):
     persist_db(db, store)
 
 
+# Grants and deletes of the only, first, last and a middle block, over
+# ids that sort between escaped and unescaped ones.
+_SPLICE_IDS = ["m", 'a"q', "z\\u", "\U0001F600", "b", "\u2028"]
+_SPLICE_OPS = ([("grant", 0, 1), ("delete", 0, 0), ("grant", 0, 3)]
+               + [("grant", i, 1) for i in range(1, 6)]
+               + [("revoke", 2, 0), ("delete", 0, 0), ("delete", 3, 0),
+                  ("delete", 3, 0), ("grant", 1, 2), ("delete", 1, 0)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([M61, (1 << 31) - 1, 65537]),
        ids=st.lists(TRICKY_TEXT, min_size=2, max_size=5, unique=True),
-       file_ids=st.lists(TRICKY_TEXT.filter(bool), min_size=1, max_size=3,
+       file_ids=st.lists(TRICKY_TEXT.filter(bool), min_size=1, max_size=8,
                          unique=True),
-       ops=st.lists(st.tuples(st.sampled_from(["register", "grant", "revoke"]),
+       ops=st.lists(st.tuples(st.sampled_from(["register", "grant", "revoke",
+                                               "delete"]),
                               st.integers(0, 63), st.integers(0, 63)),
                     max_size=12))
+@example(p=M61, ids=["o", "c1", "c2"], file_ids=_SPLICE_IDS,
+         ops=[("register", 1, 0), ("register", 1, 1)] + _SPLICE_OPS)
 def test_sliced_and_full_loads_write_the_same_bytes(p, ids, file_ids, ops):
     sliced, full = ObjectStore(), ObjectStore()
     for store in (sliced, full):

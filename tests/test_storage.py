@@ -5,11 +5,12 @@ import random
 import stat
 import struct
 import tempfile
+import tracemalloc
 
 import pytest
 
 import trishare.storage
-from trishare.storage import POLICY_DIGEST_FILENAME
+from trishare.storage import POLICY_DIGEST_FILENAME, envelope_pieces
 
 from trishare import (
     BadHeader,
@@ -224,11 +225,18 @@ def test_object_key_format():
     assert key != object_key("report.pdf", version=1)
 
 
+def test_envelope_pieces_join_to_the_wire_format():
+    env = seal_file(b"power body", CipherKey(a=300, n=3, mode=Mode.POWER))
+    header, payload = envelope_pieces(env)
+    assert len(header) == HEADER_BYTES and payload is env.payload
+    assert header + payload == encode_envelope(env)
+
+
 # ---------------------------------------------------------------- object store
 
 def test_memory_store_round_trip():
     store = ObjectStore()
-    store.put_object("k1", b"blob")
+    store.put_object("k1", [b"blob"])
     assert store.get_object("k1") == b"blob"
     with pytest.raises(NotFound):
         store.get_object("missing")
@@ -236,24 +244,39 @@ def test_memory_store_round_trip():
 
 def test_disk_store_round_trip(tmp_path):
     store = ObjectStore(tmp_path / "store")
-    store.put_object("k1", b"blob-on-disk")
+    store.put_object("k1", [b"blob-on-disk"])
     assert store.get_object("k1") == b"blob-on-disk"
     reopened = ObjectStore(tmp_path / "store")
     assert reopened.get_object("k1") == b"blob-on-disk"
     assert list(reopened.keys()) == ["k1"]
 
 
+def test_disk_store_streams_pieces_without_joining_them(tmp_path):
+    payload = os.urandom(400_000)
+    store = ObjectStore(tmp_path / "store")
+    store.put_object("k", [b"warm-up"])
+    tracemalloc.start()
+    try:
+        store.put_object("k", [b"header", memoryview(payload)[:200_000],
+                               memoryview(payload)[200_000:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(payload) // 4, peak
+    assert store.get_object("k") == b"header" + payload
+
+
 def test_disk_store_overwrite_replaces(tmp_path):
     store = ObjectStore(tmp_path / "store")
-    store.put_object("k", b"old")
-    store.put_object("k", b"new")
+    store.put_object("k", [b"old"])
+    store.put_object("k", [b"new"])
     assert ObjectStore(tmp_path / "store").get_object("k") == b"new"
 
 
 def test_no_temp_files_left_behind(tmp_path):
     store = ObjectStore(tmp_path / "store")
     for i in range(20):
-        store.put_object(f"k{i}", os.urandom(64))
+        store.put_object(f"k{i}", [os.urandom(64)])
     leftovers = [p.name for p in (tmp_path / "store" / "objects").iterdir()
                  if p.name.endswith(".tmp")]
     assert leftovers == []
@@ -262,14 +285,14 @@ def test_no_temp_files_left_behind(tmp_path):
 @pytest.mark.parametrize("step", ["fsync", "replace"])
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, step):
     store = ObjectStore(tmp_path / "store")
-    store.put_object("k", b"old")
+    store.put_object("k", [b"old"])
 
     def fail(*args):
         raise OSError(f"simulated {step} failure")
 
     monkeypatch.setattr(trishare.storage.os, step, fail)
     with pytest.raises(IoFailure):
-        store.put_object("k", b"new")
+        store.put_object("k", [b"new"])
     monkeypatch.undo()
     assert sorted(p.name for p in (tmp_path / "store" / "objects").iterdir()) == ["k"]
     assert store.get_object("k") == b"old"
@@ -309,8 +332,8 @@ def test_writes_to_one_path_use_distinct_temp_names(tmp_path, monkeypatch):
         real_replace(src, dst)
 
     monkeypatch.setattr(trishare.storage.os, "replace", recording_replace)
-    store.put_object("k", b"one")
-    store.put_object("k", b"two")
+    store.put_object("k", [b"one"])
+    store.put_object("k", [b"two"])
     assert len(set(sources)) == 2
     assert all(name.startswith("k.") and name.endswith(".tmp") for name in sources)
 
@@ -327,10 +350,10 @@ def synced_paths(fsyncs, base):
 
 def test_write_fsyncs_file_then_directory(tmp_path, fsyncs):
     store = ObjectStore(tmp_path / "store")
-    store.put_object("k", b"old")
+    store.put_object("k", [b"old"])
     persist_db(PolicyDb(), store)
     fsyncs.clear()
-    store.put_object("k", b"blob")
+    store.put_object("k", [b"blob"])
     assert synced_paths(fsyncs, tmp_path) == ["store/objects/k", "store/objects"]
     # The sidecar is renamed in but never fsynced: it is only a cache.
     persist_db(PolicyDb(), store)
@@ -342,7 +365,7 @@ def test_first_write_syncs_the_parent_of_each_directory_it_made(tmp_path, fsyncs
     persist_db(PolicyDb(), store)
     assert synced_paths(fsyncs, tmp_path) == [
         "a/store/policy.json", "a/store", "a", "."]
-    store.put_object("k", b"blob")
+    store.put_object("k", [b"blob"])
     assert synced_paths(fsyncs, tmp_path) == [
         "a/store/objects/k", "a/store/objects", "a/store"]
 
@@ -361,18 +384,18 @@ def _failing_directory_fsync(monkeypatch, err):
 @pytest.mark.parametrize("err", [errno.EINVAL, errno.EOPNOTSUPP])
 def test_directory_fsync_unsupported_is_not_a_failure(tmp_path, monkeypatch, err):
     store = ObjectStore(tmp_path / "store")
-    store.put_object("k", b"old")
+    store.put_object("k", [b"old"])
     _failing_directory_fsync(monkeypatch, err)
-    store.put_object("k", b"new")
+    store.put_object("k", [b"new"])
     assert store.get_object("k") == b"new"
 
 
 def test_failed_directory_fsync_says_file_was_replaced(tmp_path, monkeypatch):
     store = ObjectStore(tmp_path / "store")
-    store.put_object("k", b"old")
+    store.put_object("k", [b"old"])
     _failing_directory_fsync(monkeypatch, errno.EIO)
     with pytest.raises(IoFailure, match="was replaced.*may not survive a crash"):
-        store.put_object("k", b"new")
+        store.put_object("k", [b"new"])
     monkeypatch.undo()
     assert sorted(p.name for p in (tmp_path / "store" / "objects").iterdir()) == ["k"]
     assert store.get_object("k") == b"new"
@@ -380,11 +403,11 @@ def test_failed_directory_fsync_says_file_was_replaced(tmp_path, monkeypatch):
 
 def test_new_file_is_private_and_rewrite_keeps_mode(tmp_path):
     store = ObjectStore(tmp_path / "store")
-    store.write_text(POLICY_FILENAME, "{}")
+    store.write_text(POLICY_FILENAME, [b"{}"])
     path = tmp_path / "store" / POLICY_FILENAME
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
     path.chmod(0o644)
-    store.write_text(POLICY_FILENAME, "{ }")
+    store.write_text(POLICY_FILENAME, [b"{ }"])
     assert stat.S_IMODE(path.stat().st_mode) == 0o644
     assert path.read_text() == "{ }"
 
@@ -399,16 +422,16 @@ def test_store_is_created_by_its_first_write(tmp_path):
         store.read_text(POLICY_FILENAME)
     assert list(store.keys()) == []
     assert not (tmp_path / "a").exists()
-    store.write_text(POLICY_FILENAME, "{}")
+    store.write_text(POLICY_FILENAME, [b"{}"])
     assert sorted(p.name for p in root.iterdir()) == [POLICY_FILENAME]
-    store.put_object("k", b"blob")
+    store.put_object("k", [b"blob"])
     assert sorted(p.name for p in (root / "objects").iterdir()) == ["k"]
 
 
 def test_stale_temp_files_ignored_on_open(tmp_path):
     root = tmp_path / "store"
     store = ObjectStore(root)
-    store.put_object("good", b"data")
+    store.put_object("good", [b"data"])
     (root / "objects" / "junk.tmp").write_bytes(b"partial write")
     reopened = ObjectStore(root)
     assert list(reopened.keys()) == ["good"]
@@ -416,7 +439,7 @@ def test_stale_temp_files_ignored_on_open(tmp_path):
 
 def test_text_files_round_trip(tmp_path):
     for store in (ObjectStore(), ObjectStore(tmp_path / "s")):
-        store.write_text("policy.json", '{"ok": true}')
+        store.write_text("policy.json", [b'{"ok": ', memoryview(b"true}")])
         assert store.read_text("policy.json") == '{"ok": true}'
         with pytest.raises(NotFound):
             store.read_text("absent.json")
@@ -427,7 +450,7 @@ def test_text_files_are_not_objects(tmp_path):
     db = PolicyDb()
     register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
     for store in (ObjectStore(), ObjectStore(tmp_path / "s")):
-        store.put_object("k", b"blob")
+        store.put_object("k", [b"blob"])
         persist_db(db, store)
         assert list(store.keys()) == ["k"]
         with pytest.raises(NotFound):
