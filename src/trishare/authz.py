@@ -230,26 +230,26 @@ class Grants(MutableMapping):
 
     def _span(self, file_id: str) -> Tuple[int, int]:
         """The text span of file_id's block, or an empty span where it
-        would go.  CorruptPolicy if its neighbours are out of order."""
-        lo, hi = self._lo, self._hi
-        # Blocks starting before a hold smaller ids, blocks starting at
-        # or after b larger or equal ones; a and b are block starts or hi.
-        a, b = lo, hi
+        would go.  CorruptPolicy if the next block repeats the id or
+        sorts before it."""
+        hi = self._hi
+        # The block just before a holds a smaller id, and b_id is the id
+        # of the block at b, not smaller; a and b are block starts or hi.
+        a, b, b_id = self._lo, hi, None
         while a < b:
             probe = self._next_start((a + b) // 2)
             if probe >= b:
                 probe = a
-            if self._id_at(probe) < file_id:
+            probe_id = self._id_at(probe)
+            if probe_id < file_id:
                 a = self._next_start(probe + 1)
             else:
-                b = probe
-        if a == hi or self._id_at(a) != file_id:
+                b, b_id = probe, probe_id
+        if b_id != file_id:
             return a, a
         after = self._next_start(a + 1)
-        before = self._text.rfind(_SEAM, lo, a - 1) + 1 or lo
-        if (after < hi and self._id_at(after) <= file_id
-                or a > lo and self._id_at(before) >= file_id):
-            raise CorruptPolicy(f"the grant blocks around {file_id!r} are "
+        if after < hi and self._id_at(after) <= file_id:
+            raise CorruptPolicy(f"the grant blocks after {file_id!r} are "
                                 "not in file id order")
         return a, after - 1 if after < hi else hi
 
@@ -264,8 +264,13 @@ class Grants(MutableMapping):
         """The file id quoted at the head of the block at start."""
         at = start + len(_GRANT_MARK)
         stop = self._text.find(_OWNER_KEY, at, self._hi)
+        quoted = self._text[at:stop] if stop >= 0 else b""
+        if (quoted[:1] == b'"' == quoted[-1:] and len(quoted) > 1
+                and b"\\" not in quoted):
+            # A JSON string with no escape is its text between quotes.
+            return quoted[1:-1].decode("ascii")
         try:
-            file_id = json.loads(self._text[at:stop]) if stop >= 0 else None
+            file_id = json.loads(quoted)
         except ValueError as exc:
             raise CorruptPolicy(f"a grant block's file id is not JSON: {exc}") from exc
         if not isinstance(file_id, str):
