@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import secrets as _secrets
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -129,8 +129,9 @@ class FileGrant:
     envelope_ref: str
 
 
-class Grants(MutableMapping):
-    """file_id -> FileGrant, kept as edits against the verified policy.
+class Grants(Mapping):
+    """file_id -> FileGrant, kept as edits against the verified policy;
+    a grant is replaced or added by assignment, never deleted.
 
     A policy loaded through its sidecar keeps its bytes, whose grant
     blocks sit in text[lo:hi] sorted by file id, joined by ",".  A lookup
@@ -147,14 +148,12 @@ class Grants(MutableMapping):
                  modulus: "FieldModulus | None" = None):
         self._text, self._lo, self._hi = text, lo, hi
         self._modulus = modulus
-        # file_id -> (start, end, grant); a deleted block's grant is None
-        self._edits: Dict[str, Tuple[int, int, "FileGrant | None"]] = {}
+        # file_id -> (start, end, grant)
+        self._edits: Dict[str, Tuple[int, int, FileGrant]] = {}
 
     def __getitem__(self, file_id: str) -> FileGrant:
         edit = self._edits.get(file_id)
         if edit is not None:
-            if edit[2] is None:
-                raise KeyError(file_id)
             return edit[2]
         start, end = self._span(file_id)
         if start == end:
@@ -167,24 +166,15 @@ class Grants(MutableMapping):
         return grant
 
     def __setitem__(self, file_id: str, grant: FileGrant) -> None:
-        start, end = self._place(file_id)
+        edit = self._edits.get(file_id)
+        start, end = edit[:2] if edit is not None else self._span(file_id)
         self._edits[file_id] = (start, end, grant)
-
-    def __delitem__(self, file_id: str) -> None:
-        if file_id not in self:
-            raise KeyError(file_id)
-        start, end = self._place(file_id)
-        if start == end:  # an insert: nothing in the text to remove
-            del self._edits[file_id]
-        else:
-            self._edits[file_id] = (start, end, None)
 
     def __contains__(self, file_id: object) -> bool:
         if not isinstance(file_id, str):
             return False
-        edit = self._edits.get(file_id)
-        if edit is not None:
-            return edit[2] is not None
+        if file_id in self._edits:
+            return True
         start, end = self._span(file_id)
         return start < end
 
@@ -195,15 +185,10 @@ class Grants(MutableMapping):
             start = self._next_start(start + 1)
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise CorruptPolicy("grant blocks are not in file id order")
-        edits = self._edits
-        return iter(sorted([fid for fid in ids if fid not in edits]
-                           + [fid for fid, e in edits.items() if e[2] is not None]))
+        return iter(sorted(self._edits.keys() | ids))
 
     def __len__(self) -> int:
-        n = self._text.count(_SEAM, self._lo, self._hi) + (self._lo < self._hi)
-        for start, end, grant in self._edits.values():
-            n += (start == end) - (grant is None)
-        return n
+        return sum(1 for _ in self)
 
     def _spliced(self) -> List[bytes]:
         """Every grant block in file id order, for _policy_pieces: each
@@ -217,16 +202,11 @@ class Grants(MutableMapping):
                 for fid, (start, end, grant) in self._edits.items()):
             if cursor < start:  # the run before start, less the "," ending it
                 items.append(text[cursor:start - 1 if start < hi else hi])
-            if grant is not None:
-                items.append(_grant_json(grant).encode("ascii"))
+            items.append(_grant_json(grant).encode("ascii"))
             cursor = start if start == end else min(end + 1, hi)
         if cursor < hi:
             items.append(text[cursor:hi])
         return items
-
-    def _place(self, file_id: str) -> Tuple[int, int]:
-        edit = self._edits.get(file_id)
-        return edit[:2] if edit is not None else self._span(file_id)
 
     def _span(self, file_id: str) -> Tuple[int, int]:
         """The text span of file_id's block, or an empty span where it

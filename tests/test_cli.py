@@ -402,6 +402,48 @@ def test_register_grant_request_revoke(tmp_path, capsys):
     assert fetched.read_bytes() == body
 
 
+def test_policy_and_objects_alone_open_every_file(tmp_path, capsys):
+    # Only `request` asks for all three roles.  policy.json holds the
+    # owner's credentials and each grant's salt, which give a1 and a2;
+    # then a0 = server y - a1 x - a2 x^2, with no owner point and no
+    # consumer share.
+    store = tmp_path / "store"
+    register_users(store, capsys)
+    bodies = {"memo": (b"additive body " * 40, []),
+              "plan": (b"power body " * 40, ["--mode", "power", "--n", "3"])}
+    for fid, (body, mode_args) in bodies.items():
+        (tmp_path / fid).write_bytes(body)
+        rc, _, _ = run_cli(
+            ["grant", "--store", str(store), "--file-id", fid, "--owner", "olivia",
+             "--consumers", "alice,bob", "--in", str(tmp_path / fid), *mode_args],
+            capsys,
+        )
+        assert rc == 0
+    rc, _, _ = run_cli(["revoke", "--store", str(store), "--file-id", "memo",
+                        "--user", "bob"], capsys)
+    assert rc == 0
+
+    doc = json.loads((store / "policy.json").read_text())
+    p = doc["p"]
+    assert p == M61
+    credentials = {u["user_id"]: bytes.fromhex(u["credentials_hex"])
+                   for u in doc["users"]}
+    opened = {}
+    for g in doc["grants"]:
+        owner = credentials[g["owner_id"]]
+        a1, a2 = trishare.derive_attribute_tokens(
+            [owner + b"\x01", owner + b"\x02"], bytes.fromhex(g["salt_hex"]), 3,
+            modulus_for(p))
+        x, y = g["server_share"]["x"], g["server_share"]["y"]
+        a0 = (y - a1 * x - a2 * x * x) % p
+        envelope = trishare.decode_envelope(
+            (store / "objects" / g["envelope_ref"]).read_bytes())
+        key = trishare.derive_file_key(a0, g["file_id"], mode=envelope.mode,
+                                       n=envelope.n)
+        opened[g["file_id"]] = trishare.open_file(envelope, key)
+    assert opened == {fid: body for fid, (body, _) in bodies.items()}
+
+
 def test_policy_files_live_in_the_store(tmp_path, capsys):
     store = tmp_path / "store"
     src = tmp_path / "f.bin"

@@ -126,13 +126,29 @@ def test_slab_tables_are_built_for_the_lanes_a_call_needs():
     a = 7  # a multiplier no other test draws on purpose
     _TABLES.pop(a, None)
     _lehmer_bits_int(RAND_X0, a, 64 * 5 + 1)
-    assert _TABLES[a][0] == 6
-    _lehmer_bits_int(RAND_X0, a, 64)  # a shorter call reuses them
-    assert _TABLES[a][0] == 6
+    built = _TABLES[a]
+    assert built[0] == 6
+    _lehmer_bits_int(RAND_X0, a, 64 * 6)  # a call of as many lanes reuses them
+    _lehmer_bits_int(RAND_X0, a, 64)  # and so does a shorter one
+    assert _TABLES[a] is built
     _lehmer_bits_int(RAND_X0, a, 2 * 64 * _LANES + 1)  # grown to one slab, no more
     assert _TABLES[a][0] == _LANES
     # no lane table is a module constant
     assert all(v.bit_length() <= 64 for v in vars(keystream).values() if type(v) is int)
+
+
+def test_slab_table_cache_holds_four_multipliers():
+    kept = dict(_TABLES)
+    _TABLES.clear()
+    try:
+        for a in (3, 5, 7, 11):
+            _lehmer_bits_int(RAND_X0, a, 64)
+        assert sorted(_TABLES) == [3, 5, 7, 11]
+        _lehmer_bits_int(RAND_X0, 13, 64)  # a fifth empties the cache first
+        assert sorted(_TABLES) == [13]
+    finally:
+        _TABLES.clear()
+        _TABLES.update(kept)
 
 
 # Slab edges of the bit-sliced Lehmer generator: a slab is K = _LANES
@@ -143,7 +159,7 @@ LANE_EDGE_COUNTS = (
     0, 1, 31, 32, 33, 63, 64, 65, 127, 129, 1000,
     _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 5,
     SLAB_BITS - 65, SLAB_BITS - 1, SLAB_BITS, SLAB_BITS + 1,
-    SLAB_BITS + 100, SLAB_BITS + 4097, 2 * SLAB_BITS + 65,
+    SLAB_BITS + 64, SLAB_BITS + 100, SLAB_BITS + 4097, 2 * SLAB_BITS + 65,
 )
 # The kernel holds for any multiplier mod p, not only the two mask
 # multipliers.
@@ -221,6 +237,9 @@ def test_mask_params_avoid_zero_fixed_point():
         assert 1 <= x0 <= MASK_MODULUS - 1
         for a in MULTIPLIERS:
             assert _lehmer_bits_int(x0, a, 64) != 0
+    # the fold is seed mod (p - 1), plus 1, so it is onto [1, p - 1]
+    p = MASK_MODULUS
+    assert [start_state(s) for s in (0, p - 2, p - 1, p)] == [1, p - 1, 1, 2]
 
 
 def test_mask_streams_pass_monobit():
@@ -246,6 +265,9 @@ def test_schedule_validation():
         with pytest.raises(InvalidParams):
             MaskSchedule(rand_x0=RAND_X0, rep_x0=x0, block_bytes=1024)
     assert schedule(16).block_bytes == 16
+    # both ends of [1, p - 1] are start states
+    edges = MaskSchedule(rand_x0=1, rep_x0=MASK_MODULUS - 1, block_bytes=8)
+    assert (edges.rand_x0, edges.rep_x0) == (1, MASK_MODULUS - 1)
 
 
 def test_mask_is_an_involution():
