@@ -104,12 +104,12 @@ def _run_tests(copy, tests):
         return "timeout"
 
 
-def probe(module, copy, seed, sample):
+def probe(module, copy, sample):
     """Run a sample of the module's mutants; a list of report rows."""
     path = copy / "src" / "trishare" / f"{module}.py"
     source = path.read_text(encoding="utf-8")
     sites = _sites(ast.parse(source))
-    picked = sorted(random.Random(seed).sample(range(len(sites)),
+    picked = sorted(random.Random(SEED).sample(range(len(sites)),
                                                min(sample, len(sites))),
                     key=lambda k: (sites[k][1], k))
     tests = TESTS[module]
@@ -119,7 +119,7 @@ def probe(module, copy, seed, sample):
         path.write_text(ast.unparse(ast.parse(source)) + "\n", encoding="utf-8")
         if _run_tests(copy, tests) != "survived":
             raise SystemExit(f"{module}: the tests fail on the unmutated source")
-        print(f"{module}: {len(picked)} of {len(sites)} sites (seed {seed})",
+        print(f"{module}: {len(picked)} of {len(sites)} sites (seed {SEED})",
               flush=True)
         rows = []
         for k in picked:
@@ -138,7 +138,6 @@ def probe(module, copy, seed, sample):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", choices=sorted(TESTS))
-    parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--sample", type=int, default=SAMPLE,
                         help="mutants per module")
     args = parser.parse_args(argv)
@@ -147,7 +146,7 @@ def main(argv=None):
         shutil.copytree(REPO, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench"))
         rows = [row for module in args.modules
-                for row in probe(module, copy, args.seed, args.sample)]
+                for row in probe(module, copy, args.sample)]
     survivors = [row for row in rows if row[3] == "survived"]
     print(f"{len(rows) - len(survivors)} killed, {len(survivors)} survived")
     for module, line, change, _ in survivors:
