@@ -18,9 +18,9 @@ and register rewrites the whole policy.json, so callers serialize them
 across all files of a store; read-only queries may run concurrently.
 
 A command works on the policy bytes themselves once their digest
-sidecar verifies them: a lookup is a binary search over the grant
-blocks, which db_to_json writes sorted by file id, and parses only the
-block it finds; a commit splices the edited blocks between slices of
+sidecar verifies them: a lookup is a binary search over the user or
+grant blocks, which db_to_json writes sorted by id, and parses only the
+block it finds; a commit splices the assigned blocks between slices of
 the untouched ones and streams the pieces to disk and to SHA-256.
 """
 
@@ -32,8 +32,9 @@ import secrets as _secrets
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Set, Tuple
 
 from .cipher import Mode, derive_file_key, open_file, seal_file
 from .errors import Error
@@ -129,53 +130,74 @@ class FileGrant:
     envelope_ref: str
 
 
-class Grants(Mapping):
-    """file_id -> FileGrant, kept as edits against the verified policy;
-    a grant is replaced or added by assignment, never deleted.
+class Blocks(Mapping):
+    """id -> record for one array of the policy, its users or its grants,
+    kept as edits against the verified policy; a record is replaced or
+    added by assignment, never deleted.
 
-    A policy loaded through its sidecar keeps its bytes, whose grant
-    blocks sit in text[lo:hi] sorted by file id, joined by ",".  A lookup
-    finds a block by binary search over byte offsets: each probe takes
-    the block that starts nearest the middle and decodes only its quoted
-    file id.  Only the block a lookup returns is parsed.  Each grant read
-    or stored becomes an edit against its block's span, and a new file
-    id's span is empty, at its sorted place; _spliced gives every run of
-    blocks no edit touches as a slice of the text.  With no text (a new
-    db or a full parse) every grant is such an insert.
+    Each block of the array opens at indent 4 with `key` (the id's JSON
+    key and the record's attribute), then the quoted id, then `next_key`.
+    A policy loaded through its sidecar keeps its bytes, and text[start:
+    end] is the array as db_to_json writes it: its blocks sit in
+    text[lo:hi] sorted by id, joined by ",".  A lookup finds a block by
+    binary search over byte offsets: each probe takes the block that
+    starts nearest the middle and decodes only its quoted id, and once
+    the span left is short one scan finds the block's head.  Only the
+    block a lookup returns is parsed, by `parse`, and it is kept, not
+    written back.  A record stored becomes an edit against its block's
+    span, and a new id's span is empty, at its sorted place; _spliced
+    gives every run of blocks no edit touches as a slice of the text and
+    each edit rendered by `render`.  With no text (a new db or a full
+    parse) every record is such an insert.
     """
 
-    def __init__(self, text: bytes = b"", lo: int = 0, hi: int = 0,
-                 modulus: "FieldModulus | None" = None):
+    def __init__(self, key: str, next_key: bytes, parse: Callable[[Any], Any],
+                 render: Callable[[Any], str], text: bytes, start: int,
+                 end: int):
+        self._key, self._next_key = key, next_key
+        self._parse, self._render = parse, render
+        self._mark = b'\n    {\n      "%s": ' % key.encode("ascii")
+        self._seam = b"," + self._mark  # a block starts after its ","
+        if not text or end == start + 2 and text.startswith(b"[]", start):
+            lo = hi = start
+        elif (text.startswith(b"[" + self._mark, start)
+              and text.endswith(_ARRAY_END, start, end)):
+            lo, hi = start + 1, end - len(_ARRAY_END)
+        else:
+            raise CorruptPolicy(f"the {key} blocks do not have the layout "
+                                "db_to_json writes")
         self._text, self._lo, self._hi = text, lo, hi
-        self._modulus = modulus
-        # file_id -> (start, end, grant)
-        self._edits: Dict[str, Tuple[int, int, FileGrant]] = {}
+        # id -> (start, end, record) for every record read or assigned;
+        # _spliced renders only the assigned
+        self._records: Dict[str, Tuple[int, int, Any]] = {}
+        self._assigned: Set[str] = set()
 
-    def __getitem__(self, file_id: str) -> FileGrant:
-        edit = self._edits.get(file_id)
-        if edit is not None:
-            return edit[2]
-        start, end = self._span(file_id)
+    def __getitem__(self, key: str) -> Any:
+        hit = self._records.get(key)
+        if hit is not None:
+            return hit[2]
+        start, end = self._span(key)
         if start == end:
-            raise KeyError(file_id)
-        grant = _parsed(self._text[start:end], _grant_from_doc, self._modulus)
-        if grant.file_id != file_id:
-            raise CorruptPolicy(f"the block found for {file_id!r} is "
-                                f"{grant.file_id!r}'s")
-        self._edits[file_id] = (start, end, grant)
-        return grant
+            raise KeyError(key)
+        record = _parsed(self._text[start:end], self._parse)
+        found = getattr(record, self._key)
+        if found != key:
+            raise CorruptPolicy(f"the block found for {key!r} is {found!r}'s")
+        self._records[key] = (start, end, record)
+        return record
 
-    def __setitem__(self, file_id: str, grant: FileGrant) -> None:
-        edit = self._edits.get(file_id)
-        start, end = edit[:2] if edit is not None else self._span(file_id)
-        self._edits[file_id] = (start, end, grant)
+    def __setitem__(self, key: str, record: Any) -> None:
+        hit = self._records.get(key)
+        start, end = hit[:2] if hit is not None else self._span(key)
+        self._records[key] = (start, end, record)
+        self._assigned.add(key)
 
-    def __contains__(self, file_id: object) -> bool:
-        if not isinstance(file_id, str):
+    def __contains__(self, key: object) -> bool:
+        if not isinstance(key, str):
             return False
-        if file_id in self._edits:
+        if key in self._records:
             return True
-        start, end = self._span(file_id)
+        start, end = self._span(key)
         return start < end
 
     def __iter__(self) -> Iterator[str]:
@@ -184,91 +206,110 @@ class Grants(Mapping):
             ids.append(self._id_at(start))
             start = self._next_start(start + 1)
         if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise CorruptPolicy("grant blocks are not in file id order")
-        return iter(sorted(self._edits.keys() | ids))
+            raise CorruptPolicy(f"blocks are not in {self._key} order")
+        return iter(sorted(self._records.keys() | ids))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
     def _spliced(self) -> List[bytes]:
-        """Every grant block in file id order, for _policy_pieces: each
-        run that no edit touches as one slice of the text (its blocks
-        still joined by ","), each edited grant rendered anew."""
+        """Every block in id order, for _policy_pieces: each run that no
+        edit touches as one slice of the text (its blocks still joined by
+        ","), each assigned record rendered anew."""
         text, cursor, hi = memoryview(self._text), self._lo, self._hi
         items = []
         # An insert sorts before the block whose start it shares.
-        for start, end, _, grant in sorted(
-                (start, end, fid, grant)
-                for fid, (start, end, grant) in self._edits.items()):
+        edits = sorted(self._records[key][:2] + (key,) for key in self._assigned)
+        for start, end, key in edits:
             if cursor < start:  # the run before start, less the "," ending it
                 items.append(text[cursor:start - 1 if start < hi else hi])
-            items.append(_grant_json(grant).encode("ascii"))
+            items.append(self._render(self._records[key][2]).encode("ascii"))
             cursor = start if start == end else min(end + 1, hi)
         if cursor < hi:
             items.append(text[cursor:hi])
         return items
 
-    def _span(self, file_id: str) -> Tuple[int, int]:
-        """The text span of file_id's block, or an empty span where it
-        would go.  CorruptPolicy if the next block repeats the id or
-        sorts before it."""
+    def _span(self, key: str) -> Tuple[int, int]:
+        """The text span of key's block, or an empty span where it would
+        go.  CorruptPolicy if the next block repeats the id or sorts
+        before it."""
         hi = self._hi
         # The block just before a holds a smaller id, and b_id is the id
         # of the block at b, not smaller; a and b are block starts or hi.
         a, b, b_id = self._lo, hi, None
+        # Once [a, b] is short, one scan for the head db_to_json writes
+        # for key costs less than the probes left; on a miss the search
+        # goes on to key's place.
+        head = self._mark + _str(key).encode("ascii") + self._next_key
         while a < b:
+            if head and b - a <= _SCAN_BYTES:
+                found = self._text.find(head, a, min(b + len(head), hi))
+                if found >= 0:
+                    a, b_id = found, key
+                    break
+                head = b""
             probe = self._next_start((a + b) // 2)
             if probe >= b:
                 probe = a
             probe_id = self._id_at(probe)
-            if probe_id < file_id:
+            if probe_id < key:
                 a = self._next_start(probe + 1)
             else:
                 b, b_id = probe, probe_id
-        if b_id != file_id:
+        if b_id != key:
             return a, a
         after = self._next_start(a + 1)
-        if after < hi and self._id_at(after) <= file_id:
-            raise CorruptPolicy(f"the grant blocks after {file_id!r} are "
-                                "not in file id order")
+        if after < hi and self._id_at(after) <= key:
+            raise CorruptPolicy(f"the blocks after {key!r} are not in "
+                                f"{self._key} order")
         return a, after - 1 if after < hi else hi
 
     def _next_start(self, pos: int) -> int:
         """The first block start at or after pos, or hi."""
         if pos <= self._lo:
             return self._lo
-        seam = self._text.find(_SEAM, pos - 1, self._hi)
+        seam = self._text.find(self._seam, pos - 1, self._hi)
         return seam + 1 if seam >= 0 else self._hi
 
     def _id_at(self, start: int) -> str:
-        """The file id quoted at the head of the block at start."""
-        at = start + len(_GRANT_MARK)
-        stop = self._text.find(_OWNER_KEY, at, self._hi)
+        """The id quoted at the head of the block at start."""
+        at = start + len(self._mark)
+        stop = self._text.find(self._next_key, at, self._hi)
         quoted = self._text[at:stop] if stop >= 0 else b""
         if (quoted[:1] == b'"' == quoted[-1:] and len(quoted) > 1
                 and b"\\" not in quoted):
             # A JSON string with no escape is its text between quotes.
             return quoted[1:-1].decode("ascii")
         try:
-            file_id = json.loads(quoted)
+            key = json.loads(quoted)
         except ValueError as exc:
-            raise CorruptPolicy(f"a grant block's file id is not JSON: {exc}") from exc
-        if not isinstance(file_id, str):
-            raise CorruptPolicy(f"the grant block at byte {start} has no file id")
-        return file_id
+            raise CorruptPolicy(f"a block's {self._key} is not JSON: {exc}") from exc
+        if not isinstance(key, str):
+            raise CorruptPolicy(f"the block at byte {start} has no {self._key}")
+        return key
 
 
 @dataclass
 class PolicyDb:
-    """User table plus per-file grants, all under one modulus."""
+    """User table plus per-file grants, all under one modulus.  A plain
+    mapping given for either becomes Blocks, filled by assignment."""
 
     modulus: FieldModulus = field(default_factory=default_modulus)
-    users: Dict[str, UserRecord] = field(default_factory=dict)
-    grants: Grants = field(default_factory=Grants)
+    users: Mapping[str, UserRecord] = field(default_factory=dict)
+    grants: Mapping[str, FileGrant] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name, blocks in (("users", _user_blocks()),
+                             ("grants", _grant_blocks(self.modulus))):
+            table = getattr(self, name)
+            if not isinstance(table, Blocks):
+                for key, record in table.items():
+                    blocks[key] = record
+                setattr(self, name, blocks)
 
 
 def register_user(db: PolicyDb, record: UserRecord) -> None:
-    """Append a user; the rest of the db is untouched."""
+    """Add a user at its sorted place; the rest of the db is untouched."""
     if record.user_id in db.users:
         raise DuplicateUser(f"user {record.user_id!r} already registered")
     db.users[record.user_id] = record
@@ -311,11 +352,12 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
         raise NoConsumers("a grant needs at least one consumer")
     consumers: Dict[str, UserRecord] = {}
     for cid in consumer_ids:
-        if cid not in db.users:
+        consumer = db.users.get(cid)
+        if consumer is None:
             raise UnknownUser(f"consumer {cid!r} is not registered")
         if cid in consumers:
             raise DuplicateUser(f"consumer {cid!r} listed twice")
-        consumers[cid] = db.users[cid]
+        consumers[cid] = consumer
 
     if secret is None:
         secret = _secrets.randbelow(p)
@@ -411,7 +453,7 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str) -> Tuple[int, ...]:
     Only the difference of the two salts' tokens matters, so a grant
     made with pinned coefficients is revoked the same way.
 
-    The grant is updated in db; the return value is the coefficient
+    The grant is replaced in db; the return value is the coefficient
     differences (delta_1, ..., delta_{k-1}), which the owner applies to
     their own never-stored point via update_owner_share.
     """
@@ -454,6 +496,7 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str) -> Tuple[int, ...]:
         grant.consumer_shares[uid] = rec._replace(
             y_enc=(rec.y_enc + shift(rec.x)) % p, kc=new_kc)
     grant.salt = new_salt
+    db.grants[file_id] = grant
     return deltas
 
 
@@ -482,6 +525,10 @@ def update_owner_share(point: SharePoint, deltas: Sequence[int]) -> SharePoint:
 # through int.__repr__, as json does; the nesting depth fixes each indent.
 _str = encode_basestring_ascii
 _int = int.__repr__
+
+#: Blocks._span scans a span this short for a head instead of halving it
+#: further: one bytes.find over it costs about one probe.
+_SCAN_BYTES = 4096
 
 
 def _user_json(u: UserRecord) -> str:
@@ -519,30 +566,42 @@ def _block(items: List[str], open_: str, close: str, indent: int) -> str:
 
 
 # A file db_to_json wrote is cut at these template seams.  A JSON string
-# holds no raw newline, and only a grant opens a block at indent 4 inside
-# the grants array, so each seam marks the same place in every such file.
+# holds no raw newline, and only a user or a grant opens a block at
+# indent 4, so each seam marks the same place in every such file.
+_USERS_KEY = b',\n  "users": '
 _GRANTS_KEY = b',\n  "grants": '
-_GRANT_MARK = b'\n    {\n      "file_id": '
-_SEAM = b"," + _GRANT_MARK
-_OWNER_KEY = b',\n      "owner_id": '
-_GRANTS_END = b'\n  ]\n}'
+_ARRAY_END = b'\n  ]'
+
+
+def _user_blocks(text: bytes = b"", start: int = 0, end: int = 0) -> Blocks:
+    """The users array at text[start:end], or an empty one."""
+    return Blocks("user_id", b',\n      "user_type": ', _user_from_doc,
+                  _user_json, text, start, end)
+
+
+def _grant_blocks(modulus: "FieldModulus | None", text: bytes = b"",
+                  start: int = 0, end: int = 0) -> Blocks:
+    """The grants array at text[start:end], or an empty one."""
+    return Blocks("file_id", b',\n      "owner_id": ',
+                  partial(_grant_from_doc, modulus=modulus), _grant_json,
+                  text, start, end)
 
 
 def _policy_pieces(db: PolicyDb) -> List[bytes]:
     """The policy text in pieces, which persist_db streams and whose join
-    db_to_json returns: the rendered head, then the grant blocks as
-    Grants._spliced gives them, with the array's brackets and commas."""
-    users = [_user_json(u)
-             for u in sorted(db.users.values(), key=lambda u: u.user_id)]
-    head = (f'{{\n  "p": {_int(db.modulus.p)},'
-            f'\n  "users": {_block(users, "[", "]", 2)}').encode("ascii")
-    items = db.grants._spliced()
-    if not items:
-        return [head, _GRANTS_KEY + b"[]\n}"]
-    pieces = [head, _GRANTS_KEY + b"["]
-    for item in items:
-        pieces += (item, b",")
-    pieces[-1] = _GRANTS_END
+    db_to_json returns: the rendered head, then the user and the grant
+    blocks as Blocks._spliced gives them, with brackets and commas."""
+    pieces = [f'{{\n  "p": {_int(db.modulus.p)}'.encode("ascii")]
+    for key, blocks in ((_USERS_KEY, db.users), (_GRANTS_KEY, db.grants)):
+        items = blocks._spliced()
+        if not items:
+            pieces.append(key + b"[]")
+            continue
+        pieces.append(key + b"[")
+        for item in items:
+            pieces += (item, b",")
+        pieces[-1] = _ARRAY_END
+    pieces.append(b"\n}")
     return pieces
 
 
@@ -552,18 +611,16 @@ def db_to_json(db: PolicyDb) -> str:
 
 
 def _sliced_db(data: bytes) -> PolicyDb:
-    """PolicyDb over bytes db_to_json wrote: p and the users are parsed
-    now, each grant block only when first read (see Grants)."""
-    at = data.find(_GRANTS_KEY)
-    start = at + len(_GRANTS_KEY)
-    empty = len(data) == start + 4 and data.endswith(b"[]\n}")
-    if at < 0 or not data.isascii() or not empty and not (
-            data.startswith(b"[" + _GRANT_MARK, start)
-            and data.endswith(_GRANTS_END)):
+    """PolicyDb over bytes db_to_json wrote: p is parsed now, each user
+    and grant block only when first read (see Blocks)."""
+    users = data.find(_USERS_KEY)
+    grants = data.find(_GRANTS_KEY)
+    if not (0 <= users < grants and data.isascii() and data.endswith(b"\n}")):
         raise CorruptPolicy("policy does not have the layout db_to_json writes")
-    lo, hi = (0, 0) if empty else (start + 1, len(data) - len(_GRANTS_END))
-    db = _parsed(data[:at] + b"\n}", _db_from_doc)
-    db.grants = Grants(data, lo, hi, db.modulus)
+    db = _parsed(data[:users] + b"}", _db_from_doc)
+    db.users = _user_blocks(data, users + len(_USERS_KEY), grants)
+    db.grants = _grant_blocks(db.modulus, data, grants + len(_GRANTS_KEY),
+                              len(data) - 2)
     return db
 
 
@@ -604,15 +661,18 @@ def _db_from_doc(doc: dict) -> PolicyDb:
     modulus = modulus_for(int(doc["p"]))
     db = PolicyDb(modulus=modulus)
     for u in doc.get("users", []):
-        user_id = _text(u["user_id"])
-        db.users[user_id] = UserRecord(
-            user_id=user_id,
-            user_type=UserType(u["user_type"]),
-            credentials=bytes.fromhex(u["credentials_hex"]))
+        user = _user_from_doc(u)
+        db.users[user.user_id] = user
     for g in doc.get("grants", []):
         grant = _grant_from_doc(g, modulus)
         db.grants[grant.file_id] = grant
     return db
+
+
+def _user_from_doc(u: dict) -> UserRecord:
+    return UserRecord(user_id=_text(u["user_id"]),
+                      user_type=UserType(u["user_type"]),
+                      credentials=bytes.fromhex(u["credentials_hex"]))
 
 
 def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
@@ -663,7 +723,7 @@ def load_db(store: ObjectStore) -> PolicyDb:
 
     The file is read once, as bytes.  When the sidecar holds their
     digest, persist_db wrote them, and they become the db's working copy
-    (see Grants); a missing or stale sidecar only costs a full parse.
+    (see Blocks); a missing or stale sidecar only costs a full parse.
     """
     data = store.read_bytes(POLICY_FILENAME)
     try:

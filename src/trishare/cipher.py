@@ -5,9 +5,9 @@ Two exact realizations of the same involution family:
 * Additive (n=1): per byte, c = (a - s) mod 256.  Length preserving,
   and its own inverse, so one substitution table serves both directions.
 * Power (n in 1..8): per byte, the integer c = (a - s)^n serialized as a
-  fixed-width big-endian symbol.  Encryption writes byte column k of
-  every symbol with one translate through column k of the key's
-  256-symbol table.  Decryption reads three adjacent byte columns: each
+  fixed-width big-endian symbol.  Encryption looks each masked byte up
+  in the key's 256-symbol table and joins the symbols with bytes.join,
+  a run at a time.  Decryption reads three adjacent byte columns: each
   symbol is an edge joining its bytes in those columns, and peeling that
   3-hypergraph (as an xor filter is built) gives tables T0, T1, T2 with
   T0[b_k] ^ T1[b_k-1] ^ T2[b_k-2] = s, so three translates and two
@@ -38,6 +38,11 @@ from .keystream import MaskSchedule, start_state, xor_mask
 
 DEFAULT_BLOCK_BYTES = 1024
 MAX_POWER = 8
+
+# Symbols per bytes.join in encrypt_bytes.  A join holds a buffer view
+# (80 bytes) and a list slot of each item, so one join of a whole payload
+# would take 88 bytes of temporary memory per plaintext byte.
+_JOIN_RUN = 4096
 
 
 class EmptyFilename(Error):
@@ -155,13 +160,10 @@ def encrypt_bytes(data: bytes, key: CipherKey) -> bytes:
     """Apply the involution to raw bytes; returns the serialized payload."""
     if key.mode == Mode.ADDITIVE:
         return data.translate(_additive_table(key.a))
-    width = symbol_width(key)
-    table = b"".join(_power_symbols(key.a, key.n, width))
-    out = bytearray(len(data) * width)
-    for k in range(width):
-        # byte k of every symbol, by one translate through column k of the table
-        out[k::width] = data.translate(table[k::width])
-    return bytes(out)
+    # symbol_width fits every symbol of the key, so no row is None
+    row = _power_symbols(key.a, key.n, symbol_width(key)).__getitem__
+    return b"".join([b"".join(map(row, data[i:i + _JOIN_RUN]))
+                     for i in range(0, len(data), _JOIN_RUN)])
 
 
 def _peeling_plan(table: bytes, width: int) -> "tuple[int, bytes, bytes, bytes] | None":

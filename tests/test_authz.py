@@ -610,6 +610,77 @@ def test_sliced_load_parses_only_the_grants_it_reads(tmp_path):
     assert reloaded == loaded
 
 
+def counted_user_parses():
+    """Count the user blocks parsed (each goes through _user_from_doc)."""
+    return mock.patch.object(trishare.authz, "_user_from_doc",
+                             wraps=trishare.authz._user_from_doc)
+
+
+def counted_user_renders():
+    """Count the user blocks rendered (each goes through _user_json)."""
+    return mock.patch.object(trishare.authz, "_user_json",
+                             wraps=trishare.authz._user_json)
+
+
+def users_run(store):
+    """The users array of the committed policy, as bytes."""
+    text = store.texts[POLICY_FILENAME]
+    return text[text.index(b'"users"'):text.index(b'"grants"')]
+
+
+def test_sliced_load_parses_only_the_users_it_reads():
+    db, store, owner_share = granted()
+    persist_db(db, store)
+    committed = users_run(store)
+    with full_loads_forbidden(), counted_user_parses() as parses, \
+            counted_user_renders() as renders:
+        loaded = load_db(store)
+        assert list(loaded.users) == ["carol", "chuck", "cindy", "olivia"]
+        assert len(loaded.users) == 4 and "carol" in loaded.users
+        assert "bob" not in loaded.users and loaded.users.get("bob") is None
+        assert parses.call_count == 0
+        # a request reads only its receiver, as `trishare request` does
+        receiver = loaded.users.get("carol")
+        assert receiver == C1 and loaded.users["carol"] is receiver
+        assert request_decrypt(loaded, store, "f", owner_share, receiver) == DATA
+        assert parses.call_count == 1
+        # a revoke reads only the owner, and its commit renders no user
+        revoking = load_db(store)
+        revoke_user(revoking, "f", "chuck")
+        assert parses.call_count == 2
+        persist_db(revoking, store)
+        assert renders.call_count == 0 and users_run(store) == committed
+        # a grant reads the owner and each consumer once
+        granting = load_db(store)
+        grant_access(granting, store, "g", "olivia", ["carol", "cindy"], DATA)
+        assert parses.call_count == 5
+        persist_db(granting, store)
+        assert renders.call_count == 0 and users_run(store) == committed
+        # a register renders only the user it inserts, at its sorted place
+        registering = load_db(store)
+        for rec in (C4, UserRecord("zoe", UserType.CONSUMER, b"z"),
+                    UserRecord("clara", UserType.SERVER, b"c")):
+            register_user(registering, rec)
+        persist_db(registering, store)
+        assert parses.call_count == 5 and renders.call_count == 3
+    assert list(load_db(store).users) == [
+        "caleb", "carol", "chuck", "cindy", "clara", "olivia", "zoe"]
+    assert db_to_json(registering) == slow_policy_json(registering)
+
+
+def test_a_user_lookup_scans_its_short_span():
+    # 65 users, as policy-churn registers: the search halves the 8 KB
+    # array until a scan is cheaper, then checks the next block's id
+    db, store = base_db(*[UserRecord(f"u{i:02d}", UserType.CONSUMER, b"u")
+                          for i in range(62)])
+    persist_db(db, store)
+    loaded = load_db(store)
+    with mock.patch.object(trishare.authz.Blocks, "_id_at", autospec=True,
+                           side_effect=trishare.authz.Blocks._id_at) as ids:
+        assert loaded.users["u31"] == db.users["u31"]
+    assert ids.call_count <= 3
+
+
 def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
     # a read parses the block in place: the keys stay as they were, so
     # the loop may read every grant it visits
@@ -735,15 +806,18 @@ def test_out_of_layout_policy_under_a_matching_digest(tmp_path, name):
 
 def forged_policy(forgery):
     """Text in db_to_json's layout that persist_db never wrote: blocks f1
-    and f2 swapped, a second, different f2 block after f2, or an f1 block
-    that names f3 in a second file_id key."""
+    and f2 swapped, the first and last of 24 blocks swapped, a second,
+    different f2 block after f2, or an f1 block that names f3 in a
+    second file_id key."""
     db, store = base_db()
-    for i in range(5):
+    for i in range(24 if forgery == "swapped-far" else 5):
         grant_access(db, store, f"f{i}", "olivia", ["carol"], DATA)
     doc = json.loads(db_to_json(db))
     grants = doc["grants"]
     if forgery == "swapped":
         grants[1], grants[2] = grants[2], grants[1]
+    elif forgery == "swapped-far":  # f0 and f9, which lie 10 KB apart
+        grants[0], grants[-1] = grants[-1], grants[0]
     elif forgery == "duplicate":
         grants.insert(3, dict(grants[2], salt_hex="00" * 16))
     # db_to_json writes what json.dumps(doc, indent=2) writes (see the oracle)
@@ -755,14 +829,19 @@ def forged_policy(forgery):
 
 
 # Every lookup either finds the block that holds its own file id or fails
-# typed; none returns another id's grant.
+# typed; none returns another id's grant.  A lookup scans a short span
+# for the id's block, so swapped neighbours are found, and only the one
+# whose successor sorts before it fails; blocks swapped from afar fall
+# outside the span the search narrows to and are missed.
 @pytest.mark.parametrize("forgery, outcomes", [
-    ("swapped", {"f0": "own", "f1": "UnknownFile", "f2": "UnknownFile",
+    ("swapped", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
                  "f3": "own", "f4": "own"}),
     ("duplicate", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
                    "f3": "own", "f4": "own"}),
     ("two-ids", {"f0": "own", "f1": "CorruptPolicy", "f2": "own",
                  "f3": "own", "f4": "own"}),
+    ("swapped-far", {"f0": "UnknownFile", "f1": "own", "f2": "own",
+                     "f9": "UnknownFile"}),
 ])
 def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
                                                            outcomes):
@@ -790,7 +869,85 @@ def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
         listed = list(loaded.grants)
     except CorruptPolicy:
         listed = "CorruptPolicy"
-    assert listed == (list(outcomes) if forgery == "two-ids" else "CorruptPolicy")
+    assert listed == (sorted(db.grants) if forgery == "two-ids"
+                      else "CorruptPolicy")
+
+
+def test_a_lone_quote_for_a_user_id_is_corrupt(tmp_path):
+    db, _ = base_db()
+    text = db_to_json(db).replace('"user_id": "carol",', '"user_id": ",')
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    loaded = load_db(store)
+    with pytest.raises(CorruptPolicy):
+        loaded.users.get("carol")
+
+
+def forged_users_policy(forgery):
+    """Text in db_to_json's layout that persist_db never wrote: user
+    blocks carol and chuck swapped, caleb and u59 (the first and last of
+    65, as many as policy-churn registers) swapped, a second, different
+    chuck block after chuck, or a carol block that names cindy in a
+    second user_id key."""
+    db, store = base_db(C3, C4)
+    for i in range(60):
+        register_user(db, UserRecord(f"u{i:02d}", UserType.CONSUMER, b"u"))
+    grant_access(db, store, "f", "olivia", ["carol"], DATA)
+    doc = json.loads(db_to_json(db))
+    users = doc["users"]  # caleb, carol, chuck, cindy, olivia, u00..u59
+    if forgery == "swapped":
+        users[1], users[2] = users[2], users[1]
+    elif forgery == "swapped-far":
+        users[0], users[-1] = users[-1], users[0]
+    elif forgery == "duplicate":
+        users.insert(3, dict(users[2], credentials_hex="00"))
+    text = json.dumps(doc, indent=2)
+    kind = '"user_type": "consumer",'
+    if forgery == "two-ids":
+        text = text.replace(f'"carol",\n      {kind}',
+                            f'"carol",\n      {kind} "user_id": "cindy",')
+    return db, store, text
+
+
+# As for the grants: every user lookup finds the block that holds its own
+# user id or fails typed, so no command blinds or unblinds a share with
+# another user's credentials.
+@pytest.mark.parametrize("forgery, outcomes", [
+    ("swapped", {"caleb": "own", "carol": "own", "chuck": "CorruptPolicy",
+                 "cindy": "own", "olivia": "own"}),
+    ("swapped-far", {"caleb": "UnknownUser", "carol": "own", "olivia": "own",
+                     "u30": "own", "u59": "UnknownUser"}),
+    ("duplicate", {"caleb": "own", "carol": "own", "chuck": "CorruptPolicy",
+                   "cindy": "own", "olivia": "own"}),
+    ("two-ids", {"caleb": "own", "carol": "CorruptPolicy", "chuck": "own",
+                 "cindy": "own", "olivia": "own"}),
+])
+def test_forged_users_under_a_matching_digest_stay_typed(tmp_path, forgery,
+                                                         outcomes):
+    db, envelopes, text = forged_users_policy(forgery)
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    loaded = load_db(store)
+    seen = {}
+    for uid in outcomes:
+        try:
+            user = loaded.users.get(uid)
+        except CorruptPolicy:
+            seen[uid] = "CorruptPolicy"
+            continue
+        seen[uid] = ("UnknownUser" if user is None
+                     else "own" if user == db.users[uid] else "another's")
+    assert seen == outcomes
+    for uid, outcome in outcomes.items():
+        if outcome != "own":
+            with pytest.raises(getattr(trishare.authz, outcome)):
+                grant_access(loaded, envelopes, "g", "olivia", [uid], DATA)
+    try:
+        listed = list(loaded.users)
+    except CorruptPolicy:
+        listed = "CorruptPolicy"
+    assert listed == (sorted(db.users) if forgery == "two-ids"
+                      else "CorruptPolicy")
 
 
 def churn_policy(store):
@@ -878,6 +1035,9 @@ _SPLICE_OPS = ([("grant", 0, 1), ("grant", 0, 3), ("revoke", 0, 0)]
                + [("grant", i, 1) for i in range(1, 6)]
                + [("grant", 1, 2), ("grant", 3, 2), ("grant", 2, 3),
                   ("revoke", 0, 0), ("revoke", 5, 0), ("revoke", 3, 0)])
+# The owner "m", then registers before it, before all (escaped), after
+# all (escaped, the last non-ASCII) and between, in that order.
+_SPLICE_USERS = ["m", "c", 'a"q', "z\\u", "\u2028", "n"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -888,8 +1048,10 @@ _SPLICE_OPS = ([("grant", 0, 1), ("grant", 0, 3), ("revoke", 0, 0)]
        ops=st.lists(st.tuples(st.sampled_from(["register", "grant", "revoke"]),
                               st.integers(0, 63), st.integers(0, 63)),
                     max_size=12))
-@example(p=M61, ids=["o", "c1", "c2"], file_ids=_SPLICE_IDS,
-         ops=[("register", 1, 0), ("register", 1, 1)] + _SPLICE_OPS)
+@example(p=M61, ids=_SPLICE_USERS, file_ids=_SPLICE_IDS,
+         ops=([("register", 1, 0), ("register", 1, 1)] + _SPLICE_OPS[:8]
+              + [("register", 1, 2), ("register", 2, 3)] + _SPLICE_OPS[8:]
+              + [("register", 0, 4)]))
 def test_sliced_and_full_loads_write_the_same_bytes(p, ids, file_ids, ops):
     sliced, full = ObjectStore(), ObjectStore()
     for store in (sliced, full):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trishare import (
+    BadHeader,
     CipherKey,
     EmptyFilename,
     InexactRoot,
@@ -25,7 +26,8 @@ from trishare import (
     xor_mask,
 )
 import trishare
-from trishare.cipher import DEFAULT_BLOCK_BYTES, MAX_POWER, _peeling_plan, _power_symbols
+from trishare.cipher import (DEFAULT_BLOCK_BYTES, MAX_POWER, _decrypt_by_columns,
+                             _peeling_plan, _power_symbols)
 from trishare.hashing import fold64
 from oracles import slow_fnv1a64, slow_power_decrypt
 
@@ -86,6 +88,10 @@ def test_symbol_width_overflow_guard():
     huge = CipherKey(a=1 << 2040, n=8, mode=Mode.POWER)
     with pytest.raises(KeyOutOfRange):
         symbol_width(huge)
+    # the largest width the u8 header field holds, and one past it
+    assert symbol_width(CipherKey(a=1 << 253, n=8, mode=Mode.POWER)) == 255
+    with pytest.raises(KeyOutOfRange):
+        symbol_width(CipherKey(a=1 << 254, n=8, mode=Mode.POWER))
 
 
 # ---------------------------------------------------------------- raw involution
@@ -154,7 +160,7 @@ def test_decrypt_rejects_out_of_range_symbol():
     bad = ((1000 + 5) ** 2).to_bytes(4, "big")
     good = encrypt_bytes(b"ok", key)
     for payload in (bad, good[:4] + bad + good[4:]):
-        with pytest.raises(SymbolOutOfRange):
+        with pytest.raises(SymbolOutOfRange, match="maps to -5,"):
             decrypt_bytes(payload, key)
 
 
@@ -220,6 +226,15 @@ def test_plan_tables_decode_every_symbol():
     for s in range(256):
         sym = table[s * width:(s + 1) * width]
         assert t0[sym[k]] ^ t1[sym[k - 1]] ^ t2[sym[k - 2]] == s
+
+
+def test_plan_decodes_a_payload_by_columns():
+    # the column decode itself must succeed, not fall back to the lookup
+    key = derive_file_key(0x5EED, "plan.dat", mode=Mode.POWER, n=3)
+    width = symbol_width(key)
+    table = b"".join(_power_symbols(key.a, key.n, width))
+    data = random.Random(3).randbytes(700)
+    assert _decrypt_by_columns(encrypt_bytes(data, key), table, width) == data
 
 
 def test_decrypt_without_plan_uses_lookup():
@@ -325,6 +340,23 @@ def test_file_key_power_adjustment():
     # exact-zero xor becomes 256 in either mode
     key0 = derive_file_key(h, b"f")
     assert key0.a == 256
+    # 256 is already a Power key, 255 is bumped
+    assert derive_file_key(h ^ 256, b"f", mode=Mode.POWER, n=2).a == 256
+    assert derive_file_key(h ^ 255, b"f", mode=Mode.POWER, n=2).a == 511
+
+
+@pytest.mark.parametrize("block_bytes, ok", [
+    (0, False), (1, True), ((1 << 32) - 1, True), (1 << 32, False)])
+def test_envelope_block_bytes_is_a_u32_above_zero(block_bytes, ok):
+    def make():
+        return CipherEnvelope(mode=Mode.ADDITIVE, n=1, symbol_width=1,
+                              block_bytes=block_bytes, plaintext_len=0,
+                              payload=b"")
+    if ok:
+        assert make().block_bytes == block_bytes
+    else:
+        with pytest.raises(BadHeader):
+            make()
 
 
 # ---------------------------------------------------------------- sealed envelopes

@@ -156,8 +156,8 @@ def test_truncated_is_a_bad_header():
 
 
 def test_decode_rejects_trailing_garbage():
-    blob = encode_envelope(envelope()) + b"\x00"
-    with pytest.raises(BadHeader):
+    blob = encode_envelope(envelope()) + b"\x00" * 3
+    with pytest.raises(BadHeader, match="^3 trailing bytes after payload$"):
         decode_envelope(blob)
 
 
@@ -240,6 +240,8 @@ def test_memory_store_round_trip():
     assert store.get_object("k1") == b"blob"
     with pytest.raises(NotFound):
         store.get_object("missing")
+    store.write_text("t", [b"te", b"xt"], cache=("t.cache", b"c"))
+    assert (store.read_bytes("t"), store.read_bytes("t.cache")) == (b"text", b"c")
 
 
 def test_disk_store_round_trip(tmp_path):
@@ -320,6 +322,26 @@ def test_failed_sidecar_write_names_the_sidecar(tmp_path, monkeypatch):
     assert (tmp_path / "store" / POLICY_FILENAME).read_bytes() == before
     assert [p.name for p in (tmp_path / "store").iterdir()
             if p.name.endswith(".tmp")] == []
+
+
+def test_failed_sidecar_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the policy is renamed, its sidecar's rename fails: the group stops
+    # there and removes the temp file it could not rename
+    store = ObjectStore(tmp_path / "store")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == POLICY_DIGEST_FILENAME:
+            raise OSError(errno.EIO, "simulated failure renaming the sidecar")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(trishare.storage.os, "replace", replace)
+    with pytest.raises(IoFailure):
+        store.write_text(POLICY_FILENAME, [b"new"],
+                         cache=(POLICY_DIGEST_FILENAME, b"digest"))
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [POLICY_FILENAME]
+    assert store.read_bytes(POLICY_FILENAME) == b"new"
 
 
 def test_writes_to_one_path_use_distinct_temp_names(tmp_path, monkeypatch):
