@@ -7,6 +7,8 @@ server share, the owner's never-stored point, and one receiver share.
 Revocation shifts the polynomial without touching the ciphertext.
 """
 
+import tempfile
+
 from trishare import (
     BindingMismatch,
     ObjectStore,
@@ -23,7 +25,9 @@ from trishare import (
 )
 
 db = PolicyDb()
-store = ObjectStore()  # in-memory here; pass a directory for disk
+# The store keeps sealed files and the policy on disk; a temp directory here.
+workdir = tempfile.TemporaryDirectory()
+store = ObjectStore(workdir.name)
 
 owner = UserRecord("alice", UserType.OWNER, b"cred-alice")
 bob = UserRecord("bob", UserType.CONSUMER, b"cred-bob")
@@ -79,4 +83,5 @@ except BindingMismatch:
 # The policy db serializes to JSON; persist_db commits it, with its
 # digest sidecar, into the store.
 persist_db(db, store)
-print(f"\npersisted policy: {len(store.read_text('policy.json'))} B of JSON")
+print(f"\npersisted policy: {len(store.read_bytes('policy.json'))} B of JSON")
+workdir.cleanup()

@@ -40,7 +40,7 @@ print(f"split fit: slope {fit['slope']:.3e} s/k, "
       f"residual {fit['residual']:.3e} s")
 
 # Storage formulas: (n+1)|p| per user here versus the baselines, plus
-# actual measured JSON sizes from a real in-memory grant.
+# actual measured JSON sizes from a real grant.
 print("\nstorage overhead:")
 for line in storage_lines(storage_overhead_report()):
     print(line)

@@ -145,10 +145,11 @@ class Blocks(Mapping):
     the span left is short one scan finds the block's head.  Only the
     block a lookup returns is parsed, by `parse`, and it is kept, not
     written back.  A record stored becomes an edit against its block's
-    span, and a new id's span is empty, at its sorted place; _spliced
-    gives every run of blocks no edit touches as a slice of the text and
-    each edit rendered by `render`.  With no text (a new db or a full
-    parse) every record is such an insert.
+    span, and a new id's span is empty, at its sorted place, unless the
+    id's head sits elsewhere in the array, out of order: that insert is
+    CorruptPolicy.  _spliced gives every run of blocks no edit touches
+    as a slice of the text and each edit rendered by `render`.  With no
+    text (a new db or a full parse) every record is such an insert.
     """
 
     def __init__(self, key: str, next_key: bytes, parse: Callable[[Any], Any],
@@ -188,7 +189,16 @@ class Blocks(Mapping):
 
     def __setitem__(self, key: str, record: Any) -> None:
         hit = self._records.get(key)
-        start, end = hit[:2] if hit is not None else self._span(key)
+        if hit is not None:
+            start, end = hit[:2]
+        else:
+            start, end = self._span(key)
+            # The search misses a block moved far from its sorted place;
+            # an insert of its id would commit a second block.
+            if start == end and self._text.find(self._head(key), self._lo,
+                                                self._hi) >= 0:
+                raise CorruptPolicy(f"{key!r}'s block is out of {self._key} "
+                                    "order")
         self._records[key] = (start, end, record)
         self._assigned.add(key)
 
@@ -240,7 +250,7 @@ class Blocks(Mapping):
         # Once [a, b] is short, one scan for the head db_to_json writes
         # for key costs less than the probes left; on a miss the search
         # goes on to key's place.
-        head = self._mark + _str(key).encode("ascii") + self._next_key
+        head = self._head(key)
         while a < b:
             if head and b - a <= _SCAN_BYTES:
                 found = self._text.find(head, a, min(b + len(head), hi))
@@ -263,6 +273,10 @@ class Blocks(Mapping):
             raise CorruptPolicy(f"the blocks after {key!r} are not in "
                                 f"{self._key} order")
         return a, after - 1 if after < hi else hi
+
+    def _head(self, key: str) -> bytes:
+        """The head db_to_json writes for key's block."""
+        return self._mark + _str(key).encode("ascii") + self._next_key
 
     def _next_start(self, pos: int) -> int:
         """The first block start at or after pos, or hi."""
@@ -373,13 +387,13 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
 
     key = derive_file_key(secret, file_id_bytes, mode=mode, n=n)
     envelope = seal_file(data, key)
-    ref = object_key(file_id, 0)
-    store.put_object(ref, envelope_pieces(envelope))
+    ref = object_key(file_id)
 
     consumer_records = {
         cid: encrypt_share(by_x[x], consumer.credentials, file_id, binding)
         for x, (cid, consumer) in enumerate(consumers.items(), FIRST_CONSUMER_X)
     }
+    # Assigned first: a grant the policy refuses leaves the store as it was.
     db.grants[file_id] = FileGrant(
         file_id=file_id,
         owner_id=owner_id,
@@ -389,6 +403,7 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
         salt=salt,
         envelope_ref=ref,
     )
+    store.put_object(ref, envelope_pieces(envelope))
     return by_x[OWNER_X]
 
 

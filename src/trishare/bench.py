@@ -16,6 +16,7 @@ import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from math import log
@@ -301,13 +302,14 @@ def storage_overhead_report(model: "StorageOverheadModel | None" = None,
                 ("pairing", model.pairing_user_bits(), model.pairing_server_bits()))]
 
     db = PolicyDb()
-    store = ObjectStore()
     owner = UserRecord("owner-0", UserType.OWNER, b"owner-credentials")
     consumer = UserRecord("consumer-0", UserType.CONSUMER, b"consumer-credentials")
     register_user(db, owner)
     register_user(db, consumer)
-    grant_access(db, store, "sample.dat", owner.user_id, [consumer.user_id],
-                 b"sample payload", secret=SAMPLE_SECRET, coeffs=SAMPLE_COEFFS)
+    with tempfile.TemporaryDirectory() as root:
+        grant_access(db, ObjectStore(root), "sample.dat", owner.user_id,
+                     [consumer.user_id], b"sample payload",
+                     secret=SAMPLE_SECRET, coeffs=SAMPLE_COEFFS)
     grant = db.grants["sample.dat"]
     record = next(iter(grant.consumer_shares.values()))
     # The grant as policy.json stores it (the emitter writes ASCII only).

@@ -9,7 +9,7 @@ decode is strict: bad magic, bad version, out-of-range fields, trailing
 bytes, or a short payload are all rejected, so encode/decode is a
 bijection on valid envelopes.
 
-The store maps hex(fnv1a64(file_id || ":" || version)) to blobs under
+The store maps hex(fnv1a64(file_id || ":0")) to blobs under
 <root>/objects/ and keeps root-level text files beside that directory:
 policy.json and its digest sidecar policy.json.sha256.
 A missing or stale sidecar only costs the next load a full parse of
@@ -31,7 +31,6 @@ rewrite keeps the mode the file had.  Opening a store creates nothing,
 so a mistyped path fails a read without leaving a skeleton behind: the
 first write makes the directories it writes into and fsyncs the parent
 of each.
-Only with root=None is the store memory-only (tests, dry runs).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import stat
 import struct
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cipher import BadHeader, CipherEnvelope
 from .errors import Error
@@ -109,63 +108,36 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
                           payload=payload)
 
 
-def object_key(file_id: str, version: int = 0) -> str:
-    """Content key: hex of fnv1a64(file_id || ":" || version)."""
-    return format(fnv1a64(f"{file_id}:{version}".encode("utf-8")), "016x")
+def object_key(file_id: str) -> str:
+    """Content key: hex of fnv1a64(file_id || ":0")."""
+    return format(fnv1a64(f"{file_id}:0".encode("utf-8")), "016x")
 
 
 class ObjectStore:
-    """Blob store keyed by object_key strings, plus root-level text files.
-
-    With a root directory the disk is the only copy: opening reads no
-    blob, and each get_object reads its file.  With root=None blobs live
-    in ``objects`` and text files in ``texts``, both in memory.
+    """Blob store keyed by object_key strings, plus root-level text files,
+    all under `root`.  The disk is the only copy: opening reads no blob,
+    and each get_object reads its file.
     """
 
-    def __init__(self, root: "str | Path | None" = None):
-        self.root: Optional[Path] = Path(root) if root is not None else None
+    def __init__(self, root: "str | Path"):
+        self.root = Path(root)
+        # Always empty; read only by perfbench/tracing.py (item 4 drops both).
         self.objects: Dict[str, bytes] = {}
-        self.texts: Dict[str, bytes] = {}
 
     def put_object(self, key: str, pieces: Pieces) -> None:
         """Store the join of `pieces` durably; atomic replace if the key
         exists."""
-        if self.root is None:
-            self.objects[key] = b"".join(pieces)
-        else:
-            _atomic_write(self.root / "objects", [(key, pieces, True)])
+        _atomic_write(self.root / "objects", [(key, pieces, True)])
 
     def get_object(self, key: str) -> bytes:
         """Fetch a blob; NotFound if it was never stored."""
-        if self.root is not None:
-            return _read(self.root / "objects" / key)
-        try:
-            return self.objects[key]
-        except KeyError:
-            raise NotFound(f"no object under key {key}") from None
-
-    def keys(self) -> Iterator[str]:
-        if self.root is None:
-            return iter(sorted(self.objects))
-        try:
-            names = [entry.name for entry in (self.root / "objects").iterdir()
-                     if entry.is_file() and not entry.name.endswith(".tmp")]
-        except FileNotFoundError:
-            return iter(())  # nothing was ever put
-        except OSError as exc:
-            raise IoFailure(f"cannot list {self.root / 'objects'}: {exc}") from exc
-        return iter(sorted(names))
+        return _read(self.root / "objects" / key)
 
     def write_text(self, filename: str, pieces: Pieces, *,
                    cache: Optional[Tuple[str, bytes]] = None) -> None:
         """Atomically write the join of `pieces` to a root-level file,
         fsynced, in one group commit with an optional ``cache``
         (filename, bytes) renamed after it, unsynced."""
-        if self.root is None:
-            self.texts[filename] = b"".join(pieces)
-            if cache is not None:
-                self.texts[cache[0]] = cache[1]
-            return
         files = [(filename, pieces, True)]
         if cache is not None:
             files.append((cache[0], (cache[1],), False))
@@ -173,16 +145,7 @@ class ObjectStore:
 
     def read_bytes(self, filename: str) -> bytes:
         """Read a root-level file; NotFound if absent."""
-        if self.root is not None:
-            return _read(self.root / filename)
-        try:
-            return self.texts[filename]
-        except KeyError:
-            raise NotFound(f"no file {filename} in memory store") from None
-
-    def read_text(self, filename: str) -> str:
-        """Read a root-level text file; NotFound if absent."""
-        return self.read_bytes(filename).decode("utf-8")
+        return _read(self.root / filename)
 
 
 def _read(path: Path) -> bytes:

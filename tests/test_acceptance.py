@@ -217,11 +217,11 @@ def test_criterion_6_complexity_trends():
 # Criterion 7 support
 # ---------------------------------------------------------------------------
 
-def _fresh_policy():
+def _fresh_policy(root):
     db = PolicyDb()
     owner = UserRecord("owner", UserType.OWNER, b"cred-owner")
     register_user(db, owner)
-    return db, ObjectStore(), owner
+    return db, ObjectStore(root), owner
 
 
 def _assert_owner_points_absent(db):
@@ -235,9 +235,9 @@ def _assert_owner_points_absent(db):
         assert all(rec["x"] != OWNER_X for rec in g["consumers"].values())
 
 
-def _random_sequence(seq_index: int):
+def _random_sequence(seq_index: int, root):
     rng = random.Random(0xACC7_0000 + seq_index)
-    db, store, owner = _fresh_policy()
+    db, store, owner = _fresh_policy(root)
     consumers = []
     owner_points = {}
     bodies = {}
@@ -278,8 +278,8 @@ def _random_sequence(seq_index: int):
                             db.users[sorted(db.users)[1]])
 
 
-def _revocation_semantics():
-    db, store, owner = _fresh_policy()
+def _revocation_semantics(root):
+    db, store, owner = _fresh_policy(root)
     c1 = UserRecord("keep", UserType.CONSUMER, b"cred-keep")
     c2 = UserRecord("drop", UserType.CONSUMER, b"cred-drop")
     register_user(db, c1)
@@ -299,8 +299,8 @@ def _revocation_semantics():
     assert request_decrypt(db, store, "f", owner_pt2, c2) == body
 
 
-def _collusion_fixture():
-    db, store, owner = _fresh_policy()
+def _collusion_fixture(root):
+    db, store, owner = _fresh_policy(root)
     cs = [UserRecord(f"u{i}", UserType.CONSUMER, b"cred-%d" % i) for i in range(4)]
     for rec in cs:
         register_user(db, rec)
@@ -335,13 +335,14 @@ def _collusion_fixture():
     assert outcomes["rejected"] == 6 * len(cs) * len(cs) - len(cs)
 
 
-def test_criterion_7_protocol_properties():
+def test_criterion_7_protocol_properties(tmp_path):
     with criterion(7, 60.0, "owner point never stored (10^3 sequences); "
                             "revocation and collusion fixtures hold"):
         for seq in range(1000):
-            _random_sequence(seq)
-        _revocation_semantics()
-        _collusion_fixture()
+            # one store for all: a sequence reads only envelopes it wrote
+            _random_sequence(seq, tmp_path / "sequences")
+        _revocation_semantics(tmp_path / "revocation")
+        _collusion_fixture(tmp_path / "collusion")
 
 
 def test_criterion_8_storage_formulas():

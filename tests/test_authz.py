@@ -1,6 +1,8 @@
 import json
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -55,31 +57,31 @@ C4 = UserRecord("caleb", UserType.CONSUMER, b"cred-caleb")
 DATA = b"the cargo leaves at midnight" * 10
 
 
-def base_db(*extra):
+def base_db(tmp_path, *extra):
     db = PolicyDb()
     for rec in (OWNER, C1, C2) + extra:
         register_user(db, rec)
-    return db, ObjectStore()
+    return db, ObjectStore(tmp_path / "store")
 
 
 # ---------------------------------------------------------------- registration
 
-def test_register_round_trip():
-    db, _ = base_db()
+def test_register_round_trip(tmp_path):
+    db, _ = base_db(tmp_path)
     assert db.users["olivia"].user_type == UserType.OWNER
     assert db.users["carol"].credentials == b"cred-carol"
 
 
-def test_register_rejects_duplicates():
-    db, _ = base_db()
+def test_register_rejects_duplicates(tmp_path):
+    db, _ = base_db(tmp_path)
     with pytest.raises(DuplicateUser):
         register_user(db, UserRecord("carol", UserType.CONSUMER, b"x"))
 
 
 # ---------------------------------------------------------------- granting
 
-def test_grant_validation():
-    db, store = base_db()
+def test_grant_validation(tmp_path):
+    db, store = base_db(tmp_path)
     ghost = UserRecord("ghost", UserType.OWNER, b"?")
     with pytest.raises(UnknownOwner):
         grant_access(db, store, "f", ghost.user_id, ["carol"], DATA)
@@ -93,8 +95,8 @@ def test_grant_validation():
         grant_access(db, store, "f", "olivia", ["carol", "carol"], DATA)
 
 
-def test_grant_blinds_with_registered_credentials():
-    db, store = base_db(UserRecord("bob", UserType.CONSUMER, b"cred-bob"))
+def test_grant_blinds_with_registered_credentials(tmp_path):
+    db, store = base_db(tmp_path, UserRecord("bob", UserType.CONSUMER, b"cred-bob"))
     owner_share = grant_access(db, store, "f", "olivia", ["bob"], DATA)
     bob = db.users["bob"]
     grant = db.grants["f"]
@@ -108,8 +110,8 @@ def test_grant_blinds_with_registered_credentials():
                         UserRecord("bob", UserType.CONSUMER, b"not-bob"))
 
 
-def test_grant_assigns_role_slots():
-    db, store = base_db()
+def test_grant_assigns_role_slots(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     assert grant.server_share.x == SERVER_X == 1
@@ -118,8 +120,8 @@ def test_grant_assigns_role_slots():
     assert xs == [FIRST_CONSUMER_X, FIRST_CONSUMER_X + 1] == [3, 4]
 
 
-def test_protocol_calls_return_only_what_is_not_stored():
-    db, store = PolicyDb(), ObjectStore()
+def test_protocol_calls_return_only_what_is_not_stored(tmp_path):
+    db, store = PolicyDb(), ObjectStore(tmp_path / "store")
     assert register_user(db, OWNER) is None
     register_user(db, C1)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
@@ -128,18 +130,18 @@ def test_protocol_calls_return_only_what_is_not_stored():
     assert isinstance(deltas, tuple) and len(deltas) == THRESHOLD - 1
 
 
-def test_grant_stores_envelope_under_content_key():
-    db, store = base_db()
+def test_grant_stores_envelope_under_content_key(tmp_path):
+    db, store = base_db(tmp_path)
     grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
-    assert grant.envelope_ref == object_key("f", 0)
+    assert grant.envelope_ref == object_key("f")
     blob = store.get_object(grant.envelope_ref)
     # the 20-byte header, then one additive-mode byte per plaintext byte
     assert len(blob) == 20 + len(DATA)
 
 
-def test_grant_hands_the_store_header_and_payload_as_two_pieces():
-    db, store = base_db()
+def test_grant_hands_the_store_header_and_payload_as_two_pieces(tmp_path):
+    db, store = base_db(tmp_path)
     with mock.patch.object(store, "put_object", wraps=store.put_object) as put:
         grant_access(db, store, "f", "olivia", ["carol"], DATA,
                      mode=Mode.POWER, n=3)
@@ -148,8 +150,8 @@ def test_grant_hands_the_store_header_and_payload_as_two_pieces():
     assert store.get_object(ref) == header + payload
 
 
-def test_owner_share_is_never_stored():
-    db, store = base_db()
+def test_owner_share_is_never_stored(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     stored_xs = {grant.server_share.x}
@@ -163,8 +165,8 @@ def test_owner_share_is_never_stored():
             assert rec["x"] != owner_share.x
 
 
-def test_grant_replaces_previous_grant():
-    db, store = base_db(C3)
+def test_grant_replaces_previous_grant(tmp_path):
+    db, store = base_db(tmp_path, C3)
     grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     share2 = grant_access(db, store, "f", "olivia", ["cindy"], b"new body")
     grant = db.grants["f"]
@@ -175,8 +177,8 @@ def test_grant_replaces_previous_grant():
         request_decrypt(db, store, "f", share2, C1)
 
 
-def test_three_genuine_points_lie_on_one_parabola():
-    db, store = base_db()
+def test_three_genuine_points_lie_on_one_parabola(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     consumer_pt = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
@@ -187,31 +189,31 @@ def test_three_genuine_points_lie_on_one_parabola():
 
 # ---------------------------------------------------------------- request flow
 
-def test_protocol_round_trip_additive():
-    db, store = base_db()
+def test_protocol_round_trip_additive(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     assert request_decrypt(db, store, "f", owner_share, C1) == DATA
     assert request_decrypt(db, store, "f", owner_share, C2) == DATA
 
 
-def test_protocol_round_trip_power():
-    db, store = base_db()
+def test_protocol_round_trip_power(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(
         db, store, "f", "olivia", ["carol"], DATA, mode=Mode.POWER, n=2
     )
     assert request_decrypt(db, store, "f", owner_share, C1) == DATA
 
 
-def test_receiver_may_present_record_explicitly():
-    db, store = base_db()
+def test_receiver_may_present_record_explicitly(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     record = db.grants["f"].consumer_shares["carol"]
     out = request_decrypt(db, store, "f", owner_share, C1, receiver_share_record=record)
     assert out == DATA
 
 
-def test_request_error_cases():
-    db, store = base_db(C3)
+def test_request_error_cases(tmp_path):
+    db, store = base_db(tmp_path, C3)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     with pytest.raises(UnknownFile):
         request_decrypt(db, store, "nope", owner_share, C1)
@@ -223,8 +225,8 @@ def test_request_error_cases():
         request_decrypt(db, store, "f", owner_share, C3)  # registered, no share
 
 
-def test_tampered_server_share_fails_binding():
-    db, store = base_db()
+def test_tampered_server_share_fails_binding(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     grant = db.grants["f"]
     bent = SharePoint(
@@ -237,20 +239,20 @@ def test_tampered_server_share_fails_binding():
         request_decrypt(db, store, "f", owner_share, C1)
 
 
-def test_borrowed_record_fails_binding():
+def test_borrowed_record_fails_binding(tmp_path):
     # C2 presents C1's record: unblinding with the wrong credentials
     # yields a point off the polynomial
-    db, store = base_db()
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     stolen = db.grants["f"].consumer_shares["carol"]
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", owner_share, C2, receiver_share_record=stolen)
 
 
-def test_stored_point_cannot_stand_in_for_the_owner():
+def test_stored_point_cannot_stand_in_for_the_owner(tmp_path):
     from trishare import RoleMismatch
 
-    db, store = base_db()
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
     grant = db.grants["f"]
     # the server point and every consumer point sit on the polynomial,
@@ -262,8 +264,8 @@ def test_stored_point_cannot_stand_in_for_the_owner():
         request_decrypt(db, store, "f", carol_pt, C2)
 
 
-def test_garbage_owner_point_fails_binding():
-    db, store = base_db()
+def test_garbage_owner_point_fails_binding(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     fake = SharePoint(x=owner_share.x, y=(owner_share.y + 7) % db.modulus.p,
                       modulus=db.modulus)
@@ -273,10 +275,10 @@ def test_garbage_owner_point_fails_binding():
 
 # ---------------------------------------------------------------- reference fixture
 
-def pinned_report_grant():
+def pinned_report_grant(tmp_path):
     # the worked example's polynomial F(X) = 1234 + 166 X + 94 X^2 under
     # the role layout: server at x=1, owner at x=2, consumers at x=3..6
-    db, store = base_db(C3, C4)
+    db, store = base_db(tmp_path, C3, C4)
     owner_share = grant_access(
         db, store, "report.pdf", "olivia", ["carol", "chuck", "cindy", "caleb"], DATA,
         secret=1234, coeffs=(166, 94),
@@ -284,8 +286,8 @@ def pinned_report_grant():
     return db, store, owner_share
 
 
-def test_reference_walkthrough():
-    db, store, owner_share = pinned_report_grant()
+def test_reference_walkthrough(tmp_path):
+    db, store, owner_share = pinned_report_grant(tmp_path)
     grant = db.grants["report.pdf"]
     assert (grant.server_share.x, grant.server_share.y) == (1, 1494)
     assert (owner_share.x, owner_share.y) == (2, 1942)
@@ -301,22 +303,22 @@ def test_reference_walkthrough():
 
 # ---------------------------------------------------------------- revocation
 
-def granted():
-    db, store = base_db(C3)
+def granted(tmp_path):
+    db, store = base_db(tmp_path, C3)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck", "cindy"], DATA)
     return db, store, owner_share
 
 
-def test_revoked_record_goes_stale():
-    db, store, owner_share = granted()
+def test_revoked_record_goes_stale(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     deltas = revoke_user(db, "f", "chuck")
     assert "chuck" not in db.grants["f"].consumer_shares
     with pytest.raises(NotGranted):
         request_decrypt(db, store, "f", update_owner_share(owner_share, deltas), C2)
 
 
-def test_stale_record_fails_binding_even_if_presented():
-    db, store, owner_share = granted()
+def test_stale_record_fails_binding_even_if_presented(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     stale = db.grants["f"].consumer_shares["chuck"]
     deltas = revoke_user(db, "f", "chuck")
     new_owner = update_owner_share(owner_share, deltas)
@@ -324,23 +326,23 @@ def test_stale_record_fails_binding_even_if_presented():
         request_decrypt(db, store, "f", new_owner, C2, receiver_share_record=stale)
 
 
-def test_remaining_users_keep_access():
-    db, store, owner_share = granted()
+def test_remaining_users_keep_access(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     deltas = revoke_user(db, "f", "chuck")
     new_owner = update_owner_share(owner_share, deltas)
     assert request_decrypt(db, store, "f", new_owner, C1) == DATA
     assert request_decrypt(db, store, "f", new_owner, C3) == DATA
 
 
-def test_old_owner_point_goes_stale_too():
-    db, store, owner_share = granted()
+def test_old_owner_point_goes_stale_too(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     revoke_user(db, "f", "chuck")
     with pytest.raises(BindingMismatch):
         request_decrypt(db, store, "f", owner_share, C1)
 
 
-def test_revocation_leaves_envelope_untouched():
-    db, store, owner_share = granted()
+def test_revocation_leaves_envelope_untouched(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     ref = db.grants["f"].envelope_ref
     before = store.get_object(ref)
     revoke_user(db, "f", "chuck")
@@ -348,8 +350,8 @@ def test_revocation_leaves_envelope_untouched():
     assert store.get_object(ref) == before
 
 
-def test_revocation_rotates_salt_and_binding():
-    db, store, owner_share = granted()
+def test_revocation_rotates_salt_and_binding(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     old = db.grants["f"]
     old_salt, old_kc = old.salt, old.binding.kc
     deltas = revoke_user(db, "f", "chuck")
@@ -360,8 +362,8 @@ def test_revocation_rotates_salt_and_binding():
     assert any(d != 0 for d in deltas)
 
 
-def test_revocation_preserves_the_secret():
-    db, store, owner_share = granted()
+def test_revocation_preserves_the_secret(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     grant = db.grants["f"]
     pt1 = decrypt_share(grant.consumer_shares["carol"], C1.credentials)
     before = reconstruct_secret(
@@ -375,8 +377,8 @@ def test_revocation_preserves_the_secret():
     assert before == after
 
 
-def test_revoking_the_last_consumer():
-    db, store = base_db()
+def test_revoking_the_last_consumer(tmp_path):
+    db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
     stale = db.grants["f"].consumer_shares["carol"]
     deltas = revoke_user(db, "f", "carol")
@@ -388,8 +390,8 @@ def test_revoking_the_last_consumer():
         request_decrypt(db, store, "f", new_owner, C1, receiver_share_record=stale)
 
 
-def test_revoke_error_cases():
-    db, store, _ = granted()
+def test_revoke_error_cases(tmp_path):
+    db, store, _ = granted(tmp_path)
     with pytest.raises(UnknownFile):
         revoke_user(db, "ghost-file", "carol")
     with pytest.raises(NotGranted):
@@ -403,10 +405,10 @@ def test_revoke_error_cases():
         revoke_user(db2, "f", "carol")
 
 
-def test_revoke_pinned_grant_twice():
+def test_revoke_pinned_grant_twice(tmp_path):
     # delta(0) = 0 whatever the pinned coefficients were, so revocation
     # needs nothing beyond the grant's own record
-    db, store, owner_share = pinned_report_grant()
+    db, store, owner_share = pinned_report_grant(tmp_path)
     d1 = revoke_user(db, "report.pdf", "chuck")
     d2 = revoke_user(db, "report.pdf", "caleb")
     new_owner = update_owner_share(update_owner_share(owner_share, d1), d2)
@@ -416,8 +418,8 @@ def test_revoke_pinned_grant_twice():
         request_decrypt(db, store, "report.pdf", owner_share, C1)
 
 
-def test_double_revocation_compounds():
-    db, store, owner_share = granted()
+def test_double_revocation_compounds(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     d1 = revoke_user(db, "f", "chuck")
     d2 = revoke_user(db, "f", "cindy")
     owner2 = update_owner_share(update_owner_share(owner_share, d1), d2)
@@ -427,10 +429,10 @@ def test_double_revocation_compounds():
         request_decrypt(db, store, "f", half, C1)
 
 
-def test_revoke_redraws_a_salt_that_moves_no_share():
+def test_revoke_redraws_a_salt_that_moves_no_share(tmp_path):
     # the first salt drawn is the grant's own, so every delta is zero and
     # no issued x would move: revoke_user must draw again
-    db, store, owner_share = granted()
+    db, store, owner_share = granted(tmp_path)
     grant = db.grants["f"]
     issued = {rec.x for rec in grant.consumer_shares.values()}
     issued.add(grant.server_share.x)
@@ -454,8 +456,8 @@ def test_revoke_redraws_a_salt_that_moves_no_share():
 
 # ---------------------------------------------------------------- persistence
 
-def test_db_json_round_trip():
-    db, store, _ = granted()
+def test_db_json_round_trip(tmp_path):
+    db, store, _ = granted(tmp_path)
     text = db_to_json(db)
     back = db_from_json(text)
     assert db_to_json(back) == text
@@ -485,21 +487,24 @@ def policies(draw):
     if len(ids) < 2:
         return db
     owner, consumers = db.users[ids[0]], [db.users[uid] for uid in ids[1:]]
-    store = ObjectStore()
-    for file_id in draw(st.lists(TRICKY_TEXT.filter(bool), unique=True, max_size=3)):
-        chosen = draw(st.lists(st.sampled_from(consumers), min_size=1,
-                               unique_by=lambda u: u.user_id))
-        grant_access(db, store, file_id, owner.user_id,
-                     [c.user_id for c in chosen], b"body")
-        if draw(st.booleans()):
-            for consumer in chosen:
-                revoke_user(db, file_id, consumer.user_id)
+    with tempfile.TemporaryDirectory() as root:
+        store = ObjectStore(root)
+        for file_id in draw(st.lists(TRICKY_TEXT.filter(bool), unique=True,
+                                     max_size=3)):
+            chosen = draw(st.lists(st.sampled_from(consumers), min_size=1,
+                                   unique_by=lambda u: u.user_id))
+            grant_access(db, store, file_id, owner.user_id,
+                         [c.user_id for c in chosen], b"body")
+            if draw(st.booleans()):
+                for consumer in chosen:
+                    revoke_user(db, file_id, consumer.user_id)
     return db
 
 
 def all_revoked_db():
-    db, store = base_db()
-    grant_access(db, store, TRICKY_CHARS, "olivia", ["carol", "chuck"], DATA)
+    with tempfile.TemporaryDirectory() as root:
+        db, store = base_db(Path(root))
+        grant_access(db, store, TRICKY_CHARS, "olivia", ["carol", "chuck"], DATA)
     for consumer in (C1, C2):
         revoke_user(db, TRICKY_CHARS, consumer.user_id)
     return db
@@ -516,8 +521,7 @@ def test_db_json_matches_json_dumps_oracle(db):
 
 def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
     corrupt, cause = policy_corruption
-    db, _, _ = granted()
-    store = ObjectStore(tmp_path / "store")
+    db, store, _ = granted(tmp_path)
     persist_db(db, store)
     assert (tmp_path / "store" / POLICY_DIGEST_FILENAME).exists()
     path = tmp_path / "store" / POLICY_FILENAME
@@ -531,8 +535,8 @@ def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
 @pytest.mark.parametrize("where, key", [
     ("user", "user_id"), ("grant", "file_id"), ("grant", "owner_id"),
     ("grant", "envelope_ref"), ("share", "file_id")])
-def test_db_from_json_rejects_non_string_field(where, key, value):
-    db, _, _ = granted()
+def test_db_from_json_rejects_non_string_field(tmp_path, where, key, value):
+    db, _, _ = granted(tmp_path)
     doc = json.loads(db_to_json(db))
     grant = doc["grants"][0]
     record = {"user": doc["users"][0], "grant": grant,
@@ -585,8 +589,7 @@ def counted_grant_parses():
 
 
 def test_sliced_load_parses_only_the_grants_it_reads(tmp_path):
-    db, _, owner_share = granted()
-    store = ObjectStore(tmp_path / "store")
+    db, store, owner_share = granted(tmp_path)
     grant_access(db, store, "g", "olivia", ["chuck"], DATA)
     persist_db(db, store)
     with full_loads_forbidden(), counted_grant_parses() as parses:
@@ -624,12 +627,12 @@ def counted_user_renders():
 
 def users_run(store):
     """The users array of the committed policy, as bytes."""
-    text = store.texts[POLICY_FILENAME]
+    text = store.read_bytes(POLICY_FILENAME)
     return text[text.index(b'"users"'):text.index(b'"grants"')]
 
 
-def test_sliced_load_parses_only_the_users_it_reads():
-    db, store, owner_share = granted()
+def test_sliced_load_parses_only_the_users_it_reads(tmp_path):
+    db, store, owner_share = granted(tmp_path)
     persist_db(db, store)
     committed = users_run(store)
     with full_loads_forbidden(), counted_user_parses() as parses, \
@@ -668,11 +671,11 @@ def test_sliced_load_parses_only_the_users_it_reads():
     assert db_to_json(registering) == slow_policy_json(registering)
 
 
-def test_a_user_lookup_scans_its_short_span():
+def test_a_user_lookup_scans_its_short_span(tmp_path):
     # 65 users, as policy-churn registers: the search halves the 8 KB
     # array until a scan is cheaper, then checks the next block's id
-    db, store = base_db(*[UserRecord(f"u{i:02d}", UserType.CONSUMER, b"u")
-                          for i in range(62)])
+    db, store = base_db(tmp_path, *[UserRecord(f"u{i:02d}", UserType.CONSUMER,
+                                               b"u") for i in range(62)])
     persist_db(db, store)
     loaded = load_db(store)
     with mock.patch.object(trishare.authz.Blocks, "_id_at", autospec=True,
@@ -684,8 +687,7 @@ def test_a_user_lookup_scans_its_short_span():
 def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
     # a read parses the block in place: the keys stay as they were, so
     # the loop may read every grant it visits
-    db, _, _ = granted()
-    store = ObjectStore(tmp_path / "store")
+    db, store, _ = granted(tmp_path)
     grant_access(db, store, "g", "olivia", ["chuck"], DATA)
     persist_db(db, store)
     with full_loads_forbidden(), counted_grant_parses() as parses:
@@ -696,22 +698,22 @@ def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
         assert [loaded.grants[fid] for fid in loaded.grants] == [
             db.grants["f"], db.grants["g"]]
         assert parses.call_count == 2
-    assert db_to_json(loaded) == store.read_text(POLICY_FILENAME)
+    assert db_to_json(loaded).encode() == store.read_bytes(POLICY_FILENAME)
 
 
-@pytest.mark.parametrize("db", [PolicyDb(), base_db()[0]], ids=["empty", "users-only"])
-def test_sliced_load_of_a_policy_without_grants(db):
-    store = ObjectStore()
+@pytest.mark.parametrize("db", [PolicyDb(), PolicyDb(users={
+    u.user_id: u for u in (OWNER, C1, C2)})], ids=["empty", "users-only"])
+def test_sliced_load_of_a_policy_without_grants(tmp_path, db):
+    store = ObjectStore(tmp_path / "store")
     persist_db(db, store)
     with full_loads_forbidden():
         loaded = load_db(store)
     assert loaded == db and len(loaded.grants) == 0
-    assert db_to_json(loaded) == store.read_text(POLICY_FILENAME)
+    assert db_to_json(loaded).encode() == store.read_bytes(POLICY_FILENAME)
 
 
 def test_missing_sidecar_takes_the_full_parse_and_persist_writes_one(tmp_path):
-    db, _, _ = granted()
-    store = ObjectStore(tmp_path / "store")
+    db, store, _ = granted(tmp_path)
     persist_db(db, store)
     sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
     digest = sidecar.read_text()
@@ -729,10 +731,7 @@ def test_missing_sidecar_takes_the_full_parse_and_persist_writes_one(tmp_path):
 @pytest.mark.parametrize("sidecar", ["old-digest", "empty", "truncated",
                                      "next-digest"])
 def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
-    db, store, owner_share = granted()
-    disk = ObjectStore(tmp_path / "store")
-    for ref in store.keys():
-        disk.put_object(ref, [store.get_object(ref)])
+    db, disk, owner_share = granted(tmp_path)
     persist_db(db, disk)
     before = db_to_json(db)
     revoke_user(db, "f", "chuck")
@@ -774,8 +773,7 @@ def forge(store, text):
 
 
 def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
-    db, _, _ = granted()
-    store = ObjectStore(tmp_path / "store")
+    db, store, _ = granted(tmp_path)
     text = db_to_json(db).replace('"kc": ', '"kc": "', 1)
     forge(store, text)
     loaded = load_db(store)
@@ -790,7 +788,7 @@ def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
 @pytest.mark.parametrize("name", ["users-only", "no-grants-key", "reindented",
                                   "not-ascii"])
 def test_out_of_layout_policy_under_a_matching_digest(tmp_path, name):
-    db, _, _ = granted()
+    db, _, _ = granted(tmp_path)
     doc = json.loads(db_to_json(db))
     text = {"users-only": json.dumps({"p": doc["p"], "users": doc["users"]}),
             "no-grants-key": db_to_json(db).replace('"grants"', '"grunts"'),
@@ -804,12 +802,12 @@ def test_out_of_layout_policy_under_a_matching_digest(tmp_path, name):
         load_db(store)
 
 
-def forged_policy(forgery):
+def forged_policy(tmp_path, forgery):
     """Text in db_to_json's layout that persist_db never wrote: blocks f1
     and f2 swapped, the first and last of 24 blocks swapped, a second,
     different f2 block after f2, or an f1 block that names f3 in a
     second file_id key."""
-    db, store = base_db()
+    db, store = base_db(tmp_path)
     for i in range(24 if forgery == "swapped-far" else 5):
         grant_access(db, store, f"f{i}", "olivia", ["carol"], DATA)
     doc = json.loads(db_to_json(db))
@@ -832,7 +830,8 @@ def forged_policy(forgery):
 # typed; none returns another id's grant.  A lookup scans a short span
 # for the id's block, so swapped neighbours are found, and only the one
 # whose successor sorts before it fails; blocks swapped from afar fall
-# outside the span the search narrows to and are missed.
+# outside the span the search narrows to and are missed (an insert of
+# such an id fails typed: see test_grant_of_a_block_moved_far_is_corrupt).
 @pytest.mark.parametrize("forgery, outcomes", [
     ("swapped", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
                  "f3": "own", "f4": "own"}),
@@ -845,7 +844,7 @@ def forged_policy(forgery):
 ])
 def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
                                                            outcomes):
-    db, text = forged_policy(forgery)
+    db, text = forged_policy(tmp_path, forgery)
     store = ObjectStore(tmp_path / "store")
     forge(store, text)
     loaded = load_db(store)
@@ -874,7 +873,7 @@ def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
 
 
 def test_a_lone_quote_for_a_user_id_is_corrupt(tmp_path):
-    db, _ = base_db()
+    db, _ = base_db(tmp_path)
     text = db_to_json(db).replace('"user_id": "carol",', '"user_id": ",')
     store = ObjectStore(tmp_path / "store")
     forge(store, text)
@@ -883,13 +882,13 @@ def test_a_lone_quote_for_a_user_id_is_corrupt(tmp_path):
         loaded.users.get("carol")
 
 
-def forged_users_policy(forgery):
+def forged_users_policy(tmp_path, forgery):
     """Text in db_to_json's layout that persist_db never wrote: user
     blocks carol and chuck swapped, caleb and u59 (the first and last of
     65, as many as policy-churn registers) swapped, a second, different
     chuck block after chuck, or a carol block that names cindy in a
     second user_id key."""
-    db, store = base_db(C3, C4)
+    db, store = base_db(tmp_path, C3, C4)
     for i in range(60):
         register_user(db, UserRecord(f"u{i:02d}", UserType.CONSUMER, b"u"))
     grant_access(db, store, "f", "olivia", ["carol"], DATA)
@@ -924,8 +923,7 @@ def forged_users_policy(forgery):
 ])
 def test_forged_users_under_a_matching_digest_stay_typed(tmp_path, forgery,
                                                          outcomes):
-    db, envelopes, text = forged_users_policy(forgery)
-    store = ObjectStore(tmp_path / "store")
+    db, store, text = forged_users_policy(tmp_path, forgery)
     forge(store, text)
     loaded = load_db(store)
     seen = {}
@@ -941,13 +939,45 @@ def test_forged_users_under_a_matching_digest_stay_typed(tmp_path, forgery,
     for uid, outcome in outcomes.items():
         if outcome != "own":
             with pytest.raises(getattr(trishare.authz, outcome)):
-                grant_access(loaded, envelopes, "g", "olivia", [uid], DATA)
+                grant_access(loaded, store, "g", "olivia", [uid], DATA)
     try:
         listed = list(loaded.users)
     except CorruptPolicy:
         listed = "CorruptPolicy"
     assert listed == (sorted(db.users) if forgery == "two-ids"
                       else "CorruptPolicy")
+
+
+def store_files(root):
+    """Every file under root, by path, with its bytes."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def test_grant_of_a_block_moved_far_is_corrupt(tmp_path):
+    # The lookup misses f0, moved to the end of the array; a grant of f0
+    # must not commit a second f0 block, nor replace f0's envelope.
+    _, text = forged_policy(tmp_path, "swapped-far")
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    before = store_files(tmp_path / "store")
+    loaded = load_db(store)
+    with pytest.raises(CorruptPolicy):
+        grant_access(loaded, store, "f0", "olivia", ["carol"], DATA)
+        persist_db(loaded, store)
+    assert store_files(tmp_path / "store") == before
+
+
+def test_register_of_a_block_moved_far_is_corrupt(tmp_path):
+    # As for the grants: caleb, moved to the end of the users array, is
+    # missed, and registering caleb again must not commit a second block.
+    _, store, text = forged_users_policy(tmp_path, "swapped-far")
+    forge(store, text)
+    before = store_files(tmp_path / "store")
+    loaded = load_db(store)
+    with pytest.raises(CorruptPolicy):
+        register_user(loaded, UserRecord("caleb", UserType.CONSUMER, b"new"))
+        persist_db(loaded, store)
+    assert store_files(tmp_path / "store") == before
 
 
 def churn_policy(store):
@@ -958,9 +988,9 @@ def churn_policy(store):
     consumers = [f"u{i:03d}" for i in range(64)]
     for uid in consumers:
         register_user(db, UserRecord(uid, UserType.CONSUMER, uid.encode()))
-    rng, envelopes = random.Random(300), ObjectStore()
+    rng = random.Random(300)
     for i in range(300):
-        grant_access(db, envelopes, f"f{i:03d}", "olivia",
+        grant_access(db, store, f"f{i:03d}", "olivia",
                      rng.sample(consumers, 8), b"x")
     persist_db(db, store)
 
@@ -1053,16 +1083,19 @@ _SPLICE_USERS = ["m", "c", 'a"q', "z\\u", "\u2028", "n"]
               + [("register", 1, 2), ("register", 2, 3)] + _SPLICE_OPS[8:]
               + [("register", 0, 4)]))
 def test_sliced_and_full_loads_write_the_same_bytes(p, ids, file_ids, ops):
-    sliced, full = ObjectStore(), ObjectStore()
-    for store in (sliced, full):
-        db = PolicyDb(modulus=modulus_for(p))
-        register_user(db, UserRecord(ids[0], UserType.OWNER, b"cred-owner"))
-        persist_db(db, store)
-    for step, op in enumerate(ops):
-        with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
-            with full_loads_forbidden():
-                _run_policy_command(sliced, op, ids, file_ids)
-        full.texts.pop(POLICY_DIGEST_FILENAME, None)
-        with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
-            _run_policy_command(full, op, ids, file_ids)
-        assert sliced.texts[POLICY_FILENAME] == full.texts[POLICY_FILENAME], (step, op)
+    with tempfile.TemporaryDirectory() as root:
+        sliced, full = ObjectStore(Path(root, "sliced")), ObjectStore(Path(root, "full"))
+        for store in (sliced, full):
+            db = PolicyDb(modulus=modulus_for(p))
+            register_user(db, UserRecord(ids[0], UserType.OWNER, b"cred-owner"))
+            persist_db(db, store)
+        for step, op in enumerate(ops):
+            with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
+                with full_loads_forbidden():
+                    _run_policy_command(sliced, op, ids, file_ids)
+            # with no sidecar, load_db takes the full parse
+            (full.root / POLICY_DIGEST_FILENAME).unlink(missing_ok=True)
+            with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
+                _run_policy_command(full, op, ids, file_ids)
+            assert (sliced.read_bytes(POLICY_FILENAME)
+                    == full.read_bytes(POLICY_FILENAME)), (step, op)

@@ -104,10 +104,10 @@ def consistent_secrets(*polynomials):
     return fits
 
 
-def grant_and_revoke():
+def grant_and_revoke(tmp_path):
     """policy.json after a grant to c1..c4 and after revoking c4, and the
     owner point."""
-    db, envelopes = PolicyDb(modulus=modulus_for(P)), ObjectStore()
+    db, envelopes = PolicyDb(modulus=modulus_for(P)), ObjectStore(tmp_path / "store")
     register_user(db, UserRecord("olivia", UserType.OWNER, b"cred-olivia"))
     for uid in CONSUMERS:
         register_user(db, UserRecord(uid, UserType.CONSUMER, b"cred-" + uid.encode()))
@@ -118,8 +118,8 @@ def grant_and_revoke():
     return granted, json.loads(db_to_json(db)), owner
 
 
-def views(credentials):
-    granted, revoked, owner = grant_and_revoke()
+def views(credentials, tmp_path):
+    granted, revoked, owner = grant_and_revoke(tmp_path)
     store = _store(granted, credentials)
     return {
         "the store alone": [store],
@@ -141,11 +141,11 @@ def test_binding_abscissa_is_not_a_share_slot():
     assert derive_binding_x(FILE_ID.encode(), modulus_for(P)) > 2 + len(CONSUMERS)
 
 
-def test_what_each_coalition_learns_about_the_secret():
+def test_what_each_coalition_learns_about_the_secret(tmp_path):
     start = time.monotonic()
     counts = {}
     for column, credentials in enumerate((True, False)):
-        for name, polynomials in views(credentials).items():
+        for name, polynomials in views(credentials, tmp_path).items():
             fits = consistent_secrets(*polynomials)
             assert SECRET in fits, name
             counts.setdefault(name, [0, 0])[column] = len(fits)
