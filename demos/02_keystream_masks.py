@@ -8,7 +8,8 @@ K = N1 xor N2: N1 is a fresh bit per position from the Rand stream, N2 a
 it.  Each stream emits the parity of successive LCG states.
 """
 
-from trishare import InvalidParams, MaskSchedule, Mode, mask_schedule_for_key, xor_mask
+from trishare import (CipherKey, InvalidParams, MaskSchedule, Mode,
+                      mask_schedule_for_key, xor_mask)
 
 # One LCG step, X1 = (a * X0 + c) mod m, on the worked-example numbers
 # X0 = 9741, a = 1674, c = 1234, m = 231: the first state is 223, odd,
@@ -30,7 +31,8 @@ assert bits == [(bits[0] + i) % 2 for i in range(16)]
 # The mask therefore uses two Lehmer generators mod the prime 2^31 - 1
 # (c = 0, minstd multipliers 48271 and 16807).  Their start states are
 # derived from the cipher key; nothing about them is stored.
-schedule = mask_schedule_for_key(1000, 2, Mode.POWER)
+key = CipherKey(a=1000, n=2, mode=Mode.POWER)
+schedule = mask_schedule_for_key(key)
 print(f"\nkey-derived start states: Rand {schedule.rand_x0}, Rep {schedule.rep_x0}, "
       f"block {schedule.block_bytes} B")
 
@@ -45,7 +47,7 @@ print(f"masked twice    : {xor_mask(masked, schedule).hex()}  (involution)")
 # An envelope header carries the block size, and opening rebuilds the
 # schedule from the key and that size.  The 64-bit Rep pattern must tile
 # a block, so a block that is not a multiple of 8 bytes is refused.
-small = mask_schedule_for_key(1000, 2, Mode.POWER, block_bytes=8)
+small = mask_schedule_for_key(key, block_bytes=8)
 body = b"two streams, one mask"
 assert xor_mask(xor_mask(body, small), small) == body
 assert xor_mask(body, small) != xor_mask(body, schedule)

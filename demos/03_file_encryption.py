@@ -57,10 +57,10 @@ print("opened from the wire form: ok")
 # A master secret never touches a file directly: each file gets
 # a = master xor fnv1a64(filename), so renames change the key.
 master = 0x0123_4567_89AB_CDEF
-k1 = derive_file_key(master, "q3-report.pdf")
-k2 = derive_file_key(master, "q4-report.pdf")
+k1 = derive_file_key(master, b"q3-report.pdf")
+k2 = derive_file_key(master, b"q4-report.pdf")
 print(f"\nfile keys differ per name: {k1.a != k2.a} "
       f"({k1.a:#x} vs {k2.a:#x})")
 env = seal_file(body, k1)
-assert open_file(env, derive_file_key(master, "q3-report.pdf")) == body
+assert open_file(env, derive_file_key(master, b"q3-report.pdf")) == body
 print("master + filename re-derives the key: ok")

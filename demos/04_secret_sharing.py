@@ -45,14 +45,14 @@ print(f"recovered coefficients: {poly.coeffs}")
 # Coefficients in the protocol come from salted attribute hashes, so
 # the polynomial is determined by who the owner is.
 tokens = derive_attribute_tokens(
-    [b"owner:alice", b"role:finance"], b"salt-1", 3, m)
+    [b"owner:alice", b"role:finance"], b"salt-1", m)
 print(f"\nattribute-derived coefficients: {tokens}")
 
 # The binding code pins the polynomial to one file: kc = a0 + F(x_kc)
 # at a file-derived abscissa.  After reconstruction the verifier checks
 # it before trusting the secret.
 ref_poly = SecretPolynomial((1234, 166, 94), m)
-code = binding_code(1234, ref_poly, b"q3-report.pdf")
+code = binding_code(ref_poly, b"q3-report.pdf")
 print(f"binding code kc = {code.kc} at x_kc = {code.x_kc}")
 print(f"binding verifies: {verify_binding(ref_poly, code, b'q3-report.pdf')}")
 print(f"binding rejects another file: "

@@ -1,10 +1,11 @@
 """trishare: involution-cipher file sealing with three-party key sharing.
 
 A file is sealed under a fresh secret; the secret is split into points
-on a degree-2 polynomial over Z_p so that decryption needs the
+on a degree-2 polynomial over Z_p so that a request needs the
 organization server, the data owner, and one authorized receiver to each
-contribute a point.  Lagrange interpolation recovers the secret, a
-binding code ties the polynomial to the file, and revocation
+contribute a point (whoever reads the store's files needs none of them;
+see the README's Security notes).  Lagrange interpolation recovers the
+secret, a binding code ties the polynomial to the file, and revocation
 re-randomizes the polynomial without touching the sealed data.
 
 The benchmarks and the pinned worked example live in `trishare.bench`,
@@ -25,9 +26,8 @@ from .cipher import (BadHeader, CipherEnvelope, CipherKey, EmptyFilename,
                      seal_file, symbol_width)
 from .sharing import (BindingCode, CorruptShareRecord, EncryptedShare,
                       NotEnoughUsers, SecretTooLarge, SharePoint,
-                      TooFewAttributes, binding_code, decrypt_share,
-                      derive_attribute_tokens, derive_binding_x,
-                      encrypt_share, split_secret)
+                      binding_code, decrypt_share, derive_attribute_tokens,
+                      derive_binding_x, encrypt_share, split_secret)
 from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
                           ReconstructionInput, reconstruct_polynomial,
                           reconstruct_secret, verify_binding)

@@ -3,9 +3,11 @@
 A grant splits a fresh file secret a0 across three roles with a
 degree-2 polynomial (threshold k = 3): the organization server keeps
 one point, the data owner walks away with one that is never persisted,
-and each consumer receives one blinded by their credentials.  Decryption
-therefore requires server + owner + receiver to cooperate; any other
+and each consumer receives one blinded by their credentials.  A request
+therefore needs server + owner + receiver to cooperate; any other
 combination of three points fails role validation or the binding check.
+The store's files alone still open every file: policy.json holds what
+derives a1 and a2, and with the server point they give a0.
 
 Revocation re-randomizes the polynomial around the same a0 by re-salting
 the attribute-derived coefficients.  Because share blinding is additive,
@@ -45,7 +47,8 @@ from .sharing import (BindingCode, EncryptedShare, SharePoint, binding_code,
                       decrypt_share, derive_attribute_tokens, encrypt_share,
                       split_secret)
 from .storage import (POLICY_DIGEST_FILENAME, POLICY_FILENAME, ObjectStore,
-                      decode_envelope, envelope_pieces, object_key)
+                      decode_envelope, envelope_pieces, is_object_key,
+                      object_key)
 # Unused here, but perfbench/tracing.py wraps it in this namespace.
 from .storage import encode_envelope  # noqa: F401
 
@@ -305,21 +308,16 @@ class Blocks(Mapping):
 
 @dataclass
 class PolicyDb:
-    """User table plus per-file grants, all under one modulus.  A plain
-    mapping given for either becomes Blocks, filled by assignment."""
+    """User table plus per-file grants, all under one modulus.  Both start
+    empty and are filled by assignment (register_user, grant_access)."""
 
     modulus: FieldModulus = field(default_factory=default_modulus)
-    users: Mapping[str, UserRecord] = field(default_factory=dict)
-    grants: Mapping[str, FileGrant] = field(default_factory=dict)
+    users: Blocks = field(init=False)
+    grants: Blocks = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, blocks in (("users", _user_blocks()),
-                             ("grants", _grant_blocks(self.modulus))):
-            table = getattr(self, name)
-            if not isinstance(table, Blocks):
-                for key, record in table.items():
-                    blocks[key] = record
-                setattr(self, name, blocks)
+        self.users = _user_blocks()
+        self.grants = _grant_blocks(self.modulus)
 
 
 def register_user(db: PolicyDb, record: UserRecord) -> None:
@@ -329,9 +327,9 @@ def register_user(db: PolicyDb, record: UserRecord) -> None:
     db.users[record.user_id] = record
 
 
-def _owner_attributes(owner: UserRecord, k: int) -> List[bytes]:
-    # k-1 distinct attribute strings derived from the owner's credentials.
-    return [owner.credentials + bytes([i]) for i in range(1, k)]
+def _owner_attributes(owner: UserRecord) -> List[bytes]:
+    # One attribute per coefficient a1, a2, from the owner's credentials.
+    return [owner.credentials + bytes([i]) for i in range(1, THRESHOLD)]
 
 
 def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
@@ -377,13 +375,13 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
         secret = _secrets.randbelow(p)
     salt = os.urandom(16)
     if coeffs is None:
-        coeffs = derive_attribute_tokens(_owner_attributes(owner, THRESHOLD),
-                                         salt, THRESHOLD, db.modulus)
+        coeffs = derive_attribute_tokens(_owner_attributes(owner), salt,
+                                         db.modulus)
 
     shares = split_secret(secret, coeffs, len(consumers) + 2, db.modulus)
     by_x = {pt.x: pt for pt in shares}
     poly = SecretPolynomial((secret, *coeffs), db.modulus)
-    binding = binding_code(secret, poly, file_id_bytes)
+    binding = binding_code(poly, file_id_bytes)
 
     key = derive_file_key(secret, file_id_bytes, mode=mode, n=n)
     envelope = seal_file(data, key)
@@ -448,12 +446,13 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
         poly = reconstruct_polynomial(inp)
     except InvalidPolynomial as exc:
         raise BindingMismatch(f"degenerate reconstruction: {exc}") from exc
-    if not verify_binding(poly, grant.binding, file_id.encode("utf-8")):
+    file_id_bytes = file_id.encode("utf-8")
+    if not verify_binding(poly, grant.binding, file_id_bytes):
         raise BindingMismatch(f"reconstructed polynomial fails binding for {file_id!r}")
 
     secret = poly.coeffs[0]
     envelope = decode_envelope(store.get_object(grant.envelope_ref))
-    key = derive_file_key(secret, file_id, mode=envelope.mode, n=envelope.n)
+    key = derive_file_key(secret, file_id_bytes, mode=envelope.mode, n=envelope.n)
     return open_file(envelope, key)
 
 
@@ -482,9 +481,8 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str) -> Tuple[int, ...]:
         raise UnknownOwner(f"owner {grant.owner_id!r} missing from user table")
 
     p = db.modulus.p
-    attrs = _owner_attributes(owner, THRESHOLD)
-    old_tokens = derive_attribute_tokens(attrs, grant.salt, THRESHOLD,
-                                         db.modulus)
+    attrs = _owner_attributes(owner)
+    old_tokens = derive_attribute_tokens(attrs, grant.salt, db.modulus)
 
     # Every x that ever held a share must move off the old polynomial.
     issued_xs = {rec.x for rec in grant.consumer_shares.values()}
@@ -492,8 +490,7 @@ def revoke_user(db: PolicyDb, file_id: str, user_id: str) -> Tuple[int, ...]:
 
     while True:
         new_salt = os.urandom(16)
-        new_tokens = derive_attribute_tokens(attrs, new_salt, THRESHOLD,
-                                             db.modulus)
+        new_tokens = derive_attribute_tokens(attrs, new_salt, db.modulus)
         deltas = tuple((nc - oc) % p for nc, oc in zip(new_tokens, old_tokens))
         if any(_delta_at(deltas, x, p) == 0 for x in issued_xs):
             continue
@@ -692,8 +689,12 @@ def _user_from_doc(u: dict) -> UserRecord:
 
 def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
     read_share = EncryptedShare.from_dict
+    file_id, ref = _text(g["file_id"]), _text(g["envelope_ref"])
+    if not is_object_key(ref):  # a path such as "../x" would leave the store
+        raise ValueError(f"grant {file_id!r} has envelope_ref {ref!r}, "
+                         "not an object key")
     return FileGrant(
-        file_id=_text(g["file_id"]),
+        file_id=file_id,
         owner_id=_text(g["owner_id"]),
         server_share=SharePoint(x=int(g["server_share"]["x"]),
                                 y=int(g["server_share"]["y"]),
@@ -702,7 +703,7 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
                          for uid, rec in g["consumers"].items()},
         binding=BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"])),
         salt=bytes.fromhex(g["salt_hex"]),
-        envelope_ref=_text(g["envelope_ref"]))
+        envelope_ref=ref)
 
 
 def _digest(pieces: Sequence[bytes]) -> bytes:

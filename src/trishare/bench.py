@@ -162,7 +162,7 @@ def bench_encrypt(sizes: Sequence[int] = DEFAULT_BENCH_SIZES,
         raise Error(f"sizes must be >= 0, got {list(sizes)}")
     rng = random.Random(seed)
     master = rng.randrange(1, default_modulus().p)
-    key = derive_file_key(master, "bench.dat", mode=mode, n=n)
+    key = derive_file_key(master, b"bench.dat", mode=mode, n=n)
     rows = []
     for size in sizes:
         data = rng.randbytes(size)

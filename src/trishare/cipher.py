@@ -117,9 +117,9 @@ def symbol_width(key: CipherKey) -> int:
     return width
 
 
-def derive_file_key(master_key: int, filename: "bytes | str",
+def derive_file_key(master_key: int, filename: bytes,
                     mode: Mode = Mode.ADDITIVE, n: int = 1) -> CipherKey:
-    """Per-file key a = master_key XOR fnv1a64(filename).
+    """Per-file key a = master_key XOR fnv1a64(filename), a name in bytes.
 
     Deterministic in both inputs; distinct filenames give distinct keys
     except for FNV collisions.  In Power mode a result below 256 is
@@ -127,8 +127,6 @@ def derive_file_key(master_key: int, filename: "bytes | str",
     so the key stays positive.  `n` is checked as CipherKey checks it:
     Additive mode takes only n = 1.
     """
-    if isinstance(filename, str):
-        filename = filename.encode("utf-8")
     if len(filename) == 0:
         raise EmptyFilename("filename must be non-empty")
     a = master_key ^ fnv1a64(filename)
@@ -316,18 +314,16 @@ _RAND_TAG = 0x52414E44  # "RAND"
 _REP_TAG = 0x52455031  # "REP1"
 
 
-def mask_schedule_for_key(key_a: int, n: int, mode: Mode,
+def mask_schedule_for_key(key: CipherKey,
                           block_bytes: int = DEFAULT_BLOCK_BYTES) -> MaskSchedule:
     """Keystream schedule with start states derived from the key, never stored.
 
     Both seeds come from a multiply-xor-shift cascade over (a, n, mode),
     and keystream.start_state folds each into a Lehmer start state, so
     anyone holding the key re-derives the identical mask; the envelope
-    only records block_bytes.  key_a must be positive, as in CipherKey.
+    only records block_bytes.
     """
-    if key_a < 1:
-        raise KeyOutOfRange(f"a={key_a} must be positive")
-    base = mix64(fold64(key_a) ^ (n << 8) ^ int(mode))
+    base = mix64(fold64(key.a) ^ (key.n << 8) ^ int(key.mode))
     return MaskSchedule(rand_x0=start_state(mix64(base ^ _RAND_TAG)),
                         rep_x0=start_state(mix64(base ^ _REP_TAG)),
                         block_bytes=block_bytes)
@@ -339,7 +335,7 @@ def seal_file(data: bytes, key: CipherKey) -> CipherEnvelope:
     The mask schedule is derived from the key at the default block
     size, which the header records for open_file.
     """
-    schedule = mask_schedule_for_key(key.a, key.n, key.mode)
+    schedule = mask_schedule_for_key(key)
     masked = xor_mask(data, schedule)
     payload = encrypt_bytes(masked, key)
     return CipherEnvelope(
@@ -364,6 +360,5 @@ def open_file(envelope: CipherEnvelope, key: CipherKey) -> bytes:
     """
     effective = CipherKey(a=key.a, n=envelope.n, mode=envelope.mode)
     masked = decrypt_bytes(envelope.payload, effective, width=envelope.symbol_width)
-    schedule = mask_schedule_for_key(effective.a, effective.n, envelope.mode,
-                                     envelope.block_bytes)
+    schedule = mask_schedule_for_key(effective, envelope.block_bytes)
     return xor_mask(masked, schedule)

@@ -105,4 +105,4 @@ def verify_binding(poly: SecretPolynomial, code: BindingCode,
     a single tampered share point changes the interpolant and flips this
     to False with probability 1 - 1/p.
     """
-    return binding_code(poly.coeffs[0], poly, file_id) == code
+    return binding_code(poly, file_id) == code

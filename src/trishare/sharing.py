@@ -18,10 +18,6 @@ from .field import FieldModulus, SecretPolynomial, modulus_for, poly_eval
 from .hashing import fnv1a64
 
 
-class TooFewAttributes(Error):
-    """Need at least k-1 attributes to derive k-1 coefficients."""
-
-
 class SecretTooLarge(Error):
     """The secret must be a field element, i.e. less than p."""
 
@@ -75,12 +71,10 @@ class EncryptedShare(NamedTuple):
     kc: int
     x_kc: int
 
-    def to_dict(self) -> dict:
-        return {"file_id": self.file_id, "x": self.x, "y_enc": self.y_enc,
-                "p": self.p, "kc": self.kc, "x_kc": self.x_kc}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps({"file_id": self.file_id, "x": self.x,
+                           "y_enc": self.y_enc, "p": self.p, "kc": self.kc,
+                           "x_kc": self.x_kc}, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncryptedShare":
@@ -107,21 +101,16 @@ class EncryptedShare(NamedTuple):
                 f"share record is not JSON in the record schema: {exc}") from exc
 
 
-def derive_attribute_tokens(attributes: Sequence[bytes], salt: bytes, k: int,
+def derive_attribute_tokens(attributes: Sequence[bytes], salt: bytes,
                             modulus: FieldModulus) -> List[int]:
-    """Coefficients a1..a_{k-1} from salted attribute hashes.
+    """Coefficients a1, a2, ... from salted attribute hashes, one each.
 
     Token j = fnv1a64(salt || attribute_j) mod p, with 0 remapped to 1
-    so no coefficient (in particular the leading one) degenerates.  Uses
-    the first k-1 attributes.
+    so no coefficient (in particular the leading one) degenerates.
     """
-    if len(attributes) < k - 1:
-        raise TooFewAttributes(
-            f"need {k - 1} attributes for threshold {k}, got {len(attributes)}"
-        )
     p = modulus.p
     tokens = []
-    for attr in attributes[:k - 1]:
+    for attr in attributes:
         t = fnv1a64(salt + attr) % p
         tokens.append(t if t != 0 else 1)
     return tokens
@@ -150,12 +139,11 @@ def derive_binding_x(file_id: bytes, modulus: FieldModulus) -> int:
     return fnv1a64(file_id) % (modulus.p - 1) + 1
 
 
-def binding_code(secret: int, poly: SecretPolynomial,
-                 file_id: bytes) -> BindingCode:
-    """kc = (secret + F(x_kc)) mod p at the file-derived x_kc."""
+def binding_code(poly: SecretPolynomial, file_id: bytes) -> BindingCode:
+    """kc = (a0 + F(x_kc)) mod p at the file-derived x_kc; a0 = F(0)."""
     p = poly.modulus.p
     x_kc = derive_binding_x(file_id, poly.modulus)
-    kc = (secret + poly_eval(poly.coeffs, x_kc, p)) % p
+    kc = (poly.coeffs[0] + poly_eval(poly.coeffs, x_kc, p)) % p
     return BindingCode(kc=kc, x_kc=x_kc)
 
 

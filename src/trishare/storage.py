@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -108,9 +109,18 @@ def decode_envelope(data: bytes) -> CipherEnvelope:
                           payload=payload)
 
 
+_OBJECT_KEY = re.compile("[0-9a-f]{16}")
+
+
 def object_key(file_id: str) -> str:
     """Content key: hex of fnv1a64(file_id || ":0")."""
     return format(fnv1a64(f"{file_id}:0".encode("utf-8")), "016x")
+
+
+def is_object_key(ref: str) -> bool:
+    """Has ref the form object_key writes, 16 lowercase hex digits?  Only
+    such a ref names a file inside objects/."""
+    return _OBJECT_KEY.fullmatch(ref) is not None
 
 
 class ObjectStore:

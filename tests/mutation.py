@@ -41,6 +41,7 @@ TESTS = {
     "storage": ["tests/test_storage.py"],
     "cipher": ["tests/test_cipher.py"],
     "interpolate": ["tests/test_interpolate.py"],
+    "sharing": ["tests/test_sharing.py"],
 }
 SEED = 7
 SAMPLE = 40

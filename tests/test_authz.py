@@ -396,11 +396,10 @@ def test_revoke_error_cases(tmp_path):
         revoke_user(db, "ghost-file", "carol")
     with pytest.raises(NotGranted):
         revoke_user(db, "f", "olivia")  # owner holds no consumer share
-    db2 = PolicyDb(
-        modulus=db.modulus,
-        users={k: v for k, v in db.users.items() if k != "olivia"},
-        grants=db.grants,
-    )
+    db2 = PolicyDb(modulus=db.modulus)
+    for rec in (C1, C2):
+        register_user(db2, rec)
+    db2.grants["f"] = db.grants["f"]
     with pytest.raises(UnknownOwner):
         revoke_user(db2, "f", "carol")
 
@@ -701,10 +700,12 @@ def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
     assert db_to_json(loaded).encode() == store.read_bytes(POLICY_FILENAME)
 
 
-@pytest.mark.parametrize("db", [PolicyDb(), PolicyDb(users={
-    u.user_id: u for u in (OWNER, C1, C2)})], ids=["empty", "users-only"])
-def test_sliced_load_of_a_policy_without_grants(tmp_path, db):
-    store = ObjectStore(tmp_path / "store")
+@pytest.mark.parametrize("users", [(), (OWNER, C1, C2)],
+                         ids=["empty", "users-only"])
+def test_sliced_load_of_a_policy_without_grants(tmp_path, users):
+    db, store = PolicyDb(), ObjectStore(tmp_path / "store")
+    for rec in users:
+        register_user(db, rec)
     persist_db(db, store)
     with full_loads_forbidden():
         loaded = load_db(store)

@@ -432,14 +432,14 @@ def test_policy_and_objects_alone_open_every_file(tmp_path, capsys):
     for g in doc["grants"]:
         owner = credentials[g["owner_id"]]
         a1, a2 = trishare.derive_attribute_tokens(
-            [owner + b"\x01", owner + b"\x02"], bytes.fromhex(g["salt_hex"]), 3,
+            [owner + b"\x01", owner + b"\x02"], bytes.fromhex(g["salt_hex"]),
             modulus_for(p))
         x, y = g["server_share"]["x"], g["server_share"]["y"]
         a0 = (y - a1 * x - a2 * x * x) % p
         envelope = trishare.decode_envelope(
             (store / "objects" / g["envelope_ref"]).read_bytes())
-        key = trishare.derive_file_key(a0, g["file_id"], mode=envelope.mode,
-                                       n=envelope.n)
+        key = trishare.derive_file_key(a0, g["file_id"].encode("utf-8"),
+                                       mode=envelope.mode, n=envelope.n)
         opened[g["file_id"]] = trishare.open_file(envelope, key)
     assert opened == {fid: body for fid, (body, _) in bodies.items()}
 
@@ -676,6 +676,34 @@ def granted_store(tmp_path, capsys):
     assert rc == 0
     point = json.loads(out)["owner_point"]
     return store, f"{point['x']}:{point['y']}"
+
+
+@pytest.mark.parametrize("sidecar", ["rehashed", "deleted"])
+def test_envelope_ref_leaving_the_store_is_corrupt(tmp_path, capsys, sidecar):
+    # The ref is joined onto objects/, so "../../outside.bin" would open an
+    # envelope copied beside the store; both load paths refuse the grant.
+    store, owner_point = granted_store(tmp_path, capsys)
+    policy = store / "policy.json"
+    ref = json.loads(policy.read_text())["grants"][0]["envelope_ref"]
+    (tmp_path / "outside.bin").write_bytes((store / "objects" / ref).read_bytes())
+    policy.write_bytes(policy.read_bytes().replace(
+        b'"envelope_ref": "%s"' % ref.encode(), b'"envelope_ref": "../../outside.bin"'))
+    digest = store / "policy.json.sha256"
+    if sidecar == "rehashed":
+        digest.write_text(hashlib.sha256(policy.read_bytes()).hexdigest() + "\n")
+    else:
+        digest.unlink()
+    fetched = tmp_path / "out.bin"
+    rc, out, err = run_cli(
+        ["request", "--store", str(store), "--file-id", "f", "--receiver", "alice",
+         "--owner-point", owner_point, "--out", str(fetched)],
+        capsys,
+    )
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "'f'" in lines[0] and "../../outside.bin" in lines[0]
+    assert not fetched.exists()
 
 
 def test_policy_commands_fsync_each_durable_file_and_the_root_once(

@@ -23,7 +23,7 @@ import time
 from trishare import (ObjectStore, PolicyDb, UserRecord, UserType,
                       db_to_json, grant_access, modulus_for, register_user,
                       revoke_user)
-from trishare.authz import THRESHOLD, _owner_attributes
+from trishare.authz import _owner_attributes
 from trishare.sharing import (EncryptedShare, decrypt_share,
                               derive_attribute_tokens, derive_binding_x)
 
@@ -76,9 +76,9 @@ def _store(doc, credentials):
                  for u in doc["users"]}
         owner = UserRecord(grant["owner_id"], UserType.OWNER,
                            creds[grant["owner_id"]])
-        a1, a2 = derive_attribute_tokens(_owner_attributes(owner, THRESHOLD),
+        a1, a2 = derive_attribute_tokens(_owner_attributes(owner),
                                          bytes.fromhex(grant["salt_hex"]),
-                                         THRESHOLD, modulus_for(P))
+                                         modulus_for(P))
         eqs += [(0, 1, 0, a1), (0, 0, 1, a2)]
         for uid, rec in grant["consumers"].items():
             pt = decrypt_share(EncryptedShare.from_dict(rec), creds[uid])

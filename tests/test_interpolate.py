@@ -178,13 +178,13 @@ def test_split_then_reconstruct_round_trip(m61):
 
 def test_verify_binding_accepts_honest_code(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"report.pdf")
+    code = binding_code(poly, b"report.pdf")
     assert verify_binding(poly, code, b"report.pdf")
 
 
 def test_verify_binding_rejects_tampered_kc(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"report.pdf")
+    code = binding_code(poly, b"report.pdf")
     forged = BindingCode(kc=(code.kc + 1) % M61, x_kc=code.x_kc)
     assert not verify_binding(poly, forged, b"report.pdf")
 
@@ -199,7 +199,7 @@ def test_verify_binding_rejects_foreign_x(m61):
 
 def test_verify_binding_rejects_wrong_polynomial(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"report.pdf")
+    code = binding_code(poly, b"report.pdf")
     rng = random.Random(3)
     for _ in range(50):
         other = SecretPolynomial(

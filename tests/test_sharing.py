@@ -14,7 +14,6 @@ from trishare import (
     SecretPolynomial,
     SecretTooLarge,
     SharePoint,
-    TooFewAttributes,
     binding_code,
     decrypt_share,
     derive_attribute_tokens,
@@ -95,8 +94,8 @@ def test_split_points_lie_on_the_polynomial(m61):
 def test_tokens_match_hash_oracle(m61):
     attrs = [b"dept:research", b"clearance:2", b"region:eu"]
     salt = b"\x01\x02"
-    tokens = derive_attribute_tokens(attrs, salt, 3, m61)
-    assert len(tokens) == 2  # k-1 coefficients for threshold k
+    tokens = derive_attribute_tokens(attrs, salt, m61)
+    assert len(tokens) == 3  # one coefficient per attribute
     for token, attr in zip(tokens, attrs):
         expected = slow_fnv1a64(salt + attr) % M61
         assert token == (expected or 1)
@@ -107,7 +106,7 @@ def test_tokens_zero_maps_to_one(p97):
     for i in range(10_000):
         attr = b"attr%d" % i
         if fnv1a64(b"s" + attr) % 97 == 0:
-            assert list(derive_attribute_tokens([attr], b"s", 2, p97)) == [1]
+            assert list(derive_attribute_tokens([attr], b"s", p97)) == [1]
             break
     else:
         pytest.fail("no zero-token witness under p=97 in 10k tries")
@@ -115,29 +114,16 @@ def test_tokens_zero_maps_to_one(p97):
 
 def test_tokens_respond_to_salt(m61):
     attrs = [b"a", b"b", b"c"]
-    t1 = derive_attribute_tokens(attrs, b"salt1", 3, m61)
-    t2 = derive_attribute_tokens(attrs, b"salt2", 3, m61)
+    t1 = derive_attribute_tokens(attrs, b"salt1", m61)
+    t2 = derive_attribute_tokens(attrs, b"salt2", m61)
     assert t1 != t2
-
-
-def test_tokens_use_first_k_minus_one(m61):
-    attrs = [b"a", b"b", b"c", b"d"]
-    assert (
-        derive_attribute_tokens(attrs, b"s", 3, m61)
-        == derive_attribute_tokens(attrs[:2], b"s", 3, m61)
-    )
-
-
-def test_tokens_require_enough_attributes(m61):
-    with pytest.raises(TooFewAttributes):
-        derive_attribute_tokens([b"only"], b"s", 3, m61)
 
 
 # ---------------------------------------------------------------- binding codes
 
 def test_binding_frozen_value(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"any")
+    code = binding_code(poly, b"any")
     # x_kc is derived from the file id; kc = 1234 + F(x_kc) mod p
     assert code.x_kc == derive_binding_x(b"any", m61) == 502067903028274140
     assert code.kc == (1234 + poly_eval(poly.coeffs, code.x_kc, M61)) % M61
@@ -168,14 +154,14 @@ def test_binding_x_hits_both_ends_small_field(p97):
 
 def test_binding_default_x_is_file_derived(m61):
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"report.pdf")
+    code = binding_code(poly, b"report.pdf")
     assert code.x_kc == derive_binding_x(b"report.pdf", m61)
     assert code.kc == (1234 + poly_eval(poly.coeffs, code.x_kc, M61)) % M61
 
 
 def test_binding_constant_poly_doubles_secret(p97):
     poly = SecretPolynomial((40, 0, 0), p97)
-    code = binding_code(40, poly, b"f")
+    code = binding_code(poly, b"f")
     assert code.kc == (2 * 40) % 97
 
 
@@ -188,7 +174,7 @@ def creds(tag):
 def test_encrypt_share_formula(m61):
     share = SharePoint(x=2, y=1942, modulus=m61)
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"fid")
+    code = binding_code(poly, b"fid")
     rec = encrypt_share(share, creds(b"alice"), "fid", code)
     blind = fnv1a64(creds(b"alice")) % M61
     assert rec.y_enc == (1942 + blind) % M61
@@ -200,7 +186,7 @@ def test_encrypt_share_formula(m61):
 def test_share_round_trip(m61):
     share = SharePoint(x=4, y=3402, modulus=m61)
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"fid")
+    code = binding_code(poly, b"fid")
     rec = encrypt_share(share, creds(b"bob"), "fid", code)
     back = decrypt_share(rec, creds(b"bob"))
     assert (back.x, back.y) == (4, 3402)
@@ -209,7 +195,7 @@ def test_share_round_trip(m61):
 def test_wrong_credentials_garble_the_point(m61):
     share = SharePoint(x=4, y=3402, modulus=m61)
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"fid")
+    code = binding_code(poly, b"fid")
     rec = encrypt_share(share, creds(b"bob"), "fid", code)
     other = decrypt_share(rec, creds(b"mallory"))
     assert other.y != 3402
@@ -227,7 +213,7 @@ def test_blinding_round_trip_property(x_seed, y, who):
     m = default_modulus()
     share = SharePoint(x=x_seed % 200 + 1, y=y, modulus=m)
     poly = SecretPolynomial((y, 1, 1), m)
-    code = binding_code(y, poly, b"f")
+    code = binding_code(poly, b"f")
     rec = encrypt_share(share, who, "f", code)
     assert decrypt_share(rec, who) == share
 
@@ -235,13 +221,13 @@ def test_blinding_round_trip_property(x_seed, y, who):
 def test_record_json_wire_format(m61):
     share = SharePoint(x=5, y=4414, modulus=m61)
     poly = SecretPolynomial((1234, 166, 94), m61)
-    code = binding_code(1234, poly, b"fid")
+    code = binding_code(poly, b"fid")
     rec = encrypt_share(share, creds(b"eve"), "fid", code)
     wire = json.loads(rec.to_json())
     assert set(wire) == {"file_id", "x", "y_enc", "p", "kc", "x_kc"}
     assert wire["file_id"] == "fid"
     assert EncryptedShare.from_json(rec.to_json()) == rec
-    assert EncryptedShare.from_dict(rec.to_dict()) == rec
+    assert EncryptedShare.from_dict(wire) == rec
 
 
 RECORD_FIELDS = dict(file_id='memo "q" \u00e9', x=5, y_enc=M61 - 1, p=M61,

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import trishare.storage
-from trishare.storage import POLICY_DIGEST_FILENAME, envelope_pieces
+from trishare.storage import POLICY_DIGEST_FILENAME, envelope_pieces, is_object_key
 
 from trishare import (
     BadHeader,
@@ -222,6 +222,10 @@ def test_object_key_format():
     key = object_key("report.pdf")
     assert key == format(fnv1a64(b"report.pdf:0"), "016x")
     assert key == "e5a931bcf34a2d35"
+    # only that form names a file inside objects/
+    assert is_object_key(key)
+    for ref in ("../../outside.bin", key.upper(), key[:-1], key + "0", key + "\n"):
+        assert not is_object_key(ref), ref
 
 
 def test_envelope_pieces_join_to_the_wire_format():
