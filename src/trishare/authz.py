@@ -719,12 +719,12 @@ def _digest(pieces: Sequence[bytes]) -> bytes:
 
 
 def persist_db(db: PolicyDb, store: ObjectStore) -> None:
-    """Commit policy.json and its digest sidecar as one group, the same
-    for every command: the policy is fsynced, the sidecar is not, the
-    two are renamed in that order and the store root is fsynced once.
-    A failure before the first rename changes neither.  The sidecar is
-    only a cache: a crash may leave it stale, empty or one commit ahead,
-    and load_db then takes the full parse.
+    """Commit policy.json and its digest sidecar, the same for every
+    command: the policy's temp file is fsynced, the sidecar overwritten
+    in place (not fsynced), the policy renamed and the store root fsynced
+    once.  A failure before the rename leaves policy.json as it was.
+    The sidecar is only a cache: a crash may leave it stale, torn or one
+    commit ahead, and load_db then takes the full parse.
 
     The policy is spliced, not rebuilt: its pieces (see _policy_pieces)
     are streamed into the file and hashed as they are, with no copy of

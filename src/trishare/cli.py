@@ -287,8 +287,8 @@ def _add_common(sub: argparse.ArgumentParser, modulus: bool = False,
                          help="object store root directory (default ./store)")
 
 
-# One row per subcommand: name -> (add_parser keyword arguments, the
-# function that adds its arguments).  `bench` holds a table of its own.
+# One row per subcommand: name -> (its help line, the function that adds
+# its arguments).  `bench` holds a table of its own.
 
 def _keygen_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
@@ -393,6 +393,8 @@ def _bench_attrs_args(s: argparse.ArgumentParser) -> None:
 
 
 def _bench_storage_args(s: argparse.ArgumentParser) -> None:
+    # No abbreviations here: --p would otherwise be read as --pairing-bits.
+    s.allow_abbrev = False
     _add_common(s)
     s.add_argument("--n", type=int, default=10, help="attributes per user")
     s.add_argument("--tc", type=int, default=10, help="policy attribute count")
@@ -402,62 +404,58 @@ def _bench_storage_args(s: argparse.ArgumentParser) -> None:
 
 
 _BENCH_COMMANDS = {
-    "encrypt": ({"help": "seal/open throughput over sizes"}, _bench_encrypt_args),
-    "attrs": ({"help": "split/reconstruct timing vs threshold"}, _bench_attrs_args),
-    # No abbreviations here: --p would otherwise be read as --pairing-bits.
-    "storage": ({"help": "storage-overhead formula table", "allow_abbrev": False},
-                _bench_storage_args),
+    "encrypt": ("seal/open throughput over sizes", _bench_encrypt_args),
+    "attrs": ("split/reconstruct timing vs threshold", _bench_attrs_args),
+    "storage": ("storage-overhead formula table", _bench_storage_args),
 }
 
 _COMMANDS = {
-    "keygen": ({"help": "generate a fresh file secret"}, _keygen_args),
-    "encrypt": ({"help": "seal a file into an envelope"}, _encrypt_args),
-    "decrypt": ({"help": "open an envelope"}, _decrypt_args),
-    "split": ({"help": "split a secret into share points"}, _split_args),
-    "reconstruct": ({"help": "recover the secret from points"}, _reconstruct_args),
-    "register": ({"help": "add a user to the policy db"}, _register_args),
-    "grant": ({"help": "seal a file and issue shares"}, _grant_args),
-    "revoke": ({"help": "revoke a consumer and refresh shares"}, _revoke_args),
-    "request": ({"help": "decrypt with server+owner+receiver points"},
-                _request_args),
-    "verify-example": (
-        {"help": "check the pinned worked example, exit 1 on mismatch"},
-        _verify_example_args),
-    "bench": ({"help": "benchmarks and storage models"}, _BENCH_COMMANDS),
+    "keygen": ("generate a fresh file secret", _keygen_args),
+    "encrypt": ("seal a file into an envelope", _encrypt_args),
+    "decrypt": ("open an envelope", _decrypt_args),
+    "split": ("split a secret into share points", _split_args),
+    "reconstruct": ("recover the secret from points", _reconstruct_args),
+    "register": ("add a user to the policy db", _register_args),
+    "grant": ("seal a file and issue shares", _grant_args),
+    "revoke": ("revoke a consumer and refresh shares", _revoke_args),
+    "request": ("decrypt with server+owner+receiver points", _request_args),
+    "verify-example": ("check the pinned worked example, exit 1 on mismatch",
+                       _verify_example_args),
+    "bench": ("benchmarks and storage models", _BENCH_COMMANDS),
 }
 
 
-def _add_subcommands(parser: argparse.ArgumentParser, dest: str, table: dict,
-                     argv: "Sequence[str] | None") -> None:
-    """Add the subcommands of `table` to `parser`.  When argv[0] names one,
-    only that one is built; otherwise (no argv, help first, a missing or
-    unknown name) all are, so argparse's help and errors read as for the
-    whole tree.  A nested table gets the same treatment with argv[1:]."""
-    if argv and argv[0] in table:
-        names, rest = argv[:1], argv[1:]
-        # A usage line printed from here, as for "unrecognized
-        # arguments", still lists every name.
-        metavar = "{" + ",".join(table) + "}"
-    else:
-        names, rest, metavar = list(table), None, None
-    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name in names:
-        kwargs, add_arguments = table[name]
-        sub = subs.add_parser(name, **kwargs)
+def _add_subcommands(parser: argparse.ArgumentParser, dest: str,
+                     table: dict) -> None:
+    """Add every subcommand of `table` to `parser`, nested tables too."""
+    subs = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, add_arguments) in table.items():
+        sub = subs.add_parser(name, help=help_text)
         if isinstance(add_arguments, dict):
-            _add_subcommands(sub, f"{name}_command", add_arguments, rest)
+            _add_subcommands(sub, f"{name}_command", add_arguments)
         else:
             add_arguments(sub)
 
 
 def build_parser(argv: "Sequence[str] | None" = None) -> argparse.ArgumentParser:
-    """The parser for `argv`: the whole tree, or only the subcommand
-    argv names (see _add_subcommands).  Either parses argv alike."""
-    parser = argparse.ArgumentParser(
-        prog="trishare",
-        description="Seal files with an involution stream cipher and split "
-                    "the key across server, owner, and receivers.")
-    _add_subcommands(parser, "command", _COMMANDS, argv)
+    """The parser for `argv`: the named command's own parser (prog
+    "trishare" plus the names), which parses what follows the names as the
+    whole tree would; else (no argv, help first, an unknown name) the tree."""
+    table, dest, names = _COMMANDS, "command", {}
+    for name in argv or ():
+        if name not in table:
+            break
+        names[dest], (_, add_arguments) = name, table[name]
+        if not isinstance(add_arguments, dict):
+            parser = argparse.ArgumentParser(prog=" ".join(["trishare", *names.values()]))
+            add_arguments(parser)
+            parser.set_defaults(**names)
+            return parser
+        table, dest = add_arguments, f"{name}_command"
+    parser = argparse.ArgumentParser(prog="trishare", description=(
+        "Seal files with an involution stream cipher and split the key "
+        "across server, owner, and receivers."))
+    _add_subcommands(parser, "command", _COMMANDS)
     return parser
 
 
@@ -466,7 +464,10 @@ def cli_dispatch(argv: "Sequence[str] | None" = None) -> int:
     code."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    parser = build_parser(argv)
+    args, rest = parser.parse_known_args(argv[len(parser.prog.split()) - 1:])
+    if rest:  # the whole tree refuses them, with its own usage line
+        build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (Error, OSError) as exc:

@@ -15,22 +15,18 @@ policy.json and its digest sidecar policy.json.sha256.
 A missing or stale sidecar only costs the next load a full parse of
 policy.json.  Every read goes to disk and nothing is cached.
 
-Every write is a group commit of one or more files in one directory.
-Each file is given as pieces (bytes or memoryviews), which a disk store
-streams in order to a temp file of its own and never joins: a policy
-commit passes slices of the policy it loaded, an envelope its header
-and its payload.  Each durable temp file is fsynced.
-Only then are the temp files os.replace'd onto their targets, in the
-given order, and the directory is fsynced once, so a reader never
-observes a half-written object or policy, and a write that fails
-before its first rename leaves every target as it was.  Every policy
-commit renames policy.json (fsynced), then its sidecar (not fsynced:
-after a crash it may be stale, empty, truncated or one commit ahead,
-which a load takes as a miss).  A new file is created mode 0600; a
-rewrite keeps the mode the file had.  Opening a store creates nothing,
-so a mistyped path fails a read without leaving a skeleton behind: the
-first write makes the directories it writes into and fsyncs the parent
-of each.
+Every write commits one file (see _atomic_write), given as pieces
+(bytes or memoryviews) that a disk store streams to a temp file and never
+joins: a policy commit passes slices of the policy it loaded, an envelope
+its header and its payload.  The temp file is fsynced and renamed into
+place, so a reader never observes a half-written object or policy and a
+failed write leaves the target as it was.  A policy commit overwrites its
+digest sidecar in place, unsynced, just before that rename: after a crash
+the sidecar may be stale, torn or one commit ahead, which a load takes as
+a miss.  A new file is created mode 0600; a rewrite keeps its mode.
+Opening a store creates nothing, so a mistyped path fails a read without
+leaving a skeleton behind: the first write makes the directories it
+writes into and fsyncs the parent of each.
 """
 
 from __future__ import annotations
@@ -137,7 +133,7 @@ class ObjectStore:
     def put_object(self, key: str, pieces: Pieces) -> None:
         """Store the join of `pieces` durably; atomic replace if the key
         exists."""
-        _atomic_write(self.root / "objects", [(key, pieces, True)])
+        _atomic_write(self.root / "objects", key, pieces)
 
     def get_object(self, key: str) -> bytes:
         """Fetch a blob; NotFound if it was never stored."""
@@ -146,12 +142,9 @@ class ObjectStore:
     def write_text(self, filename: str, pieces: Pieces, *,
                    cache: Optional[Tuple[str, bytes]] = None) -> None:
         """Atomically write the join of `pieces` to a root-level file,
-        fsynced, in one group commit with an optional ``cache``
-        (filename, bytes) renamed after it, unsynced."""
-        files = [(filename, pieces, True)]
-        if cache is not None:
-            files.append((cache[0], (cache[1],), False))
-        _atomic_write(self.root, files)
+        fsynced; an optional ``cache`` (filename, bytes) is overwritten in
+        place, unsynced, just before the rename (see _atomic_write)."""
+        _atomic_write(self.root, filename, pieces, cache)
 
     def read_bytes(self, filename: str) -> bytes:
         """Read a root-level file; NotFound if absent."""
@@ -167,49 +160,55 @@ def _read(path: Path) -> bytes:
         raise IoFailure(f"read failed for {path}: {exc}") from exc
 
 
-def _atomic_write(directory: Path,
-                  files: Sequence[Tuple[str, Pieces, bool]]) -> None:
-    """Commit (name, pieces, durable) files into `directory` as one group.
-
-    Every temp file is written, and each durable one fsynced, before the
-    first os.replace; the renames run in the order given and one fsync
-    of `directory` makes them durable.  A directory the write had to make
-    is synced into its parent too, so a new store survives a crash.
-    """
-    # Each temp file is unique to this write and sits beside its target,
-    # so os.replace stays on one filesystem.  mkstemp makes it 0600; a
-    # rewrite copies the target's mode onto it first.
-    # `target` is the file being worked on, so a failure names it.
-    temps: List[str] = []
-    renamed = 0
-    target = directory / files[0][0]
+def _atomic_write(directory: Path, name: str, pieces: Pieces,
+                  cache: Optional[Tuple[str, bytes]] = None) -> None:
+    """Commit the join of `pieces` to directory/name: a temp file beside
+    it, so os.replace stays on one filesystem (mkstemp's 0600, or the
+    target's mode), fsync, `cache` overwritten in place, os.replace, one
+    fsync of `directory` and of the parent of each directory the write
+    made.  A failure names the file it was at."""
+    target, tmp = directory / name, None
     try:
         made = _make_dirs(directory)
-        for name, pieces, durable in files:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".",
+                                   suffix=".tmp")
+        with open(fd, "wb") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            fh.writelines(pieces)
+            fh.flush()
+            os.fsync(fh.fileno())
+        if cache is not None:
+            target = directory / cache[0]
+            _overwrite(target, cache[1])
             target = directory / name
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".",
-                                       suffix=".tmp")
-            temps.append(tmp)
-            with open(fd, "wb") as fh:
-                with contextlib.suppress(FileNotFoundError):
-                    os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-                fh.writelines(pieces)
-                if durable:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-        for tmp, (name, _, _) in zip(temps, files):
-            target = directory / name
-            os.replace(tmp, target)
-            renamed += 1
+        os.replace(tmp, target)
+        tmp = None
     except OSError as exc:
         raise IoFailure(f"write failed for {target}: {exc}") from exc
     finally:
-        for tmp in temps[renamed:]:
+        if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-    _fsync_dir(directory, f"{directory / files[0][0]} was replaced")
+    _fsync_dir(directory, f"{directory / name} was replaced")
     for new_dir in made:
         _fsync_dir(new_dir.parent, f"{new_dir} was created")
+
+
+def _overwrite(path: Path, data: bytes) -> None:
+    """Make the file at `path` hold `data`, unsynced.  It follows no
+    symlink, waits on no FIFO and refuses a file with a second link, so
+    no file outside the store changes."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW
+                 | os.O_NONBLOCK | os.O_CLOEXEC, 0o600)
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode) or st.st_nlink != 1:
+            raise OSError(errno.EPERM, "not a regular file with one link")
+        os.pwrite(fd, data, 0)
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _make_dirs(directory: Path) -> List[Path]:

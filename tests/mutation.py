@@ -42,6 +42,7 @@ TESTS = {
     "cipher": ["tests/test_cipher.py"],
     "interpolate": ["tests/test_interpolate.py"],
     "sharing": ["tests/test_sharing.py"],
+    "cli": ["tests/test_cli.py", "tests/test_cli_pinned_usage.py"],
 }
 SEED = 7
 SAMPLE = 40

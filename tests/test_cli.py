@@ -265,9 +265,20 @@ VALID_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
-def test_parser_for_argv_parses_like_the_whole_tree(argv):
-    assert (vars(build_parser(argv).parse_args(argv))
-            == vars(build_parser().parse_args(argv)))
+def test_parser_for_argv_parses_like_the_whole_tree(argv, monkeypatch):
+    # Each handler, looked up when a parser is built, records the
+    # namespace cli_dispatch hands it.
+    seen = []
+    for name in dir(trishare.cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(trishare.cli, name,
+                                lambda args: seen.append(args) or 0)
+    assert cli_dispatch(argv) == 0
+    (args,) = seen
+    assert vars(args) == vars(build_parser().parse_args(argv))
+    assert args.command == argv[0]
+    if argv[0] == "bench":
+        assert args.bench_command == argv[1]
 
 
 def subcommand_names(parser):
@@ -276,15 +287,28 @@ def subcommand_names(parser):
     return action.choices
 
 
-def test_parser_for_grant_holds_one_subparser():
-    names = subcommand_names(build_parser(["grant", "--file-id", "f"]))
-    assert list(names) == ["grant"]
+def has_subparsers(parser):
+    return any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
 
 
-def test_parser_for_bench_encrypt_holds_one_bench_subparser():
-    names = subcommand_names(build_parser(["bench", "encrypt"]))
-    assert list(names) == ["bench"]
-    assert list(subcommand_names(names["bench"])) == ["encrypt"]
+def test_parser_for_grant_is_the_grant_parser():
+    parser = build_parser(["grant", "--file-id", "f"])
+    assert parser.prog == "trishare grant" and not has_subparsers(parser)
+
+
+def test_parser_for_bench_encrypt_is_the_bench_encrypt_parser():
+    parser = build_parser(["bench", "encrypt"])
+    assert parser.prog == "trishare bench encrypt" and not has_subparsers(parser)
+
+
+@pytest.mark.parametrize("argv", [None, [], ["-h", "grant"], ["frobnicate"],
+                                  ["bench"], ["bench", "-h"]])
+def test_parser_without_a_command_name_is_the_whole_tree(argv):
+    parser = build_parser(argv)
+    assert parser.prog == "trishare"
+    names = subcommand_names(parser)
+    assert list(names) == list(trishare.cli._COMMANDS)
+    assert list(subcommand_names(names["bench"])) == ["encrypt", "attrs", "storage"]
 
 
 def test_dispatch_without_argv_reads_sys_argv(monkeypatch, capsys):
@@ -477,29 +501,37 @@ def test_failed_policy_write_leaves_policy_intact(tmp_path, capsys, monkeypatch)
     assert (store / "policy.json").read_bytes() == before
 
 
-def test_crash_before_the_sidecar_write_costs_only_a_full_parse(
+def test_failed_sidecar_write_costs_only_a_full_parse(
         tmp_path, capsys, monkeypatch):
+    # The new digest reaches the sidecar, then the write fails: the commit
+    # stops before policy.json is replaced, and the sidecar, a commit
+    # ahead of it, makes the next load take the full parse.
     store = tmp_path / "store"
     register_users(store, capsys)
-    stale = (store / "policy.json.sha256").read_bytes()
-    real_replace = trishare.storage.os.replace
+    before = (store / "policy.json").read_bytes()
 
-    def fail_sidecar_replace(src, dst):
-        if str(dst).endswith(".sha256"):
-            raise OSError("simulated crash before the sidecar rename")
-        real_replace(src, dst)
+    def fail_ftruncate(fd, length):
+        raise OSError(errno.EIO, "simulated failure truncating the sidecar")
 
-    monkeypatch.setattr(trishare.storage.os, "replace", fail_sidecar_replace)
+    monkeypatch.setattr(trishare.storage.os, "ftruncate", fail_ftruncate)
     register = ["register", "--store", str(store), "--type", "consumer",
                 "--credentials", "c"]
-    rc, _, err = run_cli([*register, "--user-id", "carl"], capsys)
-    assert rc == 1 and "error:" in err
-    assert (store / "policy.json.sha256").read_bytes() == stale
-    monkeypatch.setattr(trishare.storage.os, "replace", real_replace)
+    rc, out, err = run_cli([*register, "--user-id", "carl"], capsys)
+    monkeypatch.undo()
+    assert_one_error_line(rc, out, err)
+    assert "policy.json.sha256" in err
+    assert (store / "policy.json").read_bytes() == before
+    assert [p.name for p in store.iterdir() if p.name.endswith(".tmp")] == []
+    ahead = (store / "policy.json.sha256").read_text()
+    assert ahead != hashlib.sha256(before).hexdigest() + "\n"
+    full_parses = []
+    real_db_from_json = trishare.authz.db_from_json
+    monkeypatch.setattr(trishare.authz, "db_from_json",
+                        lambda text: full_parses.append(1) or real_db_from_json(text))
     rc, _, _ = run_cli([*register, "--user-id", "dave"], capsys)
-    assert rc == 0
+    assert rc == 0 and full_parses == [1]
     users = {u["user_id"] for u in json.loads((store / "policy.json").read_text())["users"]}
-    assert users == {"olivia", "alice", "bob", "carl", "dave"}
+    assert users == {"olivia", "alice", "bob", "dave"}
     digest = hashlib.sha256((store / "policy.json").read_bytes()).hexdigest()
     assert (store / "policy.json.sha256").read_text() == digest + "\n"
 
@@ -707,20 +739,28 @@ def test_envelope_ref_leaving_the_store_is_corrupt(tmp_path, capsys, sidecar):
 
 
 def test_policy_commands_fsync_each_durable_file_and_the_root_once(
-        tmp_path, capsys, fsyncs):
+        tmp_path, capsys, fsyncs, monkeypatch):
     store, _ = granted_store(tmp_path, capsys)
     src = tmp_path / "g.bin"
     src.write_bytes(b"body")
+    # The sidecar is written in place: only the policy and the blob are
+    # renamed into place.
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(trishare.storage.os, "replace",
+                        lambda src, dst: replaced.append(dst) or real_replace(src, dst))
     fsyncs.clear()
-    for argv, count in (
+    for argv, count, renames in (
             (["register", "--user-id", "dave", "--type", "consumer",
-              "--credentials", "c"], 2),  # policy, root
+              "--credentials", "c"], 2, 1),  # policy, root
             (["grant", "--file-id", "g", "--owner", "olivia",
-              "--consumers", "alice", "--in", str(src)], 4),  # + blob, objects/
-            (["revoke", "--file-id", "f", "--user", "alice"], 2)):  # policy, root
+              "--consumers", "alice", "--in", str(src)], 4, 2),  # + blob, objects/
+            (["revoke", "--file-id", "f", "--user", "alice"], 2, 1)):  # policy, root
         rc, _, _ = run_cli([*argv, "--store", str(store)], capsys)
         assert rc == 0 and len(fsyncs) == count, argv
+        assert len(replaced) == renames, argv
         fsyncs.clear()
+        replaced.clear()
 
 
 def test_failed_policy_fsync_changes_no_policy_file(tmp_path, capsys, monkeypatch):

@@ -4,11 +4,12 @@ import os
 import random
 import stat
 import struct
-import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+import trishare.authz
 import trishare.storage
 from trishare.storage import POLICY_DIGEST_FILENAME, envelope_pieces, is_object_key
 
@@ -303,42 +304,91 @@ def test_failed_sidecar_write_names_the_sidecar(tmp_path, monkeypatch):
     before = (tmp_path / "store" / POLICY_FILENAME).read_bytes()
     db = PolicyDb()
     register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
-    real_mkstemp = tempfile.mkstemp
+    sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
+    real_open = os.open
 
-    def mkstemp(*args, prefix, **kwargs):
-        if prefix == POLICY_DIGEST_FILENAME + ".":
-            raise OSError(errno.ENOSPC, "simulated failure creating the sidecar")
-        return real_mkstemp(*args, prefix=prefix, **kwargs)
+    def failing_open(path, *args, **kwargs):
+        if os.fspath(path) == os.fspath(sidecar):
+            raise OSError(errno.ENOSPC, "simulated failure opening the sidecar")
+        return real_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(trishare.storage.tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(trishare.storage.os, "open", failing_open)
     with pytest.raises(IoFailure) as info:
         persist_db(db, store)
     monkeypatch.undo()
-    sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
     assert str(info.value).startswith(f"write failed for {sidecar}: ")
     assert (tmp_path / "store" / POLICY_FILENAME).read_bytes() == before
     assert [p.name for p in (tmp_path / "store").iterdir()
             if p.name.endswith(".tmp")] == []
 
 
-def test_failed_sidecar_rename_leaves_no_temp_file(tmp_path, monkeypatch):
-    # the policy is renamed, its sidecar's rename fails: the group stops
-    # there and removes the temp file it could not rename
+def test_failed_sidecar_truncate_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the sidecar's in-place write fails before the policy is renamed:
+    # the commit stops there and removes the policy's temp file
     store = ObjectStore(tmp_path / "store")
-    real_replace = os.replace
+    store.write_text(POLICY_FILENAME, [b"old"])
 
-    def replace(src, dst):
-        if os.path.basename(dst) == POLICY_DIGEST_FILENAME:
-            raise OSError(errno.EIO, "simulated failure renaming the sidecar")
-        real_replace(src, dst)
+    def ftruncate(fd, length):
+        raise OSError(errno.EIO, "simulated failure truncating the sidecar")
 
-    monkeypatch.setattr(trishare.storage.os, "replace", replace)
-    with pytest.raises(IoFailure):
+    monkeypatch.setattr(trishare.storage.os, "ftruncate", ftruncate)
+    with pytest.raises(IoFailure, match=POLICY_DIGEST_FILENAME):
         store.write_text(POLICY_FILENAME, [b"new"],
                          cache=(POLICY_DIGEST_FILENAME, b"digest"))
     monkeypatch.undo()
-    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [POLICY_FILENAME]
-    assert store.read_bytes(POLICY_FILENAME) == b"new"
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+        POLICY_FILENAME, POLICY_DIGEST_FILENAME]
+    assert store.read_bytes(POLICY_FILENAME) == b"old"
+
+
+def test_sidecar_symlink_is_never_written_through(tmp_path):
+    store = ObjectStore(tmp_path / "store")
+    persist_db(PolicyDb(), store)
+    policy = tmp_path / "store" / POLICY_FILENAME
+    before = policy.read_bytes()
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"not the store's")
+    sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
+    sidecar.unlink()
+    sidecar.symlink_to(outside)
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
+    with pytest.raises(IoFailure, match=f"write failed for {sidecar}: "):
+        persist_db(db, store)
+    assert outside.read_bytes() == b"not the store's"
+    assert sidecar.is_symlink() and policy.read_bytes() == before
+
+
+def test_hard_linked_sidecar_is_refused(tmp_path):
+    store = ObjectStore(tmp_path / "store")
+    persist_db(PolicyDb(), store)
+    policy = tmp_path / "store" / POLICY_FILENAME
+    before = policy.read_bytes()
+    sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
+    other = tmp_path / "other-link"
+    os.link(sidecar, other)
+    linked = other.read_bytes()
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
+    with pytest.raises(IoFailure, match="not a regular file with one link"):
+        persist_db(db, store)
+    assert other.read_bytes() == linked and policy.read_bytes() == before
+
+
+def test_sidecar_with_junk_after_the_digest_is_cut_back(tmp_path):
+    store = ObjectStore(tmp_path / "store")
+    persist_db(PolicyDb(), store)
+    sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
+    sidecar.write_bytes(sidecar.read_bytes() + b"junk" * 40)
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
+    persist_db(db, store)
+    policy = (tmp_path / "store" / POLICY_FILENAME).read_bytes()
+    digest = hashlib.sha256(policy).hexdigest().encode("ascii") + b"\n"
+    assert sidecar.read_bytes() == digest and len(digest) == 65
+    with mock.patch.object(trishare.authz, "db_from_json",
+                           side_effect=AssertionError("full parse")):
+        assert load_db(store).users.keys() == {"olivia"}
 
 
 def test_writes_to_one_path_use_distinct_temp_names(tmp_path, monkeypatch):
@@ -374,7 +424,7 @@ def test_write_fsyncs_file_then_directory(tmp_path, fsyncs):
     fsyncs.clear()
     store.put_object("k", [b"blob"])
     assert synced_paths(fsyncs, tmp_path) == ["store/objects/k", "store/objects"]
-    # The sidecar is renamed in but never fsynced: it is only a cache.
+    # The sidecar is written in place but never fsynced: it is only a cache.
     persist_db(PolicyDb(), store)
     assert synced_paths(fsyncs, tmp_path) == ["store/policy.json", "store"]
 
