@@ -142,17 +142,18 @@ class Blocks(Mapping):
     key and the record's attribute), then the quoted id, then `next_key`.
     A policy loaded through its sidecar keeps its bytes, and text[start:
     end] is the array as db_to_json writes it: its blocks sit in
-    text[lo:hi] sorted by id, joined by ",".  A lookup finds a block by
-    binary search over byte offsets: each probe takes the block that
-    starts nearest the middle and decodes only its quoted id, and once
-    the span left is short one scan finds the block's head.  Only the
-    block a lookup returns is parsed, by `parse`, and it is kept, not
-    written back.  A record stored becomes an edit against its block's
-    span, and a new id's span is empty, at its sorted place, unless the
-    id's head sits elsewhere in the array, out of order: that insert is
-    CorruptPolicy.  _spliced gives every run of blocks no edit touches
-    as a slice of the text and each edit rendered by `render`.  With no
-    text (a new db or a full parse) every record is such an insert.
+    text[lo:hi] sorted by id, joined by ",".  Every lookup, membership
+    test and insert goes through one search, _span: a binary search over
+    byte offsets, where each probe takes the block that starts nearest
+    the middle and decodes only its quoted id.  When it does not land on
+    the id, one find of the id's head over the array decides: a block
+    that holds the id out of order is CorruptPolicy, never absent.
+    Only the block a lookup returns is parsed, by `parse`, and it is
+    kept, not written back.  A record stored becomes an edit against its
+    block's span, and a new id's span is empty, at its sorted place.
+    _spliced gives every run of blocks no edit touches as a slice of the
+    text and each edit rendered by `render`.  With no text (a new db or
+    a full parse) every record is such an insert.
     """
 
     def __init__(self, key: str, next_key: bytes, parse: Callable[[Any], Any],
@@ -192,16 +193,7 @@ class Blocks(Mapping):
 
     def __setitem__(self, key: str, record: Any) -> None:
         hit = self._records.get(key)
-        if hit is not None:
-            start, end = hit[:2]
-        else:
-            start, end = self._span(key)
-            # The search misses a block moved far from its sorted place;
-            # an insert of its id would commit a second block.
-            if start == end and self._text.find(self._head(key), self._lo,
-                                                self._hi) >= 0:
-                raise CorruptPolicy(f"{key!r}'s block is out of {self._key} "
-                                    "order")
+        start, end = hit[:2] if hit is not None else self._span(key)
         self._records[key] = (start, end, record)
         self._assigned.add(key)
 
@@ -245,22 +237,13 @@ class Blocks(Mapping):
     def _span(self, key: str) -> Tuple[int, int]:
         """The text span of key's block, or an empty span where it would
         go.  CorruptPolicy if the next block repeats the id or sorts
-        before it."""
+        before it, or if the search misses a block that holds the id out
+        of order, which an insert would then repeat."""
         hi = self._hi
         # The block just before a holds a smaller id, and b_id is the id
         # of the block at b, not smaller; a and b are block starts or hi.
         a, b, b_id = self._lo, hi, None
-        # Once [a, b] is short, one scan for the head db_to_json writes
-        # for key costs less than the probes left; on a miss the search
-        # goes on to key's place.
-        head = self._head(key)
         while a < b:
-            if head and b - a <= _SCAN_BYTES:
-                found = self._text.find(head, a, min(b + len(head), hi))
-                if found >= 0:
-                    a, b_id = found, key
-                    break
-                head = b""
             probe = self._next_start((a + b) // 2)
             if probe >= b:
                 probe = a
@@ -270,6 +253,9 @@ class Blocks(Mapping):
             else:
                 b, b_id = probe, probe_id
         if b_id != key:
+            if self._text.find(self._head(key), self._lo, hi) >= 0:
+                raise CorruptPolicy(f"{key!r}'s block is out of {self._key} "
+                                    "order")
             return a, a
         after = self._next_start(a + 1)
         if after < hi and self._id_at(after) <= key:
@@ -327,6 +313,15 @@ def register_user(db: PolicyDb, record: UserRecord) -> None:
     db.users[record.user_id] = record
 
 
+def _file_id_bytes(file_id: str) -> bytes:
+    """The UTF-8 bytes that key and bind a file; InvalidFileId for an id
+    that holds a lone surrogate."""
+    try:
+        return file_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidFileId(f"file id {file_id!r} is not UTF-8 text") from exc
+
+
 def _owner_attributes(owner: UserRecord) -> List[bytes]:
     # One attribute per coefficient a1, a2, from the owner's credentials.
     return [owner.credentials + bytes([i]) for i in range(1, THRESHOLD)]
@@ -352,10 +347,7 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     `secret` and `coeffs` pin the polynomial for a reproducible grant;
     left unset, both are fresh.
     """
-    try:
-        file_id_bytes = file_id.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise InvalidFileId(f"file id {file_id!r} is not UTF-8 text") from exc
+    file_id_bytes = _file_id_bytes(file_id)
     p = db.modulus.p
     owner = db.users.get(owner_id)
     if owner is None or owner.user_type != UserType.OWNER:
@@ -416,6 +408,7 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
     stale or forged records reach reconstruction and die on the binding
     check instead.
     """
+    file_id_bytes = _file_id_bytes(file_id)
     grant = db.grants.get(file_id)
     if grant is None:
         raise UnknownFile(f"no grant for {file_id!r}")
@@ -446,7 +439,6 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
         poly = reconstruct_polynomial(inp)
     except InvalidPolynomial as exc:
         raise BindingMismatch(f"degenerate reconstruction: {exc}") from exc
-    file_id_bytes = file_id.encode("utf-8")
     if not verify_binding(poly, grant.binding, file_id_bytes):
         raise BindingMismatch(f"reconstructed polynomial fails binding for {file_id!r}")
 
@@ -537,10 +529,6 @@ def update_owner_share(point: SharePoint, deltas: Sequence[int]) -> SharePoint:
 # through int.__repr__, as json does; the nesting depth fixes each indent.
 _str = encode_basestring_ascii
 _int = int.__repr__
-
-#: Blocks._span scans a span this short for a head instead of halving it
-#: further: one bytes.find over it costs about one probe.
-_SCAN_BYTES = 4096
 
 
 def _user_json(u: UserRecord) -> str:
@@ -672,12 +660,13 @@ def _text(value) -> str:
 def _db_from_doc(doc: dict) -> PolicyDb:
     modulus = modulus_for(int(doc["p"]))
     db = PolicyDb(modulus=modulus)
-    for u in doc.get("users", []):
-        user = _user_from_doc(u)
-        db.users[user.user_id] = user
-    for g in doc.get("grants", []):
-        grant = _grant_from_doc(g, modulus)
-        db.grants[grant.file_id] = grant
+    for blocks, docs in ((db.users, doc.get("users", [])),
+                         (db.grants, doc.get("grants", []))):
+        for record in map(blocks._parse, docs):
+            key = getattr(record, blocks._key)
+            if key in blocks:  # the sliced load would read only one of them
+                raise ValueError(f"{blocks._key} {key!r} appears twice")
+            blocks[key] = record
     return db
 
 
@@ -693,15 +682,21 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
     if not is_object_key(ref):  # a path such as "../x" would leave the store
         raise ValueError(f"grant {file_id!r} has envelope_ref {ref!r}, "
                          "not an object key")
+    binding = BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"]))
+    consumers = {uid: read_share(rec) for uid, rec in g["consumers"].items()}
+    # Each record repeats its grant's file id, p and binding code.
+    copies = (file_id, modulus.p, binding.kc, binding.x_kc)
+    for uid, rec in consumers.items():
+        if (rec.file_id, rec.p, rec.kc, rec.x_kc) != copies:
+            raise ValueError(f"grant {file_id!r} holds a record for {uid!r} "
+                             "that does not repeat its file id, p and binding")
     return FileGrant(
         file_id=file_id,
         owner_id=_text(g["owner_id"]),
         server_share=SharePoint(x=int(g["server_share"]["x"]),
                                 y=int(g["server_share"]["y"]),
                                 modulus=modulus),
-        consumer_shares={uid: read_share(rec)
-                         for uid, rec in g["consumers"].items()},
-        binding=BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"])),
+        consumer_shares=consumers, binding=binding,
         salt=bytes.fromhex(g["salt_hex"]),
         envelope_ref=ref)
 

@@ -13,9 +13,12 @@ stdlib ast:
 
 A fixed seed picks a fixed sample of the sites.  Every mutant is
 written into a temporary copy of the repository, never the checkout,
-and the module's tests run there with `pytest -x`.  A failing run, or
-one still going after TIMEOUT_S seconds, kills the mutant; a passing run
-lets it survive.  The report gives each mutant's line, its change and its fate.
+and the module's mapped tests run there with `pytest -x`.  A failing
+run, or one still going after TIMEOUT_S seconds, kills the mutant.  A
+mutant that passes them is rerun against the whole tests/ directory
+(WHOLE_TIMEOUT_S seconds), and only one that passes that too survives.
+The report gives each mutant's line, its change, its fate and which
+suite killed it.
 
 This file is not collected by pytest and is not part of Tier-1.
 """
@@ -36,7 +39,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: module -> the test files that run against its mutants
 TESTS = {
-    "authz": ["tests/test_authz.py"],
+    "authz": ["tests/test_authz.py", "tests/test_store_fuzz.py"],
     "keystream": ["tests/test_keystream.py"],
     "storage": ["tests/test_storage.py"],
     "cipher": ["tests/test_cipher.py"],
@@ -44,9 +47,12 @@ TESTS = {
     "sharing": ["tests/test_sharing.py"],
     "cli": ["tests/test_cli.py", "tests/test_cli_pinned_usage.py"],
 }
+#: the suite that reruns each mutant the mapped tests miss
+WHOLE = ["tests"]
 SEED = 7
 SAMPLE = 40
 TIMEOUT_S = 45
+WHOLE_TIMEOUT_S = 240
 
 _FLIPS = {
     ast.Lt: (ast.LtE, ast.GtE), ast.LtE: (ast.Lt, ast.Gt),
@@ -91,7 +97,7 @@ def _mutant(source, pos, apply):
     return ast.unparse(tree) + "\n"
 
 
-def _run_tests(copy, tests):
+def _run_tests(copy, tests, timeout=TIMEOUT_S):
     """'killed', 'survived' or 'timeout' for the tests in the copy."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -99,7 +105,7 @@ def _run_tests(copy, tests):
         cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)
     try:
-        return "survived" if proc.wait(timeout=TIMEOUT_S) == 0 else "killed"
+        return "survived" if proc.wait(timeout=timeout) == 0 else "killed"
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -114,23 +120,38 @@ def probe(module, copy, sample):
     picked = sorted(random.Random(SEED).sample(range(len(sites)),
                                                min(sample, len(sites))),
                     key=lambda k: (sites[k][1], k))
-    tests = TESTS[module]
-    try:
+    unparsed = ast.unparse(ast.parse(source)) + "\n"
+
+    def round_trip(tests, timeout=TIMEOUT_S):
         # ast.unparse drops comments and layout: the unmutated round trip
         # must pass, or no mutant's result would mean anything.
-        path.write_text(ast.unparse(ast.parse(source)) + "\n", encoding="utf-8")
-        if _run_tests(copy, tests) != "survived":
-            raise SystemExit(f"{module}: the tests fail on the unmutated source")
+        path.write_text(unparsed, encoding="utf-8")
+        if _run_tests(copy, tests, timeout) != "survived":
+            raise SystemExit(f"{module}: {' '.join(tests)} fail on the "
+                             "unmutated source")
+
+    try:
+        round_trip(TESTS[module])
+        whole_checked = False  # the whole suite's round trip runs once, if needed
         print(f"{module}: {len(picked)} of {len(sites)} sites (seed {SEED})",
               flush=True)
         rows = []
         for k in picked:
             pos, line, change, apply = sites[k]
-            path.write_text(_mutant(source, pos, apply), encoding="utf-8")
+            mutant = _mutant(source, pos, apply)
+            path.write_text(mutant, encoding="utf-8")
             start = time.monotonic()
-            fate = _run_tests(copy, tests)
-            rows.append((module, line, change, fate))
-            print(f"  {module}.py:{line:<4} {change:<12} {fate:<8} "
+            fate, by = _run_tests(copy, TESTS[module]), "mapped tests"
+            if fate == "survived":
+                if not whole_checked:
+                    round_trip(WHOLE, WHOLE_TIMEOUT_S)
+                    whole_checked = True
+                    path.write_text(mutant, encoding="utf-8")
+                fate, by = _run_tests(copy, WHOLE, WHOLE_TIMEOUT_S), "whole suite"
+            if fate == "survived":
+                by = ""
+            rows.append((module, line, change, fate, by))
+            print(f"  {module}.py:{line:<4} {change:<12} {fate:<8} {by:<12} "
                   f"{time.monotonic() - start:5.1f} s", flush=True)
         return rows
     finally:
@@ -150,8 +171,10 @@ def main(argv=None):
         rows = [row for module in args.modules
                 for row in probe(module, copy, args.sample)]
     survivors = [row for row in rows if row[3] == "survived"]
-    print(f"{len(rows) - len(survivors)} killed, {len(survivors)} survived")
-    for module, line, change, _ in survivors:
+    whole = sum(row[4] == "whole suite" for row in rows)
+    print(f"{len(rows) - len(survivors)} killed ({whole} only by the whole "
+          f"suite), {len(survivors)} survived")
+    for module, line, change, *_ in survivors:
         print(f"  survived: {module}.py:{line} {change}")
 
 

@@ -546,6 +546,54 @@ def test_db_from_json_rejects_non_string_field(tmp_path, where, key, value):
     assert isinstance(info.value.__cause__, TypeError)
 
 
+def assert_every_loader_refuses(tmp_path, text, table, key):
+    """The full parse, load_db past a stale sidecar and a lookup of key in
+    table through a re-matched sidecar all raise CorruptPolicy."""
+    with pytest.raises(CorruptPolicy):
+        db_from_json(text)
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    with pytest.raises(CorruptPolicy):
+        getattr(load_db(store), table).get(key)
+    (tmp_path / "store" / POLICY_DIGEST_FILENAME).write_text("stale\n")
+    with pytest.raises(CorruptPolicy):
+        load_db(store)
+
+
+@pytest.mark.parametrize("table", ["users", "grants"])
+def test_a_repeated_id_is_corrupt_in_every_loader(tmp_path, table):
+    # The second block renamed to the first's id.  The full parse kept the
+    # last block: a consumer "own" with zed's credentials, or a grant f
+    # with g's share and envelope.
+    if table == "users":
+        db = PolicyDb()
+        register_user(db, UserRecord("own", UserType.OWNER, b"cred-own"))
+        register_user(db, UserRecord("zed", UserType.CONSUMER, b"cred-zed"))
+        text, key = db_to_json(db).replace('"zed"', '"own"'), "own"
+    else:
+        db, store, _ = granted(tmp_path)
+        grant_access(db, store, "g", "olivia", ["chuck"], DATA)
+        # the grant's file_id and the one its record repeats
+        text, key = db_to_json(db).replace('"file_id": "g"', '"file_id": "f"'), "f"
+    assert len(json.loads(text)[table]) == 2
+    assert_every_loader_refuses(tmp_path, text, table, key)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("file_id", lambda v: "zzz"), ("p", lambda v: 65537),
+    ("kc", lambda v: v + 1), ("x_kc", lambda v: v + 1)],
+    ids=["file_id", "p", "kc", "x_kc"])
+def test_a_consumer_record_that_differs_from_its_grant_is_corrupt(tmp_path, key,
+                                                                   value):
+    # Each record repeats its grant's file id, p, kc and x_kc; db_to_json
+    # only writes equal copies, so a record that differs was forged.
+    db, _, _ = granted(tmp_path)
+    doc = json.loads(db_to_json(db))
+    record = doc["grants"][0]["consumers"]["chuck"]
+    record[key] = value(record[key])
+    assert_every_loader_refuses(tmp_path, json.dumps(doc, indent=2), "grants", "f")
+
+
 def test_persist_and_load(tmp_path):
     store = ObjectStore(tmp_path / "store")
     db = PolicyDb()
@@ -668,19 +716,6 @@ def test_sliced_load_parses_only_the_users_it_reads(tmp_path):
     assert list(load_db(store).users) == [
         "caleb", "carol", "chuck", "cindy", "clara", "olivia", "zoe"]
     assert db_to_json(registering) == slow_policy_json(registering)
-
-
-def test_a_user_lookup_scans_its_short_span(tmp_path):
-    # 65 users, as policy-churn registers: the search halves the 8 KB
-    # array until a scan is cheaper, then checks the next block's id
-    db, store = base_db(tmp_path, *[UserRecord(f"u{i:02d}", UserType.CONSUMER,
-                                               b"u") for i in range(62)])
-    persist_db(db, store)
-    loaded = load_db(store)
-    with mock.patch.object(trishare.authz.Blocks, "_id_at", autospec=True,
-                           side_effect=trishare.authz.Blocks._id_at) as ids:
-        assert loaded.users["u31"] == db.users["u31"]
-    assert ids.call_count <= 3
 
 
 def test_reading_grants_while_iterating_a_sliced_load(tmp_path):
@@ -828,20 +863,20 @@ def forged_policy(tmp_path, forgery):
 
 
 # Every lookup either finds the block that holds its own file id or fails
-# typed; none returns another id's grant.  A lookup scans a short span
-# for the id's block, so swapped neighbours are found, and only the one
-# whose successor sorts before it fails; blocks swapped from afar fall
-# outside the span the search narrows to and are missed (an insert of
-# such an id fails typed: see test_grant_of_a_block_moved_far_is_corrupt).
+# typed; none returns another id's grant, and none reads a present id as
+# absent.  The binary search finds a block it lands on, and fails it if
+# its successor sorts before it; when the search misses, one find of the
+# id's head over the array fails an id whose block is out of order, so
+# blocks swapped, near or far, are CorruptPolicy, never UnknownFile.
 @pytest.mark.parametrize("forgery, outcomes", [
-    ("swapped", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
+    ("swapped", {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
                  "f3": "own", "f4": "own"}),
     ("duplicate", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
                    "f3": "own", "f4": "own"}),
     ("two-ids", {"f0": "own", "f1": "CorruptPolicy", "f2": "own",
                  "f3": "own", "f4": "own"}),
-    ("swapped-far", {"f0": "UnknownFile", "f1": "own", "f2": "own",
-                     "f9": "UnknownFile"}),
+    ("swapped-far", {"f0": "CorruptPolicy", "f1": "CorruptPolicy",
+                     "f2": "own", "f9": "CorruptPolicy"}),
 ])
 def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
                                                            outcomes):
@@ -883,6 +918,17 @@ def test_a_lone_quote_for_a_user_id_is_corrupt(tmp_path):
         loaded.users.get("carol")
 
 
+def test_a_user_id_without_its_opening_quote_is_corrupt(tmp_path):
+    # carol" is no JSON string: reading it as "arol" would send the search
+    # past the block and report carol absent
+    db, _ = base_db(tmp_path)
+    text = db_to_json(db).replace('"user_id": "carol",', '"user_id": carol",')
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    with pytest.raises(CorruptPolicy):
+        load_db(store).users.get("carol")
+
+
 def forged_users_policy(tmp_path, forgery):
     """Text in db_to_json's layout that persist_db never wrote: user
     blocks carol and chuck swapped, caleb and u59 (the first and last of
@@ -911,12 +957,12 @@ def forged_users_policy(tmp_path, forgery):
 
 # As for the grants: every user lookup finds the block that holds its own
 # user id or fails typed, so no command blinds or unblinds a share with
-# another user's credentials.
+# another user's credentials, nor refuses a registered user as unknown.
 @pytest.mark.parametrize("forgery, outcomes", [
-    ("swapped", {"caleb": "own", "carol": "own", "chuck": "CorruptPolicy",
-                 "cindy": "own", "olivia": "own"}),
-    ("swapped-far", {"caleb": "UnknownUser", "carol": "own", "olivia": "own",
-                     "u30": "own", "u59": "UnknownUser"}),
+    ("swapped", {"caleb": "own", "carol": "CorruptPolicy",
+                 "chuck": "CorruptPolicy", "cindy": "own", "olivia": "own"}),
+    ("swapped-far", {"caleb": "CorruptPolicy", "carol": "CorruptPolicy",
+                     "olivia": "own", "u30": "own", "u59": "CorruptPolicy"}),
     ("duplicate", {"caleb": "own", "carol": "own", "chuck": "CorruptPolicy",
                    "cindy": "own", "olivia": "own"}),
     ("two-ids", {"caleb": "own", "carol": "CorruptPolicy", "chuck": "own",

@@ -879,6 +879,24 @@ def test_lone_surrogate_argument_changes_nothing(tmp_path, capsys, argv):
     assert sorted(os.listdir(store / "objects")) == objects
 
 
+def test_request_for_a_lone_surrogate_file_id_is_one_error_line(tmp_path, capsys):
+    # A hand-edited policy renames f to "\udcff" in its grant and in each
+    # record, which the full parse accepts; --file-id $'\xff' reaches
+    # request_decrypt as that id, which no UTF-8 bytes key or bind.
+    store, owner_point = granted_store(tmp_path, capsys)
+    policy = store / "policy.json"
+    policy.write_bytes(policy.read_bytes().replace(b'"file_id": "f"',
+                                                   b'"file_id": "\\udcff"'))
+    rc, out, err = run_cli(
+        ["request", "--store", str(store), "--file-id", "\udcff",
+         "--receiver", "alice", "--owner-point", owner_point,
+         "--out", str(tmp_path / "out.bin")], capsys)
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: file id ")
+    assert not (tmp_path / "out.bin").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["request", "--store", "store", "--file-id", "f", "--receiver", "alice",
      "--owner-point", "2"],
