@@ -5,7 +5,8 @@ degree-2 polynomial (threshold k = 3): the organization server keeps
 one point, the data owner walks away with one that is never persisted,
 and each consumer receives one blinded by their credentials.  A request
 therefore needs server + owner + receiver to cooperate; any other
-combination of three points fails role validation or the binding check.
+combination of three points fails the role check, which reads only the
+fixed x slots of the owner and the receiver, or the binding check.
 The store's files alone still open every file: policy.json holds what
 derives a1 and a2, and with the server point they give a0.
 
@@ -145,9 +146,11 @@ class Blocks(Mapping):
     text[lo:hi] sorted by id, joined by ",".  Every lookup, membership
     test and insert goes through one search, _span: a binary search over
     byte offsets, where each probe takes the block that starts nearest
-    the middle and decodes only its quoted id.  When it does not land on
-    the id, one find of the id's head over the array decides: a block
-    that holds the id out of order is CorruptPolicy, never absent.
+    the middle and decodes only its quoted id.  A miss is checked: with
+    no backslash in the array, by a find of the id's one spelling, _head,
+    and by the block before closing once (a block whose opener lost its
+    indent hides in it); with one, by _ids over every id.  Either finds
+    a block out of order or hidden as CorruptPolicy, never absent.
     Only the block a lookup returns is parsed, by `parse`, and it is
     kept, not written back.  A record stored becomes an edit against its
     block's span, and a new id's span is empty, at its sorted place.
@@ -206,13 +209,7 @@ class Blocks(Mapping):
         return start < end
 
     def __iter__(self) -> Iterator[str]:
-        ids, start = [], self._lo
-        while start < self._hi:
-            ids.append(self._id_at(start))
-            start = self._next_start(start + 1)
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise CorruptPolicy(f"blocks are not in {self._key} order")
-        return iter(sorted(self._records.keys() | ids))
+        return iter(sorted(self._records.keys() | self._ids()))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -238,24 +235,27 @@ class Blocks(Mapping):
         """The text span of key's block, or an empty span where it would
         go.  CorruptPolicy if the next block repeats the id or sorts
         before it, or if the search misses a block that holds the id out
-        of order, which an insert would then repeat."""
+        of order, re-spelled or hidden, which an insert would repeat."""
         hi = self._hi
-        # The block just before a holds a smaller id, and b_id is the id
-        # of the block at b, not smaller; a and b are block starts or hi.
-        a, b, b_id = self._lo, hi, None
+        # The block at `before`, just before a, holds a smaller id, and b_id
+        # is the id of the block at b, not smaller; all are block starts or hi.
+        a, b, b_id, before = self._lo, hi, None, self._lo
         while a < b:
             probe = self._next_start((a + b) // 2)
             if probe >= b:
                 probe = a
             probe_id = self._id_at(probe)
             if probe_id < key:
-                a = self._next_start(probe + 1)
+                before, a = probe, self._next_start(probe + 1)
             else:
                 b, b_id = probe, probe_id
         if b_id != key:
-            if self._text.find(self._head(key), self._lo, hi) >= 0:
+            if self._text.find(b"\\", self._lo, hi) >= 0:
+                self._ids()  # an escape can spell the id in another head
+            elif (self._text.find(self._head(key), self._lo, hi) >= 0
+                  or a > self._lo and self._text.count(_CLOSER, before, a) != 1):
                 raise CorruptPolicy(f"{key!r}'s block is out of {self._key} "
-                                    "order")
+                                    "order or hidden in the block before")
             return a, a
         after = self._next_start(a + 1)
         if after < hi and self._id_at(after) <= key:
@@ -274,12 +274,25 @@ class Blocks(Mapping):
         seam = self._text.find(self._seam, pos - 1, self._hi)
         return seam + 1 if seam >= 0 else self._hi
 
+    def _ids(self) -> List[str]:
+        """Every block's id, in text order; CorruptPolicy unless they
+        strictly increase and each block closes once, hiding none."""
+        ids, start = [], self._lo
+        while start < self._hi:
+            end, key = self._next_start(start + 1), self._id_at(start)
+            if ids and ids[-1] >= key or self._text.count(_CLOSER, start, end) != 1:
+                raise CorruptPolicy(f"the {self._key} block at byte {start} is "
+                                    "out of order or hides another")
+            ids.append(key)
+            start = end
+        return ids
+
     def _id_at(self, start: int) -> str:
-        """The id quoted at the head of the block at start."""
+        """The JSON string at the head of the block at start, or CorruptPolicy."""
         at = start + len(self._mark)
         stop = self._text.find(self._next_key, at, self._hi)
         quoted = self._text[at:stop] if stop >= 0 else b""
-        if (quoted[:1] == b'"' == quoted[-1:] and len(quoted) > 1
+        if (quoted[:1] == b'"' == quoted[-1:] and quoted.count(b'"') == 2
                 and b"\\" not in quoted):
             # A JSON string with no escape is its text between quotes.
             return quoted[1:-1].decode("ascii")
@@ -338,7 +351,8 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     The owner and every consumer are looked up in db.users, and each
     consumer's share is blinded with the credentials registered there.
     The server takes x = SERVER_X, the owner OWNER_X and the consumers
-    FIRST_CONSUMER_X onwards, in the order given.  The envelope goes to
+    FIRST_CONSUMER_X onwards, in the order given: split_secret's x = 1,
+    2, 3, ... in that order.  The envelope goes to
     `store` and the grant into db.grants; the owner share is returned
     and never stored anywhere, so losing it means the file can only be
     re-granted, not decrypted.  Granting an already-granted file_id
@@ -370,8 +384,8 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
         coeffs = derive_attribute_tokens(_owner_attributes(owner), salt,
                                          db.modulus)
 
-    shares = split_secret(secret, coeffs, len(consumers) + 2, db.modulus)
-    by_x = {pt.x: pt for pt in shares}
+    server_point, owner_point, *consumer_points = split_secret(
+        secret, coeffs, len(consumers) + 2, db.modulus)
     poly = SecretPolynomial((secret, *coeffs), db.modulus)
     binding = binding_code(poly, file_id_bytes)
 
@@ -380,21 +394,21 @@ def grant_access(db: PolicyDb, store: ObjectStore, file_id: str,
     ref = object_key(file_id)
 
     consumer_records = {
-        cid: encrypt_share(by_x[x], consumer.credentials, file_id, binding)
-        for x, (cid, consumer) in enumerate(consumers.items(), FIRST_CONSUMER_X)
+        cid: encrypt_share(point, consumer.credentials, file_id, binding)
+        for (cid, consumer), point in zip(consumers.items(), consumer_points)
     }
     # Assigned first: a grant the policy refuses leaves the store as it was.
     db.grants[file_id] = FileGrant(
         file_id=file_id,
         owner_id=owner_id,
-        server_share=by_x[SERVER_X],
+        server_share=server_point,
         consumer_shares=consumer_records,
         binding=binding,
         salt=salt,
         envelope_ref=ref,
     )
     store.put_object(ref, envelope_pieces(envelope))
-    return by_x[OWNER_X]
+    return owner_point
 
 
 def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
@@ -404,9 +418,10 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
 
     The receiver may present their share record explicitly (the normal
     hand-over flow); otherwise it is looked up in the grant, and absence
-    means NotGranted.  A presented record is not checked for membership:
-    stale or forged records reach reconstruction and die on the binding
-    check instead.
+    means NotGranted.  Roles are checked by slot: RoleMismatch unless the
+    owner point sits at OWNER_X and the receiver's at FIRST_CONSUMER_X
+    or above.  A presented record is not checked for membership: stale
+    or forged records reach reconstruction and die on the binding check.
     """
     file_id_bytes = _file_id_bytes(file_id)
     grant = db.grants.get(file_id)
@@ -424,15 +439,10 @@ def request_decrypt(db: PolicyDb, store: ObjectStore, file_id: str,
             raise NotGranted(f"{receiver.user_id!r} holds no share for {file_id!r}")
     receiver_point = decrypt_share(record, receiver.credentials)
 
-    # Role validation: the owner's slot is whatever x was never issued to
-    # the server or a consumer.  A stored point presented as the owner
-    # point is a role violation, not a math error.
-    stored_xs = {rec.x for rec in grant.consumer_shares.values()}
-    stored_xs.add(grant.server_share.x)
-    if owner_point.x in stored_xs or owner_point.x == receiver_point.x:
-        raise RoleMismatch(
-            f"x={owner_point.x} belongs to a stored share, not the owner slot"
-        )
+    # A point outside its role's slot is a role violation, not a math error.
+    if owner_point.x != OWNER_X or receiver_point.x < FIRST_CONSUMER_X:
+        raise RoleMismatch(f"owner x={owner_point.x}, receiver "
+                           f"x={receiver_point.x}: not the role slots")
 
     inp = ReconstructionInput((grant.server_share, owner_point, receiver_point))
     try:
@@ -571,6 +581,7 @@ def _block(items: List[str], open_: str, close: str, indent: int) -> str:
 _USERS_KEY = b',\n  "users": '
 _GRANTS_KEY = b',\n  "grants": '
 _ARRAY_END = b'\n  ]'
+_CLOSER = b'\n    }'  # ends each user or grant block, and nothing else
 
 
 def _user_blocks(text: bytes = b"", start: int = 0, end: int = 0) -> Blocks:

@@ -264,6 +264,31 @@ def test_stored_point_cannot_stand_in_for_the_owner(tmp_path):
         request_decrypt(db, store, "f", carol_pt, C2)
 
 
+@pytest.mark.parametrize("case", ["owner-x9-on-F", "owner-x9-off-F",
+                                  "record-at-server-x"])
+def test_point_outside_its_role_slot_is_role_mismatch(tmp_path, case):
+    # No stored share holds x = 9, and a point there on F opens the file
+    # by interpolation alone; a record at the server's x collides with it.
+    from trishare import RoleMismatch, poly_eval
+
+    db, store = base_db(tmp_path)
+    owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck"], DATA)
+    grant = db.grants["f"]
+    record = grant.consumer_shares["carol"]
+    carol_pt = decrypt_share(record, C1.credentials)
+    poly = reconstruct_polynomial(
+        ReconstructionInput((grant.server_share, owner_share, carol_pt)))
+    p = db.modulus.p
+    if case == "record-at-server-x":
+        record = record._replace(x=SERVER_X)
+    else:
+        y = poly_eval(poly.coeffs, 9, p) + (case == "owner-x9-off-F")
+        owner_share = SharePoint(x=9, y=y % p, modulus=db.modulus)
+    with pytest.raises(RoleMismatch):
+        request_decrypt(db, store, "f", owner_share, C1,
+                        receiver_share_record=record)
+
+
 def test_garbage_owner_point_fails_binding(tmp_path):
     db, store = base_db(tmp_path)
     owner_share = grant_access(db, store, "f", "olivia", ["carol"], DATA)
@@ -842,7 +867,9 @@ def forged_policy(tmp_path, forgery):
     """Text in db_to_json's layout that persist_db never wrote: blocks f1
     and f2 swapped, the first and last of 24 blocks swapped, a second,
     different f2 block after f2, or an f1 block that names f3 in a
-    second file_id key."""
+    second file_id key.  Or text out of it, byte by byte: f0 moved to the
+    end with its id spelled "\\u00660", f2's opener or f2's owner_id line
+    one space short of its indent."""
     db, store = base_db(tmp_path)
     for i in range(24 if forgery == "swapped-far" else 5):
         grant_access(db, store, f"f{i}", "olivia", ["carol"], DATA)
@@ -854,11 +881,22 @@ def forged_policy(tmp_path, forgery):
         grants[0], grants[-1] = grants[-1], grants[0]
     elif forgery == "duplicate":
         grants.insert(3, dict(grants[2], salt_hex="00" * 16))
+    elif forgery == "respelled-far":
+        grants.append(grants.pop(0))
     # db_to_json writes what json.dumps(doc, indent=2) writes (see the oracle)
     text = json.dumps(doc, indent=2)
     owner = '"owner_id": "olivia",'
-    if forgery == "two-ids":
-        text = text.replace(f'"f1",\n      {owner}', f'"f1",\n      {owner} "file_id": "f3",')
+    forged = {"two-ids": (f'"f1",\n      {owner}',
+                          f'"f1",\n      {owner} "file_id": "f3",'),
+              "respelled-far": (f'"f0",\n      {owner}',
+                                f'"\\u00660",\n      {owner}'),
+              "hidden": ('\n    {\n      "file_id": "f2"',
+                         '\n   {\n      "file_id": "f2"'),
+              "garbage-id": (f'"f2",\n      {owner}', f'"f2",\n     {owner}')}
+    if forgery in forged:
+        old, new = forged[forgery]
+        assert text.count(old) == 1
+        text = text.replace(old, new)
     return db, text
 
 
@@ -867,7 +905,9 @@ def forged_policy(tmp_path, forgery):
 # absent.  The binary search finds a block it lands on, and fails it if
 # its successor sorts before it; when the search misses, one find of the
 # id's head over the array fails an id whose block is out of order, so
-# blocks swapped, near or far, are CorruptPolicy, never UnknownFile.
+# blocks swapped, near or far, are CorruptPolicy, never UnknownFile.  An
+# array that holds an escape has every id decoded and checked instead,
+# and the block before a miss must close once, or a block hides in it.
 @pytest.mark.parametrize("forgery, outcomes", [
     ("swapped", {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
                  "f3": "own", "f4": "own"}),
@@ -877,6 +917,12 @@ def forged_policy(tmp_path, forgery):
                  "f3": "own", "f4": "own"}),
     ("swapped-far", {"f0": "CorruptPolicy", "f1": "CorruptPolicy",
                      "f2": "own", "f9": "CorruptPolicy"}),
+    ("respelled-far", {"f0": "CorruptPolicy", "f1": "own", "f2": "own",
+                       "f3": "own", "f4": "CorruptPolicy"}),
+    ("hidden", {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
+                "f3": "own", "f4": "own"}),
+    ("garbage-id", {"f0": "CorruptPolicy", "f1": "CorruptPolicy",
+                    "f2": "CorruptPolicy", "f3": "CorruptPolicy", "f4": "own"}),
 ])
 def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
                                                            outcomes):
@@ -923,6 +969,17 @@ def test_a_user_id_without_its_opening_quote_is_corrupt(tmp_path):
     # past the block and report carol absent
     db, _ = base_db(tmp_path)
     text = db_to_json(db).replace('"user_id": "carol",', '"user_id": carol",')
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    with pytest.raises(CorruptPolicy):
+        load_db(store).users.get("carol")
+
+
+def test_a_user_id_with_a_stray_quote_is_corrupt(tmp_path):
+    # "car"ol" is no JSON string: reading it as car"ol would send the
+    # search past carol's block and report carol absent
+    db, _ = base_db(tmp_path)
+    text = db_to_json(db).replace('"user_id": "carol",', '"user_id": "car"ol",')
     store = ObjectStore(tmp_path / "store")
     forge(store, text)
     with pytest.raises(CorruptPolicy):
@@ -1010,6 +1067,22 @@ def test_grant_of_a_block_moved_far_is_corrupt(tmp_path):
     loaded = load_db(store)
     with pytest.raises(CorruptPolicy):
         grant_access(loaded, store, "f0", "olivia", ["carol"], DATA)
+        persist_db(loaded, store)
+    assert store_files(tmp_path / "store") == before
+
+
+@pytest.mark.parametrize("forgery, fid", [("respelled-far", "f0"),
+                                          ("hidden", "f2")])
+def test_grant_of_a_respelled_or_hidden_block_is_corrupt(tmp_path, forgery, fid):
+    # The lookup misses fid, spelled with an escape and moved to the end,
+    # or hidden in f1's block; a grant must not commit a second block.
+    _, text = forged_policy(tmp_path, forgery)
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    before = store_files(tmp_path / "store")
+    loaded = load_db(store)
+    with pytest.raises(CorruptPolicy):
+        grant_access(loaded, store, fid, "olivia", ["carol"], DATA)
         persist_db(loaded, store)
     assert store_files(tmp_path / "store") == before
 

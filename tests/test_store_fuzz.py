@@ -1,20 +1,26 @@
-"""Differential test of the two policy loaders over forged block layouts.
+"""Differential test of the two policy loaders over forged policies.
 
-A policy of 6 users and 6 grants at p = 2^31 - 1 is mutated whole block
-by whole block: swapped with another, moved, duplicated (with another
-record), deleted, or renamed to another id, existing or new, and a grant
-renamed with or without the file id its records repeat.  Each mutant is
-committed with its digest sidecar re-matched, as any writer of the store
-can, and with it stale, as a crash can leave it.  load_db then takes the
-sliced path or the full parse; db_from_json always parses it whole.
+A policy of 6 users and 6 grants at p = 2^31 - 1 is mutated in two
+ways.  Whole block by whole block: swapped with another, moved,
+duplicated (with another record), deleted, or renamed to another id,
+existing or new, and a grant renamed with or without the file id its
+records repeat.  Byte by byte: one byte overwritten with a printable
+ASCII byte, 1-4 bytes deleted, one byte inserted, or the first character
+of a block's id re-spelled as \\u00XX, in place or with the block moved
+to the end of its array; a byte mutant may also start from a policy of
+4 users and 3 grants with no escape in it.  Each mutant is committed
+with its digest sidecar re-matched, as any writer of the store can, and
+with it stale, as a crash can leave it.  load_db then takes the sliced
+path or the full parse; db_from_json always parses it whole.
 
-The oracle, for every id of either array: both loaders return the same
-record (or both none), or at least one raises a typed trishare.Error;
-nothing raises any other exception; and a register or grant committed
-after the load never adds a second block for an id.
+The oracle, for every id of either array and for the listing of each:
+both loaders return the same record (or both none), or at least one
+raises a typed trishare.Error; nothing raises any other exception; and a
+register or grant committed after the load never leaves an id in more
+blocks than the mutant held (checked when the committed text is JSON).
 
-The example count is fixed and derandomized, so every run checks the
-same mutants.  Raise MAX_EXAMPLES for a longer run.
+The example counts are fixed and derandomized, so every run checks the
+same mutants.  Raise MAX_EXAMPLES or BYTE_EXAMPLES for a longer run.
 """
 
 import copy
@@ -32,6 +38,7 @@ from trishare import (Error, ObjectStore, PolicyDb, UserRecord, UserType,
 from trishare.storage import POLICY_DIGEST_FILENAME, POLICY_FILENAME
 
 MAX_EXAMPLES = 200
+BYTE_EXAMPLES = 200
 P = (1 << 31) - 1
 OWNER = "olivia"
 # Escaped and unescaped ids, in both arrays' sorted order.
@@ -45,16 +52,17 @@ IDS = {"users": sorted([OWNER, *CONSUMERS, "", "b", "zz"]),
 STALE_DIGEST = hashlib.sha256(b"").hexdigest() + "\n"
 
 
-def base_doc():
-    """The honest policy, as the JSON document db_to_json writes."""
+def base_doc(consumers=CONSUMERS, file_ids=FILE_IDS):
+    """The honest policy of OWNER, `consumers` and a grant of each of
+    `file_ids`, as the JSON document db_to_json writes."""
     db = PolicyDb(modulus=modulus_for(P))
     register_user(db, UserRecord(OWNER, UserType.OWNER, b"cred-owner"))
-    for uid in CONSUMERS:
+    for uid in consumers:
         register_user(db, UserRecord(uid, UserType.CONSUMER, uid.encode()))
     with tempfile.TemporaryDirectory() as root:
         store = ObjectStore(root)
-        for i, fid in enumerate(FILE_IDS):
-            grant_access(db, store, fid, OWNER, CONSUMERS[i % 4:i % 4 + 2],
+        for i, fid in enumerate(file_ids):
+            grant_access(db, store, fid, OWNER, consumers[i % 4:i % 4 + 2],
                          b"body", secret=i + 1, coeffs=(i + 2, i + 3))
     doc = json.loads(db_to_json(db))
     for i, grant in enumerate(doc["grants"]):  # fixed salts: same bytes each run
@@ -141,12 +149,16 @@ def store(tmp_path_factory):
     return ObjectStore(tmp_path_factory.mktemp("store"))
 
 
-@settings(max_examples=MAX_EXAMPLES, derandomize=True, database=None,
-          deadline=None)
-@given(doc=mutants(), command=COMMITS)
-def test_both_loaders_agree_or_refuse_typed(store, doc, command):
-    text = json.dumps(doc, indent=2).encode("ascii")
-    before = {table: Counter(b[key] for b in doc[table]) for table, key in KEYS.items()}
+def block_counts(doc):
+    """table -> Counter of the ids its blocks name in a JSON document."""
+    return {table: Counter(b.get(key) for b in doc.get(table, [])
+                           if isinstance(b, dict))
+            for table, key in KEYS.items()}
+
+
+def check(store, text, before, command):
+    """The oracle above for one mutant `text` whose tables held `before`
+    blocks per id, with `command` committed after each load."""
     full = lookups(lambda: db_from_json(text.decode("ascii")))
     for sidecar in (hashlib.sha256(text).hexdigest() + "\n", STALE_DIGEST):
         (store.root / POLICY_FILENAME).write_bytes(text)
@@ -161,7 +173,76 @@ def test_both_loaders_agree_or_refuse_typed(store, doc, command):
         except Error:
             assert (store.root / POLICY_FILENAME).read_bytes() == text
             continue
-        committed = json.loads(store.read_bytes(POLICY_FILENAME))
-        for table, key in KEYS.items():
-            for block_id, n in Counter(b[key] for b in committed[table]).items():
+        try:
+            committed = json.loads(store.read_bytes(POLICY_FILENAME))
+        except ValueError:  # a commit spliced around a broken block
+            continue
+        for table, counts in block_counts(committed).items():
+            for block_id, n in counts.items():
                 assert n <= max(1, before[table][block_id]), (table, block_id)
+
+
+@settings(max_examples=MAX_EXAMPLES, derandomize=True, database=None,
+          deadline=None)
+@given(doc=mutants(), command=COMMITS)
+def test_both_loaders_agree_or_refuse_typed(store, doc, command):
+    check(store, json.dumps(doc, indent=2).encode("ascii"), block_counts(doc),
+          command)
+
+
+# The byte-level mutants start from BASE, or from a policy of the same
+# shape with no escape in either array, where a lookup that misses takes
+# Blocks._span's head search instead of its walk over every id.
+BASES = {"escaped": BASE, "plain": base_doc(CONSUMERS[1:4], FILE_IDS[1:4])}
+
+
+def respelled(base, table, i, move):
+    """The base's text with block i's id written with its first character
+    as \\u00XX (None if db_to_json escapes that character itself), the
+    block moved to the end of its array if `move`."""
+    doc = copy.deepcopy(base)
+    key, block_id = KEYS[table], doc[table][i][KEYS[table]]
+    if not block_id or not " " <= block_id[0] <= "~" or block_id[0] in '"\\':
+        return None
+    if move:
+        doc[table].append(doc[table].pop(i))
+    head = f'\n      "{key}": {json.dumps(block_id)}'
+    text = json.dumps(doc, indent=2)
+    assert text.count(head) == 1
+    return text.replace(head, f'\n      "{key}": "\\u{ord(block_id[0]):04x}'
+                        + json.dumps(block_id)[2:]).encode("ascii")
+
+
+@st.composite
+def byte_mutants(draw):
+    """(name of a base, its text with one byte-level change); see the
+    module docstring."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    base = BASES[name]
+    text = json.dumps(base, indent=2).encode("ascii")
+    byte = bytes([draw(st.integers(0x20, 0x7e))])
+    op = draw(st.sampled_from(["overwrite", "delete", "insert", "respell"]))
+    if op == "respell":
+        table = draw(st.sampled_from(sorted(KEYS)))
+        forged = respelled(base, table,
+                           draw(st.integers(0, len(base[table]) - 1)),
+                           draw(st.booleans()))
+        return name, text if forged is None else forged
+    at = draw(st.integers(0, len(text) - 1))
+    if op == "overwrite":
+        return name, text[:at] + byte + text[at + 1:]
+    if op == "delete":
+        return name, text[:at] + text[at + draw(st.integers(1, 4)):]
+    return name, text[:at] + byte + text[at:]
+
+
+@settings(max_examples=BYTE_EXAMPLES, derandomize=True, database=None,
+          deadline=None)
+@given(mutant=byte_mutants(), command=COMMITS)
+def test_byte_level_forgeries_agree_or_refuse_typed(store, mutant, command):
+    name, text = mutant
+    try:
+        before = block_counts(json.loads(text))
+    except ValueError:  # not JSON: one change left one block per id
+        before = block_counts(BASES[name])
+    check(store, text, before, command)
