@@ -146,11 +146,10 @@ class Blocks(Mapping):
     text[lo:hi] sorted by id, joined by ",".  Every lookup, membership
     test and insert goes through one search, _span: a binary search over
     byte offsets, where each probe takes the block that starts nearest
-    the middle and decodes only its quoted id.  A miss is checked: with
-    no backslash in the array, by a find of the id's one spelling, _head,
-    and by the block before closing once (a block whose opener lost its
-    indent hides in it); with one, by _ids over every id.  Either finds
-    a block out of order or hidden as CorruptPolicy, never absent.
+    the middle and decodes only its quoted id.  A miss is checked by
+    _ids, one walk over every block, done once: a block out of order,
+    re-spelled, or hidden in another by an opener or closer that lost its
+    indent is CorruptPolicy, never absent.
     Only the block a lookup returns is parsed, by `parse`, and it is
     kept, not written back.  A record stored becomes an edit against its
     block's span, and a new id's span is empty, at its sorted place.
@@ -179,6 +178,7 @@ class Blocks(Mapping):
         # _spliced renders only the assigned
         self._records: Dict[str, Tuple[int, int, Any]] = {}
         self._assigned: Set[str] = set()
+        self._walked: "List[str] | None" = None  # _ids, once it has passed
 
     def __getitem__(self, key: str) -> Any:
         hit = self._records.get(key)
@@ -237,35 +237,26 @@ class Blocks(Mapping):
         before it, or if the search misses a block that holds the id out
         of order, re-spelled or hidden, which an insert would repeat."""
         hi = self._hi
-        # The block at `before`, just before a, holds a smaller id, and b_id
-        # is the id of the block at b, not smaller; all are block starts or hi.
-        a, b, b_id, before = self._lo, hi, None, self._lo
+        # The block just before a holds a smaller id, and b_id is the id
+        # of the block at b, not smaller; a and b are block starts or hi.
+        a, b, b_id = self._lo, hi, None
         while a < b:
             probe = self._next_start((a + b) // 2)
             if probe >= b:
                 probe = a
             probe_id = self._id_at(probe)
             if probe_id < key:
-                before, a = probe, self._next_start(probe + 1)
+                a = self._next_start(probe + 1)
             else:
                 b, b_id = probe, probe_id
         if b_id != key:
-            if self._text.find(b"\\", self._lo, hi) >= 0:
-                self._ids()  # an escape can spell the id in another head
-            elif (self._text.find(self._head(key), self._lo, hi) >= 0
-                  or a > self._lo and self._text.count(_CLOSER, before, a) != 1):
-                raise CorruptPolicy(f"{key!r}'s block is out of {self._key} "
-                                    "order or hidden in the block before")
+            self._ids()
             return a, a
         after = self._next_start(a + 1)
         if after < hi and self._id_at(after) <= key:
             raise CorruptPolicy(f"the blocks after {key!r} are not in "
                                 f"{self._key} order")
         return a, after - 1 if after < hi else hi
-
-    def _head(self, key: str) -> bytes:
-        """The head db_to_json writes for key's block."""
-        return self._mark + _str(key).encode("ascii") + self._next_key
 
     def _next_start(self, pos: int) -> int:
         """The first block start at or after pos, or hi."""
@@ -275,17 +266,25 @@ class Blocks(Mapping):
         return seam + 1 if seam >= 0 else self._hi
 
     def _ids(self) -> List[str]:
-        """Every block's id, in text order; CorruptPolicy unless they
-        strictly increase and each block closes once, hiding none."""
-        ids, start = [], self._lo
-        while start < self._hi:
-            end, key = self._next_start(start + 1), self._id_at(start)
-            if ids and ids[-1] >= key or self._text.count(_CLOSER, start, end) != 1:
-                raise CorruptPolicy(f"the {self._key} block at byte {start} is "
-                                    "out of order or hides another")
-            ids.append(key)
-            start = end
-        return ids
+        """Every block's id, in text order, found once and kept; a block
+        starts where the one before it ends in _CLOSER and its seam.
+        CorruptPolicy unless the ids strictly increase and the array
+        holds one `next_key` per block, so that none hides in another."""
+        if self._walked is None:
+            text, hi, joint = self._text, self._hi, _CLOSER + self._seam
+            ids, start = [], self._lo
+            while start < hi:
+                key = self._id_at(start)
+                if ids and ids[-1] >= key:
+                    raise CorruptPolicy(f"the {self._key} block at byte "
+                                        f"{start} is out of order")
+                ids.append(key)
+                end = text.find(joint, start, hi)
+                start = end + len(_CLOSER) + 1 if end >= 0 else hi
+            if text.count(self._next_key, self._lo, hi) != len(ids):
+                raise CorruptPolicy(f"a {self._key} block hides in another")
+            self._walked = ids
+        return self._walked
 
     def _id_at(self, start: int) -> str:
         """The JSON string at the head of the block at start, or CorruptPolicy."""

@@ -869,7 +869,7 @@ def forged_policy(tmp_path, forgery):
     different f2 block after f2, or an f1 block that names f3 in a
     second file_id key.  Or text out of it, byte by byte: f0 moved to the
     end with its id spelled "\\u00660", f2's opener or f2's owner_id line
-    one space short of its indent."""
+    one space short of its indent, in place or with f2 moved to the end."""
     db, store = base_db(tmp_path)
     for i in range(24 if forgery == "swapped-far" else 5):
         grant_access(db, store, f"f{i}", "olivia", ["carol"], DATA)
@@ -883,6 +883,8 @@ def forged_policy(tmp_path, forgery):
         grants.insert(3, dict(grants[2], salt_hex="00" * 16))
     elif forgery == "respelled-far":
         grants.append(grants.pop(0))
+    elif forgery.startswith("moved-"):
+        grants.append(grants.pop(2))
     # db_to_json writes what json.dumps(doc, indent=2) writes (see the oracle)
     text = json.dumps(doc, indent=2)
     owner = '"owner_id": "olivia",'
@@ -893,8 +895,9 @@ def forged_policy(tmp_path, forgery):
               "hidden": ('\n    {\n      "file_id": "f2"',
                          '\n   {\n      "file_id": "f2"'),
               "garbage-id": (f'"f2",\n      {owner}', f'"f2",\n     {owner}')}
-    if forgery in forged:
-        old, new = forged[forgery]
+    edit = forgery.replace("moved-", "")
+    if edit in forged:
+        old, new = forged[edit]
         assert text.count(old) == 1
         text = text.replace(old, new)
     return db, text
@@ -903,11 +906,10 @@ def forged_policy(tmp_path, forgery):
 # Every lookup either finds the block that holds its own file id or fails
 # typed; none returns another id's grant, and none reads a present id as
 # absent.  The binary search finds a block it lands on, and fails it if
-# its successor sorts before it; when the search misses, one find of the
-# id's head over the array fails an id whose block is out of order, so
-# blocks swapped, near or far, are CorruptPolicy, never UnknownFile.  An
-# array that holds an escape has every id decoded and checked instead,
-# and the block before a miss must close once, or a block hides in it.
+# its successor sorts before it; when the search misses, one walk decodes
+# every id and checks that they increase and that each block closes once,
+# so blocks swapped, near or far, re-spelled or hidden are CorruptPolicy,
+# never UnknownFile.
 @pytest.mark.parametrize("forgery, outcomes", [
     ("swapped", {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
                  "f3": "own", "f4": "own"}),
@@ -923,6 +925,10 @@ def forged_policy(tmp_path, forgery):
                 "f3": "own", "f4": "own"}),
     ("garbage-id", {"f0": "CorruptPolicy", "f1": "CorruptPolicy",
                     "f2": "CorruptPolicy", "f3": "CorruptPolicy", "f4": "own"}),
+    ("moved-hidden", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
+                      "f3": "own", "f4": "CorruptPolicy"}),
+    ("moved-garbage", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
+                       "f3": "own", "f4": "CorruptPolicy"}),
 ])
 def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
                                                            outcomes):
@@ -1072,10 +1078,13 @@ def test_grant_of_a_block_moved_far_is_corrupt(tmp_path):
 
 
 @pytest.mark.parametrize("forgery, fid", [("respelled-far", "f0"),
-                                          ("hidden", "f2")])
+                                          ("hidden", "f2"),
+                                          ("moved-hidden", "f2"),
+                                          ("moved-garbage", "f2")])
 def test_grant_of_a_respelled_or_hidden_block_is_corrupt(tmp_path, forgery, fid):
     # The lookup misses fid, spelled with an escape and moved to the end,
-    # or hidden in f1's block; a grant must not commit a second block.
+    # or hidden in f1's block or, moved to the end, in f4's, or with its
+    # head broken; a grant must not commit a second block.
     _, text = forged_policy(tmp_path, forgery)
     store = ObjectStore(tmp_path / "store")
     forge(store, text)

@@ -6,9 +6,8 @@ duplicated (with another record), deleted, or renamed to another id,
 existing or new, and a grant renamed with or without the file id its
 records repeat.  Byte by byte: one byte overwritten with a printable
 ASCII byte, 1-4 bytes deleted, one byte inserted, or the first character
-of a block's id re-spelled as \\u00XX, in place or with the block moved
-to the end of its array; a byte mutant may also start from a policy of
-4 users and 3 grants with no escape in it.  Each mutant is committed
+of a block's id re-spelled as \\u00XX, each in place or with the block
+moved to the end of its array first.  Each mutant is committed
 with its digest sidecar re-matched, as any writer of the store can, and
 with it stale, as a crash can leave it.  load_db then takes the sliced
 path or the full parse; db_from_json always parses it whole.
@@ -52,17 +51,16 @@ IDS = {"users": sorted([OWNER, *CONSUMERS, "", "b", "zz"]),
 STALE_DIGEST = hashlib.sha256(b"").hexdigest() + "\n"
 
 
-def base_doc(consumers=CONSUMERS, file_ids=FILE_IDS):
-    """The honest policy of OWNER, `consumers` and a grant of each of
-    `file_ids`, as the JSON document db_to_json writes."""
+def base_doc():
+    """The honest policy, as the JSON document db_to_json writes."""
     db = PolicyDb(modulus=modulus_for(P))
     register_user(db, UserRecord(OWNER, UserType.OWNER, b"cred-owner"))
-    for uid in consumers:
+    for uid in CONSUMERS:
         register_user(db, UserRecord(uid, UserType.CONSUMER, uid.encode()))
     with tempfile.TemporaryDirectory() as root:
         store = ObjectStore(root)
-        for i, fid in enumerate(file_ids):
-            grant_access(db, store, fid, OWNER, consumers[i % 4:i % 4 + 2],
+        for i, fid in enumerate(FILE_IDS):
+            grant_access(db, store, fid, OWNER, CONSUMERS[i % 4:i % 4 + 2],
                          b"body", secret=i + 1, coeffs=(i + 2, i + 3))
     doc = json.loads(db_to_json(db))
     for i, grant in enumerate(doc["grants"]):  # fixed salts: same bytes each run
@@ -190,22 +188,12 @@ def test_both_loaders_agree_or_refuse_typed(store, doc, command):
           command)
 
 
-# The byte-level mutants start from BASE, or from a policy of the same
-# shape with no escape in either array, where a lookup that misses takes
-# Blocks._span's head search instead of its walk over every id.
-BASES = {"escaped": BASE, "plain": base_doc(CONSUMERS[1:4], FILE_IDS[1:4])}
-
-
-def respelled(base, table, i, move):
-    """The base's text with block i's id written with its first character
-    as \\u00XX (None if db_to_json escapes that character itself), the
-    block moved to the end of its array if `move`."""
-    doc = copy.deepcopy(base)
+def respelled(doc, table, i):
+    """doc's text with block i's id written with its first character as
+    \\u00XX, or None if db_to_json escapes that character itself."""
     key, block_id = KEYS[table], doc[table][i][KEYS[table]]
     if not block_id or not " " <= block_id[0] <= "~" or block_id[0] in '"\\':
         return None
-    if move:
-        doc[table].append(doc[table].pop(i))
     head = f'\n      "{key}": {json.dumps(block_id)}'
     text = json.dumps(doc, indent=2)
     assert text.count(head) == 1
@@ -215,34 +203,34 @@ def respelled(base, table, i, move):
 
 @st.composite
 def byte_mutants(draw):
-    """(name of a base, its text with one byte-level change); see the
-    module docstring."""
-    name = draw(st.sampled_from(sorted(BASES)))
-    base = BASES[name]
-    text = json.dumps(base, indent=2).encode("ascii")
+    """BASE's text, one block maybe moved to the end of its array, with
+    one byte-level change; see the module docstring."""
+    doc = copy.deepcopy(BASE)
+    table = draw(st.sampled_from(sorted(KEYS)))
+    i = draw(st.integers(0, len(doc[table]) - 1))
+    if draw(st.booleans()):
+        doc[table].append(doc[table].pop(i))
+        i = len(doc[table]) - 1
+    text = json.dumps(doc, indent=2).encode("ascii")
     byte = bytes([draw(st.integers(0x20, 0x7e))])
     op = draw(st.sampled_from(["overwrite", "delete", "insert", "respell"]))
     if op == "respell":
-        table = draw(st.sampled_from(sorted(KEYS)))
-        forged = respelled(base, table,
-                           draw(st.integers(0, len(base[table]) - 1)),
-                           draw(st.booleans()))
-        return name, text if forged is None else forged
+        forged = respelled(doc, table, i)
+        return text if forged is None else forged
     at = draw(st.integers(0, len(text) - 1))
     if op == "overwrite":
-        return name, text[:at] + byte + text[at + 1:]
+        return text[:at] + byte + text[at + 1:]
     if op == "delete":
-        return name, text[:at] + text[at + draw(st.integers(1, 4)):]
-    return name, text[:at] + byte + text[at:]
+        return text[:at] + text[at + draw(st.integers(1, 4)):]
+    return text[:at] + byte + text[at:]
 
 
 @settings(max_examples=BYTE_EXAMPLES, derandomize=True, database=None,
           deadline=None)
 @given(mutant=byte_mutants(), command=COMMITS)
 def test_byte_level_forgeries_agree_or_refuse_typed(store, mutant, command):
-    name, text = mutant
     try:
-        before = block_counts(json.loads(text))
+        before = block_counts(json.loads(mutant))
     except ValueError:  # not JSON: one change left one block per id
-        before = block_counts(BASES[name])
-    check(store, text, before, command)
+        before = block_counts(BASE)
+    check(store, mutant, before, command)
