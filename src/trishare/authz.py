@@ -146,16 +146,17 @@ class Blocks(Mapping):
     text[lo:hi] sorted by id, joined by ",".  Every lookup, membership
     test and insert goes through one search, _span: a binary search over
     byte offsets, where each probe takes the block that starts nearest
-    the middle and decodes only its quoted id.  A miss is checked by
-    _ids, one walk over every block, done once: a block out of order,
-    re-spelled, or hidden in another by an opener or closer that lost its
-    indent is CorruptPolicy, never absent.
+    the middle and decodes only its quoted id.  Past the first, a block
+    starts after its seam ("," and opener), which only _next_start finds.
+    A miss is checked by _ids, one walk from seam to seam, done once: a
+    block out of order, re-spelled, or hidden in another by an opener
+    that lost its indent is CorruptPolicy, never absent.
     Only the block a lookup returns is parsed, by `parse`, and it is
     kept, not written back.  A record stored becomes an edit against its
     block's span, and a new id's span is empty, at its sorted place.
     _spliced gives every run of blocks no edit touches as a slice of the
-    text and each edit rendered by `render`.  With no text (a new db or
-    a full parse) every record is such an insert.
+    text and each edit rendered by `render`.  A new db and a full parse
+    start from b"[]", where every record is such an insert.
     """
 
     def __init__(self, key: str, next_key: bytes, parse: Callable[[Any], Any],
@@ -165,7 +166,7 @@ class Blocks(Mapping):
         self._parse, self._render = parse, render
         self._mark = b'\n    {\n      "%s": ' % key.encode("ascii")
         self._seam = b"," + self._mark  # a block starts after its ","
-        if not text or end == start + 2 and text.startswith(b"[]", start):
+        if end == start + 2 and text.startswith(b"[]", start):
             lo = hi = start
         elif (text.startswith(b"[" + self._mark, start)
               and text.endswith(_ARRAY_END, start, end)):
@@ -259,29 +260,26 @@ class Blocks(Mapping):
         return a, after - 1 if after < hi else hi
 
     def _next_start(self, pos: int) -> int:
-        """The first block start at or after pos, or hi."""
-        if pos <= self._lo:
-            return self._lo
+        """The first block start at or after pos, or hi; every caller
+        passes a pos past lo (a probe's midpoint or a block start + 1)."""
         seam = self._text.find(self._seam, pos - 1, self._hi)
         return seam + 1 if seam >= 0 else self._hi
 
     def _ids(self) -> List[str]:
-        """Every block's id, in text order, found once and kept; a block
-        starts where the one before it ends in _CLOSER and its seam.
-        CorruptPolicy unless the ids strictly increase and the array
-        holds one `next_key` per block, so that none hides in another."""
+        """Every block's id, in text order, found once and kept; the walk
+        steps from seam to seam, as the search does.  CorruptPolicy unless
+        the ids strictly increase and the array holds one `next_key` per
+        block, so that none hides in another."""
         if self._walked is None:
-            text, hi, joint = self._text, self._hi, _CLOSER + self._seam
             ids, start = [], self._lo
-            while start < hi:
+            while start < self._hi:
                 key = self._id_at(start)
                 if ids and ids[-1] >= key:
                     raise CorruptPolicy(f"the {self._key} block at byte "
                                         f"{start} is out of order")
                 ids.append(key)
-                end = text.find(joint, start, hi)
-                start = end + len(_CLOSER) + 1 if end >= 0 else hi
-            if text.count(self._next_key, self._lo, hi) != len(ids):
+                start = self._next_start(start + 1)
+            if self._text.count(self._next_key, self._lo, self._hi) != len(ids):
                 raise CorruptPolicy(f"a {self._key} block hides in another")
             self._walked = ids
         return self._walked
@@ -580,17 +578,16 @@ def _block(items: List[str], open_: str, close: str, indent: int) -> str:
 _USERS_KEY = b',\n  "users": '
 _GRANTS_KEY = b',\n  "grants": '
 _ARRAY_END = b'\n  ]'
-_CLOSER = b'\n    }'  # ends each user or grant block, and nothing else
 
 
-def _user_blocks(text: bytes = b"", start: int = 0, end: int = 0) -> Blocks:
+def _user_blocks(text: bytes = b"[]", start: int = 0, end: int = 2) -> Blocks:
     """The users array at text[start:end], or an empty one."""
     return Blocks("user_id", b',\n      "user_type": ', _user_from_doc,
                   _user_json, text, start, end)
 
 
-def _grant_blocks(modulus: "FieldModulus | None", text: bytes = b"",
-                  start: int = 0, end: int = 0) -> Blocks:
+def _grant_blocks(modulus: "FieldModulus | None", text: bytes = b"[]",
+                  start: int = 0, end: int = 2) -> Blocks:
     """The grants array at text[start:end], or an empty one."""
     return Blocks("file_id", b',\n      "owner_id": ',
                   partial(_grant_from_doc, modulus=modulus), _grant_json,
@@ -667,8 +664,26 @@ def _text(value) -> str:
     return value
 
 
+def _number(value) -> int:
+    """An int field of the schema; TypeError for anything but a JSON int
+    (a bool, float or numeric string), which db_to_json would write back
+    as another value."""
+    if type(value) is not int:
+        raise TypeError(f"expected an int, got {type(value).__name__}")
+    return value
+
+
+def _hex(value) -> bytes:
+    """A bytes field of the schema, in the lower-case, unspaced hex that
+    db_to_json writes; ValueError for any other spelling."""
+    raw = bytes.fromhex(_text(value))
+    if raw.hex() != value:
+        raise ValueError(f"{value!r} is not lower-case, unspaced hex")
+    return raw
+
+
 def _db_from_doc(doc: dict) -> PolicyDb:
-    modulus = modulus_for(int(doc["p"]))
+    modulus = modulus_for(_number(doc["p"]))
     db = PolicyDb(modulus=modulus)
     for blocks, docs in ((db.users, doc.get("users", [])),
                          (db.grants, doc.get("grants", []))):
@@ -683,7 +698,7 @@ def _db_from_doc(doc: dict) -> PolicyDb:
 def _user_from_doc(u: dict) -> UserRecord:
     return UserRecord(user_id=_text(u["user_id"]),
                       user_type=UserType(u["user_type"]),
-                      credentials=bytes.fromhex(u["credentials_hex"]))
+                      credentials=_hex(u["credentials_hex"]))
 
 
 def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
@@ -692,7 +707,7 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
     if not is_object_key(ref):  # a path such as "../x" would leave the store
         raise ValueError(f"grant {file_id!r} has envelope_ref {ref!r}, "
                          "not an object key")
-    binding = BindingCode(kc=int(g["kc"]), x_kc=int(g["x_kc"]))
+    binding = BindingCode(kc=_number(g["kc"]), x_kc=_number(g["x_kc"]))
     consumers = {uid: read_share(rec) for uid, rec in g["consumers"].items()}
     # Each record repeats its grant's file id, p and binding code.
     copies = (file_id, modulus.p, binding.kc, binding.x_kc)
@@ -703,11 +718,11 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
     return FileGrant(
         file_id=file_id,
         owner_id=_text(g["owner_id"]),
-        server_share=SharePoint(x=int(g["server_share"]["x"]),
-                                y=int(g["server_share"]["y"]),
+        server_share=SharePoint(x=_number(g["server_share"]["x"]),
+                                y=_number(g["server_share"]["y"]),
                                 modulus=modulus),
         consumer_shares=consumers, binding=binding,
-        salt=bytes.fromhex(g["salt_hex"]),
+        salt=_hex(g["salt_hex"]),
         envelope_ref=ref)
 
 

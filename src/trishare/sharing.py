@@ -78,16 +78,19 @@ class EncryptedShare(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncryptedShare":
-        """The one reader of a record.  KeyError, TypeError, ValueError or
-        OverflowError for a dict outside the schema; TypeError for a
-        file_id that is not a string, which no writer could write back."""
-        file_id = d["file_id"]
+        """The one reader of a record.  KeyError or TypeError for a dict
+        outside the schema; TypeError for a file_id that is not a string or
+        a number that is not a JSON int (a bool, float or numeric string),
+        which would be written back as another value."""
+        file_id, x, y_enc = d["file_id"], d["x"], d["y_enc"]
+        p, kc, x_kc = d["p"], d["kc"], d["x_kc"]
         if not isinstance(file_id, str):
             raise TypeError(f"expected a string file_id, got {type(file_id).__name__}")
+        if not (type(x) is type(y_enc) is type(p) is type(kc) is type(x_kc) is int):
+            raise TypeError("a record's x, y_enc, p, kc and x_kc are JSON ints")
         # Positional through tuple.__new__, as NamedTuple._make builds: the
         # generated __new__ would add one Python call per record.
-        return tuple.__new__(cls, (file_id, int(d["x"]), int(d["y_enc"]),
-                                   int(d["p"]), int(d["kc"]), int(d["x_kc"])))
+        return tuple.__new__(cls, (file_id, x, y_enc, p, kc, x_kc))
 
     @classmethod
     def from_json(cls, text: str) -> "EncryptedShare":
@@ -96,7 +99,7 @@ class EncryptedShare(NamedTuple):
             return cls.from_dict(json.loads(text))
         except KeyError as exc:
             raise CorruptShareRecord(f"share record lacks key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise CorruptShareRecord(
                 f"share record is not JSON in the record schema: {exc}") from exc
 

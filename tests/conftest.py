@@ -69,7 +69,7 @@ CORRUPT_POLICIES = {
     "missing-key": (_drop_user_type, KeyError),
     "wrong-type": (_users_as_object, TypeError),
     "null-string-field": (_null_user_id, TypeError),
-    "infinite-int": (_infinite_p, OverflowError),
+    "infinite-int": (_infinite_p, TypeError),
 }
 
 

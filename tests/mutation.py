@@ -41,11 +41,16 @@ REPO = Path(__file__).resolve().parent.parent
 TESTS = {
     "authz": ["tests/test_authz.py", "tests/test_store_fuzz.py"],
     "keystream": ["tests/test_keystream.py"],
-    "storage": ["tests/test_storage.py"],
+    "storage": ["tests/test_storage.py", "tests/test_decoder_fuzz.py"],
     "cipher": ["tests/test_cipher.py"],
     "interpolate": ["tests/test_interpolate.py"],
-    "sharing": ["tests/test_sharing.py"],
+    "sharing": ["tests/test_sharing.py", "tests/test_decoder_fuzz.py"],
     "cli": ["tests/test_cli.py", "tests/test_cli_pinned_usage.py"],
+    "field": ["tests/test_field.py", "tests/test_interpolate.py"],
+    # the files that pin FNV outputs
+    "hashing": ["tests/test_cipher.py", "tests/test_sharing.py",
+                "tests/test_storage.py"],
+    "bench": ["tests/test_bench.py", "tests/test_bench_pinned_output.py"],
 }
 #: the suite that reruns each mutant the mapped tests miss
 WHOLE = ["tests"]

@@ -571,6 +571,40 @@ def test_db_from_json_rejects_non_string_field(tmp_path, where, key, value):
     assert isinstance(info.value.__cause__, TypeError)
 
 
+# db_to_json writes every int as a JSON int and every bytes field as
+# lower-case, unspaced hex.  Any other spelling, which int() or
+# bytes.fromhex would read and the next commit would rewrite, is refused.
+@pytest.mark.parametrize("where, key, respell, cause", [
+    ("policy", "p", float, TypeError),
+    ("server_share", "x", lambda v: v + 0.9, TypeError),
+    ("grant", "kc", str, TypeError),
+    ("grant", "x_kc", lambda v: True, TypeError),
+    ("share", "kc", lambda v: f" {v} ", TypeError),
+    ("share", "y_enc", float, TypeError),
+    ("user", "credentials_hex", str.upper, ValueError),
+    ("grant", "salt_hex", lambda v: f"{v[:2]} {v[2:]}", ValueError),
+], ids=["float-p", "fraction-x", "string-kc", "bool-x_kc", "spaced-kc",
+        "float-y_enc", "upper-hex", "spaced-hex"])
+def test_every_loader_refuses_a_value_db_to_json_never_writes(
+        tmp_path, where, key, respell, cause):
+    db, _, _ = granted(tmp_path)
+    doc = json.loads(db_to_json(db))
+    grant = doc["grants"][0]
+    record = {"policy": doc, "user": doc["users"][0], "grant": grant,
+              "server_share": grant["server_share"],
+              "share": next(iter(grant["consumers"].values()))}[where]
+    old = record[key]
+    record[key] = respell(old)
+    assert json.dumps(record[key]) != json.dumps(old)
+    text = json.dumps(doc, indent=2)
+    with pytest.raises(CorruptPolicy) as info:
+        db_from_json(text)
+    assert isinstance(info.value.__cause__, cause)
+    table, lookup = (("users", doc["users"][0]["user_id"]) if where == "user"
+                     else ("grants", "f"))
+    assert_every_loader_refuses(tmp_path, text, table, lookup)
+
+
 def assert_every_loader_refuses(tmp_path, text, table, key):
     """The full parse, load_db past a stale sidecar and a lookup of key in
     table through a re-matched sidecar all raise CorruptPolicy."""
@@ -869,7 +903,8 @@ def forged_policy(tmp_path, forgery):
     different f2 block after f2, or an f1 block that names f3 in a
     second file_id key.  Or text out of it, byte by byte: f0 moved to the
     end with its id spelled "\\u00660", f2's opener or f2's owner_id line
-    one space short of its indent, in place or with f2 moved to the end."""
+    one space short of its indent, in place or with f2 moved to the end,
+    or f2's closer one space short."""
     db, store = base_db(tmp_path)
     for i in range(24 if forgery == "swapped-far" else 5):
         grant_access(db, store, f"f{i}", "olivia", ["carol"], DATA)
@@ -894,7 +929,9 @@ def forged_policy(tmp_path, forgery):
                                 f'"\\u00660",\n      {owner}'),
               "hidden": ('\n    {\n      "file_id": "f2"',
                          '\n   {\n      "file_id": "f2"'),
-              "garbage-id": (f'"f2",\n      {owner}', f'"f2",\n     {owner}')}
+              "garbage-id": (f'"f2",\n      {owner}', f'"f2",\n     {owner}'),
+              "closer": ('\n    },\n    {\n      "file_id": "f3"',
+                         '\n   },\n    {\n      "file_id": "f3"')}
     edit = forgery.replace("moved-", "")
     if edit in forged:
         old, new = forged[edit]
@@ -907,9 +944,10 @@ def forged_policy(tmp_path, forgery):
 # typed; none returns another id's grant, and none reads a present id as
 # absent.  The binary search finds a block it lands on, and fails it if
 # its successor sorts before it; when the search misses, one walk decodes
-# every id and checks that they increase and that each block closes once,
-# so blocks swapped, near or far, re-spelled or hidden are CorruptPolicy,
-# never UnknownFile.
+# every id, stepping on the search's seams, and checks that they increase
+# and that each block has one owner_id line, so blocks swapped, near or
+# far, re-spelled or hidden are CorruptPolicy, never UnknownFile.  A block
+# whose closer lost its indent reads as the full parse reads it.
 @pytest.mark.parametrize("forgery, outcomes", [
     ("swapped", {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
                  "f3": "own", "f4": "own"}),
@@ -929,6 +967,8 @@ def forged_policy(tmp_path, forgery):
                       "f3": "own", "f4": "CorruptPolicy"}),
     ("moved-garbage", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
                        "f3": "own", "f4": "CorruptPolicy"}),
+    ("closer", {"f0": "own", "f1": "own", "f2": "own", "f3": "own",
+                "f4": "own"}),
 ])
 def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
                                                            outcomes):
@@ -956,8 +996,17 @@ def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
         listed = list(loaded.grants)
     except CorruptPolicy:
         listed = "CorruptPolicy"
-    assert listed == (sorted(db.grants) if forgery == "two-ids"
+    assert listed == (sorted(db.grants) if forgery in ("two-ids", "closer")
                       else "CorruptPolicy")
+    # A grant of a new id commits one block for it, or fails as listing does.
+    try:
+        grant_access(loaded, store, "e", "olivia", ["carol"], DATA)
+        persist_db(loaded, store)
+    except CorruptPolicy:
+        assert listed == "CorruptPolicy"
+    else:
+        committed = store.read_bytes(POLICY_FILENAME).decode("ascii")
+        assert committed.count('\n    {\n      "file_id": "e"') == 1
 
 
 def test_a_lone_quote_for_a_user_id_is_corrupt(tmp_path):

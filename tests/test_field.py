@@ -32,9 +32,13 @@ def test_known_primes(n):
     assert is_prime(n)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 91, 561, 1105, 65536, (1 << 61) - 3])
+@pytest.mark.parametrize("n", [0, 1, 4, 91, 561, 1105, 65536, (1 << 61) - 3,
+                               252601, 3215031751])
 def test_known_composites(n):
-    # 561 and 1105 are Carmichael numbers, the classic Fermat-test traps
+    # 561 and 1105 are Carmichael numbers, the classic Fermat-test traps;
+    # 252601 = 41 * 61 * 101 is one that no witness divides, so only the
+    # square-root steps catch it, and 3215031751 = 151 * 751 * 28351
+    # is a strong pseudoprime to the witnesses 2, 3, 5 and 7
     assert not is_prime(n)
 
 
@@ -179,6 +183,8 @@ def test_production_rejects_degenerate_leading_coefficient(m61, p97):
         SecretPolynomial((5, 1, M61), m61)  # reduces to zero
     # the test profile tolerates degeneracy so tiny-field demos can run
     assert SecretPolynomial((5, 1, 0), p97).coeffs == (5, 1, 0)
+    # a constant has no higher coefficient whose loss would drop the threshold
+    assert SecretPolynomial((0,), m61).coeffs == (0,)
 
 
 # ---------------------------------------------------------------- integer roots
@@ -188,6 +194,7 @@ def test_nth_root_frozen_values():
     assert integer_nth_root(874226, 2) ** 2 != 874226
     assert integer_nth_root(0, 5) == 0
     assert integer_nth_root(1, 8) == 1
+    assert integer_nth_root(2, 3) == 1  # 2 is no fixed point past n = 1
     assert integer_nth_root(300, 1) == 300
 
 

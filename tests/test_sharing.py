@@ -272,10 +272,21 @@ def test_record_json_is_pinned():
     ("[1, 2]", TypeError),
     ('{"file_id": "f"}', KeyError),
     ('{"file_id": "f", "x": "abc", "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
-     ValueError),
+     TypeError),
     ('{"file_id": "f", "x": Infinity, "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
-     OverflowError),
-], ids=["not-json", "json-list", "missing-key", "non-numeric-x", "infinite-x"])
+     TypeError),
+    # Values int() reads but to_json never writes: each would come back
+    # as another value.
+    ('{"file_id": "f", "x": 1.9, "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
+     TypeError),
+    ('{"file_id": "f", "x": 1, "y_enc": 1, "p": 97, "kc": "79", "x_kc": 1}',
+     TypeError),
+    ('{"file_id": "f", "x": 1, "y_enc": 1, "p": 97, "kc": 1, "x_kc": " 7 "}',
+     TypeError),
+    ('{"file_id": "f", "x": 1, "y_enc": true, "p": 97, "kc": 1, "x_kc": 1}',
+     TypeError),
+], ids=["not-json", "json-list", "missing-key", "non-numeric-x", "infinite-x",
+        "fraction-x", "string-kc", "spaced-x_kc", "bool-y_enc"])
 def test_from_json_rejects_non_record(text, cause):
     with pytest.raises(CorruptShareRecord) as info:
         EncryptedShare.from_json(text)
