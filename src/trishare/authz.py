@@ -295,7 +295,7 @@ class Blocks(Mapping):
             return quoted[1:-1].decode("ascii")
         try:
             key = json.loads(quoted)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CorruptPolicy(f"a block's {self._key} is not JSON: {exc}") from exc
         if not isinstance(key, str):
             raise CorruptPolicy(f"the block at byte {start} has no {self._key}")
@@ -647,6 +647,8 @@ def _parsed(text: str, read, *args):
         doc = json.loads(text)
     except ValueError as exc:
         raise CorruptPolicy(f"policy is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json.loads recurses once per nested value
+        raise CorruptPolicy(f"policy nests too deeply to parse: {exc}") from exc
     try:
         return read(doc, *args)
     except KeyError as exc:

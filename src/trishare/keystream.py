@@ -11,8 +11,8 @@ bit i of a stream is the parity of state i + 1.  The odd prime modulus
 keeps that parity well distributed; with a power-of-two modulus and an
 odd increment the parity bit of an LCG simply alternates.  State i is
 x0 * a^i mod p, so _lehmer_bits_int, the one bit generator, computes
-states out of order and bit-sliced, and reads each parity off two bits
-of a product instead of reducing the product mod p.  Two identities
+states out of order and bit-sliced, and reads each parity off one bit
+of a product instead of reducing the product mod p.  Three identities
 make that work.
 
 Tap identity.  For 0 <= z < 2^62 that is 0 or not a multiple of p,
@@ -26,6 +26,16 @@ and its bit 31 is 0.  Between p and 2p, its bit 31 is 1 and z mod p is
 s - p, of the other parity as p is odd.  s = p or 2p would need
 z = 0 mod p with z > 0; the generator's z is a product of two residues
 in [0, p - 1], and p is prime, so that never happens.
+
+Folded tap.  For z = c * v, bit 0 of y = z * (2^31 + 1) is bit 0 of z,
+that is bit 0 of c AND bit 0 of v.  Multiply c by the folded value
+V = v * (2^31 + 1) + (v & 1) * 2^62 instead of v * (2^31 + 1): then
+c * V = y + c * (v & 1) * 2^62.  The addend has no bit below 62, so
+bits 0..61 of the sum are those of y and no carry reaches bit 62, and
+bit 62 of the sum is bit 62 of y XOR bit 0 of c * (v & 1), which is
+bit 0 of y.  So bit 62 of c * V alone is the tap identity's parity.
+For v in [1, p - 1], v * (2^31 + 1) <= 2^62 - 2^31 - 2, so V < 2^63,
+and a scalar c < 2^30 keeps c * V below 2^93.
 
 Negation identity.  For z not a multiple of p,
 parity(-z mod p) = 1 XOR parity(z mod p), since -z mod p is
@@ -71,14 +81,14 @@ _TABLES: dict[int, tuple] = {}
 
 
 def _slab_tables(a: int, lanes: int) -> tuple:
-    """(lanes, factors, stride, vectors, taps, slots) for multiplier `a`.
+    """(lanes, factors, stride, vectors, taps) for multiplier `a`.
 
     factors are the sub-stream scalars a^(j+1) mod p (j = 0..63) and
     stride is a^(64 _LANES) mod p, the step between slab base states.
-    The three lane tables cover at least `lanes` 96-bit lanes: vectors[g]
-    is the lane vector, lane l holding (a^(64l) mod p) * (2^31 + 1),
-    shifted by 8g; taps[g] is bits 0 and 62 of every lane, shifted by
-    8g; slots is bits 0, 8, .., 56 of every lane.
+    The two lane tables cover at least `lanes` 96-bit lanes: vectors[g]
+    is the lane vector, lane l holding the folded lane value of
+    v = a^(64l) mod p, v * (2^31 + 1) + (v & 1) * 2^62, shifted by 4g;
+    taps[g] is bit 62 of every lane, shifted by 4g (g = 0..15).
     """
     tables = _TABLES.get(a)
     if tables is not None and tables[0] >= lanes:
@@ -89,9 +99,11 @@ def _slab_tables(a: int, lanes: int) -> tuple:
     for _ in range(lanes):
         words.append(x.to_bytes(12, "little"))
         x = x * step % p
-    vector = int.from_bytes(b"".join(words), "little")
-    vector += vector << 31
-    taps = int.from_bytes((1 | 1 << 62).to_bytes(12, "little") * lanes, "little")
+    v = int.from_bytes(b"".join(words), "little")
+    ones = int.from_bytes((1).to_bytes(12, "little") * lanes, "little")
+    # the sums are lane by lane: no lane's sum reaches 2^63 to carry
+    vector = v + (v << 31) + ((v & ones) << 62)
+    taps = ones << 62
     factors, f = [], 1
     for _ in range(64):
         f = f * a % p
@@ -102,9 +114,8 @@ def _slab_tables(a: int, lanes: int) -> tuple:
         lanes,
         tuple(factors),
         pow(a, 64 * _LANES, p),
-        tuple(vector << 8 * g for g in range(8)),
-        tuple(taps << 8 * g for g in range(8)),
-        int.from_bytes((b"\x01" * 8 + bytes(4)) * lanes, "little"),
+        tuple(vector << 4 * g for g in range(16)),
+        tuple(taps << 4 * g for g in range(16)),
     )
     return tables
 
@@ -121,40 +132,41 @@ def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
     base state.  Sub-stream j (j = 0..63) runs down the lanes, and all
     K of its lanes come from one product of its scalar
     c = b * a^(j+1) mod p, negated below 2^30 (module docstring), with
-    the cached lane vector, whose 96-bit lane l holds
-    (a^(64l) mod p) * (2^31 + 1).  Lane l of the product is
-    y = z * (2^31 + 1) with z = c * (a^(64l) mod p) < 2^30 * 2^31, so
-    y < 2^92: no product carries into the next lane, and the tap
-    identity reads the parity off bits 0 and 62 of y.
+    the cached lane vector, whose 96-bit lane l holds the folded value
+    V_l of v_l = a^(64l) mod p (module docstring).  c * V_l < 2^93, so
+    no product carries into the next lane, and bit 62 of lane l of the
+    product is the parity of c * v_l mod p.
 
-    Sub-stream j = 8g + r (g, r = 0..7) multiplies the copy of the
-    vector shifted by 8g, keeps its taps, bits 8g and 8g + 62 of each
-    lane, and is XORed into accumulator r.  For g >= 5 the second tap
-    lies past bit 95, in the next lane's span; it is still lane l's
-    bit.  In one accumulator the eight sub-streams' taps sit at lane
-    offsets 0, 8, .., 56 and 62, 70, 78, 86, 94, 6, 14, 22 (mod 96), all
-    distinct.  Once per slab, A ^ (A >> 62) moves each bit-62 tap onto
-    its bit-0 tap, a wrapped one back from the next lane, while the
-    bit-0 taps move to offsets 34, 42, .., 90, none of them a slot
-    (0, 8, .., 56).  Masking with the slots leaves sub-stream 8g + r's
-    parity at offset 8g, and shifting by r puts it at offset j.  The
-    low 8 bytes of each 12-byte lane are then the lane's 64 stream
-    bits, gathered with 8 strided copies, and the negated sub-streams
-    are flipped with one 64-bit word per lane.
+    Sub-stream j = s + d (s = 4g, g = 0..15; d = 0..3) multiplies the
+    copy of the vector shifted by s, keeps one tap per lane, bit s + 62,
+    and is XORed into accumulator d.  For s >= 36 the tap lies past bit
+    95, in the next lane's span; it is still lane l's bit.  In one
+    accumulator the sixteen sub-streams' taps sit at lane offsets
+    s + 62 = 62, 66, .., 122, that is 62, 66, .., 94 and 2, 6, .., 26
+    mod 96; they span 60 < 96 bits, so they are distinct mod 96 and no
+    two taps share a bit, whatever their lanes.  Once per slab,
+    acc >> (62 - d) moves bit 96l + s + 62 to 96l + s + d, offset j of
+    lane l: the shift counts from the tap's position in the whole int,
+    so a tap that wrapped into lane l + 1's span comes back to lane l,
+    and none falls off the low end, since every tap is at offset 62 or
+    above.  The offsets s + d cover 0..63 once, so the low 8 bytes of
+    each 12-byte lane are then the lane's 64 stream bits, gathered with
+    8 strided copies, and the negated sub-streams are flipped with one
+    64-bit word per lane.
 
     A short count shrinks the slab to ceil(count / 64) lanes, and the
     tables are built for the lanes the call needs, grown by a later
     call that needs more.
     """
     p = MASK_MODULUS
-    built, factors, stride, shifted, taps, slots = _slab_tables(
+    built, factors, stride, shifted, taps = _slab_tables(
         a, min(_LANES, -(-count // 64)))
     words, flips = [], []
     base = x0
     for done in range(0, count, 64 * _LANES):
         lanes = min(_LANES, -(-(count - done) // 64))
         vectors = shifted if lanes == built else [
-            v & ((1 << (96 * lanes + 8 * g)) - 1) for g, v in enumerate(shifted)]
+            v & ((1 << (96 * lanes + 4 * g)) - 1) for g, v in enumerate(shifted)]
         scalars, flip = [], 0
         for j, f in enumerate(factors):
             c = base * f % p
@@ -163,11 +175,11 @@ def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
                 flip |= 1 << j
             scalars.append(c)
         out = 0
-        for r in range(8):
+        for d in range(4):
             acc = 0
-            for g in range(8):
-                acc ^= scalars[8 * g + r] * vectors[g] & taps[g]
-            out |= ((acc ^ (acc >> 62)) & slots) << r
+            for g in range(16):
+                acc ^= scalars[4 * g + d] * vectors[g] & taps[g]
+            out ^= acc >> (62 - d)
         lane_bytes = out.to_bytes(12 * lanes, "little")
         word = bytearray(8 * lanes)
         for i in range(8):

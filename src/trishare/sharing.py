@@ -99,7 +99,8 @@ class EncryptedShare(NamedTuple):
             return cls.from_dict(json.loads(text))
         except KeyError as exc:
             raise CorruptShareRecord(f"share record lacks key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
+            # RecursionError: json.loads of a too deeply nested document
             raise CorruptShareRecord(
                 f"share record is not JSON in the record schema: {exc}") from exc
 

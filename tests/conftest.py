@@ -70,6 +70,8 @@ CORRUPT_POLICIES = {
     "wrong-type": (_users_as_object, TypeError),
     "null-string-field": (_null_user_id, TypeError),
     "infinite-int": (_infinite_p, TypeError),
+    # json.loads recurses once per nested array
+    "too-deep": (lambda raw: b"[" * 100_000, RecursionError),
 }
 
 

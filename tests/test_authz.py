@@ -1041,6 +1041,26 @@ def test_a_user_id_with_a_stray_quote_is_corrupt(tmp_path):
         load_db(store).users.get("carol")
 
 
+@pytest.mark.parametrize("where", ["p", "user_id"])
+def test_a_too_deep_value_is_corrupt_in_every_loader(tmp_path, where):
+    # json.loads recurses once per nested array: the full parse, the
+    # sliced load's head parse and a block's id read all meet it
+    deep = "[" * 100_000
+    with pytest.raises(CorruptPolicy) as info:
+        db_from_json(deep)
+    assert isinstance(info.value.__cause__, RecursionError)
+    db, _ = base_db(tmp_path)
+    text = db_to_json(db)
+    text = {"p": text.replace(f'"p": {db.modulus.p}', f'"p": {deep}'),
+            "user_id": text.replace('"user_id": "carol"', f'"user_id": {deep}'),
+            }[where]
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    with pytest.raises(CorruptPolicy) as info:
+        load_db(store).users.get("carol")
+    assert isinstance(info.value.__cause__, RecursionError)
+
+
 def forged_users_policy(tmp_path, forgery):
     """Text in db_to_json's layout that persist_db never wrote: user
     blocks carol and chuck swapped, caleb and u59 (the first and last of

@@ -841,8 +841,9 @@ def test_request_json_without_out_is_refused(tmp_path, capsys):
     b'{"file_id": "f"}',
     b'{"file_id": "f", "x": "abc", "y_enc": 1, "p": 97, "kc": 1, "x_kc": 1}',
     b'{"file_id": "f", "x": 3, "y_enc": 1, "p": 65537, "kc": 1, "x_kc": 1}',
+    b"[" * 100_000,
 ], ids=["not-utf8", "not-json", "json-list", "missing-key", "non-numeric-x",
-        "other-p"])
+        "other-p", "too-deep"])
 def test_bad_share_record_file_exits_with_one_error_line(tmp_path, capsys, content):
     store, owner_point = granted_store(tmp_path, capsys)
     share_file = tmp_path / "share.json"

@@ -8,7 +8,7 @@ from trishare import InvalidParams, MaskSchedule, xor_mask
 from trishare import keystream
 from trishare.keystream import (MASK_MODULUS, MASK_RAND_MULTIPLIER,
                                 MASK_REP_MULTIPLIER, _LANES, _TABLES, _lehmer_bits_int,
-                                start_state)
+                                _slab_tables, start_state)
 from oracles import (
     bytes_to_bits,
     lcg_period,
@@ -111,15 +111,47 @@ def test_negation_identity(c, v):
     assert (p - c) * v % p & 1 == 1 ^ (c * v % p & 1)
 
 
+def folded(v):
+    """The lane value the kernel caches for v = a^(64l) mod p."""
+    return v * ((1 << 31) + 1) + ((v & 1) << 62)
+
+
 def test_lane_products_fit_96_bit_lanes():
     p = MASK_MODULUS
     # a scalar at or above 2^30 negates to below 2^30, one CPython digit
     assert p - (1 << 30) < 1 << 30
-    # c < 2^30 and V < p: z = c * V is inside the tap identity's range,
-    # and the lane product z * (2^31 + 1) stays below 2^92
-    biggest = ((1 << 30) - 1) * (p - 1)
-    assert biggest < 1 << 62
-    assert biggest * ((1 << 31) + 1) < 1 << 92
+    # c < 2^30 and v < p: z = c * v is inside the tap identity's range,
+    # the folded lane value V stays below 2^63 and the lane product c * V
+    # below 2^93; p - 2 is the largest odd v, the largest V
+    c = (1 << 30) - 1
+    assert c * (p - 1) < 1 << 62
+    top = folded(p - 2)
+    assert top == max(folded(p - 1), top) < 1 << 63
+    assert c * top < 1 << 93
+
+
+def test_lane_tables_hold_the_folded_values():
+    # lane l of the vector is the folded value of a^(64l) mod p and its
+    # tap is bit 62; the other fifteen of each are shifted by 4g
+    lane = (1 << 96) - 1
+    for a in MULTIPLIERS:
+        _, _, _, vectors, taps = _slab_tables(a, 64)
+        for l in range(64):
+            assert vectors[0] >> 96 * l & lane == folded(pow(a, 64 * l, MASK_MODULUS))
+            assert taps[0] >> 96 * l & lane == 1 << 62
+        assert vectors == tuple(vectors[0] << 4 * g for g in range(16))
+        assert taps == tuple(taps[0] << 4 * g for g in range(16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 30) - 1),
+       st.integers(min_value=1, max_value=MASK_MODULUS - 1))
+def test_folded_tap_is_the_parity(c, v):
+    # bit 62 of c * V alone is the parity the tap identity reads off bits
+    # 0 and 62 of c * v * (2^31 + 1)
+    product = c * folded(v)
+    assert product < 1 << 93
+    assert product >> 62 & 1 == c * v % MASK_MODULUS & 1
 
 
 def test_slab_tables_are_built_for_the_lanes_a_call_needs():
@@ -180,6 +212,32 @@ def test_lane_generator_matches_recurrence_oracle_at_chunk_edges():
             for count in LANE_EDGE_COUNTS:
                 prefix = expected & ((1 << count) - 1)
                 assert _lehmer_bits_int(x0, a, count) == prefix, (a, x0, count)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lane_generator_matches_recurrence_oracle_at_small_slabs(monkeypatch, lanes):
+    # Slabs of one to three lanes: many slabs per call, short last slabs
+    # and the top lane's taps past its span, in milliseconds.  The cached
+    # stride depends on _LANES, so the tables are rebuilt for the run.
+    slab = 64 * lanes
+    counts = (0, 1, 63, 64, 65, slab - 1, slab, slab + 1, 2 * slab - 63,
+              3 * slab + 65, 7 * slab + 127)
+    x0s = (0, 1, MASK_MODULUS - 1, random.Random(13).randrange(1, MASK_MODULUS))
+    longest = max(counts)
+    kept = dict(_TABLES)
+    _TABLES.clear()
+    monkeypatch.setattr(keystream, "_LANES", lanes)
+    try:
+        for a in LEHMER_MULTIPLIERS:
+            for x0 in x0s:
+                expected = bits_to_int(slow_lcg_bits(x0, a, 0, MASK_MODULUS, longest))
+                for count in counts:
+                    prefix = expected & ((1 << count) - 1)
+                    assert _lehmer_bits_int(x0, a, count) == prefix, (a, x0, count)
+    finally:
+        monkeypatch.undo()
+        _TABLES.clear()
+        _TABLES.update(kept)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +318,7 @@ def test_schedule_validation():
         with pytest.raises(InvalidParams):
             schedule(block_bytes)
     for x0 in (0, MASK_MODULUS, -1):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match=r"outside \[1, 2147483646\]$"):
             MaskSchedule(rand_x0=x0, rep_x0=REP_X0, block_bytes=1024)
         with pytest.raises(InvalidParams):
             MaskSchedule(rand_x0=RAND_X0, rep_x0=x0, block_bytes=1024)

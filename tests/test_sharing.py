@@ -285,8 +285,9 @@ def test_record_json_is_pinned():
      TypeError),
     ('{"file_id": "f", "x": 1, "y_enc": true, "p": 97, "kc": 1, "x_kc": 1}',
      TypeError),
+    ("[" * 100_000, RecursionError),
 ], ids=["not-json", "json-list", "missing-key", "non-numeric-x", "infinite-x",
-        "fraction-x", "string-kc", "spaced-x_kc", "bool-y_enc"])
+        "fraction-x", "string-kc", "spaced-x_kc", "bool-y_enc", "too-deep"])
 def test_from_json_rejects_non_record(text, cause):
     with pytest.raises(CorruptShareRecord) as info:
         EncryptedShare.from_json(text)
