@@ -552,24 +552,18 @@ def _consumer_json(uid: str, rec: EncryptedShare) -> str:
 
 
 def _grant_json(g: FileGrant) -> str:
-    consumers = [_consumer_json(uid, rec)
-                 for uid, rec in sorted(g.consumer_shares.items())]
+    consumers = ",".join(_consumer_json(uid, rec)
+                         for uid, rec in sorted(g.consumer_shares.items()))
+    consumers = "{" + consumers + "\n      }" if consumers else "{}"
     return (f'\n    {{\n      "file_id": {_str(g.file_id)},'
             f'\n      "owner_id": {_str(g.owner_id)},'
             f'\n      "server_share": {{\n        "x": {_int(g.server_share.x)},'
             f'\n        "y": {_int(g.server_share.y)}\n      }},'
-            f'\n      "consumers": {_block(consumers, "{", "}", 6)},'
+            f'\n      "consumers": {consumers},'
             f'\n      "kc": {_int(g.binding.kc)},'
             f'\n      "x_kc": {_int(g.binding.x_kc)},'
             f'\n      "salt_hex": {_str(g.salt.hex())},'
             f'\n      "envelope_ref": {_str(g.envelope_ref)}\n    }}')
-
-
-def _block(items: List[str], open_: str, close: str, indent: int) -> str:
-    """A JSON array or object of pre-rendered items, closed at `indent`."""
-    if not items:
-        return open_ + close
-    return open_ + ",".join(items) + "\n" + " " * indent + close
 
 
 # A file db_to_json wrote is cut at these template seams.  A JSON string
@@ -640,9 +634,9 @@ def db_from_json(text: str) -> PolicyDb:
     return _parsed(text, _db_from_doc)
 
 
-def _parsed(text: str, read, *args):
-    """read(json.loads(text), *args); CorruptPolicy for text that is not
-    JSON or for a document outside the schema."""
+def _parsed(text: str, read):
+    """read(json.loads(text)); CorruptPolicy for text that is not JSON
+    or for a document outside the schema."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -650,7 +644,7 @@ def _parsed(text: str, read, *args):
     except RecursionError as exc:  # json.loads recurses once per nested value
         raise CorruptPolicy(f"policy nests too deeply to parse: {exc}") from exc
     try:
-        return read(doc, *args)
+        return read(doc)
     except KeyError as exc:
         raise CorruptPolicy(f"policy entry lacks key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError, Error) as exc:

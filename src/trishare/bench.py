@@ -158,6 +158,8 @@ def bench_encrypt(sizes: Sequence[int] = DEFAULT_BENCH_SIZES,
     """
     if reps < MIN_REPS:
         raise Error(f"reps must be >= {MIN_REPS}")
+    if not sizes:
+        raise Error("need at least one size to time")
     if any(size < 0 for size in sizes):
         raise Error(f"sizes must be >= 0, got {list(sizes)}")
     rng = random.Random(seed)

@@ -243,7 +243,8 @@ def _cmd_bench_encrypt(args) -> int:
     from . import bench
     mode, n = _mode_and_n(args)
     doc = bench.bench_encrypt(
-        sizes=args.sizes or bench.DEFAULT_BENCH_SIZES, mode=mode, n=n,
+        sizes=bench.DEFAULT_BENCH_SIZES if args.sizes is None else args.sizes,
+        mode=mode, n=n,
         reps=bench.MIN_REPS if args.reps is None else args.reps)
     _emit_table(args, doc, bench.ENCRYPT_CSV_HEADER)
     return 0
@@ -252,7 +253,8 @@ def _cmd_bench_encrypt(args) -> int:
 def _cmd_bench_attrs(args) -> int:
     from . import bench
     doc = bench.bench_attributes(
-        k_values=args.k or bench.DEFAULT_K_VALUES, n_users=args.n_users,
+        k_values=bench.DEFAULT_K_VALUES if args.k is None else args.k,
+        n_users=args.n_users,
         reps=bench.MIN_REPS if args.reps is None else args.reps)
     fit = doc["split_fit"]
     _emit_table(args, doc, bench.ATTRS_CSV_HEADER, [

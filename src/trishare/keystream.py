@@ -47,6 +47,7 @@ yields are flipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import Error
 
@@ -75,24 +76,23 @@ def start_state(seed: int) -> int:
 #: stream bits, so one slab yields 64 * _LANES stream bits.
 _LANES = 2048
 
-#: _slab_tables per multiplier, built on first use and grown to the
-#: largest call; a fifth multiplier empties it first.
-_TABLES: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=8)
 def _slab_tables(a: int, lanes: int) -> tuple:
-    """(lanes, factors, stride, vectors, taps) for multiplier `a`.
+    """(factors, stride, vectors, taps, ones) for a slab of `lanes` lanes.
 
     factors are the sub-stream scalars a^(j+1) mod p (j = 0..63) and
     stride is a^(64 _LANES) mod p, the step between slab base states.
-    The two lane tables cover at least `lanes` 96-bit lanes: vectors[g]
-    is the lane vector, lane l holding the folded lane value of
-    v = a^(64l) mod p, v * (2^31 + 1) + (v & 1) * 2^62, shifted by 4g;
-    taps[g] is bit 62 of every lane, shifted by 4g (g = 0..15).
+    The lane tables are built for exactly `lanes` 96-bit lanes: ones has
+    a 1 at the bottom of every lane; vectors[g] is the lane vector, lane
+    l holding the folded lane value of v = a^(64l) mod p,
+    v * (2^31 + 1) + (v & 1) * 2^62, shifted by 4g; taps[g] is bit 62 of
+    every lane, shifted by 4g (g = 0..15).
+
+    The tables are cached per (multiplier, lanes) shape.  A call uses at
+    most two shapes per multiplier, full slabs and the last one, so a
+    seal or open uses at most four, and the cache keeps the eight most
+    recently used.
     """
-    tables = _TABLES.get(a)
-    if tables is not None and tables[0] >= lanes:
-        return tables
     p = MASK_MODULUS
     step = pow(a, 64, p)
     x, words = 1, []
@@ -108,16 +108,9 @@ def _slab_tables(a: int, lanes: int) -> tuple:
     for _ in range(64):
         f = f * a % p
         factors.append(f)
-    if len(_TABLES) >= 4:
-        _TABLES.clear()
-    tables = _TABLES[a] = (
-        lanes,
-        tuple(factors),
-        pow(a, 64 * _LANES, p),
-        tuple(vector << 4 * g for g in range(16)),
-        tuple(taps << 4 * g for g in range(16)),
-    )
-    return tables
+    return (tuple(factors), pow(a, 64 * _LANES, p),
+            tuple(vector << 4 * g for g in range(16)),
+            tuple(taps << 4 * g for g in range(16)), ones)
 
 
 def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
@@ -151,22 +144,21 @@ def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
     and none falls off the low end, since every tap is at offset 62 or
     above.  The offsets s + d cover 0..63 once, so the low 8 bytes of
     each 12-byte lane are then the lane's 64 stream bits, gathered with
-    8 strided copies, and the negated sub-streams are flipped with one
-    64-bit word per lane.
+    8 strided copies.
 
-    A short count shrinks the slab to ceil(count / 64) lanes, and the
-    tables are built for the lanes the call needs, grown by a later
-    call that needs more.
+    A slab of fewer than K lanes, the last one of a count that is not a
+    whole number of slabs, has tables of its own size (_slab_tables).
+    As those tables match the slab exactly, the negated sub-streams are
+    flipped in the slab itself: flip * ones puts the 64-bit flip word at
+    offset 96l of every lane l, and 64 < 96, so no lane carries into the
+    next.
     """
     p = MASK_MODULUS
-    built, factors, stride, shifted, taps = _slab_tables(
-        a, min(_LANES, -(-count // 64)))
-    words, flips = [], []
+    words = []
     base = x0
     for done in range(0, count, 64 * _LANES):
         lanes = min(_LANES, -(-(count - done) // 64))
-        vectors = shifted if lanes == built else [
-            v & ((1 << (96 * lanes + 4 * g)) - 1) for g, v in enumerate(shifted)]
+        factors, stride, vectors, taps, ones = _slab_tables(a, lanes)
         scalars, flip = [], 0
         for j, f in enumerate(factors):
             c = base * f % p
@@ -174,7 +166,7 @@ def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
                 c = p - c
                 flip |= 1 << j
             scalars.append(c)
-        out = 0
+        out = flip * ones
         for d in range(4):
             acc = 0
             for g in range(16):
@@ -185,10 +177,8 @@ def _lehmer_bits_int(x0: int, a: int, count: int) -> int:
         for i in range(8):
             word[i::8] = lane_bytes[i::12]
         words.append(word)
-        flips.append(flip.to_bytes(8, "little") * lanes)
         base = base * stride % p
-    bits = (int.from_bytes(b"".join(words), "little")
-            ^ int.from_bytes(b"".join(flips), "little"))
+    bits = int.from_bytes(b"".join(words), "little")
     return bits & ((1 << count) - 1) if count % 64 else bits
 
 

@@ -4,6 +4,8 @@ Run from the repository root:
 
     python tests/mutation.py authz keystream
 
+With no module names it probes every module in TESTS.
+
 Each mutant changes one site of the module's source, found with the
 stdlib ast:
 
@@ -165,15 +167,22 @@ def probe(module, copy, sample):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="+", choices=sorted(TESTS))
+    # no choices=: argparse checks a nargs="*" positional's empty list
+    # against them and refuses it
+    parser.add_argument("modules", nargs="*", metavar="module",
+                        help=f"one of {', '.join(sorted(TESTS))} "
+                             "(default: every one)")
     parser.add_argument("--sample", type=int, default=SAMPLE,
                         help="mutants per module")
     args = parser.parse_args(argv)
+    for module in args.modules:
+        if module not in TESTS:
+            parser.error(f"unknown module {module!r}")
     with tempfile.TemporaryDirectory(prefix="trishare-mutation-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(REPO, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench"))
-        rows = [row for module in args.modules
+        rows = [row for module in args.modules or TESTS
                 for row in probe(module, copy, args.sample)]
     survivors = [row for row in rows if row[3] == "survived"]
     whole = sum(row[4] == "whole suite" for row in rows)

@@ -1015,8 +1015,12 @@ def test_bench_attrs_reports_fit(capsys):
     ["bench", "encrypt", "--sizes", "-5", "--reps", "5"],
     ["bench", "attrs", "--k", "0,1", "--reps", "5"],
     ["bench", "storage", "--n", "-1", "--tc", "-5"],
+    ["bench", "encrypt", "--sizes", "", "--reps", "5"],
+    ["bench", "encrypt", "--sizes", ",", "--reps", "5"],
+    ["bench", "attrs", "--k", "", "--reps", "5"],
 ], ids=["attrs-one-k", "attrs-repeated-k", "encrypt-negative-size",
-        "attrs-zero-k", "storage-negative-n"])
+        "attrs-zero-k", "storage-negative-n", "encrypt-empty-sizes",
+        "encrypt-comma-sizes", "attrs-empty-k"])
 def test_bench_bad_input_exits_with_one_error_line(capsys, argv):
     rc, out, err = run_cli(argv, capsys)
     assert rc == 1 and out == ""

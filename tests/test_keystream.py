@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from trishare import InvalidParams, MaskSchedule, xor_mask
 from trishare import keystream
 from trishare.keystream import (MASK_MODULUS, MASK_RAND_MULTIPLIER,
-                                MASK_REP_MULTIPLIER, _LANES, _TABLES, _lehmer_bits_int,
+                                MASK_REP_MULTIPLIER, _LANES, _lehmer_bits_int,
                                 _slab_tables, start_state)
 from oracles import (
     bytes_to_bits,
@@ -135,7 +135,7 @@ def test_lane_tables_hold_the_folded_values():
     # tap is bit 62; the other fifteen of each are shifted by 4g
     lane = (1 << 96) - 1
     for a in MULTIPLIERS:
-        _, _, _, vectors, taps = _slab_tables(a, 64)
+        _, _, vectors, taps, _ = _slab_tables(a, 64)
         for l in range(64):
             assert vectors[0] >> 96 * l & lane == folded(pow(a, 64 * l, MASK_MODULUS))
             assert taps[0] >> 96 * l & lane == 1 << 62
@@ -154,33 +154,23 @@ def test_folded_tap_is_the_parity(c, v):
     assert product >> 62 & 1 == c * v % MASK_MODULUS & 1
 
 
-def test_slab_tables_are_built_for_the_lanes_a_call_needs():
-    a = 7  # a multiplier no other test draws on purpose
-    _TABLES.pop(a, None)
-    _lehmer_bits_int(RAND_X0, a, 64 * 5 + 1)
-    built = _TABLES[a]
-    assert built[0] == 6
-    _lehmer_bits_int(RAND_X0, a, 64 * 6)  # a call of as many lanes reuses them
-    _lehmer_bits_int(RAND_X0, a, 64)  # and so does a shorter one
-    assert _TABLES[a] is built
-    _lehmer_bits_int(RAND_X0, a, 2 * 64 * _LANES + 1)  # grown to one slab, no more
-    assert _TABLES[a][0] == _LANES
+def test_slab_tables_are_cached_per_slab_shape():
+    a = 7
+    _slab_tables.cache_clear()
+    # two full slabs and a last slab of 5 lanes plus 1 bit: two shapes
+    _lehmer_bits_int(RAND_X0, a, 2 * 64 * _LANES + 64 * 5 + 1)
+    info = _slab_tables.cache_info()
+    assert info.misses == info.currsize == 2
+    for lanes in (_LANES, 6):
+        *_, ones = _slab_tables(a, lanes)
+        assert ones.bit_length() == 96 * (lanes - 1) + 1
+    assert _slab_tables.cache_info().misses == 2  # both shapes were cached
+    for lanes in range(7, 27):
+        _lehmer_bits_int(RAND_X0, a, 64 * lanes)
+    info = _slab_tables.cache_info()
+    assert info.currsize <= info.maxsize == 8
     # no lane table is a module constant
     assert all(v.bit_length() <= 64 for v in vars(keystream).values() if type(v) is int)
-
-
-def test_slab_table_cache_holds_four_multipliers():
-    kept = dict(_TABLES)
-    _TABLES.clear()
-    try:
-        for a in (3, 5, 7, 11):
-            _lehmer_bits_int(RAND_X0, a, 64)
-        assert sorted(_TABLES) == [3, 5, 7, 11]
-        _lehmer_bits_int(RAND_X0, 13, 64)  # a fifth empties the cache first
-        assert sorted(_TABLES) == [13]
-    finally:
-        _TABLES.clear()
-        _TABLES.update(kept)
 
 
 # Slab edges of the bit-sliced Lehmer generator: a slab is K = _LANES
@@ -224,8 +214,7 @@ def test_lane_generator_matches_recurrence_oracle_at_small_slabs(monkeypatch, la
               3 * slab + 65, 7 * slab + 127)
     x0s = (0, 1, MASK_MODULUS - 1, random.Random(13).randrange(1, MASK_MODULUS))
     longest = max(counts)
-    kept = dict(_TABLES)
-    _TABLES.clear()
+    _slab_tables.cache_clear()
     monkeypatch.setattr(keystream, "_LANES", lanes)
     try:
         for a in LEHMER_MULTIPLIERS:
@@ -236,8 +225,7 @@ def test_lane_generator_matches_recurrence_oracle_at_small_slabs(monkeypatch, la
                     assert _lehmer_bits_int(x0, a, count) == prefix, (a, x0, count)
     finally:
         monkeypatch.undo()
-        _TABLES.clear()
-        _TABLES.update(kept)
+        _slab_tables.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)
