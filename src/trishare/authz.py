@@ -29,7 +29,6 @@ the untouched ones and streams the pieces to disk and to SHA-256.
 
 from __future__ import annotations
 
-import json
 import os
 import secrets as _secrets
 from collections.abc import Mapping
@@ -44,9 +43,9 @@ from .errors import Error
 from .field import (FieldModulus, InvalidPolynomial, SecretPolynomial,
                     default_modulus, modulus_for, poly_eval)
 from .interpolate import ReconstructionInput, reconstruct_polynomial, verify_binding
-from .sharing import (BindingCode, EncryptedShare, SharePoint, binding_code,
-                      decrypt_share, derive_attribute_tokens, encrypt_share,
-                      split_secret)
+from .sharing import (BindingCode, EncryptedShare, SharePoint, _number, _text,
+                      binding_code, decrypt_share, derive_attribute_tokens,
+                      encrypt_share, read_json, split_secret)
 from .storage import (POLICY_DIGEST_FILENAME, POLICY_FILENAME, ObjectStore,
                       decode_envelope, envelope_pieces, is_object_key,
                       object_key)
@@ -188,7 +187,8 @@ class Blocks(Mapping):
         start, end = self._span(key)
         if start == end:
             raise KeyError(key)
-        record = _parsed(self._text[start:end], self._parse)
+        record = read_json(self._text[start:end], self._parse, "policy",
+                           CorruptPolicy)
         found = getattr(record, self._key)
         if found != key:
             raise CorruptPolicy(f"the block found for {key!r} is {found!r}'s")
@@ -293,13 +293,8 @@ class Blocks(Mapping):
                 and b"\\" not in quoted):
             # A JSON string with no escape is its text between quotes.
             return quoted[1:-1].decode("ascii")
-        try:
-            key = json.loads(quoted)
-        except (ValueError, RecursionError) as exc:
-            raise CorruptPolicy(f"a block's {self._key} is not JSON: {exc}") from exc
-        if not isinstance(key, str):
-            raise CorruptPolicy(f"the block at byte {start} has no {self._key}")
-        return key
+        return read_json(quoted, _text, f"the {self._key} of the block at "
+                         f"byte {start}", CorruptPolicy)
 
 
 @dataclass
@@ -618,55 +613,22 @@ def _sliced_db(data: bytes) -> PolicyDb:
     grants = data.find(_GRANTS_KEY)
     if not (0 <= users < grants and data.isascii() and data.endswith(b"\n}")):
         raise CorruptPolicy("policy does not have the layout db_to_json writes")
-    db = _parsed(data[:users] + b"}", _db_from_doc)
+    db = PolicyDb(read_json(data[:users] + b"}",
+                            lambda doc: modulus_for(_number(doc["p"])),
+                            "policy", CorruptPolicy))
     db.users = _user_blocks(data, users + len(_USERS_KEY), grants)
     db.grants = _grant_blocks(db.modulus, data, grants + len(_GRANTS_KEY),
                               len(data) - 2)
     return db
 
 
-def db_from_json(text: str) -> PolicyDb:
+def db_from_json(text: "str | bytes") -> PolicyDb:
     """Inverse of db_to_json; the modulus profile is inferred from p.
 
-    Raises CorruptPolicy when the text is not JSON or does not follow the
-    schema (missing keys, wrong types or values).
+    Raises CorruptPolicy when the text (or bytes, as UTF-8) is not JSON
+    or does not follow the schema (missing keys, wrong types or values).
     """
-    return _parsed(text, _db_from_doc)
-
-
-def _parsed(text: str, read):
-    """read(json.loads(text)); CorruptPolicy for text that is not JSON
-    or for a document outside the schema."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise CorruptPolicy(f"policy is not valid JSON: {exc}") from exc
-    except RecursionError as exc:  # json.loads recurses once per nested value
-        raise CorruptPolicy(f"policy nests too deeply to parse: {exc}") from exc
-    try:
-        return read(doc)
-    except KeyError as exc:
-        raise CorruptPolicy(f"policy entry lacks key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError, Error) as exc:
-        # Error: a value the record types reject, such as a non-prime p.
-        raise CorruptPolicy(f"policy entry has a wrong type or value: {exc}") from exc
-
-
-def _text(value) -> str:
-    """A string field of the schema; TypeError for anything else, which
-    db_to_json could not write back."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _number(value) -> int:
-    """An int field of the schema; TypeError for anything but a JSON int
-    (a bool, float or numeric string), which db_to_json would write back
-    as another value."""
-    if type(value) is not int:
-        raise TypeError(f"expected an int, got {type(value).__name__}")
-    return value
+    return read_json(text, _db_from_doc, "policy", CorruptPolicy)
 
 
 def _hex(value) -> bytes:
@@ -681,8 +643,7 @@ def _hex(value) -> bytes:
 def _db_from_doc(doc: dict) -> PolicyDb:
     modulus = modulus_for(_number(doc["p"]))
     db = PolicyDb(modulus=modulus)
-    for blocks, docs in ((db.users, doc.get("users", [])),
-                         (db.grants, doc.get("grants", []))):
+    for blocks, docs in ((db.users, doc["users"]), (db.grants, doc["grants"])):
         for record in map(blocks._parse, docs):
             key = getattr(record, blocks._key)
             if key in blocks:  # the sliced load would read only one of them
@@ -764,8 +725,4 @@ def load_db(store: ObjectStore) -> PolicyDb:
         sidecar = b""
     if sidecar == _digest([data]):
         return _sliced_db(data)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptPolicy(f"{POLICY_FILENAME} is not UTF-8: {exc}") from exc
-    return db_from_json(text)
+    return db_from_json(data)

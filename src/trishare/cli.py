@@ -20,7 +20,7 @@ from .cipher import CipherKey, Mode, open_file, seal_file
 from .errors import Error
 from .field import FieldModulus, M61, default_modulus, modulus_for
 from .interpolate import ReconstructionInput, reconstruct_secret
-from .sharing import CorruptShareRecord, EncryptedShare, SharePoint, split_secret
+from .sharing import EncryptedShare, SharePoint, split_secret
 from .storage import NotFound, ObjectStore, decode_envelope, encode_envelope
 
 
@@ -199,7 +199,7 @@ def _cmd_request(args) -> int:
     owner_point = SharePoint(x=x, y=y, modulus=db.modulus)
     record = None
     if args.share:
-        record = _read_share_record(Path(args.share))
+        record = EncryptedShare.from_json(Path(args.share).read_bytes())
     plaintext = authz.request_decrypt(db, store, args.file_id, owner_point,
                                       receiver, record)
     if args.outfile:
@@ -209,14 +209,6 @@ def _cmd_request(args) -> int:
     else:
         sys.stdout.buffer.write(plaintext)
     return 0
-
-
-def _read_share_record(path: Path) -> EncryptedShare:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptShareRecord(f"{path} is not UTF-8: {exc}") from exc
-    return EncryptedShare.from_json(text)
 
 
 # verify-example and bench import trishare.bench on first use, so the

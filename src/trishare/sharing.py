@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence
+from typing import Any, Callable, List, NamedTuple, Sequence, Type
 
 from .errors import Error
 from .field import FieldModulus, SecretPolynomial, modulus_for, poly_eval
@@ -53,14 +53,55 @@ class BindingCode:
 
 
 class CorruptShareRecord(Error):
-    """A share record that is not JSON in the record schema."""
+    """A share record that is not UTF-8 JSON in the record schema."""
+
+
+def read_json(data: "str | bytes", read: Callable[[Any], Any], what: str,
+              error: Type[Error]) -> Any:
+    """read(json.loads(data)), the one decode of stored JSON, with bytes
+    taken as UTF-8 only (json.loads would guess UTF-16 or UTF-32).
+
+    Raises `error`, naming `what`, chained from the first exception met:
+    UnicodeDecodeError for bytes that are not UTF-8, JSONDecodeError for
+    text that is not JSON, RecursionError for a document nested too
+    deeply to parse (json.loads recurses once per nested value), or what
+    `read` raises for a document outside the schema: KeyError,
+    TypeError, ValueError, AttributeError, OverflowError or an Error,
+    such as a non-prime p.
+    """
+    try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
+        return read(json.loads(text))
+    except KeyError as exc:
+        raise error(f"{what} lacks key {exc}") from exc
+    except (ValueError, RecursionError, TypeError, AttributeError,
+            OverflowError, Error) as exc:
+        raise error(f"{what} is not UTF-8 JSON in its schema: {exc}") from exc
+
+
+def _text(value) -> str:
+    """A string field of a stored record; TypeError for anything else,
+    which could not be written back."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _number(value) -> int:
+    """An int field of a stored record; TypeError for anything but a JSON
+    int (a bool, float or numeric string), which would be written back
+    as another value."""
+    if type(value) is not int:
+        raise TypeError(f"expected an int, got {type(value).__name__}")
+    return value
 
 
 class EncryptedShare(NamedTuple):
     """Share record handed to a receiver; y is blinded by their credentials.
 
-    An immutable named tuple, built by the thousand on every policy load.
-    Serializes to the wire format:
+    An immutable named tuple, one per consumer of a grant: a command
+    builds those of the grants it reads, and only a full parse of the
+    policy builds them all.  Serializes to the wire format:
     {"file_id", "x", "y_enc", "p", "kc", "x_kc"}.
     """
 
@@ -79,30 +120,20 @@ class EncryptedShare(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "EncryptedShare":
         """The one reader of a record.  KeyError or TypeError for a dict
-        outside the schema; TypeError for a file_id that is not a string or
-        a number that is not a JSON int (a bool, float or numeric string),
-        which would be written back as another value."""
-        file_id, x, y_enc = d["file_id"], d["x"], d["y_enc"]
-        p, kc, x_kc = d["p"], d["kc"], d["x_kc"]
-        if not isinstance(file_id, str):
-            raise TypeError(f"expected a string file_id, got {type(file_id).__name__}")
-        if not (type(x) is type(y_enc) is type(p) is type(kc) is type(x_kc) is int):
-            raise TypeError("a record's x, y_enc, p, kc and x_kc are JSON ints")
+        outside the schema, TypeError for a field _text or _number
+        refuses."""
         # Positional through tuple.__new__, as NamedTuple._make builds: the
-        # generated __new__ would add one Python call per record.
-        return tuple.__new__(cls, (file_id, x, y_enc, p, kc, x_kc))
+        # generated __new__ would add a Python call to each of the records
+        # a full parse builds.
+        return tuple.__new__(cls, (_text(d["file_id"]), _number(d["x"]),
+                                   _number(d["y_enc"]), _number(d["p"]),
+                                   _number(d["kc"]), _number(d["x_kc"])))
 
     @classmethod
-    def from_json(cls, text: str) -> "EncryptedShare":
-        """Parse the wire form; CorruptShareRecord if it is not a record."""
-        try:
-            return cls.from_dict(json.loads(text))
-        except KeyError as exc:
-            raise CorruptShareRecord(f"share record lacks key {exc}") from exc
-        except (TypeError, ValueError, RecursionError) as exc:
-            # RecursionError: json.loads of a too deeply nested document
-            raise CorruptShareRecord(
-                f"share record is not JSON in the record schema: {exc}") from exc
+    def from_json(cls, text: "str | bytes") -> "EncryptedShare":
+        """Parse the wire form, or its UTF-8 bytes; CorruptShareRecord if
+        it is not a record."""
+        return read_json(text, cls.from_dict, "share record", CorruptShareRecord)
 
 
 def derive_attribute_tokens(attributes: Sequence[bytes], salt: bytes,

@@ -55,6 +55,12 @@ def _null_user_id(raw):
     return json.dumps(doc).encode()
 
 
+def _drop_grants(raw):
+    doc = json.loads(raw)
+    del doc["grants"]
+    return json.dumps(doc).encode()
+
+
 def _infinite_p(raw):
     doc = json.loads(raw)
     doc["p"] = float("inf")  # json writes Infinity, which json.loads accepts
@@ -67,6 +73,7 @@ CORRUPT_POLICIES = {
     "not-utf8": (lambda raw: b"\xff" + raw, UnicodeDecodeError),
     "truncated": (lambda raw: raw[: len(raw) // 2], json.JSONDecodeError),
     "missing-key": (_drop_user_type, KeyError),
+    "missing-grants": (_drop_grants, KeyError),
     "wrong-type": (_users_as_object, TypeError),
     "null-string-field": (_null_user_id, TypeError),
     "infinite-int": (_infinite_p, TypeError),

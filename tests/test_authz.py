@@ -555,6 +555,17 @@ def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
     assert isinstance(info.value.__cause__, cause)
 
 
+def test_db_from_json_reads_bytes_as_utf8_only(tmp_path):
+    db, _, _ = granted(tmp_path)
+    text = db_to_json(db)
+    assert db_to_json(db_from_json(text.encode("utf-8"))) == text
+    # json.loads alone would guess either encoding and load the policy
+    for encoding in ("utf-16", "utf-32"):
+        with pytest.raises(CorruptPolicy) as info:
+            db_from_json(text.encode(encoding))
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
 @pytest.mark.parametrize("value", [None, 5])
 @pytest.mark.parametrize("where, key", [
     ("user", "user_id"), ("grant", "file_id"), ("grant", "owner_id"),

@@ -1,9 +1,12 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trishare
 from trishare import (
     M61,
     CorruptShareRecord,
@@ -286,12 +289,59 @@ def test_record_json_is_pinned():
     ('{"file_id": "f", "x": 1, "y_enc": true, "p": 97, "kc": 1, "x_kc": 1}',
      TypeError),
     ("[" * 100_000, RecursionError),
+    # Bytes are UTF-8 or refused; json.loads alone would guess the others.
+    (b"\xff" + EncryptedShare(**RECORD_FIELDS).to_json().encode(),
+     UnicodeDecodeError),
+    (EncryptedShare(**RECORD_FIELDS).to_json().encode("utf-16"),
+     UnicodeDecodeError),
+    (EncryptedShare(**RECORD_FIELDS).to_json().encode("utf-32"),
+     UnicodeDecodeError),
 ], ids=["not-json", "json-list", "missing-key", "non-numeric-x", "infinite-x",
-        "fraction-x", "string-kc", "spaced-x_kc", "bool-y_enc", "too-deep"])
+        "fraction-x", "string-kc", "spaced-x_kc", "bool-y_enc", "too-deep",
+        "not-utf8-bytes", "utf16-bytes", "utf32-bytes"])
 def test_from_json_rejects_non_record(text, cause):
     with pytest.raises(CorruptShareRecord) as info:
         EncryptedShare.from_json(text)
     assert isinstance(info.value.__cause__, cause)
+
+
+def test_from_json_reads_utf8_bytes():
+    rec = EncryptedShare(**RECORD_FIELDS)
+    text = json.dumps(rec._asdict(), ensure_ascii=False)
+    assert "\u00e9" in text  # a two-byte UTF-8 sequence, not an escape
+    assert EncryptedShare.from_json(text.encode("utf-8")) == rec
+
+
+def test_only_read_json_calls_json_loads():
+    """Every decode of stored JSON (the policy, a block's id, a share
+    record) goes through sharing.read_json, so a fix to decoding lands
+    once: no other function of the package may reach json.loads."""
+    sites = []
+
+    class Finder(ast.NodeVisitor):
+        def __init__(self, name):
+            self.where = [name]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if (node.attr == "loads" and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                sites.append(".".join(self.where))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if node.module == "json" and any(a.name == "loads" for a in node.names):
+                sites.append(".".join(self.where))
+
+    for path in sorted(Path(trishare.__file__).parent.glob("*.py")):
+        Finder(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sites == ["sharing.read_json"]
 
 
 # ---------------------------------------------------------------- end to end
