@@ -16,9 +16,9 @@ remaining consumers' records are refreshed without ever decrypting them,
 and the owner refreshes their own point from the returned coefficient
 deltas - the server never learns it.
 
-Mutations are a single-writer contract per store: every grant, revoke
-and register rewrites the whole policy.json, so callers serialize them
-across all files of a store; read-only queries may run concurrently.
+Each mutation loads, edits and commits policy.json, so the CLI holds
+store.lock(exclusive=True) from load_db to persist_db, and a request a
+shared one; library callers that mutate one store concurrently do too.
 
 A command works on the policy bytes themselves once their digest
 sidecar verifies them: a lookup is a binary search over the user or
@@ -29,13 +29,13 @@ the untouched ones and streams the pieces to disk and to SHA-256.
 
 from __future__ import annotations
 
+import json
 import os
 import secrets as _secrets
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Set, Tuple
 
 from .cipher import Mode, derive_file_key, open_file, seal_file
@@ -523,45 +523,27 @@ def update_owner_share(point: SharePoint, deltas: Sequence[int]) -> SharePoint:
 # Persistence: PolicyDb <-> JSON
 # ---------------------------------------------------------------------------
 
-# db_to_json writes exactly what json.dumps(doc, indent=2) writes for the
-# policy schema (users, then grants with their server_share and consumers),
-# but from fixed templates: any indent sends json.dumps to its pure-Python
-# encoder, which took most of every grant and revoke.
-# Every string goes through the C escaper json.dumps uses and every int
-# through int.__repr__, as json does; the nesting depth fixes each indent.
-_str = encode_basestring_ascii
-_int = int.__repr__
+# Each block is json.dumps of its record's doc nested at depth 2, so the
+# policy is json.dumps(doc, indent=2) of the whole document.
+def _block(doc: dict) -> str:
+    return "\n    " + json.dumps(doc, indent=2).replace("\n", "\n    ")
 
 
 def _user_json(u: UserRecord) -> str:
-    return (f'\n    {{\n      "user_id": {_str(u.user_id)},'
-            f'\n      "user_type": {_str(u.user_type.value)},'
-            f'\n      "credentials_hex": {_str(u.credentials.hex())}\n    }}')
-
-
-def _consumer_json(uid: str, rec: EncryptedShare) -> str:
-    return (f'\n        {_str(uid)}: {{\n          "file_id": {_str(rec.file_id)},'
-            f'\n          "x": {_int(rec.x)},\n          "y_enc": {_int(rec.y_enc)},'
-            f'\n          "p": {_int(rec.p)},\n          "kc": {_int(rec.kc)},'
-            f'\n          "x_kc": {_int(rec.x_kc)}\n        }}')
+    return _block({"user_id": u.user_id, "user_type": u.user_type.value,
+                   "credentials_hex": u.credentials.hex()})
 
 
 def _grant_json(g: FileGrant) -> str:
-    consumers = ",".join(_consumer_json(uid, rec)
-                         for uid, rec in sorted(g.consumer_shares.items()))
-    consumers = "{" + consumers + "\n      }" if consumers else "{}"
-    return (f'\n    {{\n      "file_id": {_str(g.file_id)},'
-            f'\n      "owner_id": {_str(g.owner_id)},'
-            f'\n      "server_share": {{\n        "x": {_int(g.server_share.x)},'
-            f'\n        "y": {_int(g.server_share.y)}\n      }},'
-            f'\n      "consumers": {consumers},'
-            f'\n      "kc": {_int(g.binding.kc)},'
-            f'\n      "x_kc": {_int(g.binding.x_kc)},'
-            f'\n      "salt_hex": {_str(g.salt.hex())},'
-            f'\n      "envelope_ref": {_str(g.envelope_ref)}\n    }}')
+    consumers = {uid: rec._asdict() for uid, rec in sorted(g.consumer_shares.items())}
+    return _block({"file_id": g.file_id, "owner_id": g.owner_id,
+                   "server_share": {"x": g.server_share.x, "y": g.server_share.y},
+                   "consumers": consumers, "kc": g.binding.kc,
+                   "x_kc": g.binding.x_kc, "salt_hex": g.salt.hex(),
+                   "envelope_ref": g.envelope_ref})
 
 
-# A file db_to_json wrote is cut at these template seams.  A JSON string
+# A file db_to_json wrote is cut at these seams.  A JSON string
 # holds no raw newline, and only a user or a grant opens a block at
 # indent 4, so each seam marks the same place in every such file.
 _USERS_KEY = b',\n  "users": '
@@ -587,7 +569,7 @@ def _policy_pieces(db: PolicyDb) -> List[bytes]:
     """The policy text in pieces, which persist_db streams and whose join
     db_to_json returns: the rendered head, then the user and the grant
     blocks as Blocks._spliced gives them, with brackets and commas."""
-    pieces = [f'{{\n  "p": {_int(db.modulus.p)}'.encode("ascii")]
+    pieces = [f'{{\n  "p": {db.modulus.p}'.encode("ascii")]
     for key, blocks in ((_USERS_KEY, db.users), (_GRANTS_KEY, db.grants)):
         items = blocks._spliced()
         if not items:

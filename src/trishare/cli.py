@@ -135,18 +135,19 @@ def _cmd_register(args) -> int:
     except UnicodeEncodeError as exc:
         raise Error("--credentials is not UTF-8 text") from exc
     store = _store(args)
-    try:
-        db = authz.load_db(store)
-    except NotFound:
-        db = authz.PolicyDb(modulus=_modulus(args))
-    else:
-        if args.p is not None and args.p != db.modulus.p:
-            raise Error(f"--p {args.p} differs from the store's p = {db.modulus.p}")
-    record = authz.UserRecord(user_id=args.user_id,
-                              user_type=authz.UserType(args.type),
-                              credentials=credentials)
-    authz.register_user(db, record)
-    authz.persist_db(db, store)
+    with store.lock(exclusive=True):
+        try:
+            db = authz.load_db(store)
+        except NotFound:
+            db = authz.PolicyDb(modulus=_modulus(args))
+        else:
+            if args.p is not None and args.p != db.modulus.p:
+                raise Error(f"--p {args.p} differs from the store's p = {db.modulus.p}")
+        record = authz.UserRecord(user_id=args.user_id,
+                                  user_type=authz.UserType(args.type),
+                                  credentials=credentials)
+        authz.register_user(db, record)
+        authz.persist_db(db, store)
     _emit(args, {"registered": args.user_id, "type": args.type},
           [f"registered {args.user_id} as {args.type}"])
     return 0
@@ -155,12 +156,13 @@ def _cmd_register(args) -> int:
 def _cmd_grant(args) -> int:
     mode, n = _mode_and_n(args)
     store = _store(args)
-    db = authz.load_db(store)
-    consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
-    data = Path(args.infile).read_bytes()
-    owner_share = authz.grant_access(
-        db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
-    authz.persist_db(db, store)
+    with store.lock(exclusive=True):
+        db = authz.load_db(store)
+        consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
+        data = Path(args.infile).read_bytes()
+        owner_share = authz.grant_access(
+            db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
+        authz.persist_db(db, store)
     grant = db.grants[args.file_id]
     payload = {"file_id": args.file_id,
                "owner_point": {"x": owner_share.x, "y": owner_share.y},
@@ -176,9 +178,10 @@ def _cmd_grant(args) -> int:
 
 def _cmd_revoke(args) -> int:
     store = _store(args)
-    db = authz.load_db(store)
-    deltas = authz.revoke_user(db, args.file_id, args.user)
-    authz.persist_db(db, store)
+    with store.lock(exclusive=True):
+        db = authz.load_db(store)
+        deltas = authz.revoke_user(db, args.file_id, args.user)
+        authz.persist_db(db, store)
     delta_text = ",".join(str(d) for d in deltas)
     _emit(args, {"file_id": args.file_id, "revoked": args.user,
                  "owner_deltas": list(deltas)},
@@ -191,17 +194,19 @@ def _cmd_request(args) -> int:
     if args.json and not args.outfile:
         raise Error("--json needs --out: the plaintext would go to stdout")
     store = _store(args)
-    db = authz.load_db(store)
-    receiver = db.users.get(args.receiver)
-    if receiver is None:
-        raise authz.UnknownUser(f"receiver {args.receiver!r} is not registered")
-    x, y = args.owner_point
-    owner_point = SharePoint(x=x, y=y, modulus=db.modulus)
-    record = None
-    if args.share:
-        record = EncryptedShare.from_json(Path(args.share).read_bytes())
-    plaintext = authz.request_decrypt(db, store, args.file_id, owner_point,
-                                      receiver, record)
+    # Shared: a re-grant still rewrites the envelope this request reads.
+    with store.lock(exclusive=False):
+        db = authz.load_db(store)
+        receiver = db.users.get(args.receiver)
+        if receiver is None:
+            raise authz.UnknownUser(f"receiver {args.receiver!r} is not registered")
+        x, y = args.owner_point
+        owner_point = SharePoint(x=x, y=y, modulus=db.modulus)
+        record = None
+        if args.share:
+            record = EncryptedShare.from_json(Path(args.share).read_bytes())
+        plaintext = authz.request_decrypt(db, store, args.file_id, owner_point,
+                                          receiver, record)
     if args.outfile:
         Path(args.outfile).write_bytes(plaintext)
         _emit(args, {"out_bytes": len(plaintext), "outfile": args.outfile},

@@ -113,9 +113,7 @@ class EncryptedShare(NamedTuple):
     x_kc: int
 
     def to_json(self) -> str:
-        return json.dumps({"file_id": self.file_id, "x": self.x,
-                           "y_enc": self.y_enc, "p": self.p, "kc": self.kc,
-                           "x_kc": self.x_kc}, sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncryptedShare":

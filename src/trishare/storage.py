@@ -26,7 +26,8 @@ the sidecar may be stale, torn or one commit ahead, which a load takes as
 a miss.  A new file is created mode 0600; a rewrite keeps its mode.
 Opening a store creates nothing, so a mistyped path fails a read without
 leaving a skeleton behind: the first write makes the directories it
-writes into and fsyncs the parent of each.
+writes into and fsyncs the parent of each.  ObjectStore.lock serializes
+the commands on one store with flock on its root directory.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import stat
 import struct
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cipher import BadHeader, CipherEnvelope
 from .errors import Error
@@ -149,6 +150,29 @@ class ObjectStore:
     def read_bytes(self, filename: str) -> bytes:
         """Read a root-level file; NotFound if absent."""
         return _read(self.root / filename)
+
+    @contextlib.contextmanager
+    def lock(self, exclusive: bool) -> Iterator[None]:
+        """Hold flock on the store root, exclusive or shared, for the
+        with-block.  It adds no file to the store, and a missing root is
+        not locked: nothing is created, so two commands that both create
+        a store are not serialized.  POSIX only (fcntl is imported here,
+        so the package still imports without it)."""
+        import fcntl
+        try:
+            fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+        except (FileNotFoundError, NotADirectoryError):
+            fd = None  # no store: the command's read fails or its write makes it
+        except OSError as exc:
+            raise IoFailure(f"cannot open {self.root} to lock it: {exc}") from exc
+        if fd is None:
+            yield
+            return
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+            yield
+        finally:
+            os.close(fd)
 
 
 def _read(path: Path) -> bytes:

@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -792,6 +794,67 @@ def test_failed_policy_fsync_changes_no_policy_file(tmp_path, capsys, monkeypatc
     assert [p.name for p in store.iterdir() if p.name.endswith(".tmp")] == []
 
 
+def test_a_command_renders_only_the_blocks_it_assigns(tmp_path, capsys):
+    store, owner_point = granted_store(tmp_path, capsys)
+    src = tmp_path / "g.bin"
+    src.write_bytes(b"body")
+    for argv, users, grants in (
+            (["register", "--user-id", "dave", "--type", "consumer",
+              "--credentials", "c"], 1, 0),
+            (["grant", "--file-id", "g", "--owner", "olivia",
+              "--consumers", "alice,bob", "--in", str(src)], 0, 1),
+            (["revoke", "--file-id", "g", "--user", "alice"], 0, 1),
+            (["request", "--file-id", "f", "--receiver", "alice",
+              "--owner-point", owner_point, "--out", str(tmp_path / "out")], 0, 0)):
+        with mock.patch.object(trishare.authz, "_user_json",
+                               wraps=trishare.authz._user_json) as user_json, \
+                mock.patch.object(trishare.authz, "_grant_json",
+                                  wraps=trishare.authz._grant_json) as grant_json:
+            rc, _, err = run_cli([*argv, "--store", str(store)], capsys)
+        assert rc == 0, err
+        assert (user_json.call_count, grant_json.call_count) == (users, grants), argv
+
+
+def test_a_policy_command_waits_for_one_in_progress(tmp_path, capsys, monkeypatch):
+    # flock holds per open of the store root, so two threads exclude each
+    # other as two processes do.  The first register stops inside its
+    # commit; the second must wait for it, then commit on top of it.
+    store = tmp_path / "store"
+    register_users(store, capsys)
+    entered, release = threading.Event(), threading.Event()
+    real_persist = trishare.authz.persist_db
+
+    def held_persist(db, store):
+        if threading.current_thread().name == "first":
+            entered.set()
+            release.wait(10)
+        real_persist(db, store)
+
+    monkeypatch.setattr(trishare.authz, "persist_db", held_persist)
+    codes = {}
+
+    def register(uid):
+        codes[uid] = cli_dispatch(["register", "--store", str(store), "--user-id",
+                                   uid, "--type", "consumer", "--credentials", "c"])
+
+    first = threading.Thread(target=register, args=("dave",), name="first")
+    second = threading.Thread(target=register, args=("erin",), name="second")
+    try:
+        first.start()
+        assert entered.wait(10)
+        second.start()
+        second.join(0.2)
+        waited = second.is_alive()
+    finally:
+        release.set()
+        first.join(10)
+        second.join(10)
+    assert not first.is_alive() and not second.is_alive()
+    assert waited and codes == {"dave": 0, "erin": 0}
+    users = json.loads((store / "policy.json").read_text())["users"]
+    assert [u["user_id"] for u in users] == ["alice", "bob", "dave", "erin", "olivia"]
+
+
 def test_legacy_acl_backup_is_left_in_place(tmp_path, capsys):
     # Older stores hold acl-backup.json, a copy of policy.json written on
     # grant and revoke.  Nothing reads, rewrites or deletes it now.
@@ -1097,6 +1160,34 @@ def test_request_streams_to_stdout(tmp_path, child_env):
         check=True, cwd=tmp_path, capture_output=True, env=child_env,
     )
     assert fetched.stdout == body
+
+
+def test_concurrent_registers_keep_every_user(tmp_path, capsys, child_env):
+    store = tmp_path / "store"
+    rc, _, _ = run_cli(["register", "--store", str(store), "--user-id", "olivia",
+                        "--type", "owner", "--credentials", "c"], capsys)
+    assert rc == 0
+    # Each process runs five registers; its exit code is the worst of them.
+    script = ("import sys\n"
+              "from trishare.cli import cli_dispatch\n"
+              "store, prefix = sys.argv[1:]\n"
+              "sys.exit(max(cli_dispatch(['register', '--store', store, '--user-id',\n"
+              "                           f'{prefix}-{i}', '--type', 'consumer',\n"
+              "                           '--credentials', 'c']) for i in range(5)))\n")
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(store), f"w{w}"],
+                              cwd=tmp_path, env=child_env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE)
+             for w in range(4)]
+    try:
+        errors = [proc.communicate(timeout=60)[1] for proc in procs]
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert [proc.returncode for proc in procs] == [0] * 4, errors
+    users = json.loads((store / "policy.json").read_text())["users"]
+    assert len(users) == 21
 
 
 def test_cli_import_leaves_numpy_out(tmp_path, child_env):

@@ -298,6 +298,35 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, step):
     assert store.get_object("k") == b"old"
 
 
+def test_store_lock_is_shared_or_exclusive_on_the_root(tmp_path):
+    fcntl = pytest.importorskip("fcntl")
+    root = tmp_path / "store"
+    root.mkdir()
+    store = ObjectStore(root)
+
+    def probe(operation):
+        """Could another open of the root take `operation` now?"""
+        fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            fcntl.flock(fd, operation | fcntl.LOCK_NB)
+            return True
+        except BlockingIOError:
+            return False
+        finally:
+            os.close(fd)
+
+    with store.lock(exclusive=False), store.lock(exclusive=False):
+        assert probe(fcntl.LOCK_SH) and not probe(fcntl.LOCK_EX)
+    with store.lock(exclusive=True):
+        assert not probe(fcntl.LOCK_SH)
+    assert probe(fcntl.LOCK_EX)
+    assert list(root.iterdir()) == []
+    # A missing root is not locked, and nothing is created for it.
+    with ObjectStore(tmp_path / "typo" / "store").lock(exclusive=True):
+        pass
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+
 def test_failed_sidecar_write_names_the_sidecar(tmp_path, monkeypatch):
     store = ObjectStore(tmp_path / "store")
     persist_db(PolicyDb(), store)
