@@ -25,6 +25,9 @@ sidecar verifies them: a lookup is a binary search over the user or
 grant blocks, which db_to_json writes sorted by id, and parses only the
 block it finds; a commit splices the assigned blocks between slices of
 the untouched ones and streams the pieces to disk and to SHA-256.
+The process keeps the pieces of the last policy it verified or
+committed, with their digest, so a load that reads those same bytes
+again compares them in place instead of hashing them.
 """
 
 from __future__ import annotations
@@ -677,6 +680,27 @@ def _digest(pieces: Sequence[bytes]) -> bytes:
     return sha.hexdigest().encode("ascii") + b"\n"
 
 
+#: (pieces, the digest line of their join) for the last policy this
+#: process verified or committed, or None: load_db skips the SHA-256 of
+#: bytes equal to those pieces.  Such a pair is true of the bytes it
+#: names wherever they are read, so it is never stale, only unused.
+_kept: "Tuple[Sequence[bytes], bytes] | None" = None
+
+
+def _kept_digest(data: bytes) -> "bytes | None":
+    """The kept digest line if data is the join of the kept pieces, each
+    compared where it lies in data, with no copy; else None."""
+    kept = _kept
+    if kept is None:
+        return None
+    pos = 0
+    for piece in kept[0]:
+        if not data.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    return kept[1] if pos == len(data) else None
+
+
 def persist_db(db: PolicyDb, store: ObjectStore) -> None:
     """Commit policy.json and its digest sidecar, the same for every
     command: the policy's temp file is fsynced, the sidecar overwritten
@@ -688,23 +712,35 @@ def persist_db(db: PolicyDb, store: ObjectStore) -> None:
     The policy is spliced, not rebuilt: its pieces (see _policy_pieces)
     are streamed into the file and hashed as they are, with no copy of
     the whole text."""
+    global _kept
     pieces = _policy_pieces(db)
+    digest = _digest(pieces)
     store.write_text(POLICY_FILENAME, pieces,
-                     cache=(POLICY_DIGEST_FILENAME, _digest(pieces)))
+                     cache=(POLICY_DIGEST_FILENAME, digest))
+    _kept = (pieces, digest)
 
 
 def load_db(store: ObjectStore) -> PolicyDb:
     """Load policy.json from the store root; CorruptPolicy if unreadable.
 
-    The file is read once, as bytes.  When the sidecar holds their
-    digest, persist_db wrote them, and they become the db's working copy
-    (see Blocks); a missing or stale sidecar only costs a full parse.
+    The file and its sidecar are read on every call, the file once, as
+    bytes.  When the sidecar holds their digest, persist_db wrote them,
+    and they become the db's working copy (see Blocks); a missing or
+    stale sidecar only costs a full parse.  Bytes equal to the policy
+    this process last verified or committed take its kept digest
+    instead of a SHA-256: equal bytes have equal digests, so every load
+    decides as if it had hashed them.
     """
+    global _kept
     data = store.read_bytes(POLICY_FILENAME)
     try:
         sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
     except Error:  # absent or unreadable: it is only a cache
         sidecar = b""
-    if sidecar == _digest([data]):
+    digest = _kept_digest(data)
+    if digest is None:
+        digest = _digest([data])
+    if sidecar == digest:
+        _kept = ([data], digest)
         return _sliced_db(data)
     return db_from_json(data)

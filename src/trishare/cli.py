@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 operation failure (any trishare Error),
-2 usage error (argparse).  Every subcommand accepts --json for
-machine-readable output on stdout.  `request` without --out writes the
-plaintext to stdout, so `request --json` needs --out (exit 1 otherwise).
+2 usage error (argparse).  Every subcommand but `batch` accepts --json
+for machine-readable output on stdout.  `request` without --out writes
+the plaintext to stdout, so `request --json` needs --out (exit 1
+otherwise).  `batch` runs one command per stdin line in this process
+and writes one JSON line per command.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import secrets as _secrets
 import sys
@@ -20,7 +24,7 @@ from .cipher import CipherKey, Mode, open_file, seal_file
 from .errors import Error
 from .field import FieldModulus, M61, default_modulus, modulus_for
 from .interpolate import ReconstructionInput, reconstruct_secret
-from .sharing import EncryptedShare, SharePoint, split_secret
+from .sharing import EncryptedShare, SharePoint, read_json, split_secret
 from .storage import NotFound, ObjectStore, decode_envelope, encode_envelope
 
 
@@ -135,11 +139,13 @@ def _cmd_register(args) -> int:
     except UnicodeEncodeError as exc:
         raise Error("--credentials is not UTF-8 text") from exc
     store = _store(args)
+    modulus = _modulus(args)  # a bad --p fails before the root is made
+    store.create_root()  # so that the first register locks it too
     with store.lock(exclusive=True):
         try:
             db = authz.load_db(store)
         except NotFound:
-            db = authz.PolicyDb(modulus=_modulus(args))
+            db = authz.PolicyDb(modulus=modulus)
         else:
             if args.p is not None and args.p != db.modulus.p:
                 raise Error(f"--p {args.p} differs from the store's p = {db.modulus.p}")
@@ -193,6 +199,9 @@ def _cmd_revoke(args) -> int:
 def _cmd_request(args) -> int:
     if args.json and not args.outfile:
         raise Error("--json needs --out: the plaintext would go to stdout")
+    if _in_batch and not args.outfile:
+        raise Error("a request in a batch needs --out: the plaintext would "
+                    "go into the batch's JSON")
     store = _store(args)
     # Shared: a re-grant still rewrites the envelope this request reads.
     with store.lock(exclusive=False):
@@ -214,6 +223,52 @@ def _cmd_request(args) -> int:
     else:
         sys.stdout.buffer.write(plaintext)
     return 0
+
+
+#: True while `batch` runs its lines.  It redirects sys.stdout and
+#: sys.stderr, so one batch runs at a time in a process.
+_in_batch = False
+
+
+def _batch_argv(doc) -> List[str]:
+    if not (isinstance(doc, list) and all(isinstance(arg, str) for arg in doc)):
+        raise TypeError("expected an array of strings")
+    return doc
+
+
+def _batch_line(line: bytes) -> dict:
+    """Run one batch line through cli_dispatch: its argv, exit status,
+    stdout and stderr.  A usage error or --help is the status argparse
+    exits with; a line that is not an array of strings is status 1."""
+    try:
+        argv = read_json(line, _batch_argv, "batch line", Error)
+    except Error as exc:
+        return {"command": None, "status": 1, "stdout": "",
+                "stderr": f"error: {exc}\n"}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli_dispatch(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return {"command": argv[0] if argv else None, "status": status,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _cmd_batch(args) -> int:
+    global _in_batch
+    if _in_batch:
+        raise Error("a batch cannot run inside a batch")
+    failed = False
+    _in_batch = True
+    try:
+        for line in sys.stdin.buffer:
+            result = _batch_line(line)
+            failed |= result["status"] != 0
+            print(json.dumps(result), flush=True)
+    finally:
+        _in_batch = False
+    return 1 if failed else 0
 
 
 # verify-example and bench import trishare.bench on first use, so the
@@ -365,6 +420,16 @@ def _request_args(s: argparse.ArgumentParser) -> None:
     s.set_defaults(fn=_cmd_request)
 
 
+def _batch_args(s: argparse.ArgumentParser) -> None:
+    # No --store: each line names its own, as it would run alone.  No
+    # --json: the output is JSON lines.
+    s.description = (
+        "Run each stdin line, a JSON array of arguments, as trishare would "
+        "run it alone, and write one JSON line per line read: command, "
+        "status, stdout and stderr.  Exit 1 if any line failed.")
+    s.set_defaults(fn=_cmd_batch)
+
+
 def _verify_example_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
     s.set_defaults(fn=_cmd_verify_example)
@@ -421,6 +486,8 @@ _COMMANDS = {
     "verify-example": ("check the pinned worked example, exit 1 on mismatch",
                        _verify_example_args),
     "bench": ("benchmarks and storage models", _BENCH_COMMANDS),
+    "batch": ("run one JSON array of arguments per stdin line",
+              _batch_args),
 }
 
 

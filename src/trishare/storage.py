@@ -27,7 +27,9 @@ a miss.  A new file is created mode 0600; a rewrite keeps its mode.
 Opening a store creates nothing, so a mistyped path fails a read without
 leaving a skeleton behind: the first write makes the directories it
 writes into and fsyncs the parent of each.  ObjectStore.lock serializes
-the commands on one store with flock on its root directory.
+the commands on one store with flock on its root directory; a command
+that may create the store calls ObjectStore.create_root first, so that
+there is a root to lock.
 """
 
 from __future__ import annotations
@@ -151,13 +153,24 @@ class ObjectStore:
         """Read a root-level file; NotFound if absent."""
         return _read(self.root / filename)
 
+    def create_root(self) -> None:
+        """Make the root and its missing parents, each fsynced into its
+        parent, unless the root is already a directory."""
+        try:
+            made = _make_dirs(self.root)
+        except OSError as exc:
+            raise IoFailure(f"cannot create {self.root}: {exc}") from exc
+        for new_dir in made:
+            _fsync_dir(new_dir.parent, f"{new_dir} was created")
+
     @contextlib.contextmanager
     def lock(self, exclusive: bool) -> Iterator[None]:
         """Hold flock on the store root, exclusive or shared, for the
         with-block.  It adds no file to the store, and a missing root is
         not locked: nothing is created, so two commands that both create
-        a store are not serialized.  POSIX only (fcntl is imported here,
-        so the package still imports without it)."""
+        a store are serialized only if each calls create_root first.
+        POSIX only (fcntl is imported here, so the package still imports
+        without it)."""
         import fcntl
         try:
             fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)

@@ -47,7 +47,8 @@ TESTS = {
     "cipher": ["tests/test_cipher.py"],
     "interpolate": ["tests/test_interpolate.py"],
     "sharing": ["tests/test_sharing.py", "tests/test_decoder_fuzz.py"],
-    "cli": ["tests/test_cli.py", "tests/test_cli_pinned_usage.py"],
+    "cli": ["tests/test_cli.py", "tests/test_cli_pinned_usage.py",
+            "tests/test_batch.py"],
     "field": ["tests/test_field.py", "tests/test_interpolate.py"],
     # the files that pin FNV outputs
     "hashing": ["tests/test_cipher.py", "tests/test_sharing.py",

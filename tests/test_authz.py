@@ -1308,3 +1308,145 @@ def test_sliced_and_full_loads_write_the_same_bytes(p, ids, file_ids, ops):
                 _run_policy_command(full, op, ids, file_ids)
             assert (sliced.read_bytes(POLICY_FILENAME)
                     == full.read_bytes(POLICY_FILENAME)), (step, op)
+
+
+# ---------------------------------------------------------------- kept policy
+#
+# load_db skips the SHA-256 of bytes equal to the policy this process
+# last verified or committed; every load must decide as one that hashed.
+
+def _policy_outcome(store):
+    """What a load gives: p and every record, or the typed error."""
+    try:
+        db = load_db(store)
+        return (db.modulus.p, [(uid, db.users[uid]) for uid in db.users],
+                [(fid, db.grants[fid]) for fid in db.grants])
+    except trishare.Error as exc:
+        return type(exc), str(exc)
+
+
+def _set_hex_digit(data, rng):
+    """A same-length edit: one digit of a hex value set to another."""
+    starts = [i for i in range(len(data) - 12) if data.startswith(b'_hex": "', i)]
+    if not starts:  # an edit left no hex value: the bytes are rewritten as they are
+        return data
+    at = rng.choice(starts) + 8 + rng.randrange(4)
+    digit = rng.choice([d for d in b"0123456789abcdef" if d != data[at]])
+    return data[:at] + bytes([digit]) + data[at + 1:]
+
+
+def _outside_edit(store, kind, rng, committed):
+    """Change the policy or its sidecar as another writer or a crash
+    would, past persist_db."""
+    policy = store.root / POLICY_FILENAME
+    sidecar = store.root / POLICY_DIGEST_FILENAME
+    data = policy.read_bytes()
+    digest = trishare.authz._digest
+    if kind == "flip":  # any byte, the sidecar re-matched
+        at = rng.randrange(len(data))
+        data = data[:at] + bytes([data[at] ^ 1 << rng.randrange(7)]) + data[at + 1:]
+        policy.write_bytes(data)
+        sidecar.write_bytes(digest([data]))
+    elif kind == "same-length":  # sidecar re-matched, or left stale
+        data = _set_hex_digit(data, rng)
+        policy.write_bytes(data)
+        if rng.random() < 0.5:
+            sidecar.write_bytes(digest([data]))
+    elif kind == "appended":  # one more byte, the sidecar re-matched
+        data += rng.choice([b"\n", b" ", b"}"])
+        policy.write_bytes(data)
+        sidecar.write_bytes(digest([data]))
+    elif kind == "stale":
+        sidecar.write_bytes(digest([rng.choice(committed)]))
+    elif kind == "torn":
+        sidecar.write_bytes(digest([data])[:rng.randrange(65)])
+    elif kind == "deleted":
+        sidecar.unlink(missing_ok=True)
+    else:  # an earlier or the "last" commit, put back with its sidecar
+        data = committed[-1] if kind == "last" else rng.choice(committed)
+        policy.write_bytes(data)
+        sidecar.write_bytes(digest([data]))
+
+
+_EDITS = ["flip", "same-length", "appended", "stale", "torn", "deleted",
+          "restored", "last"]
+_IDS = ["olivia", "carol", "chuck", "cindy", "caleb", 'q"uote']
+_FILE_IDS = ["f", "g", "h\u2028", "i"]
+# Each edit twice after a commit, then that commit put back.
+_FIXED_STEPS = ([("register", 0, 1), ("register", 1, 2), ("register", 2, 3),
+                 ("grant", 0, 7), ("grant", 1, 3)]
+                + [step for kind in _EDITS
+                   for step in (("grant", 2, 5), kind, kind, "last",
+                                ("revoke", 0, 1))])
+
+
+def _kept_and_fresh_loads_agree(store, steps, seed):
+    """Run steps, each a policy command or an outside edit, and after
+    each compare a load with the kept record against one after the record
+    is reset.  Returns the steps after which the first load hashed."""
+    rng, committed, hashed_after = random.Random(seed), [], []
+    db = PolicyDb()
+    register_user(db, UserRecord(_IDS[0], UserType.OWNER, b"cred-owner"))
+    persist_db(db, store)
+    for step, op in enumerate(steps):
+        if isinstance(op, tuple):
+            with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
+                try:
+                    _run_policy_command(store, op, _IDS, _FILE_IDS)
+                except trishare.Error:
+                    pass  # an edit it refuses leaves the policy as it was
+            committed.append(store.read_bytes(POLICY_FILENAME))
+        else:
+            _outside_edit(store, op, rng, committed or [b"{}"])
+        with mock.patch.object(trishare.authz, "_digest",
+                               wraps=trishare.authz._digest) as hashed:
+            kept = _policy_outcome(store)
+        if hashed.call_count:
+            hashed_after.append(op)
+        after = trishare.authz._kept
+        trishare.authz._kept = None
+        assert kept == _policy_outcome(store), (seed, step, op)
+        trishare.authz._kept = after
+    return hashed_after
+
+
+def test_kept_record_decides_every_fixed_edit_as_a_hash(tmp_path, monkeypatch):
+    monkeypatch.setattr(trishare.authz, "_kept", None)
+    hashed_after = _kept_and_fresh_loads_agree(
+        ObjectStore(tmp_path / "store"), _FIXED_STEPS, 0)
+    # Only an edit that changed the bytes costs a hash: never a command's
+    # own reload, nor a sidecar edit beside the bytes last verified.
+    assert set(hashed_after) == {"flip", "same-length", "appended", "restored",
+                                 "last"}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kept_record_decides_random_edits_as_a_hash(tmp_path, monkeypatch, seed):
+    monkeypatch.setattr(trishare.authz, "_kept", None)
+    rng = random.Random(f"steps-{seed}")
+    steps = [rng.choice(_EDITS) if rng.random() < 0.4
+             else (rng.choice(["register", "grant", "grant", "revoke"]),
+                   rng.randrange(64), rng.randrange(64))
+             for _ in range(30)]
+    hashed_after = _kept_and_fresh_loads_agree(
+        ObjectStore(tmp_path / "store"), steps, seed)
+    assert 0 < len(hashed_after) < len(steps)
+
+
+def test_a_reload_of_kept_bytes_hashes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(trishare.authz, "_kept", None, raising=False)
+    db, store, _ = granted(tmp_path)
+    persist_db(db, store)
+    policy = tmp_path / "store" / POLICY_FILENAME
+    with mock.patch.object(trishare.authz, "_digest",
+                           wraps=trishare.authz._digest) as hashed:
+        assert load_db(store) == db  # right after its commit
+        assert hashed.call_count == 0
+        assert load_db(store) == db  # bytes it has verified
+        assert hashed.call_count == 0
+        data = policy.read_bytes()
+        at = data.index(b'"salt_hex": "') + 13
+        digit = b"1" if data[at:at + 1] == b"0" else b"0"
+        policy.write_bytes(data[:at] + digit + data[at + 1:])
+        load_db(store)  # a one-byte outside change, sidecar now stale
+        assert hashed.call_count == 1

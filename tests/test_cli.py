@@ -263,6 +263,7 @@ VALID_ARGVS = [
     ["bench", "encrypt", "--sizes", "64", "--reps=1"],
     ["bench", "attrs", "--k", "2,3", "--n-u", "5", "--csv", "out.csv"],
     ["bench", "storage", "--n", "3", "--element-bits=128"],
+    ["batch"],
 ]
 
 
@@ -619,7 +620,9 @@ def test_register_modulus_sets_a_new_store(tmp_path, capsys):
     ["grant", "--file-id", "f", "--owner", "olivia", "--consumers", "alice",
      "--in", "BODY"],
     ["revoke", "--file-id", "f", "--user", "alice"],
-], ids=["request", "grant", "revoke"])
+    ["register", "--user-id", "olivia", "--type", "owner", "--credentials",
+     "c", "--p", "4"],
+], ids=["request", "grant", "revoke", "register-bad-p"])
 def test_policy_command_on_a_missing_store_creates_nothing(tmp_path, capsys, argv):
     body = tmp_path / "f.bin"
     body.write_bytes(b"body")
@@ -815,12 +818,10 @@ def test_a_command_renders_only_the_blocks_it_assigns(tmp_path, capsys):
         assert (user_json.call_count, grant_json.call_count) == (users, grants), argv
 
 
-def test_a_policy_command_waits_for_one_in_progress(tmp_path, capsys, monkeypatch):
-    # flock holds per open of the store root, so two threads exclude each
-    # other as two processes do.  The first register stops inside its
-    # commit; the second must wait for it, then commit on top of it.
-    store = tmp_path / "store"
-    register_users(store, capsys)
+def held_registers(store, monkeypatch):
+    """Register dave in a thread held inside its commit, then erin in a
+    second thread.  Returns whether erin's thread was still running 0.2 s
+    later, and both exit codes."""
     entered, release = threading.Event(), threading.Event()
     real_persist = trishare.authz.persist_db
 
@@ -850,9 +851,30 @@ def test_a_policy_command_waits_for_one_in_progress(tmp_path, capsys, monkeypatc
         first.join(10)
         second.join(10)
     assert not first.is_alive() and not second.is_alive()
+    return waited, codes
+
+
+def test_a_policy_command_waits_for_one_in_progress(tmp_path, capsys, monkeypatch):
+    # flock holds per open of the store root, so two threads exclude each
+    # other as two processes do.  The first register stops inside its
+    # commit; the second must wait for it, then commit on top of it.
+    store = tmp_path / "store"
+    register_users(store, capsys)
+    waited, codes = held_registers(store, monkeypatch)
     assert waited and codes == {"dave": 0, "erin": 0}
     users = json.loads((store / "policy.json").read_text())["users"]
     assert [u["user_id"] for u in users] == ["alice", "bob", "dave", "erin", "olivia"]
+
+
+def test_first_registers_on_a_missing_store_wait_for_each_other(tmp_path,
+                                                                monkeypatch):
+    # register makes the root before it locks, so the two commands that
+    # create a store are serialized like any others.
+    store = tmp_path / "new" / "store"
+    waited, codes = held_registers(store, monkeypatch)
+    assert waited and codes == {"dave": 0, "erin": 0}
+    users = json.loads((store / "policy.json").read_text())["users"]
+    assert [u["user_id"] for u in users] == ["dave", "erin"]
 
 
 def test_legacy_acl_backup_is_left_in_place(tmp_path, capsys):

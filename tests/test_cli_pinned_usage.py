@@ -17,7 +17,7 @@ GOLDEN = Path(__file__).resolve().parent / "cli_pinned_usage.json"
 
 SUBCOMMANDS = ["keygen", "encrypt", "decrypt", "split", "reconstruct",
                "register", "grant", "revoke", "request", "verify-example",
-               "bench"]
+               "bench", "batch"]
 BENCH_SUBCOMMANDS = ["encrypt", "attrs", "storage"]
 
 COMMANDS = {
@@ -50,6 +50,8 @@ COMMANDS = {
     "help-before-subcommand": ["-h", "grant"],
     "ambiguous-abbreviation": ["request", "--o", "1:2"],
     "refused-abbreviation-bench-storage": ["bench", "storage", "--pair", "5"],
+    # Each batch line names its own store.
+    "refused-store-batch": ["batch", "--store", "s"],
 }
 
 
