@@ -6,12 +6,17 @@ for machine-readable output on stdout.  `request` without --out writes
 the plaintext to stdout, so `request --json` needs --out (exit 1
 otherwise).  `batch` runs one command per stdin line in this process
 and writes one JSON line per command.
+
+Each command path has one parser, built the first time the process
+sees that command and kept; the handler is found when the command
+runs, by name, not stored in the parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import secrets as _secrets
@@ -346,7 +351,6 @@ def _add_common(sub: argparse.ArgumentParser, modulus: bool = False,
 
 def _keygen_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
-    s.set_defaults(fn=_cmd_keygen)
 
 
 def _encrypt_args(s: argparse.ArgumentParser) -> None:
@@ -356,7 +360,6 @@ def _encrypt_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--key", type=int, required=True, help="key value a")
     s.add_argument("--mode", default="additive", help="additive|power")
     s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
-    s.set_defaults(fn=_cmd_encrypt)
 
 
 def _decrypt_args(s: argparse.ArgumentParser) -> None:
@@ -364,7 +367,6 @@ def _decrypt_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", dest="outfile", required=True)
     s.add_argument("--key", type=int, required=True)
-    s.set_defaults(fn=_cmd_decrypt)
 
 
 def _split_args(s: argparse.ArgumentParser) -> None:
@@ -373,14 +375,12 @@ def _split_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--coeffs", type=_parse_int_list, required=True,
                    help="comma-separated a1,a2,... (threshold = count + 1)")
     s.add_argument("--n-users", type=int, required=True)
-    s.set_defaults(fn=_cmd_split)
 
 
 def _reconstruct_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
     s.add_argument("--points", type=_parse_points, required=True,
                    help="x:y,x:y,x:y")
-    s.set_defaults(fn=_cmd_reconstruct)
 
 
 def _register_args(s: argparse.ArgumentParser) -> None:
@@ -388,7 +388,6 @@ def _register_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--user-id", required=True)
     s.add_argument("--type", required=True, choices=[t.value for t in authz.UserType])
     s.add_argument("--credentials", required=True)
-    s.set_defaults(fn=_cmd_register)
 
 
 def _grant_args(s: argparse.ArgumentParser) -> None:
@@ -399,14 +398,12 @@ def _grant_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--mode", default="additive")
     s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
-    s.set_defaults(fn=_cmd_grant)
 
 
 def _revoke_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, store=True)
     s.add_argument("--file-id", required=True)
     s.add_argument("--user", required=True)
-    s.set_defaults(fn=_cmd_revoke)
 
 
 def _request_args(s: argparse.ArgumentParser) -> None:
@@ -417,7 +414,6 @@ def _request_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--share", default=None,
                    help="path to a share-record JSON (defaults to the stored one)")
     s.add_argument("--out", dest="outfile", default=None)
-    s.set_defaults(fn=_cmd_request)
 
 
 def _batch_args(s: argparse.ArgumentParser) -> None:
@@ -427,12 +423,10 @@ def _batch_args(s: argparse.ArgumentParser) -> None:
         "Run each stdin line, a JSON array of arguments, as trishare would "
         "run it alone, and write one JSON line per line read: command, "
         "status, stdout and stderr.  Exit 1 if any line failed.")
-    s.set_defaults(fn=_cmd_batch)
 
 
 def _verify_example_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True)
-    s.set_defaults(fn=_cmd_verify_example)
 
 
 def _bench_encrypt_args(s: argparse.ArgumentParser) -> None:
@@ -443,7 +437,6 @@ def _bench_encrypt_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--n", type=int, help="power-mode exponent (default 2)")
     s.add_argument("--reps", type=int, help="timed repetitions per row")
     s.add_argument("--csv", default=None, help="also write CSV to this path")
-    s.set_defaults(fn=_cmd_bench_encrypt)
 
 
 def _bench_attrs_args(s: argparse.ArgumentParser) -> None:
@@ -453,7 +446,6 @@ def _bench_attrs_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--n-users", type=int, default=24)
     s.add_argument("--reps", type=int, help="timed repetitions per row")
     s.add_argument("--csv", default=None)
-    s.set_defaults(fn=_cmd_bench_attrs)
 
 
 def _bench_storage_args(s: argparse.ArgumentParser) -> None:
@@ -464,7 +456,6 @@ def _bench_storage_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--tc", type=int, default=10, help="policy attribute count")
     s.add_argument("--element-bits", type=int, default=256)
     s.add_argument("--pairing-bits", type=int, default=512)
-    s.set_defaults(fn=_cmd_bench_storage)
 
 
 _BENCH_COMMANDS = {
@@ -503,39 +494,62 @@ def _add_subcommands(parser: argparse.ArgumentParser, dest: str,
             add_arguments(sub)
 
 
-def build_parser(argv: "Sequence[str] | None" = None) -> argparse.ArgumentParser:
-    """The parser for `argv`: the named command's own parser (prog
-    "trishare" plus the names), which parses what follows the names as the
-    whole tree would; else (no argv, help first, an unknown name) the tree."""
-    table, dest, names = _COMMANDS, "command", {}
-    for name in argv or ():
-        if name not in table:
-            break
-        names[dest], (_, add_arguments) = name, table[name]
-        if not isinstance(add_arguments, dict):
-            parser = argparse.ArgumentParser(prog=" ".join(["trishare", *names.values()]))
-            add_arguments(parser)
-            parser.set_defaults(**names)
-            return parser
+@functools.lru_cache(maxsize=None)
+def _parser(names: Tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser for one path of command names, or the whole tree for
+    (); built the first time it is asked for, then kept.  build_parser
+    asks only for paths in _COMMANDS, so at most one per command plus
+    the tree is ever kept.  Reuse is safe: each parse makes a fresh
+    Namespace and leaves the parser as it was, and argparse reads the
+    terminal width, sys.stdout and sys.stderr when it prints, not here."""
+    if not names:
+        parser = argparse.ArgumentParser(prog="trishare", description=(
+            "Seal files with an involution stream cipher and split the key "
+            "across server, owner, and receivers."))
+        _add_subcommands(parser, "command", _COMMANDS)
+        return parser
+    table, dest, defaults = _COMMANDS, "command", {}
+    for name in names:
+        defaults[dest], (_, add_arguments) = name, table[name]
         table, dest = add_arguments, f"{name}_command"
-    parser = argparse.ArgumentParser(prog="trishare", description=(
-        "Seal files with an involution stream cipher and split the key "
-        "across server, owner, and receivers."))
-    _add_subcommands(parser, "command", _COMMANDS)
+    parser = argparse.ArgumentParser(prog=" ".join(["trishare", *names]))
+    add_arguments(parser)
+    parser.set_defaults(**defaults)
     return parser
 
 
+def build_parser(argv: "Sequence[str] | None" = None) -> argparse.ArgumentParser:
+    """The parser for `argv`: the named command's own parser (prog
+    "trishare" plus the names), which parses what follows the names as the
+    whole tree would; else (no argv, help first, an unknown name) the tree.
+    Each is built once per process and then reused; it holds no handler,
+    which cli_dispatch looks up from the names when it runs one."""
+    table, names = _COMMANDS, ()
+    for name in argv or ():
+        if name not in table:
+            break
+        names, table = (*names, name), table[name][1]
+        if not isinstance(table, dict):
+            return _parser(names)
+    return _parser(())
+
+
 def cli_dispatch(argv: "Sequence[str] | None" = None) -> int:
-    """Parse argv (default sys.argv[1:]) and run; returns the process exit
-    code."""
+    """Parse argv (default sys.argv[1:]) and run the handler its command
+    names select, `_cmd_` plus the names joined by `_`; returns the
+    process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv)
-    args, rest = parser.parse_known_args(argv[len(parser.prog.split()) - 1:])
+    names = parser.prog.split()[1:]
+    args, rest = parser.parse_known_args(argv[len(names):])
     if rest:  # the whole tree refuses them, with its own usage line
         build_parser().parse_args(argv)
+    # Looked up now, not when the parser was built, so a replaced
+    # handler is the one that runs.
+    handler = globals()["_cmd_" + "_".join(names).replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ import pytest
 
 import trishare
 import trishare.authz
+import trishare.cli
 from trishare.cli import cli_dispatch
 
 
@@ -183,3 +184,36 @@ def test_a_policy_changed_between_lines_is_seen(tmp_path, capsys, child_env):
     assert [r["status"] for r in results] == [0, 1, 0]
     assert results[1]["stderr"] == "error: consumer 'dave' is not registered\n"
     assert results[2]["stdout"].startswith("granted f to 1 consumer(s)\n")
+
+
+def test_kept_parsers_outlive_a_usage_error_and_help(tmp_path, monkeypatch,
+                                                     capsys):
+    # A usage error and --help end in an argparse exit between two
+    # identical requests; each line prints what it prints alone, run on
+    # parsers built for it.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "memo.txt").write_bytes(b"meet at noon\n" * 40)
+    for argv in (register("s", "olivia", "owner"), register("s", "bob")):
+        assert run_alone(argv, capsys)["status"] == 0
+    granted = run_alone(["grant", "--json", "--store", "s", "--file-id", "memo",
+                         "--owner", "olivia", "--consumers", "bob", "--in",
+                         "memo.txt"], capsys)
+    point = json.loads(granted["stdout"])["owner_point"]
+
+    def request(owner_point):
+        return ["request", "--store", "s", "--file-id", "memo", "--receiver",
+                "bob", "--owner-point", owner_point, "--out", "memo.out"]
+
+    good = request(f"{point['x']}:{point['y']}")
+    argvs = [good, request("1-2"), ["request", "--help"], good]
+    alone = []
+    for argv in argvs:
+        trishare.cli._parser.cache_clear()
+        alone.append(run_alone(argv, capsys))
+    trishare.cli._parser.cache_clear()
+    rc, batched = run_batch(argvs, monkeypatch, capsys)
+    assert batched == alone
+    assert [r["status"] for r in batched] == [0, 2, 0, 0]
+    assert rc == 1
+    assert (tmp_path / "memo.out").read_bytes() == b"meet at noon\n" * 40

@@ -269,8 +269,8 @@ VALID_ARGVS = [
 
 @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
 def test_parser_for_argv_parses_like_the_whole_tree(argv, monkeypatch):
-    # Each handler, looked up when a parser is built, records the
-    # namespace cli_dispatch hands it.
+    # Each handler, looked up when cli_dispatch runs a command, records
+    # the namespace cli_dispatch hands it.
     seen = []
     for name in dir(trishare.cli):
         if name.startswith("_cmd_"):
@@ -325,6 +325,144 @@ def test_dispatch_without_argv_reads_sys_argv(monkeypatch, capsys):
     assert cli_dispatch() == 0
     assert capsys.readouterr().out.strip() == "1234"
     assert seen == [argv]
+
+
+# ---------------------------------------------------------------- kept parsers
+
+def record_handlers(monkeypatch):
+    """Replace every handler by one that records its namespace and
+    returns 0; returns the list it records into."""
+    seen = []
+    for name in dir(trishare.cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(trishare.cli, name,
+                                lambda args: seen.append(args) or 0)
+    return seen
+
+
+def command_names(argv):
+    return tuple(argv[:2]) if argv[0] == "bench" else (argv[0],)
+
+
+def fresh_tree():
+    """The whole tree, built now and not kept."""
+    return trishare.cli._parser.__wrapped__(())
+
+
+@pytest.mark.parametrize("argv", [
+    ["request", "--file-id", "f", "--receiver", "r", "--owner-point", "1:2",
+     "--out", "o"],
+    ["bench", "encrypt", "--sizes", "64"],
+], ids=" ".join)
+def test_a_command_builds_its_parser_once(argv, monkeypatch):
+    seen = record_handlers(monkeypatch)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    trishare.cli._parser.cache_clear()
+    for _ in range(50):
+        assert cli_dispatch(argv) == 0
+    assert built == [" ".join(["trishare", *command_names(argv)])]
+    assert len(seen) == 50
+
+
+# Per command: an argv that sets its optional values, then one that
+# sets none of them.
+OPTIONAL_THEN_MINIMAL = [
+    (["keygen", "--json", "--p", "97"], ["keygen"]),
+    (["encrypt", "--json", "--in", "a", "--out", "b", "--key", "5", "--mode",
+      "power", "--n", "3"], ["encrypt", "--in", "a", "--out", "b", "--key", "5"]),
+    (["decrypt", "--json", "--in", "a", "--out", "b", "--key", "5"],
+     ["decrypt", "--in", "a", "--out", "b", "--key", "5"]),
+    (["split", "--json", "--p", "97", "--secret", "5", "--coeffs", "3,4",
+      "--n-users", "3"], ["split", "--secret", "5", "--coeffs", "3",
+                          "--n-users", "2"]),
+    (["reconstruct", "--json", "--p", "97", "--points", "1:2,3:4"],
+     ["reconstruct", "--points", "1:2"]),
+    (["register", "--json", "--p", "97", "--store", "s", "--user-id", "u",
+      "--type", "owner", "--credentials", "c"],
+     ["register", "--user-id", "v", "--type", "consumer", "--credentials", "d"]),
+    (["grant", "--json", "--store", "s", "--file-id", "f", "--owner", "o",
+      "--consumers", "c", "--in", "x", "--mode", "power", "--n", "3"],
+     ["grant", "--file-id", "g", "--owner", "p", "--consumers", "d", "--in", "y"]),
+    (["revoke", "--json", "--store", "s", "--file-id", "f", "--user", "u"],
+     ["revoke", "--file-id", "g", "--user", "v"]),
+    (["request", "--json", "--store", "s", "--file-id", "f", "--receiver", "r",
+      "--owner-point", "1:2", "--share", "sh", "--out", "o"],
+     ["request", "--file-id", "g", "--receiver", "q", "--owner-point", "3:4"]),
+    (["verify-example", "--json", "--p", "97"], ["verify-example"]),
+    (["bench", "encrypt", "--json", "--sizes", "64", "--mode", "power", "--n",
+      "3", "--reps", "1", "--csv", "c"], ["bench", "encrypt"]),
+    (["bench", "attrs", "--json", "--k", "2,3", "--n-users", "5", "--reps",
+      "1", "--csv", "c"], ["bench", "attrs"]),
+    (["bench", "storage", "--json", "--n", "3", "--tc", "4", "--element-bits",
+      "128", "--pairing-bits", "256"], ["bench", "storage"]),
+    (["batch"], ["batch"]),
+]
+
+
+def test_every_command_has_an_optional_then_minimal_pair():
+    assert ([command_names(full) for full, _ in OPTIONAL_THEN_MINIMAL]
+            == [command_names(argv) for argv in VALID_ARGVS])
+    assert all(command_names(full) == command_names(minimal)
+               for full, minimal in OPTIONAL_THEN_MINIMAL)
+
+
+@pytest.mark.parametrize("full, minimal", OPTIONAL_THEN_MINIMAL,
+                         ids=[" ".join(m) for _, m in OPTIONAL_THEN_MINIMAL])
+def test_a_kept_parser_carries_nothing_into_the_next_parse(full, minimal,
+                                                           monkeypatch):
+    seen = record_handlers(monkeypatch)
+    assert cli_dispatch(full) == 0
+    assert cli_dispatch(minimal) == 0
+    first, second = seen
+    assert vars(second) == vars(fresh_tree().parse_args(minimal))
+    assert vars(first) == vars(fresh_tree().parse_args(full))
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--points", "2:1942,4:3402,5:4414"],
+    ["bench", "storage", "--n", "2", "--tc", "2"],
+], ids=" ".join)
+def test_a_handler_replaced_after_its_parser_is_kept_runs(argv, monkeypatch,
+                                                          capsys):
+    assert cli_dispatch(argv) == 0  # builds and keeps the parser
+    assert capsys.readouterr().out != ""
+    seen = record_handlers(monkeypatch)
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert [vars(args) for args in seen] == [vars(fresh_tree().parse_args(argv))]
+
+
+def usage_at(columns, argv, monkeypatch, capsys):
+    """What a command that argparse ends prints at a terminal width."""
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as info:
+        cli_dispatch(argv)
+    out, err = capsys.readouterr()
+    return {"rc": info.value.code, "stdout": out, "stderr": err}
+
+
+@pytest.mark.parametrize("name", ["help", "help-request", "help-bench-encrypt",
+                                  "malformed-owner-point",
+                                  "malformed-sizes"])
+def test_a_kept_parser_prints_at_the_width_of_the_moment(name, monkeypatch,
+                                                         capsys):
+    from test_cli_pinned_usage import COMMANDS, GOLDEN
+    argv = COMMANDS[name]
+    fresh, kept = {}, {}
+    for first, then in ((40, 80), (80, 40)):
+        trishare.cli._parser.cache_clear()
+        fresh[first] = usage_at(first, argv, monkeypatch, capsys)
+        kept[then] = usage_at(then, argv, monkeypatch, capsys)
+    assert kept == fresh
+    assert fresh[40] != fresh[80]
+    assert fresh[80] == json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
 
 
 # ---------------------------------------------------------------- worked example
