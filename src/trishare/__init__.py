@@ -32,14 +32,14 @@ from .interpolate import (DuplicateAbscissa, NotEnoughPoints,
                           ReconstructionInput, reconstruct_polynomial,
                           reconstruct_secret, verify_binding)
 from .storage import (HEADER_BYTES, IoFailure, NotFound, ObjectStore,
-                      POLICY_FILENAME, Truncated, decode_envelope,
-                      encode_envelope, object_key)
-from .authz import (BindingMismatch, CorruptPolicy, DuplicateUser,
-                    FileGrant, InsufficientPoints, InvalidFileId, NoConsumers,
-                    NotGranted, PolicyDb, RoleMismatch, THRESHOLD,
-                    UnknownFile, UnknownOwner, UnknownUser, UserRecord, UserType,
-                    db_from_json, db_to_json, grant_access, load_db,
-                    persist_db, register_user, request_decrypt, revoke_user,
+                      Truncated, decode_envelope, encode_envelope, object_key)
+from .policy import (POLICY_FILENAME, CorruptPolicy, FileGrant, PolicyDb,
+                     UserRecord, UserType, db_from_json, db_to_json, load_db,
+                     persist_db)
+from .authz import (BindingMismatch, DuplicateUser, InsufficientPoints,
+                    InvalidFileId, NoConsumers, NotGranted, RoleMismatch,
+                    THRESHOLD, UnknownFile, UnknownOwner, UnknownUser,
+                    grant_access, register_user, request_decrypt, revoke_user,
                     update_owner_share)
 
 __version__ = "0.1.0"

@@ -19,15 +19,14 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from math import log
 from typing import Callable, List, Sequence, Tuple
 
-from .authz import (PolicyDb, UserRecord, UserType, _grant_json,
-                    grant_access, register_user)
+from .authz import grant_access, register_user
 from .cipher import Mode, derive_file_key, open_file, seal_file
 from .errors import Error
 from .field import FieldModulus, default_modulus
 from .interpolate import ReconstructionInput, reconstruct_polynomial, reconstruct_secret
+from .policy import PolicyDb, UserRecord, UserType, _grant_json
 from .sharing import SharePoint, split_secret
 from .storage import ObjectStore
 
@@ -116,11 +115,6 @@ def _fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
     den = sum((x - mean_x) ** 2 for x in xs)
     slope = num / den
     return slope, mean_y - slope * mean_x
-
-
-def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    return _fit([log(x) for x in xs], [log(y) for y in ys])[0]
 
 
 def csv_text(header: str, rows: Sequence[dict]) -> str:

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
-from . import authz
+from . import authz, policy
 from .cipher import CipherKey, Mode, open_file, seal_file
 from .errors import Error
 from .field import FieldModulus, M61, default_modulus, modulus_for
@@ -148,17 +148,17 @@ def _cmd_register(args) -> int:
     store.create_root()  # so that the first register locks it too
     with store.lock(exclusive=True):
         try:
-            db = authz.load_db(store)
+            db = policy.load_db(store)
         except NotFound:
-            db = authz.PolicyDb(modulus=modulus)
+            db = policy.PolicyDb(modulus=modulus)
         else:
             if args.p is not None and args.p != db.modulus.p:
                 raise Error(f"--p {args.p} differs from the store's p = {db.modulus.p}")
-        record = authz.UserRecord(user_id=args.user_id,
-                                  user_type=authz.UserType(args.type),
-                                  credentials=credentials)
+        record = policy.UserRecord(user_id=args.user_id,
+                                   user_type=policy.UserType(args.type),
+                                   credentials=credentials)
         authz.register_user(db, record)
-        authz.persist_db(db, store)
+        policy.persist_db(db, store)
     _emit(args, {"registered": args.user_id, "type": args.type},
           [f"registered {args.user_id} as {args.type}"])
     return 0
@@ -168,12 +168,12 @@ def _cmd_grant(args) -> int:
     mode, n = _mode_and_n(args)
     store = _store(args)
     with store.lock(exclusive=True):
-        db = authz.load_db(store)
+        db = policy.load_db(store)
         consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
         data = Path(args.infile).read_bytes()
         owner_share = authz.grant_access(
             db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
-        authz.persist_db(db, store)
+        policy.persist_db(db, store)
     grant = db.grants[args.file_id]
     payload = {"file_id": args.file_id,
                "owner_point": {"x": owner_share.x, "y": owner_share.y},
@@ -190,9 +190,9 @@ def _cmd_grant(args) -> int:
 def _cmd_revoke(args) -> int:
     store = _store(args)
     with store.lock(exclusive=True):
-        db = authz.load_db(store)
+        db = policy.load_db(store)
         deltas = authz.revoke_user(db, args.file_id, args.user)
-        authz.persist_db(db, store)
+        policy.persist_db(db, store)
     delta_text = ",".join(str(d) for d in deltas)
     _emit(args, {"file_id": args.file_id, "revoked": args.user,
                  "owner_deltas": list(deltas)},
@@ -210,7 +210,7 @@ def _cmd_request(args) -> int:
     store = _store(args)
     # Shared: a re-grant still rewrites the envelope this request reads.
     with store.lock(exclusive=False):
-        db = authz.load_db(store)
+        db = policy.load_db(store)
         receiver = db.users.get(args.receiver)
         if receiver is None:
             raise authz.UnknownUser(f"receiver {args.receiver!r} is not registered")
@@ -386,7 +386,7 @@ def _reconstruct_args(s: argparse.ArgumentParser) -> None:
 def _register_args(s: argparse.ArgumentParser) -> None:
     _add_common(s, modulus=True, store=True)
     s.add_argument("--user-id", required=True)
-    s.add_argument("--type", required=True, choices=[t.value for t in authz.UserType])
+    s.add_argument("--type", required=True, choices=[t.value for t in policy.UserType])
     s.add_argument("--credentials", required=True)
 
 

@@ -10,26 +10,26 @@ bytes, or a short payload are all rejected, so encode/decode is a
 bijection on valid envelopes.
 
 The store maps hex(fnv1a64(file_id || ":0")) to blobs under
-<root>/objects/ and keeps root-level text files beside that directory:
-policy.json and its digest sidecar policy.json.sha256.
-A missing or stale sidecar only costs the next load a full parse of
-policy.json.  Every read goes to disk and nothing is cached.
+<root>/objects/ and keeps root-level files beside that directory, which
+its callers name and format (trishare.policy keeps the policy and its
+sidecar there).  Every read goes to disk and nothing is cached.
 
 Every write commits one file (see _atomic_write), given as pieces
 (bytes or memoryviews) that a disk store streams to a temp file and never
-joins: a policy commit passes slices of the policy it loaded, an envelope
-its header and its payload.  The temp file is fsynced and renamed into
-place, so a reader never observes a half-written object or policy and a
-failed write leaves the target as it was.  A policy commit overwrites its
-digest sidecar in place, unsynced, just before that rename: after a crash
-the sidecar may be stale, torn or one commit ahead, which a load takes as
-a miss.  A new file is created mode 0600; a rewrite keeps its mode.
-Opening a store creates nothing, so a mistyped path fails a read without
-leaving a skeleton behind: the first write makes the directories it
-writes into and fsyncs the parent of each.  ObjectStore.lock serializes
-the commands on one store with flock on its root directory; a command
-that may create the store calls ObjectStore.create_root first, so that
-there is a root to lock.
+joins: a root-level file may pass slices of the bytes it loaded, an
+envelope its header and its payload.  The temp file is fsynced and
+renamed into place, so a reader never observes a half-written file and a
+failed write leaves the target as it was.  A root-level write may also
+overwrite a cache file in place, unsynced, just before that rename:
+after a crash the cache may be stale, torn or one commit ahead, so its
+reader must take it as a hint.  A new file is created mode 0600; a
+rewrite keeps its mode.  Opening a store creates nothing, so a mistyped
+path fails without leaving a skeleton behind: the first write makes the
+directories it writes into and fsyncs the parent of each.
+ObjectStore.lock serializes the commands on one store with flock on its
+root directory and raises NotFound on a missing root; a command that may
+create the store calls ObjectStore.create_root first, so that there is
+a root to lock.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ VERSION = 1
 #: A file's bytes as the pieces they join from, each bytes or a memoryview:
 #: a write streams them in order and never joins them.
 Pieces = Sequence["bytes | memoryview"]
-
-POLICY_FILENAME = "policy.json"
-POLICY_DIGEST_FILENAME = POLICY_FILENAME + ".sha256"
 
 
 class IoFailure(Error):
@@ -167,20 +164,16 @@ class ObjectStore:
     def lock(self, exclusive: bool) -> Iterator[None]:
         """Hold flock on the store root, exclusive or shared, for the
         with-block.  It adds no file to the store, and a missing root is
-        not locked: nothing is created, so two commands that both create
-        a store are serialized only if each calls create_root first.
-        POSIX only (fcntl is imported here, so the package still imports
-        without it)."""
+        NotFound: nothing is created, so a command that may create the
+        store calls create_root first.  POSIX only (fcntl is imported
+        here, so the package still imports without it)."""
         import fcntl
         try:
             fd = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
         except (FileNotFoundError, NotADirectoryError):
-            fd = None  # no store: the command's read fails or its write makes it
+            raise NotFound(f"no store at {self.root}") from None
         except OSError as exc:
             raise IoFailure(f"cannot open {self.root} to lock it: {exc}") from exc
-        if fd is None:
-            yield
-            return
         try:
             fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
             yield

@@ -6,7 +6,9 @@ verdicts survive pytest's output capture.
 """
 
 import json
+import math
 import random
+import statistics
 import time
 from contextlib import contextmanager
 from itertools import combinations
@@ -45,8 +47,7 @@ from trishare import (
     update_owner_share,
 )
 from trishare.authz import OWNER_X
-from trishare.bench import (MIN_REPS, StorageOverheadModel, loglog_slope,
-                            verify_reference_example)
+from trishare.bench import MIN_REPS, StorageOverheadModel, verify_reference_example
 from trishare.cipher import MAX_POWER
 
 TABLE_POINTS = ((1, 1494), (2, 1942), (3, 2578), (4, 3402), (5, 4414), (6, 5614))
@@ -176,6 +177,12 @@ def _min_seconds_round_robin(fns, reps):
             fn()
             best[i] = min(best[i], time.perf_counter() - t0)
     return best
+
+
+def loglog_slope(xs, ys):
+    """Least-squares slope of log(y) against log(x)."""
+    return statistics.linear_regression([math.log(x) for x in xs],
+                                        [math.log(y) for y in ys]).slope
 
 
 def test_criterion_6_complexity_trends():

@@ -45,8 +45,9 @@ from trishare import (
     verify_binding,
 )
 import trishare.authz
+import trishare.policy
 from trishare.authz import FIRST_CONSUMER_X, OWNER_X, SERVER_X, THRESHOLD
-from trishare.storage import POLICY_DIGEST_FILENAME, POLICY_FILENAME
+from trishare.policy import POLICY_DIGEST_FILENAME, POLICY_FILENAME
 
 OWNER = UserRecord("olivia", UserType.OWNER, b"cred-olivia")
 C1 = UserRecord("carol", UserType.CONSUMER, b"cred-carol")
@@ -695,14 +696,14 @@ def test_store_never_holds_plaintext(tmp_path):
 
 def full_loads_forbidden():
     """Fail the test if load_db falls back to parsing the whole policy."""
-    return mock.patch.object(trishare.authz, "db_from_json",
+    return mock.patch.object(trishare.policy, "db_from_json",
                              side_effect=AssertionError("full parse"))
 
 
 def counted_grant_parses():
     """Count the grant blocks parsed (each goes through _grant_from_doc)."""
-    return mock.patch.object(trishare.authz, "_grant_from_doc",
-                             wraps=trishare.authz._grant_from_doc)
+    return mock.patch.object(trishare.policy, "_grant_from_doc",
+                             wraps=trishare.policy._grant_from_doc)
 
 
 def test_sliced_load_parses_only_the_grants_it_reads(tmp_path):
@@ -732,14 +733,14 @@ def test_sliced_load_parses_only_the_grants_it_reads(tmp_path):
 
 def counted_user_parses():
     """Count the user blocks parsed (each goes through _user_from_doc)."""
-    return mock.patch.object(trishare.authz, "_user_from_doc",
-                             wraps=trishare.authz._user_from_doc)
+    return mock.patch.object(trishare.policy, "_user_from_doc",
+                             wraps=trishare.policy._user_from_doc)
 
 
 def counted_user_renders():
     """Count the user blocks rendered (each goes through _user_json)."""
-    return mock.patch.object(trishare.authz, "_user_json",
-                             wraps=trishare.authz._user_json)
+    return mock.patch.object(trishare.policy, "_user_json",
+                             wraps=trishare.policy._user_json)
 
 
 def users_run(store):
@@ -824,8 +825,8 @@ def test_missing_sidecar_takes_the_full_parse_and_persist_writes_one(tmp_path):
     sidecar = tmp_path / "store" / POLICY_DIGEST_FILENAME
     digest = sidecar.read_text()
     sidecar.unlink()
-    with mock.patch.object(trishare.authz, "db_from_json",
-                           wraps=trishare.authz.db_from_json) as full:
+    with mock.patch.object(trishare.policy, "db_from_json",
+                           wraps=trishare.policy.db_from_json) as full:
         loaded = load_db(store)
     assert full.call_count == 1 and loaded == db
     persist_db(loaded, store)
@@ -845,7 +846,7 @@ def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
     # The states a crash can leave the unsynced sidecar in, beside the
     # policy.json that was committed.
     def digest(text):
-        return trishare.authz._digest([text.encode("utf-8")]).decode("ascii")
+        return trishare.policy._digest([text.encode("utf-8")]).decode("ascii")
 
     committed, stale = {"old-digest": (after, digest(before)),
                         "empty": (after, ""),
@@ -854,8 +855,8 @@ def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
     (tmp_path / "store" / POLICY_FILENAME).write_text(committed)
     sidecar_path = tmp_path / "store" / POLICY_DIGEST_FILENAME
     sidecar_path.write_text(stale)
-    with mock.patch.object(trishare.authz, "db_from_json",
-                           wraps=trishare.authz.db_from_json) as full:
+    with mock.patch.object(trishare.policy, "db_from_json",
+                           wraps=trishare.policy.db_from_json) as full:
         loaded = load_db(disk)
     assert full.call_count == 1
     assert db_to_json(loaded) == committed
@@ -875,7 +876,7 @@ def forge(store, text):
     """Commit `text` as the policy with the sidecar persist_db would write."""
     data = text.encode("utf-8")
     store.write_text(POLICY_FILENAME, [data],
-                     cache=(POLICY_DIGEST_FILENAME, trishare.authz._digest([data])))
+                     cache=(POLICY_DIGEST_FILENAME, trishare.policy._digest([data])))
 
 
 def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
@@ -999,7 +1000,7 @@ def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
     assert seen == outcomes
     for fid, outcome in outcomes.items():
         if outcome != "own":
-            with pytest.raises(getattr(trishare.authz, outcome)):
+            with pytest.raises(getattr(trishare, outcome)):
                 request_decrypt(loaded, store, fid,
                                 SharePoint(OWNER_X, 1, db.modulus), C1)
     # Listing checks the order of every quoted id, and only that.
@@ -1128,7 +1129,7 @@ def test_forged_users_under_a_matching_digest_stay_typed(tmp_path, forgery,
     assert seen == outcomes
     for uid, outcome in outcomes.items():
         if outcome != "own":
-            with pytest.raises(getattr(trishare.authz, outcome)):
+            with pytest.raises(getattr(trishare, outcome)):
                 grant_access(loaded, store, "g", "olivia", [uid], DATA)
     try:
         listed = list(loaded.users)
@@ -1341,7 +1342,7 @@ def _outside_edit(store, kind, rng, committed):
     policy = store.root / POLICY_FILENAME
     sidecar = store.root / POLICY_DIGEST_FILENAME
     data = policy.read_bytes()
-    digest = trishare.authz._digest
+    digest = trishare.policy._digest
     if kind == "flip":  # any byte, the sidecar re-matched
         at = rng.randrange(len(data))
         data = data[:at] + bytes([data[at] ^ 1 << rng.randrange(7)]) + data[at + 1:]
@@ -1398,20 +1399,20 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
             committed.append(store.read_bytes(POLICY_FILENAME))
         else:
             _outside_edit(store, op, rng, committed or [b"{}"])
-        with mock.patch.object(trishare.authz, "_digest",
-                               wraps=trishare.authz._digest) as hashed:
+        with mock.patch.object(trishare.policy, "_digest",
+                               wraps=trishare.policy._digest) as hashed:
             kept = _policy_outcome(store)
         if hashed.call_count:
             hashed_after.append(op)
-        after = trishare.authz._kept
-        trishare.authz._kept = None
+        after = trishare.policy._kept
+        trishare.policy._kept = None
         assert kept == _policy_outcome(store), (seed, step, op)
-        trishare.authz._kept = after
+        trishare.policy._kept = after
     return hashed_after
 
 
 def test_kept_record_decides_every_fixed_edit_as_a_hash(tmp_path, monkeypatch):
-    monkeypatch.setattr(trishare.authz, "_kept", None)
+    monkeypatch.setattr(trishare.policy, "_kept", None)
     hashed_after = _kept_and_fresh_loads_agree(
         ObjectStore(tmp_path / "store"), _FIXED_STEPS, 0)
     # Only an edit that changed the bytes costs a hash: never a command's
@@ -1422,7 +1423,7 @@ def test_kept_record_decides_every_fixed_edit_as_a_hash(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_kept_record_decides_random_edits_as_a_hash(tmp_path, monkeypatch, seed):
-    monkeypatch.setattr(trishare.authz, "_kept", None)
+    monkeypatch.setattr(trishare.policy, "_kept", None)
     rng = random.Random(f"steps-{seed}")
     steps = [rng.choice(_EDITS) if rng.random() < 0.4
              else (rng.choice(["register", "grant", "grant", "revoke"]),
@@ -1434,12 +1435,12 @@ def test_kept_record_decides_random_edits_as_a_hash(tmp_path, monkeypatch, seed)
 
 
 def test_a_reload_of_kept_bytes_hashes_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(trishare.authz, "_kept", None, raising=False)
+    monkeypatch.setattr(trishare.policy, "_kept", None, raising=False)
     db, store, _ = granted(tmp_path)
     persist_db(db, store)
     policy = tmp_path / "store" / POLICY_FILENAME
-    with mock.patch.object(trishare.authz, "_digest",
-                           wraps=trishare.authz._digest) as hashed:
+    with mock.patch.object(trishare.policy, "_digest",
+                           wraps=trishare.policy._digest) as hashed:
         assert load_db(store) == db  # right after its commit
         assert hashed.call_count == 0
         assert load_db(store) == db  # bytes it has verified

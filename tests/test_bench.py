@@ -17,7 +17,6 @@ from trishare.bench import (
     bench_encrypt,
     csv_text,
     example_lines,
-    loglog_slope,
     storage_lines,
     storage_overhead_report,
     verify_reference_example,
@@ -130,15 +129,6 @@ def test_bench_attributes_validates_threshold():
         bench_attributes(k_values=(9,), n_users=4, reps=5)
     with pytest.raises(Error):
         bench_attributes(k_values=(3,), n_users=8, reps=1)
-
-
-# ---------------------------------------------------------------- slope fitting
-
-def test_loglog_slope_recovers_exact_power_laws():
-    xs = [2, 4, 8, 16, 32]
-    assert loglog_slope(xs, [3 * x for x in xs]) == pytest.approx(1.0, abs=1e-12)
-    assert loglog_slope(xs, [0.5 * x * x for x in xs]) == pytest.approx(2.0, abs=1e-12)
-    assert loglog_slope(xs, [7.0] * 5) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- storage model

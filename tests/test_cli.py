@@ -666,8 +666,8 @@ def test_failed_sidecar_write_costs_only_a_full_parse(
     ahead = (store / "policy.json.sha256").read_text()
     assert ahead != hashlib.sha256(before).hexdigest() + "\n"
     full_parses = []
-    real_db_from_json = trishare.authz.db_from_json
-    monkeypatch.setattr(trishare.authz, "db_from_json",
+    real_db_from_json = trishare.policy.db_from_json
+    monkeypatch.setattr(trishare.policy, "db_from_json",
                         lambda text: full_parses.append(1) or real_db_from_json(text))
     rc, _, _ = run_cli([*register, "--user-id", "dave"], capsys)
     assert rc == 0 and full_parses == [1]
@@ -947,10 +947,10 @@ def test_a_command_renders_only_the_blocks_it_assigns(tmp_path, capsys):
             (["revoke", "--file-id", "g", "--user", "alice"], 0, 1),
             (["request", "--file-id", "f", "--receiver", "alice",
               "--owner-point", owner_point, "--out", str(tmp_path / "out")], 0, 0)):
-        with mock.patch.object(trishare.authz, "_user_json",
-                               wraps=trishare.authz._user_json) as user_json, \
-                mock.patch.object(trishare.authz, "_grant_json",
-                                  wraps=trishare.authz._grant_json) as grant_json:
+        with mock.patch.object(trishare.policy, "_user_json",
+                               wraps=trishare.policy._user_json) as user_json, \
+                mock.patch.object(trishare.policy, "_grant_json",
+                                  wraps=trishare.policy._grant_json) as grant_json:
             rc, _, err = run_cli([*argv, "--store", str(store)], capsys)
         assert rc == 0, err
         assert (user_json.call_count, grant_json.call_count) == (users, grants), argv
@@ -961,7 +961,7 @@ def held_registers(store, monkeypatch):
     second thread.  Returns whether erin's thread was still running 0.2 s
     later, and both exit codes."""
     entered, release = threading.Event(), threading.Event()
-    real_persist = trishare.authz.persist_db
+    real_persist = trishare.policy.persist_db
 
     def held_persist(db, store):
         if threading.current_thread().name == "first":
@@ -969,7 +969,7 @@ def held_registers(store, monkeypatch):
             release.wait(10)
         real_persist(db, store)
 
-    monkeypatch.setattr(trishare.authz, "persist_db", held_persist)
+    monkeypatch.setattr(trishare.policy, "persist_db", held_persist)
     codes = {}
 
     def register(uid):

@@ -9,9 +9,10 @@ from unittest import mock
 
 import pytest
 
-import trishare.authz
+import trishare.policy
 import trishare.storage
-from trishare.storage import POLICY_DIGEST_FILENAME, envelope_pieces, is_object_key
+from trishare.policy import POLICY_DIGEST_FILENAME
+from trishare.storage import envelope_pieces, is_object_key
 
 from trishare import (
     BadHeader,
@@ -321,9 +322,10 @@ def test_store_lock_is_shared_or_exclusive_on_the_root(tmp_path):
         assert not probe(fcntl.LOCK_SH)
     assert probe(fcntl.LOCK_EX)
     assert list(root.iterdir()) == []
-    # A missing root is not locked, and nothing is created for it.
-    with ObjectStore(tmp_path / "typo" / "store").lock(exclusive=True):
-        pass
+    # A missing root is NotFound, and nothing is created for it.
+    with pytest.raises(NotFound):
+        with ObjectStore(tmp_path / "typo" / "store").lock(exclusive=True):
+            pass
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
 
 
@@ -415,7 +417,7 @@ def test_sidecar_with_junk_after_the_digest_is_cut_back(tmp_path):
     policy = (tmp_path / "store" / POLICY_FILENAME).read_bytes()
     digest = hashlib.sha256(policy).hexdigest().encode("ascii") + b"\n"
     assert sidecar.read_bytes() == digest and len(digest) == 65
-    with mock.patch.object(trishare.authz, "db_from_json",
+    with mock.patch.object(trishare.policy, "db_from_json",
                            side_effect=AssertionError("full parse")):
         assert load_db(store).users.keys() == {"olivia"}
 

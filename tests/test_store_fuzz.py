@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 from trishare import (Error, ObjectStore, PolicyDb, UserRecord, UserType,
                       db_from_json, db_to_json, grant_access, load_db,
                       modulus_for, persist_db, register_user)
-from trishare.storage import POLICY_DIGEST_FILENAME, POLICY_FILENAME
+from trishare.policy import POLICY_DIGEST_FILENAME, POLICY_FILENAME
 
 MAX_EXAMPLES = 200
 BYTE_EXAMPLES = 200
