@@ -30,7 +30,7 @@ from .errors import Error
 from .field import FieldModulus, M61, default_modulus, modulus_for
 from .interpolate import ReconstructionInput, reconstruct_secret
 from .sharing import EncryptedShare, SharePoint, read_json, split_secret
-from .storage import NotFound, ObjectStore, decode_envelope, encode_envelope
+from .storage import ObjectStore, decode_envelope, encode_envelope
 
 
 def _mode_and_n(args: argparse.Namespace) -> Tuple[Mode, int]:
@@ -143,22 +143,14 @@ def _cmd_register(args) -> int:
         credentials = args.credentials.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise Error("--credentials is not UTF-8 text") from exc
-    store = _store(args)
-    modulus = _modulus(args)  # a bad --p fails before the root is made
-    store.create_root()  # so that the first register locks it too
-    with store.lock(exclusive=True):
-        try:
-            db = policy.load_db(store)
-        except NotFound:
-            db = policy.PolicyDb(modulus=modulus)
-        else:
-            if args.p is not None and args.p != db.modulus.p:
-                raise Error(f"--p {args.p} differs from the store's p = {db.modulus.p}")
+    # A bad --p fails before the root is made.
+    with policy.transaction(_store(args), modulus=_modulus(args)) as db:
+        if args.p is not None and args.p != db.modulus.p:
+            raise Error(f"--p {args.p} differs from the store's p = {db.modulus.p}")
         record = policy.UserRecord(user_id=args.user_id,
                                    user_type=policy.UserType(args.type),
                                    credentials=credentials)
         authz.register_user(db, record)
-        policy.persist_db(db, store)
     _emit(args, {"registered": args.user_id, "type": args.type},
           [f"registered {args.user_id} as {args.type}"])
     return 0
@@ -167,13 +159,11 @@ def _cmd_register(args) -> int:
 def _cmd_grant(args) -> int:
     mode, n = _mode_and_n(args)
     store = _store(args)
-    with store.lock(exclusive=True):
-        db = policy.load_db(store)
+    with policy.transaction(store) as db:
         consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
         data = Path(args.infile).read_bytes()
         owner_share = authz.grant_access(
             db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
-        policy.persist_db(db, store)
     grant = db.grants[args.file_id]
     payload = {"file_id": args.file_id,
                "owner_point": {"x": owner_share.x, "y": owner_share.y},
@@ -188,11 +178,8 @@ def _cmd_grant(args) -> int:
 
 
 def _cmd_revoke(args) -> int:
-    store = _store(args)
-    with store.lock(exclusive=True):
-        db = policy.load_db(store)
+    with policy.transaction(_store(args)) as db:
         deltas = authz.revoke_user(db, args.file_id, args.user)
-        policy.persist_db(db, store)
     delta_text = ",".join(str(d) for d in deltas)
     _emit(args, {"file_id": args.file_id, "revoked": args.user,
                  "owner_deltas": list(deltas)},
@@ -209,8 +196,7 @@ def _cmd_request(args) -> int:
                     "go into the batch's JSON")
     store = _store(args)
     # Shared: a re-grant still rewrites the envelope this request reads.
-    with store.lock(exclusive=False):
-        db = policy.load_db(store)
+    with policy.transaction(store, exclusive=False) as db:
         receiver = db.users.get(args.receiver)
         if receiver is None:
             raise authz.UnknownUser(f"receiver {args.receiver!r} is not registered")

@@ -9,9 +9,10 @@ policy.json at its root, beside objects/, with the SHA-256 sidecar
 policy.json.sha256; a missing or stale sidecar only costs the next
 load a full parse of policy.json.
 
-Each mutation loads, edits and commits policy.json, so the CLI holds
-store.lock(exclusive=True) from load_db to persist_db, and a request a
-shared one; library callers that mutate one store concurrently do too.
+Each mutation loads, edits and commits policy.json, so transaction
+holds store.lock(exclusive=True) from load_db to persist_db, and a
+shared one for a read; every CLI command on a store runs in one, and
+library callers that share a store with other processes use it too.
 
 A command works on the policy bytes themselves once their digest
 sidecar verifies them: a lookup is a binary search over the user or
@@ -25,6 +26,7 @@ again compares them in place instead of hashing them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ from .errors import Error
 from .field import FieldModulus, default_modulus, modulus_for
 from .sharing import (BindingCode, EncryptedShare, SharePoint, _number, _text,
                       read_json)
-from .storage import ObjectStore, is_object_key
+from .storage import NotFound, ObjectStore, is_object_key
 
 POLICY_FILENAME = "policy.json"
 POLICY_DIGEST_FILENAME = POLICY_FILENAME + ".sha256"
@@ -346,12 +348,14 @@ def db_from_json(text: "str | bytes") -> PolicyDb:
     return read_json(text, _db_from_doc, "policy", CorruptPolicy)
 
 
-def _hex(value) -> bytes:
-    """A bytes field of the schema, in the lower-case, unspaced hex that
-    db_to_json writes; ValueError for any other spelling."""
-    raw = bytes.fromhex(_text(value))
+def _hex(doc: dict, key: str) -> bytes:
+    """doc[key], a bytes field of the schema, in the lower-case, unspaced
+    hex that db_to_json writes; ValueError for any other spelling, naming
+    the field, never its value (a credential or a salt)."""
+    value = _text(doc[key])
+    raw = bytes.fromhex(value)
     if raw.hex() != value:
-        raise ValueError(f"{value!r} is not lower-case, unspaced hex")
+        raise ValueError(f"{key} is not lower-case, unspaced hex")
     return raw
 
 
@@ -370,7 +374,7 @@ def _db_from_doc(doc: dict) -> PolicyDb:
 def _user_from_doc(u: dict) -> UserRecord:
     return UserRecord(user_id=_text(u["user_id"]),
                       user_type=UserType(u["user_type"]),
-                      credentials=_hex(u["credentials_hex"]))
+                      credentials=_hex(u, "credentials_hex"))
 
 
 def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
@@ -394,7 +398,7 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
                                 y=_number(g["server_share"]["y"]),
                                 modulus=modulus),
         consumer_shares=consumers, binding=binding,
-        salt=_hex(g["salt_hex"]),
+        salt=_hex(g, "salt_hex"),
         envelope_ref=ref)
 
 
@@ -474,3 +478,27 @@ def load_db(store: ObjectStore) -> PolicyDb:
         _kept = ([data], digest)
         return _sliced_db(data)
     return db_from_json(data)
+
+
+@contextlib.contextmanager
+def transaction(store: ObjectStore, exclusive: bool = True,
+                modulus: "FieldModulus | None" = None) -> Iterator[PolicyDb]:
+    """Yield the store's policy under store.lock(exclusive), held from
+    load_db until an exclusive transaction's persist_db on a clean exit.
+    An exception out of the block writes nothing, and a shared
+    transaction never commits.  A missing root or policy is NotFound,
+    unless `modulus` is given: then the root is created first, so that
+    there is one to lock, and a store with no policy starts from an empty
+    PolicyDb(modulus)."""
+    if modulus is not None:
+        store.create_root()
+    with store.lock(exclusive):
+        try:
+            db = load_db(store)
+        except NotFound:
+            if modulus is None:
+                raise
+            db = PolicyDb(modulus=modulus)
+        yield db
+        if exclusive:
+            persist_db(db, store)

@@ -27,9 +27,9 @@ rewrite keeps its mode.  Opening a store creates nothing, so a mistyped
 path fails without leaving a skeleton behind: the first write makes the
 directories it writes into and fsyncs the parent of each.
 ObjectStore.lock serializes the commands on one store with flock on its
-root directory and raises NotFound on a missing root; a command that may
-create the store calls ObjectStore.create_root first, so that there is
-a root to lock.
+root directory and raises NotFound on a missing root; policy.transaction
+takes it, and calls ObjectStore.create_root first for the one command
+that may create the store, so that there is a root to lock.
 """
 
 from __future__ import annotations
