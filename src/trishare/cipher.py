@@ -137,10 +137,16 @@ def derive_file_key(master_key: int, filename: bytes,
     return CipherKey(a=a, n=n, mode=mode)
 
 
+#: 255, 254, .. 0: _additive_table rotates it.
+_DESCENDING = bytes(range(255, -1, -1))
+
+
 def _additive_table(a: int) -> bytes:
     # (a - s) mod 256 is an involution on bytes: the same table encrypts
-    # and decrypts.
-    return bytes((a - s) % 256 for s in range(256))
+    # and decrypts.  It is 255 - (k + s) mod 256 with k = 255 - a mod 256,
+    # the descending bytes rotated left by k.
+    k = 255 - a % 256
+    return _DESCENDING[k:] + _DESCENDING[:k]
 
 
 def _power_symbols(a: int, n: int, width: int) -> "list[bytes | None]":

@@ -21,18 +21,24 @@ block it finds; a commit splices the assigned blocks between slices of
 the untouched ones and streams the pieces to disk and to SHA-256.
 The process keeps the pieces of the last policy it verified or
 committed, with their digest, so a load that reads those same bytes
-again compares them in place instead of hashing them.
+again compares them in place instead of hashing them.  With them it
+keeps the SHA-256 state at every _MARK bytes, so a commit hashes only
+from the mark before its first edit, and the id lists of the two
+arrays where a walk or an earlier commit established them, so an
+insert after a commit in the same process walks nothing.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Sequence,
+                    Set, Tuple)
 
 from .errors import Error
 from .field import FieldModulus, default_modulus, modulus_for
@@ -92,7 +98,9 @@ class Blocks(Mapping):
     starts after its seam ("," and opener), which only _next_start finds.
     A miss is checked by _ids, one walk from seam to seam, done once: a
     block out of order, re-spelled, or hidden in another by an opener
-    that lost its indent is CorruptPolicy, never absent.
+    that lost its indent is CorruptPolicy, never absent.  A commit
+    carries the walked ids, with its inserts, into the kept record, and
+    a load of the bytes it wrote starts from them (see load_db).
     Only the block a lookup returns is parsed, by `parse`, and it is
     kept, not written back.  A record stored becomes an edit against its
     block's span, and a new id's span is empty, at its sorted place.
@@ -121,7 +129,8 @@ class Blocks(Mapping):
         # _spliced renders only the assigned
         self._records: Dict[str, Tuple[int, int, Any]] = {}
         self._assigned: Set[str] = set()
-        self._walked: "List[str] | None" = None  # _ids, once it has passed
+        # _ids, once it has passed or load_db gave the kept ids
+        self._walked: "List[str] | None" = None
 
     def __getitem__(self, key: str) -> Any:
         hit = self._records.get(key)
@@ -174,6 +183,19 @@ class Blocks(Mapping):
         if cursor < hi:
             items.append(text[cursor:hi])
         return items
+
+    def _carried(self) -> "List[str] | None":
+        """The ids of the array _spliced writes, in order, if this
+        array's own are known (walked, given by load_db, or an empty
+        array): those with each inserted id put in its place; else None."""
+        if self._walked is None and self._lo < self._hi:
+            return None
+        ids = list(self._ids())
+        for key in self._assigned:
+            start, end, _ = self._records[key]
+            if start == end:
+                bisect.insort(ids, key)
+        return ids
 
     def _span(self, key: str) -> Tuple[int, int]:
         """The text span of key's block, or an empty span where it would
@@ -402,37 +424,90 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
         envelope_ref=ref)
 
 
-def _digest(pieces: Sequence[bytes]) -> bytes:
-    """The policy sidecar's content: SHA-256 hex of the policy bytes."""
+#: The bytes between two kept SHA-256 states: a commit re-hashes at
+#: most this much before its first edit.
+_MARK = 16 * 1024
+
+
+def _digest(pieces: Sequence[bytes], marks: "List[Any] | None" = None) -> bytes:
+    """The policy sidecar's content: SHA-256 hex of the policy bytes.
+
+    With marks, the SHA-256 states after the first 1, 2, .. len(marks)
+    _MARK-byte steps of those bytes: hashing resumes from the last of
+    them, and appends the state after each later whole step."""
     # Imported here for ROADMAP item 3: `secrets` still loads hashlib
     # through hmac, but once os.urandom replaces it, commands that touch
     # no policy will not load hashlib.
     import hashlib
-    sha = hashlib.sha256()
+    if marks:
+        sha, done = marks[-1].copy(), len(marks) * _MARK
+    else:
+        sha, done = hashlib.sha256(), 0
+    end = 0  # where the piece ends in the bytes; done of them are hashed
     for piece in pieces:
-        sha.update(piece)
+        end += len(piece)
+        if end <= done:
+            continue
+        view = memoryview(piece)[len(piece) - (end - done):]
+        while marks is not None and done // _MARK < end // _MARK:
+            step = _MARK - done % _MARK
+            sha.update(view[:step])
+            view, done = view[step:], done + step
+            marks.append(sha.copy())
+        sha.update(view)
+        done = end
     return sha.hexdigest().encode("ascii") + b"\n"
 
 
-#: (pieces, the digest line of their join) for the last policy this
-#: process verified or committed, or None: load_db skips the SHA-256 of
-#: bytes equal to those pieces.  Such a pair is true of the bytes it
-#: names wherever they are read, so it is never stale, only unused.
-_kept: "Tuple[Sequence[bytes], bytes] | None" = None
+class _Kept(NamedTuple):
+    """One policy's bytes as pieces, with what is true of them wherever
+    they are read: their digest line, their SHA-256 marks (see _digest),
+    and the ids of their users and grants arrays, or None where no walk
+    or commit established them."""
+
+    pieces: Sequence[bytes]
+    digest: bytes
+    marks: List[Any]
+    users: "List[str] | None"
+    grants: "List[str] | None"
 
 
-def _kept_digest(data: bytes) -> "bytes | None":
-    """The kept digest line if data is the join of the kept pieces, each
-    compared where it lies in data, with no copy; else None."""
-    kept = _kept
-    if kept is None:
-        return None
+#: The last policy this process verified or committed, or None: load_db
+#: skips the SHA-256 of bytes equal to its pieces and starts their
+#: arrays from its ids, and persist_db resumes SHA-256 from its marks.
+#: Such a record is never stale, only unused.
+_kept: "_Kept | None" = None
+
+
+def _prefix(text: bytes, pieces: Sequence[bytes]) -> int:
+    """How many leading bytes of text the pieces repeat: their lengths
+    summed up to the first that differs from text where it lies in it,
+    each compared in place, with no copy."""
     pos = 0
-    for piece in kept[0]:
-        if not data.startswith(piece, pos):
-            return None
+    for piece in pieces:
+        if not text.startswith(piece, pos):
+            break
         pos += len(piece)
-    return kept[1] if pos == len(data) else None
+    return pos
+
+
+def _kept_for(data: bytes) -> "_Kept | None":
+    """The kept record if data is the join of its pieces, else None."""
+    kept = _kept
+    if kept is None or not (_prefix(data, kept.pieces) == len(data)
+                            == sum(map(len, kept.pieces))):
+        return None
+    return kept
+
+
+def _kept_marks(pieces: Sequence[bytes]) -> List[Any]:
+    """The kept marks that hold for the join of pieces: those before the
+    first piece that differs from the kept bytes.  Those are compared
+    only as one piece, as load_db keeps what it read."""
+    kept = _kept
+    if kept is None or len(kept.pieces) != 1:
+        return []
+    return kept.marks[:_prefix(kept.pieces[0], pieces) // _MARK]
 
 
 def persist_db(db: PolicyDb, store: ObjectStore) -> None:
@@ -445,13 +520,18 @@ def persist_db(db: PolicyDb, store: ObjectStore) -> None:
 
     The policy is spliced, not rebuilt: its pieces (see _policy_pieces)
     are streamed into the file and hashed as they are, with no copy of
-    the whole text."""
+    the whole text.  SHA-256 resumes from the kept state at the last
+    _MARK step before the first byte that differs from the kept bytes,
+    and the kept record becomes these pieces, with each array's ids
+    carried forward by Blocks._carried."""
     global _kept
     pieces = _policy_pieces(db)
-    digest = _digest(pieces)
+    marks = _kept_marks(pieces)
+    digest = _digest(pieces, marks)
     store.write_text(POLICY_FILENAME, pieces,
                      cache=(POLICY_DIGEST_FILENAME, digest))
-    _kept = (pieces, digest)
+    _kept = _Kept(pieces, digest, marks, db.users._carried(),
+                  db.grants._carried())
 
 
 def load_db(store: ObjectStore) -> PolicyDb:
@@ -463,7 +543,8 @@ def load_db(store: ObjectStore) -> PolicyDb:
     stale sidecar only costs a full parse.  Bytes equal to the policy
     this process last verified or committed take its kept digest
     instead of a SHA-256: equal bytes have equal digests, so every load
-    decides as if it had hashed them.
+    decides as if it had hashed them.  Their arrays start from the ids
+    the kept record has for them, so a miss there walks nothing.
     """
     global _kept
     data = store.read_bytes(POLICY_FILENAME)
@@ -471,12 +552,15 @@ def load_db(store: ObjectStore) -> PolicyDb:
         sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
     except Error:  # absent or unreadable: it is only a cache
         sidecar = b""
-    digest = _kept_digest(data)
-    if digest is None:
-        digest = _digest([data])
-    if sidecar == digest:
-        _kept = ([data], digest)
-        return _sliced_db(data)
+    kept = _kept_for(data)
+    if kept is None:
+        marks: List[Any] = []
+        kept = _Kept([data], _digest([data], marks), marks, None, None)
+    if sidecar == kept.digest:
+        _kept = kept._replace(pieces=[data])
+        db = _sliced_db(data)
+        db.users._walked, db.grants._walked = kept.users, kept.grants
+        return db
     return db_from_json(data)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tempfile
@@ -1238,8 +1239,9 @@ def _det_urandom(seed):
 
 
 def _run_policy_command(store, op, ids, file_ids):
-    """Load, apply one register/grant/revoke, persist.  The caller fixes
-    os.urandom, so two stores given the same commands agree."""
+    """Load, apply one register/grant/revoke, persist; True if it got to
+    persist.  The caller fixes os.urandom, so two stores given the same
+    commands agree."""
     kind, a, b = op
     db = load_db(store)
     registered = sorted(db.users)
@@ -1265,6 +1267,7 @@ def _run_policy_command(store, op, ids, file_ids):
             return
         revoke_user(db, fid, consumers[b % len(consumers)])
     persist_db(db, store)
+    return True
 
 
 # Inserts, re-grants and revokes of the only, first, last and a middle
@@ -1384,7 +1387,10 @@ _FIXED_STEPS = ([("register", 0, 1), ("register", 1, 2), ("register", 2, 3),
 def _kept_and_fresh_loads_agree(store, steps, seed):
     """Run steps, each a policy command or an outside edit, and after
     each compare a load with the kept record against one after the record
-    is reset.  Returns the steps after which the first load hashed."""
+    is reset.  After each commit, whose SHA-256 resumed from the kept
+    marks, the sidecar must be the SHA-256 of the policy bytes, and each
+    id list the record carries what a walk of them finds.  Returns the
+    steps after which the first load hashed."""
     rng, committed, hashed_after = random.Random(seed), [], []
     db = PolicyDb()
     register_user(db, UserRecord(_IDS[0], UserType.OWNER, b"cred-owner"))
@@ -1393,10 +1399,17 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
         if isinstance(op, tuple):
             with mock.patch.object(trishare.authz.os, "urandom", _det_urandom(step)):
                 try:
-                    _run_policy_command(store, op, _IDS, _FILE_IDS)
+                    persisted = _run_policy_command(store, op, _IDS, _FILE_IDS)
                 except trishare.Error:
-                    pass  # an edit it refuses leaves the policy as it was
-            committed.append(store.read_bytes(POLICY_FILENAME))
+                    persisted = False  # a refused edit leaves the policy as it was
+            data = store.read_bytes(POLICY_FILENAME)
+            if persisted:
+                sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
+                assert sidecar == hashlib.sha256(data).hexdigest().encode() + b"\n"
+                kept, walked = trishare.policy._kept, trishare.policy._sliced_db(data)
+                assert kept.users in (None, walked.users._ids()), (seed, step)
+                assert kept.grants in (None, walked.grants._ids()), (seed, step)
+            committed.append(data)
         else:
             _outside_edit(store, op, rng, committed or [b"{}"])
         with mock.patch.object(trishare.policy, "_digest",
@@ -1411,8 +1424,15 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
     return hashed_after
 
 
-def test_kept_record_decides_every_fixed_edit_as_a_hash(tmp_path, monkeypatch):
+def resume_often(monkeypatch):
+    """No kept record, and SHA-256 marks every 256 bytes, so that each
+    commit of a policy of a few KB resumes at its own mark."""
     monkeypatch.setattr(trishare.policy, "_kept", None)
+    monkeypatch.setattr(trishare.policy, "_MARK", 256)
+
+
+def test_kept_record_decides_every_fixed_edit_as_a_hash(tmp_path, monkeypatch):
+    resume_often(monkeypatch)
     hashed_after = _kept_and_fresh_loads_agree(
         ObjectStore(tmp_path / "store"), _FIXED_STEPS, 0)
     # Only an edit that changed the bytes costs a hash: never a command's
@@ -1423,7 +1443,7 @@ def test_kept_record_decides_every_fixed_edit_as_a_hash(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_kept_record_decides_random_edits_as_a_hash(tmp_path, monkeypatch, seed):
-    monkeypatch.setattr(trishare.policy, "_kept", None)
+    resume_often(monkeypatch)
     rng = random.Random(f"steps-{seed}")
     steps = [rng.choice(_EDITS) if rng.random() < 0.4
              else (rng.choice(["register", "grant", "grant", "revoke"]),

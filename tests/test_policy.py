@@ -4,11 +4,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trishare
 import trishare.policy
 from trishare import (NotFound, ObjectStore, PolicyDb, UserRecord, UserType,
-                      load_db, persist_db, register_user)
+                      grant_access, load_db, persist_db, register_user)
 from trishare.cli import cli_dispatch
 from trishare.policy import transaction
 
@@ -208,3 +209,103 @@ def test_a_respelled_secret_hex_field_is_not_echoed(tmp_path, capsys, sidecar):
         assert out == "" and err.startswith(
             "error: policy is not UTF-8 JSON in its schema: ")
         assert len(err.splitlines()) == 1 and field in err
+
+
+# ------------------------------------------------------------ kept ids and marks
+
+def assert_kept_is_the_policy(root):
+    """The sidecar is the SHA-256 of policy.json, and each id list the
+    kept record carries, where it has one, is what a fresh walk of
+    policy.json finds."""
+    data = (root / "policy.json").read_bytes()
+    assert (root / "policy.json.sha256").read_bytes() == (
+        hashlib.sha256(data).hexdigest().encode("ascii") + b"\n")
+    kept, fresh = trishare.policy._kept, trishare.policy._sliced_db(data)
+    assert kept.users in (None, fresh.users._ids())
+    assert kept.grants in (None, fresh.grants._ids())
+
+
+def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
+    """A commit carries each array's ids into the kept record, so only
+    the first insert of a process walks its array."""
+    root, body = tmp_path / "store", tmp_path / "memo.txt"
+    body.write_bytes(b"memo")
+    store = ObjectStore(root)
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c1"))
+    register_user(db, UserRecord("bob", UserType.CONSUMER, b"c2"))
+    for i in range(40):
+        grant_access(db, store, f"f{i:02d}", "olivia", ["bob"], b"memo")
+    persist_db(db, store)
+    monkeypatch.setattr(trishare.policy, "_kept", None)  # as a new process
+    walks, real_ids = [], trishare.policy.Blocks._ids
+
+    def counted_ids(blocks):
+        if blocks._walked is None:
+            walks.append(blocks._key)
+        return real_ids(blocks)
+
+    monkeypatch.setattr(trishare.policy.Blocks, "_ids", counted_ids)
+    # Before, after and between the 40, so each insert splices elsewhere.
+    walks_per_grant = []
+    for fid in ["e", "f05x", "f19x", "g", "f39x"]:
+        walks.clear()
+        assert cli_dispatch(["grant", "--store", str(root), "--file-id", fid,
+                             "--owner", "olivia", "--consumers", "bob",
+                             "--in", str(body)]) == 0
+        walks_per_grant.append(walks.copy())
+        assert_kept_is_the_policy(root)
+        assert fid in trishare.policy._kept.grants
+    assert walks_per_grant == [["file_id"], [], [], [], []]
+    assert len(load_db(store).grants) == 45
+
+
+def cut(data, offsets):
+    """data in pieces at the offsets, some empty, as memoryviews."""
+    bounds = [0, *sorted(offsets), len(data)]
+    view = memoryview(data)
+    return [view[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_resumed_digest_is_the_sha256_of_the_bytes(data):
+    """persist_db's SHA-256, resumed from the kept state at the last mark
+    before the first changed byte, is that of the whole new bytes, and
+    its marks are the states a hash from scratch passes, for any pieces.
+    The first change falls one byte before, at or after a mark, or
+    anywhere."""
+    mark, kept = trishare.policy._MARK, trishare.policy._kept
+    size = data.draw(st.integers(0, 4 * mark), label="size")
+    edit = min(size, data.draw(st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(-1, 1)).map(
+            lambda step: step[0] * mark + step[1]),
+        st.integers(0, 4 * mark)), label="edit"))
+    removed = data.draw(st.integers(0, 100), label="removed")
+    added = data.draw(st.binary(max_size=100), label="added")
+    cuts = st.lists(st.integers(0, 5 * mark), max_size=6)
+    old_cuts, new_cuts = data.draw(cuts, label="old"), data.draw(cuts, label="new")
+    cut_at_edit = data.draw(st.booleans(), label="cut at the edit")
+    if cut_at_edit:
+        new_cuts.append(edit)
+    old = (hashlib.sha256(b"%d" % size).digest() * (size // 32 + 1))[:size]
+    changed = bytes([old[edit] ^ 1]) if edit < size else b"!"
+    new = old[:edit] + changed + added + old[edit + removed + 1:]
+    marks = []
+    digest = trishare.policy._digest(cut(old, old_cuts), marks)
+    assert digest == hashlib.sha256(old).hexdigest().encode("ascii") + b"\n"
+    try:
+        trishare.policy._kept = trishare.policy._Kept([old], digest, marks,
+                                                      None, None)
+        new_pieces = cut(new, new_cuts)
+        resumed = trishare.policy._kept_marks(new_pieces)
+        assert len(resumed) <= edit // mark  # none covers the changed byte
+        if cut_at_edit:  # so the resume starts at the last mark before it
+            assert len(resumed) == edit // mark
+        assert trishare.policy._digest(new_pieces, resumed) == (
+            hashlib.sha256(new).hexdigest().encode("ascii") + b"\n")
+    finally:
+        trishare.policy._kept = kept
+    assert [state.digest() for state in resumed] == [
+        hashlib.sha256(new[:mark * (i + 1)]).digest()
+        for i in range(len(new) // mark)]
