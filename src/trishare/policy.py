@@ -424,8 +424,8 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
         envelope_ref=ref)
 
 
-#: The bytes between two kept SHA-256 states: a commit re-hashes at
-#: most this much before its first edit.
+#: The bytes between two kept SHA-256 states: a commit of a policy
+#: load_db read re-hashes at most this much before its first edit.
 _MARK = 16 * 1024
 
 
