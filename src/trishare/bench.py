@@ -139,10 +139,13 @@ DEFAULT_BENCH_SIZES = tuple(kb * 1024 for kb in (5, 10, 15, 20, 25, 30))
 
 ENCRYPT_CSV_HEADER = "size_bytes,cipher_bytes,encrypt_s,decrypt_s,throughput_kbps"
 
+#: Seeds the corpora and key of every encrypt run, so runs time the same data.
+ENCRYPT_SEED = 0xC0FFEE
+
 
 def bench_encrypt(sizes: Sequence[int] = DEFAULT_BENCH_SIZES,
                   mode: Mode = Mode.ADDITIVE, n: int = 1,
-                  reps: int = MIN_REPS, seed: int = 0xC0FFEE) -> dict:
+                  reps: int = MIN_REPS) -> dict:
     """Seal/open timing over random corpora of the given sizes.
 
     Returns {"mode", "reps", "environment", "rows"}, one row per size
@@ -156,7 +159,7 @@ def bench_encrypt(sizes: Sequence[int] = DEFAULT_BENCH_SIZES,
         raise Error("need at least one size to time")
     if any(size < 0 for size in sizes):
         raise Error(f"sizes must be >= 0, got {list(sizes)}")
-    rng = random.Random(seed)
+    rng = random.Random(ENCRYPT_SEED)
     master = rng.randrange(1, default_modulus().p)
     key = derive_file_key(master, b"bench.dat", mode=mode, n=n)
     rows = []
@@ -180,10 +183,12 @@ DEFAULT_K_VALUES = (3, 5, 9, 13, 17, 21)
 
 ATTRS_CSV_HEADER = "k,n_users,split_s,reconstruct_s"
 
+#: Seeds the secrets and coefficients of every attribute run.
+ATTRS_SEED = 0xA77
+
 
 def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
-                     n_users: int = 24, reps: int = MIN_REPS,
-                     seed: int = 0xA77) -> dict:
+                     n_users: int = 24, reps: int = MIN_REPS) -> dict:
     """Split/reconstruct timing as the threshold k grows.
 
     Returns {"reps", "environment", "rows", "split_fit"}, one row per k
@@ -204,7 +209,7 @@ def bench_attributes(k_values: Sequence[int] = DEFAULT_K_VALUES,
                     f"time in k, got {list(k_values)}")
     modulus = default_modulus()
     p = modulus.p
-    rng = random.Random(seed)
+    rng = random.Random(ATTRS_SEED)
     rows = []
     for k in k_values:
         secret = rng.randrange(p)

@@ -19,13 +19,13 @@ sidecar verifies them: a lookup is a binary search over the user or
 grant blocks, which persist_db writes sorted by id, and parses only the
 block it finds; a commit splices the assigned blocks between slices of
 the untouched ones and streams the pieces to disk and to SHA-256.
-The process keeps the pieces of the last policy it verified or
-committed, with their digest, so a load that reads those same bytes
-again compares them in place instead of hashing them.  With them it
-keeps the SHA-256 state at every _MARK bytes, so a commit hashes only
-from the mark before its first edit, and the id lists of the two
-arrays where a walk or an earlier commit established them, so an
-insert after a commit in the same process walks nothing.
+The process keeps the last policy it verified or committed: its pieces,
+its digest, the SHA-256 state at every _MARK bytes and the ids of each
+array a walk or a commit found.  One rule reads it for a load and a
+commit alike: bytes equal to the kept ones, compared in place, take its
+digest and ids unhashed, and any others are hashed on from the mark
+before their first change.  So a commit re-hashes only from its first
+edit, and an insert after a commit walks nothing.
 """
 
 from __future__ import annotations
@@ -424,32 +424,31 @@ def _grant_from_doc(g: dict, modulus: FieldModulus) -> FileGrant:
         envelope_ref=ref)
 
 
-#: The bytes between two kept SHA-256 states: a commit of a policy
-#: load_db read re-hashes at most this much before its first edit.
+#: The bytes between two kept SHA-256 states: a hash _recall resumes
+#: re-hashes at most this much before the first change.
 _MARK = 16 * 1024
 
 
-def _digest(pieces: Sequence[bytes], marks: "List[Any] | None" = None) -> bytes:
+def _digest(pieces: Sequence[bytes], marks: List[Any]) -> bytes:
     """The policy sidecar's content: SHA-256 hex of the policy bytes.
 
-    With marks, the SHA-256 states after the first 1, 2, .. len(marks)
+    marks holds the SHA-256 states after the first 1, 2, .. len(marks)
     _MARK-byte steps of those bytes: hashing resumes from the last of
-    them, and appends the state after each later whole step."""
+    them, or from byte 0, and appends the state after each later whole
+    step."""
     # Imported here for ROADMAP item 3: `secrets` still loads hashlib
     # through hmac, but once os.urandom replaces it, commands that touch
     # no policy will not load hashlib.
     import hashlib
-    if marks:
-        sha, done = marks[-1].copy(), len(marks) * _MARK
-    else:
-        sha, done = hashlib.sha256(), 0
+    sha = marks[-1].copy() if marks else hashlib.sha256()
+    done = len(marks) * _MARK
     end = 0  # where the piece ends in the bytes; done of them are hashed
     for piece in pieces:
         end += len(piece)
         if end <= done:
             continue
         view = memoryview(piece)[len(piece) - (end - done):]
-        while marks is not None and done // _MARK < end // _MARK:
+        while done // _MARK < end // _MARK:
             step = _MARK - done % _MARK
             sha.update(view[:step])
             view, done = view[step:], done + step
@@ -463,7 +462,8 @@ class _Kept(NamedTuple):
     """One policy's bytes as pieces, with what is true of them wherever
     they are read: their digest line, their SHA-256 marks (see _digest),
     and the ids of their users and grants arrays, or None where no walk
-    or commit established them."""
+    or commit established them.  _recall gives it for the bytes a load
+    read or a commit wrote: the kept one for equal bytes, else new."""
 
     pieces: Sequence[bytes]
     digest: bytes
@@ -472,10 +472,10 @@ class _Kept(NamedTuple):
     grants: "List[str] | None"
 
 
-#: The last policy this process verified or committed, or None: load_db
-#: skips the SHA-256 of bytes equal to its pieces and starts their
-#: arrays from its ids, and persist_db resumes SHA-256 from its marks.
-#: Such a record is never stale, only unused.
+#: The last policy this process verified or committed, or None.  For
+#: load_db and persist_db alike, _recall takes its digest and ids for
+#: bytes equal to its pieces, and resumes SHA-256 from its marks for any
+#: others.  Such a record is never stale, only unused.
 _kept: "_Kept | None" = None
 
 
@@ -491,23 +491,21 @@ def _prefix(text: bytes, pieces: Sequence[bytes]) -> int:
     return pos
 
 
-def _kept_for(data: bytes) -> "_Kept | None":
-    """The kept record if data is the join of its pieces, else None."""
-    kept = _kept
-    if kept is None or not (_prefix(data, kept.pieces) == len(data)
-                            == sum(map(len, kept.pieces))):
-        return None
-    return kept
-
-
-def _kept_marks(pieces: Sequence[bytes]) -> List[Any]:
-    """The kept marks that hold for the join of pieces: those before the
-    first piece that differs from the kept bytes.  Those are compared
-    only as one piece, as load_db keeps what it read."""
-    kept = _kept
-    if kept is None or len(kept.pieces) != 1:
-        return []
-    return kept.marks[:_prefix(kept.pieces[0], pieces) // _MARK]
+def _recall(pieces: Sequence[bytes]) -> _Kept:
+    """The kept record, if the join of pieces is its bytes, found with
+    no hash; else a record of pieces with their digest, the marks that
+    hash passed and no ids.  The hash resumes from the last kept mark
+    before the first piece that differs, found by _prefix in place where
+    either side is one piece; where neither is, it starts at byte 0."""
+    kept, marks = _kept, []
+    if kept is not None:
+        same = (_prefix(kept.pieces[0], pieces) if len(kept.pieces) == 1
+                else _prefix(pieces[0], kept.pieces) if len(pieces) == 1
+                else 0)
+        if same == sum(map(len, pieces)) == sum(map(len, kept.pieces)):
+            return kept
+        marks = kept.marks[:same // _MARK]
+    return _Kept(pieces, _digest(pieces, marks), marks, None, None)
 
 
 def persist_db(db: PolicyDb, store: ObjectStore) -> None:
@@ -520,18 +518,17 @@ def persist_db(db: PolicyDb, store: ObjectStore) -> None:
 
     The policy is spliced, not rebuilt: its pieces (see _policy_pieces)
     are streamed into the file and hashed as they are, with no copy of
-    the whole text.  SHA-256 resumes from the kept state at the last
-    _MARK step before the first byte that differs from the kept bytes,
-    and the kept record becomes these pieces, with each array's ids
-    carried forward by Blocks._carried."""
+    the whole text.  Their digest is _recall's, as a load's is: SHA-256
+    resumes from the kept mark before the first edit.  The kept record
+    becomes these bytes, with each array's ids carried forward by
+    Blocks._carried."""
     global _kept
     pieces = _policy_pieces(db)
-    marks = _kept_marks(pieces)
-    digest = _digest(pieces, marks)
+    kept = _recall(pieces)
     store.write_text(POLICY_FILENAME, pieces,
-                     cache=(POLICY_DIGEST_FILENAME, digest))
-    _kept = _Kept(pieces, digest, marks, db.users._carried(),
-                  db.grants._carried())
+                     cache=(POLICY_DIGEST_FILENAME, kept.digest))
+    _kept = kept._replace(users=db.users._carried(),
+                          grants=db.grants._carried())
 
 
 def load_db(store: ObjectStore) -> PolicyDb:
@@ -540,11 +537,13 @@ def load_db(store: ObjectStore) -> PolicyDb:
     The file and its sidecar are read on every call, the file once, as
     bytes.  When the sidecar holds their digest, persist_db wrote them,
     and they become the db's working copy (see Blocks); a missing or
-    stale sidecar only costs a full parse.  Bytes equal to the policy
-    this process last verified or committed take its kept digest
-    instead of a SHA-256: equal bytes have equal digests, so every load
-    decides as if it had hashed them.  Their arrays start from the ids
-    the kept record has for them, so a miss there walks nothing.
+    stale sidecar only costs a full parse.  The digest is _recall's, as
+    a commit's is: bytes equal to the policy this process last verified
+    or committed take its kept digest instead of a SHA-256 (equal bytes
+    have equal digests, so every load decides as if it had hashed them)
+    and start their arrays from its ids, so a miss there walks nothing;
+    others, such as another writer's commit, are hashed on from the kept
+    mark before their first change.
     """
     global _kept
     data = store.read_bytes(POLICY_FILENAME)
@@ -552,10 +551,7 @@ def load_db(store: ObjectStore) -> PolicyDb:
         sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
     except Error:  # absent or unreadable: it is only a cache
         sidecar = b""
-    kept = _kept_for(data)
-    if kept is None:
-        marks: List[Any] = []
-        kept = _Kept([data], _digest([data], marks), marks, None, None)
+    kept = _recall([data])
     if sidecar == kept.digest:
         _kept = kept._replace(pieces=[data])
         db = _sliced_db(data)

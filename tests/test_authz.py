@@ -836,6 +836,11 @@ def test_missing_sidecar_takes_the_full_parse_and_persist_writes_one(tmp_path):
         assert load_db(store) == db
 
 
+def sidecar_of(data):
+    """The sidecar persist_db writes beside the policy bytes `data`."""
+    return hashlib.sha256(data).hexdigest().encode("ascii") + b"\n"
+
+
 @pytest.mark.parametrize("sidecar", ["old-digest", "empty", "truncated",
                                      "next-digest"])
 def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
@@ -847,7 +852,7 @@ def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
     # The states a crash can leave the unsynced sidecar in, beside the
     # policy.json that was committed.
     def digest(text):
-        return trishare.policy._digest([text.encode("utf-8")]).decode("ascii")
+        return sidecar_of(text.encode("utf-8")).decode("ascii")
 
     committed, stale = {"old-digest": (after, digest(before)),
                         "empty": (after, ""),
@@ -877,7 +882,7 @@ def forge(store, text):
     """Commit `text` as the policy with the sidecar persist_db would write."""
     data = text.encode("utf-8")
     store.write_text(POLICY_FILENAME, [data],
-                     cache=(POLICY_DIGEST_FILENAME, trishare.policy._digest([data])))
+                     cache=(POLICY_DIGEST_FILENAME, sidecar_of(data)))
 
 
 def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
@@ -917,7 +922,8 @@ def forged_policy(tmp_path, forgery):
     second file_id key.  Or text out of it, byte by byte: f0 moved to the
     end with its id spelled "\\u00660", f2's opener or f2's owner_id line
     one space short of its indent, in place or with f2 moved to the end,
-    or f2's closer one space short."""
+    both of them in place ("+" joins two edits), or f2's closer one space
+    short."""
     db, store = base_db(tmp_path)
     for i in range(24 if forgery == "swapped-far" else 5):
         grant_access(db, store, f"f{i}", "olivia", ["carol"], DATA)
@@ -945,11 +951,12 @@ def forged_policy(tmp_path, forgery):
               "garbage-id": (f'"f2",\n      {owner}', f'"f2",\n     {owner}'),
               "closer": ('\n    },\n    {\n      "file_id": "f3"',
                          '\n   },\n    {\n      "file_id": "f3"')}
-    edit = forgery.replace("moved-", "")
-    if edit in forged:
-        old, new = forged[edit]
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+    moved = {"moved-hidden": "hidden", "moved-garbage": "garbage-id"}
+    for edit in moved.get(forgery, forgery).split("+"):
+        if edit in forged:
+            old, new = forged[edit]
+            assert text.count(old) == 1
+            text = text.replace(old, new)
     return db, text
 
 
@@ -982,6 +989,15 @@ def forged_policy(tmp_path, forgery):
                        "f3": "own", "f4": "CorruptPolicy"}),
     ("closer", {"f0": "own", "f1": "own", "f2": "own", "f3": "own",
                 "f4": "own"}),
+    # The walk checks the layout, not the grammar: f2's opener and its
+    # owner_id line each one space short hide f2 inside f1, and it reads
+    # as absent though db_from_json finds it.
+    pytest.param("hidden+garbage-id",
+                 {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
+                  "f3": "own", "f4": "own"},
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "a block edited in two places hides until ROADMAP "
+                     "item 16's grammar replaces the layout walk"))),
 ])
 def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
                                                            outcomes):
@@ -1345,31 +1361,30 @@ def _outside_edit(store, kind, rng, committed):
     policy = store.root / POLICY_FILENAME
     sidecar = store.root / POLICY_DIGEST_FILENAME
     data = policy.read_bytes()
-    digest = trishare.policy._digest
     if kind == "flip":  # any byte, the sidecar re-matched
         at = rng.randrange(len(data))
         data = data[:at] + bytes([data[at] ^ 1 << rng.randrange(7)]) + data[at + 1:]
         policy.write_bytes(data)
-        sidecar.write_bytes(digest([data]))
+        sidecar.write_bytes(sidecar_of(data))
     elif kind == "same-length":  # sidecar re-matched, or left stale
         data = _set_hex_digit(data, rng)
         policy.write_bytes(data)
         if rng.random() < 0.5:
-            sidecar.write_bytes(digest([data]))
+            sidecar.write_bytes(sidecar_of(data))
     elif kind == "appended":  # one more byte, the sidecar re-matched
         data += rng.choice([b"\n", b" ", b"}"])
         policy.write_bytes(data)
-        sidecar.write_bytes(digest([data]))
+        sidecar.write_bytes(sidecar_of(data))
     elif kind == "stale":
-        sidecar.write_bytes(digest([rng.choice(committed)]))
+        sidecar.write_bytes(sidecar_of(rng.choice(committed)))
     elif kind == "torn":
-        sidecar.write_bytes(digest([data])[:rng.randrange(65)])
+        sidecar.write_bytes(sidecar_of(data)[:rng.randrange(65)])
     elif kind == "deleted":
         sidecar.unlink(missing_ok=True)
     else:  # an earlier or the "last" commit, put back with its sidecar
         data = committed[-1] if kind == "last" else rng.choice(committed)
         policy.write_bytes(data)
-        sidecar.write_bytes(digest([data]))
+        sidecar.write_bytes(sidecar_of(data))
 
 
 _EDITS = ["flip", "same-length", "appended", "stale", "torn", "deleted",
@@ -1405,7 +1420,7 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
             data = store.read_bytes(POLICY_FILENAME)
             if persisted:
                 sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
-                assert sidecar == hashlib.sha256(data).hexdigest().encode() + b"\n"
+                assert sidecar == sidecar_of(data)
                 kept, walked = trishare.policy._kept, trishare.policy._sliced_db(data)
                 assert kept.users in (None, walked.users._ids()), (seed, step)
                 assert kept.grants in (None, walked.grants._ids()), (seed, step)

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import trishare
 import trishare.policy
 from trishare import (NotFound, ObjectStore, PolicyDb, UserRecord, UserType,
-                      grant_access, load_db, persist_db, register_user)
+                      db_to_json, grant_access, load_db, persist_db,
+                      register_user)
 from trishare.cli import cli_dispatch
 from trishare.policy import transaction
 
@@ -267,14 +269,29 @@ def cut(data, offsets):
     return [view[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+def digest_starts(monkeypatch):
+    """How many kept marks each later _digest call resumed from."""
+    starts, real_digest = [], trishare.policy._digest
+
+    def counted_digest(pieces, marks):
+        starts.append(len(marks))
+        return real_digest(pieces, marks)
+
+    monkeypatch.setattr(trishare.policy, "_digest", counted_digest)
+    return starts
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_a_resumed_digest_is_the_sha256_of_the_bytes(data):
-    """persist_db's SHA-256, resumed from the kept state at the last mark
+    """_recall's SHA-256, resumed from the kept state at the last mark
     before the first changed byte, is that of the whole new bytes, and
     its marks are the states a hash from scratch passes, for any pieces.
     The first change falls one byte before, at or after a mark, or
-    anywhere."""
+    anywhere.  The kept bytes are one piece, as a load keeps them, or
+    the new ones are, as a load reads them; where neither is, the hash
+    starts at byte 0.  Bytes equal to the kept ones take the kept record
+    with no hash."""
     mark, kept = trishare.policy._MARK, trishare.policy._kept
     size = data.draw(st.integers(0, 4 * mark), label="size")
     edit = min(size, data.draw(st.one_of(
@@ -283,29 +300,89 @@ def test_a_resumed_digest_is_the_sha256_of_the_bytes(data):
         st.integers(0, 4 * mark)), label="edit"))
     removed = data.draw(st.integers(0, 100), label="removed")
     added = data.draw(st.binary(max_size=100), label="added")
+    whole = data.draw(st.sampled_from(["kept", "new", "neither"]), label="whole")
     cuts = st.lists(st.integers(0, 5 * mark), max_size=6)
     old_cuts, new_cuts = data.draw(cuts, label="old"), data.draw(cuts, label="new")
     cut_at_edit = data.draw(st.booleans(), label="cut at the edit")
-    if cut_at_edit:
-        new_cuts.append(edit)
+    if cut_at_edit:  # the side that is in pieces
+        (old_cuts if whole == "new" else new_cuts).append(edit)
+    # An empty first piece: each side that is not whole is two at least.
+    old_cuts.append(0)
+    new_cuts.append(0)
     old = (hashlib.sha256(b"%d" % size).digest() * (size // 32 + 1))[:size]
     changed = bytes([old[edit] ^ 1]) if edit < size else b"!"
     new = old[:edit] + changed + added + old[edit + removed + 1:]
+    old_pieces = [old] if whole == "kept" else cut(old, old_cuts)
+    new_pieces = [new] if whole == "new" else cut(new, new_cuts)
     marks = []
-    digest = trishare.policy._digest(cut(old, old_cuts), marks)
+    digest = trishare.policy._digest(old_pieces, marks)
     assert digest == hashlib.sha256(old).hexdigest().encode("ascii") + b"\n"
-    try:
-        trishare.policy._kept = trishare.policy._Kept([old], digest, marks,
-                                                      None, None)
-        new_pieces = cut(new, new_cuts)
-        resumed = trishare.policy._kept_marks(new_pieces)
-        assert len(resumed) <= edit // mark  # none covers the changed byte
-        if cut_at_edit:  # so the resume starts at the last mark before it
-            assert len(resumed) == edit // mark
-        assert trishare.policy._digest(new_pieces, resumed) == (
-            hashlib.sha256(new).hexdigest().encode("ascii") + b"\n")
-    finally:
-        trishare.policy._kept = kept
-    assert [state.digest() for state in resumed] == [
+    record = trishare.policy._Kept(old_pieces, digest, marks, ["u"], ["g"])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(trishare.policy, "_kept", record)
+        starts = digest_starts(monkeypatch)
+        recalled = trishare.policy._recall(new_pieces)
+        assert len(starts) == 1
+        again = trishare.policy._recall(
+            [old] if whole == "new" else cut(old, new_cuts))
+    assert trishare.policy._kept is kept
+    assert starts[0] <= edit // mark  # none covers the changed byte
+    if whole == "neither":
+        assert starts[0] == 0
+    elif cut_at_edit:  # so the resume starts at the last mark before it
+        assert starts[0] == edit // mark
+    assert recalled.pieces is new_pieces and recalled.digest == (
+        hashlib.sha256(new).hexdigest().encode("ascii") + b"\n")
+    assert (recalled.users, recalled.grants) == (None, None)
+    assert [state.digest() for state in recalled.marks] == [
         hashlib.sha256(new[:mark * (i + 1)]).digest()
         for i in range(len(new) // mark)]
+    # The kept bytes again, in other pieces: with one side whole, or
+    # none to compare, they take the record with no hash.
+    hit = whole != "neither" or size == 0
+    assert (again is record) == hit == (len(starts) == 1)
+    if not hit:
+        assert again.digest == digest and starts[1] == 0
+
+
+def test_a_load_of_another_writers_commit_resumes_from_the_marks(
+        tmp_path, monkeypatch):
+    """A load of bytes another writer committed after this process's own
+    commit resumes SHA-256 from the kept marks before its first change,
+    as a commit does, and decides as a load with no kept record would:
+    the sliced db under a matching sidecar, the full parse under a stale
+    one."""
+    monkeypatch.setattr(trishare.policy, "_kept", None)
+    monkeypatch.setattr(trishare.policy, "_MARK", 256)
+    root, body = tmp_path / "store", tmp_path / "memo.txt"
+    body.write_bytes(b"memo")
+    store = ObjectStore(root)
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c1"))
+    register_user(db, UserRecord("bob", UserType.CONSUMER, b"c2"))
+    for i in range(5):
+        grant_access(db, store, f"f{i}", "olivia", ["bob"], b"memo")
+    persist_db(db, store)
+    own, sidecar = trishare.policy._kept, root / "policy.json.sha256"
+    ours = sidecar.read_bytes()
+    trishare.policy._kept = None  # the other writer, in its own process
+    assert cli_dispatch(["grant", "--store", str(root), "--file-id", "g",
+                         "--owner", "olivia", "--consumers", "bob",
+                         "--in", str(body)]) == 0
+    data, theirs = (root / "policy.json").read_bytes(), sidecar.read_bytes()
+    starts = digest_starts(monkeypatch)
+    for written in (theirs, ours):
+        trishare.policy._kept = own
+        sidecar.write_bytes(written)
+        starts.clear()
+        with mock.patch.object(trishare.policy, "db_from_json",
+                               wraps=trishare.policy.db_from_json) as full:
+            loaded = load_db(store)
+        # The change is the grant of g, after every block this one wrote.
+        assert len(starts) == 1 and starts[0] > 0
+        assert full.call_count == (written == ours)
+        if written == theirs:  # kept as a load keeps what it read
+            assert trishare.policy._kept.pieces == [data]
+        assert loaded == trishare.policy.db_from_json(data)
+        assert db_to_json(loaded).encode("ascii") == data
+    assert trishare.policy._kept is own  # a stale sidecar keeps nothing
