@@ -93,13 +93,13 @@ class CipherKey:
         except ValueError:
             raise KeyOutOfRange(f"unknown mode {self.mode!r}") from None
         if self.a < 1:
-            raise KeyOutOfRange(f"a={self.a} must be positive")
+            raise KeyOutOfRange("a must be positive")
         if self.mode == Mode.ADDITIVE:
             if self.n != 1:
                 raise KeyOutOfRange(f"Additive mode requires n=1, got n={self.n}")
         else:
             if self.a < 256:
-                raise KeyOutOfRange(f"Power mode requires a >= 256, got a={self.a}")
+                raise KeyOutOfRange("Power mode requires a >= 256")
             if not 1 <= self.n <= MAX_POWER:
                 raise KeyOutOfRange(
                     f"Power mode requires 1 <= n <= {MAX_POWER}, got n={self.n}"

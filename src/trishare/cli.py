@@ -159,9 +159,10 @@ def _cmd_register(args) -> int:
 def _cmd_grant(args) -> int:
     mode, n = _mode_and_n(args)
     store = _store(args)
+    # Read before the lock, which then covers only load, assign and persist.
+    consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
+    data = Path(args.infile).read_bytes()
     with policy.transaction(store) as db:
-        consumer_ids = [tok for tok in args.consumers.split(",") if tok.strip()]
-        data = Path(args.infile).read_bytes()
         owner_share = authz.grant_access(
             db, store, args.file_id, args.owner, consumer_ids, data, mode=mode, n=n)
     grant = db.grants[args.file_id]
@@ -195,6 +196,9 @@ def _cmd_request(args) -> int:
         raise Error("a request in a batch needs --out: the plaintext would "
                     "go into the batch's JSON")
     store = _store(args)
+    record = None
+    if args.share:  # read before the lock, as grant reads --in
+        record = EncryptedShare.from_json(Path(args.share).read_bytes())
     # Shared: a re-grant still rewrites the envelope this request reads.
     with policy.transaction(store, exclusive=False) as db:
         receiver = db.users.get(args.receiver)
@@ -202,9 +206,6 @@ def _cmd_request(args) -> int:
             raise authz.UnknownUser(f"receiver {args.receiver!r} is not registered")
         x, y = args.owner_point
         owner_point = SharePoint(x=x, y=y, modulus=db.modulus)
-        record = None
-        if args.share:
-            record = EncryptedShare.from_json(Path(args.share).read_bytes())
         plaintext = authz.request_decrypt(db, store, args.file_id, owner_point,
                                           receiver, record)
     if args.outfile:

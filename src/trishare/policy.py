@@ -20,12 +20,15 @@ grant blocks, which persist_db writes sorted by id, and parses only the
 block it finds; a commit splices the assigned blocks between slices of
 the untouched ones and streams the pieces to disk and to SHA-256.
 The process keeps the last policy it verified or committed: its pieces,
-its digest, the SHA-256 state at every _MARK bytes and the ids of each
-array a walk or a commit found.  One rule reads it for a load and a
-commit alike: bytes equal to the kept ones, compared in place, take its
-digest and ids unhashed, and any others are hashed on from the mark
-before their first change.  So a commit re-hashes only from its first
-edit, and an insert after a commit walks nothing.
+its digest, the SHA-256 state at every _MARK bytes, and its layout:
+p's modulus, where each array starts and, for each array whose blocks
+a commit knew, their ids and offsets (the index).  One rule reads it
+for a load and a commit alike: bytes equal to the kept ones, compared
+in place, take its digest and layout unhashed and unscanned, and any
+others are hashed on from the mark before their first change and
+scanned for their layout.  So a commit re-hashes only from its first
+edit, and after a commit a load scans nothing and a lookup bisects the
+ids, reading no byte but those of the block it returns.
 """
 
 from __future__ import annotations
@@ -82,6 +85,14 @@ class FileGrant:
     envelope_ref: str
 
 
+class _Index(NamedTuple):
+    """One array's blocks in text order: their ids, and the offset of
+    each block's start from the array's first (lo)."""
+
+    ids: List[str]
+    offsets: List[int]
+
+
 class Blocks(Mapping):
     """id -> record for one array of the policy, its users or its grants,
     kept as edits against the verified policy; a record is replaced or
@@ -92,26 +103,30 @@ class Blocks(Mapping):
     A policy loaded through its sidecar keeps its bytes, and text[start:
     end] is the array as db_to_json writes it: its blocks sit in
     text[lo:hi] sorted by id, joined by ",".  Every lookup, membership
-    test and insert goes through one search, _span: a binary search over
-    byte offsets, where each probe takes the block that starts nearest
-    the middle and decodes only its quoted id.  Past the first, a block
-    starts after its seam ("," and opener), which only _next_start finds.
-    A miss is checked by _ids, one walk from seam to seam, done once: a
-    block out of order, re-spelled, or hidden in another by an opener
-    that lost its indent is CorruptPolicy, never absent.  A commit
-    carries the walked ids, with its inserts, into the kept record, and
-    a load of the bytes it wrote starts from them (see load_db).
-    Only the block a lookup returns is parsed, by `parse`, and it is
-    kept, not written back.  A record stored becomes an edit against its
-    block's span, and a new id's span is empty, at its sorted place.
-    _spliced gives every run of blocks no edit touches as a slice of the
-    text and each edit rendered by `render`.  A new db and a full parse
-    start from b"[]", where every record is such an insert.
+    test and insert goes through one search, _span.  Where the array's
+    index is known (its ids in order and each block's offset from lo,
+    see _Index), _span bisects the ids and reads no byte.  An empty
+    array has one, a walk finds one, and a load of bytes this process
+    committed takes the one the commit carried (see load_db).  Else
+    _probe searches the bytes: a binary search over byte offsets, where
+    each probe takes the block that starts nearest the middle and
+    decodes only its quoted id.  Past the first, a block starts after
+    its seam ("," and opener), which only _next_start finds.  A probe's
+    miss is checked by _ids, one walk from seam to seam, done once, that
+    keeps the index: a block out of order, re-spelled, or hidden in
+    another by an opener that lost its indent is CorruptPolicy, never
+    absent.  Only the block a lookup returns is parsed, by `parse`, and
+    it is kept, not written back.  A record stored becomes an edit
+    against its block's span, and a new id's span is empty, at its
+    sorted place.  _spliced gives every run of blocks no edit touches
+    as a slice of the text and each edit rendered by `render`, with the
+    index moved to match.  A new db and a full parse start from b"[]",
+    where every record is such an insert.
     """
 
     def __init__(self, key: str, next_key: bytes, parse: Callable[[Any], Any],
                  render: Callable[[Any], str], text: bytes, start: int,
-                 end: int):
+                 end: int, index: "_Index | None"):
         self._key, self._next_key = key, next_key
         self._parse, self._render = parse, render
         self._mark = b'\n    {\n      "%s": ' % key.encode("ascii")
@@ -124,13 +139,13 @@ class Blocks(Mapping):
         else:
             raise CorruptPolicy(f"the {key} blocks do not have the layout "
                                 "db_to_json writes")
-        self._text, self._lo, self._hi = text, lo, hi
+        self._text, self._start, self._lo, self._hi = text, start, lo, hi
         # id -> (start, end, record) for every record read or assigned;
         # _spliced renders only the assigned
         self._records: Dict[str, Tuple[int, int, Any]] = {}
         self._assigned: Set[str] = set()
-        # _ids, once it has passed or load_db gave the kept ids
-        self._walked: "List[str] | None" = None
+        # given by load_db, found by _ids, or that of an empty array
+        self._index = _Index([], []) if lo == hi else index
 
     def __getitem__(self, key: str) -> Any:
         hit = self._records.get(key)
@@ -167,41 +182,61 @@ class Blocks(Mapping):
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
-    def _spliced(self) -> List[bytes]:
+    def _spliced(self) -> "Tuple[List[bytes], _Index | None]":
         """Every block in id order, for _policy_pieces: each run that no
         edit touches as one slice of the text (its blocks still joined by
-        ","), each assigned record rendered anew."""
-        text, cursor, hi = memoryview(self._text), self._lo, self._hi
-        items = []
-        # An insert sorts before the block whose start it shares.
+        ","), each assigned record rendered anew.  With them, the index
+        of the array they make, if this array's is known: a block of a
+        run moves with the run, and a rendered one starts where it lands;
+        else None."""
+        lo, hi, old = self._lo, self._hi, self._index
+        text, cursor, ids, offsets = memoryview(self._text), lo, [], []
+        items: List[bytes] = []
+        pos = 0  # where the next item lands, from the new array's lo
+        # An insert sorts before the block whose start it shares; the
+        # last entry only ends the run after every edit.
         edits = sorted(self._records[key][:2] + (key,) for key in self._assigned)
-        for start, end, key in edits:
+        for start, end, key in edits + [(hi, hi, None)]:
             if cursor < start:  # the run before start, less the "," ending it
-                items.append(text[cursor:start - 1 if start < hi else hi])
+                stop = start - 1 if start < hi else hi
+                items.append(text[cursor:stop])
+                if old is not None:
+                    first = bisect.bisect_left(old.offsets, cursor - lo)
+                    past = bisect.bisect_left(old.offsets, stop - lo, first)
+                    shift = pos - (cursor - lo)
+                    ids += old.ids[first:past]
+                    offsets += [at + shift for at in old.offsets[first:past]]
+                pos += stop - cursor + 1
+            if key is None:
+                break
             items.append(self._render(self._records[key][2]).encode("ascii"))
+            ids.append(key)
+            offsets.append(pos)
+            pos += len(items[-1]) + 1
             cursor = start if start == end else min(end + 1, hi)
-        if cursor < hi:
-            items.append(text[cursor:hi])
-        return items
-
-    def _carried(self) -> "List[str] | None":
-        """The ids of the array _spliced writes, in order, if this
-        array's own are known (walked, given by load_db, or an empty
-        array): those with each inserted id put in its place; else None."""
-        if self._walked is None and self._lo < self._hi:
-            return None
-        ids = list(self._ids())
-        for key in self._assigned:
-            start, end, _ = self._records[key]
-            if start == end:
-                bisect.insort(ids, key)
-        return ids
+        return items, None if old is None else _Index(ids, offsets)
 
     def _span(self, key: str) -> Tuple[int, int]:
         """The text span of key's block, or an empty span where it would
-        go.  CorruptPolicy if the next block repeats the id or sorts
-        before it, or if the search misses a block that holds the id out
-        of order, re-spelled or hidden, which an insert would repeat."""
+        go: a bisection of the index where it is known, else _probe."""
+        if self._index is None:
+            return self._probe(key)
+        ids, offsets = self._index
+        at = bisect.bisect_left(ids, key)
+        if at == len(ids):
+            return self._hi, self._hi
+        start = self._lo + offsets[at]
+        if ids[at] != key:
+            return start, start
+        return start, (self._lo + offsets[at + 1] - 1 if at + 1 < len(ids)
+                       else self._hi)
+
+    def _probe(self, key: str) -> Tuple[int, int]:
+        """_span over bytes with no index: a binary search that decodes
+        each probed block's id.  CorruptPolicy if the next block repeats
+        the id or sorts before it, or if the search misses a block that
+        holds the id out of order, re-spelled or hidden, which an insert
+        would repeat."""
         hi = self._hi
         # The block just before a holds a smaller id, and b_id is the id
         # of the block at b, not smaller; a and b are block starts or hi.
@@ -231,23 +266,25 @@ class Blocks(Mapping):
         return seam + 1 if seam >= 0 else self._hi
 
     def _ids(self) -> List[str]:
-        """Every block's id, in text order, found once and kept; the walk
-        steps from seam to seam, as the search does.  CorruptPolicy unless
+        """Every block's id, in text order, from the index; with none, a
+        walk from seam to seam, as _probe steps, finds the ids and the
+        offsets once and keeps them as the index.  CorruptPolicy unless
         the ids strictly increase and the array holds one `next_key` per
         block, so that none hides in another."""
-        if self._walked is None:
-            ids, start = [], self._lo
+        if self._index is None:
+            ids, offsets, start = [], [], self._lo
             while start < self._hi:
                 key = self._id_at(start)
                 if ids and ids[-1] >= key:
                     raise CorruptPolicy(f"the {self._key} block at byte "
                                         f"{start} is out of order")
                 ids.append(key)
+                offsets.append(start - self._lo)
                 start = self._next_start(start + 1)
             if self._text.count(self._next_key, self._lo, self._hi) != len(ids):
                 raise CorruptPolicy(f"a {self._key} block hides in another")
-            self._walked = ids
-        return self._walked
+            self._index = _Index(ids, offsets)
+        return self._index.ids
 
     def _id_at(self, start: int) -> str:
         """The JSON string at the head of the block at start, or CorruptPolicy."""
@@ -308,27 +345,46 @@ _GRANTS_KEY = b',\n  "grants": '
 _ARRAY_END = b'\n  ]'
 
 
-def _user_blocks(text: bytes = b"[]", start: int = 0, end: int = 2) -> Blocks:
+class _Layout(NamedTuple):
+    """What _sliced_db finds in bytes db_to_json wrote: p's modulus and
+    where the users and the grants array start (at their "["); and each
+    array's index where a commit carried it, else None."""
+
+    modulus: FieldModulus
+    users_at: int
+    grants_at: int
+    users: "_Index | None" = None
+    grants: "_Index | None" = None
+
+
+def _user_blocks(text: bytes = b"[]", start: int = 0, end: int = 2,
+                 index: "_Index | None" = None) -> Blocks:
     """The users array at text[start:end], or an empty one."""
     return Blocks("user_id", b',\n      "user_type": ', _user_from_doc,
-                  _user_json, text, start, end)
+                  _user_json, text, start, end, index)
 
 
 def _grant_blocks(modulus: "FieldModulus | None", text: bytes = b"[]",
-                  start: int = 0, end: int = 2) -> Blocks:
+                  start: int = 0, end: int = 2,
+                  index: "_Index | None" = None) -> Blocks:
     """The grants array at text[start:end], or an empty one."""
     return Blocks("file_id", b',\n      "owner_id": ',
                   partial(_grant_from_doc, modulus=modulus), _grant_json,
-                  text, start, end)
+                  text, start, end, index)
 
 
-def _policy_pieces(db: PolicyDb) -> List[bytes]:
+def _policy_pieces(db: PolicyDb) -> Tuple[List[bytes], _Layout]:
     """The policy text in pieces, which persist_db streams and whose join
     db_to_json returns: the rendered head, then the user and the grant
-    blocks as Blocks._spliced gives them, with brackets and commas."""
+    blocks as Blocks._spliced gives them, with brackets and commas.  With
+    them, the layout of that text and the index of each array that
+    _spliced gives."""
     pieces = [f'{{\n  "p": {db.modulus.p}'.encode("ascii")]
+    starts, indexes = [], []
     for key, blocks in ((_USERS_KEY, db.users), (_GRANTS_KEY, db.grants)):
-        items = blocks._spliced()
+        starts.append(sum(map(len, pieces)) + len(key))
+        items, index = blocks._spliced()
+        indexes.append(index)
         if not items:
             pieces.append(key + b"[]")
             continue
@@ -337,27 +393,36 @@ def _policy_pieces(db: PolicyDb) -> List[bytes]:
             pieces += (item, b",")
         pieces[-1] = _ARRAY_END
     pieces.append(b"\n}")
-    return pieces
+    return pieces, _Layout(db.modulus, *starts, *indexes)
 
 
 def db_to_json(db: PolicyDb) -> str:
     """Serialize to the documented policy schema (stable key order)."""
-    return b"".join(_policy_pieces(db)).decode("ascii")
+    return b"".join(_policy_pieces(db)[0]).decode("ascii")
 
 
 def _sliced_db(data: bytes) -> PolicyDb:
-    """PolicyDb over bytes db_to_json wrote: p is parsed now, each user
-    and grant block only when first read (see Blocks)."""
+    """PolicyDb over bytes db_to_json wrote, whose layout is found by a
+    scan of them: p is parsed now, each user and grant block only when
+    first read (see Blocks)."""
     users = data.find(_USERS_KEY)
     grants = data.find(_GRANTS_KEY)
     if not (0 <= users < grants and data.isascii() and data.endswith(b"\n}")):
         raise CorruptPolicy("policy does not have the layout db_to_json writes")
-    db = PolicyDb(read_json(data[:users] + b"}",
-                            lambda doc: modulus_for(_number(doc["p"])),
-                            "policy", CorruptPolicy))
-    db.users = _user_blocks(data, users + len(_USERS_KEY), grants)
-    db.grants = _grant_blocks(db.modulus, data, grants + len(_GRANTS_KEY),
-                              len(data) - 2)
+    modulus = read_json(data[:users] + b"}",
+                        lambda doc: modulus_for(_number(doc["p"])),
+                        "policy", CorruptPolicy)
+    return _db_at(data, _Layout(modulus, users + len(_USERS_KEY),
+                                grants + len(_GRANTS_KEY)))
+
+
+def _db_at(data: bytes, layout: _Layout) -> PolicyDb:
+    """PolicyDb over bytes db_to_json wrote, at their known layout."""
+    db = PolicyDb(layout.modulus)
+    db.users = _user_blocks(data, layout.users_at,
+                            layout.grants_at - len(_GRANTS_KEY), layout.users)
+    db.grants = _grant_blocks(layout.modulus, data, layout.grants_at,
+                              len(data) - 2, layout.grants)
     return db
 
 
@@ -461,19 +526,20 @@ def _digest(pieces: Sequence[bytes], marks: List[Any]) -> bytes:
 class _Kept(NamedTuple):
     """One policy's bytes as pieces, with what is true of them wherever
     they are read: their digest line, their SHA-256 marks (see _digest),
-    and the ids of their users and grants arrays, or None where no walk
-    or commit established them.  _recall gives it for the bytes a load
-    read or a commit wrote: the kept one for equal bytes, else new."""
+    and their layout: p's modulus, where each array starts and the index
+    of each array that a commit carried (see _Layout).  _recall gives it
+    for the bytes a load read or a commit wrote: the kept one for equal
+    bytes, else a new one, whose layout is None until load_db finds it
+    or persist_db gives it."""
 
     pieces: Sequence[bytes]
     digest: bytes
     marks: List[Any]
-    users: "List[str] | None"
-    grants: "List[str] | None"
+    layout: "_Layout | None"
 
 
 #: The last policy this process verified or committed, or None.  For
-#: load_db and persist_db alike, _recall takes its digest and ids for
+#: load_db and persist_db alike, _recall takes its digest and layout for
 #: bytes equal to its pieces, and resumes SHA-256 from its marks for any
 #: others.  Such a record is never stale, only unused.
 _kept: "_Kept | None" = None
@@ -494,7 +560,7 @@ def _prefix(text: bytes, pieces: Sequence[bytes]) -> int:
 def _recall(pieces: Sequence[bytes]) -> _Kept:
     """The kept record, if the join of pieces is its bytes, found with
     no hash; else a record of pieces with their digest, the marks that
-    hash passed and no ids.  The hash resumes from the last kept mark
+    hash passed and no layout.  The hash resumes from the last kept mark
     before the first piece that differs, found by _prefix in place where
     either side is one piece; where neither is, it starts at byte 0."""
     kept, marks = _kept, []
@@ -505,7 +571,7 @@ def _recall(pieces: Sequence[bytes]) -> _Kept:
         if same == sum(map(len, pieces)) == sum(map(len, kept.pieces)):
             return kept
         marks = kept.marks[:same // _MARK]
-    return _Kept(pieces, _digest(pieces, marks), marks, None, None)
+    return _Kept(pieces, _digest(pieces, marks), marks, None)
 
 
 def persist_db(db: PolicyDb, store: ObjectStore) -> None:
@@ -520,15 +586,15 @@ def persist_db(db: PolicyDb, store: ObjectStore) -> None:
     are streamed into the file and hashed as they are, with no copy of
     the whole text.  Their digest is _recall's, as a load's is: SHA-256
     resumes from the kept mark before the first edit.  The kept record
-    becomes these bytes, with each array's ids carried forward by
-    Blocks._carried."""
+    becomes these bytes, with the layout _policy_pieces gives: each
+    array's index is carried forward where it was known, as
+    Blocks._spliced moves its offsets and adds the inserted ids."""
     global _kept
-    pieces = _policy_pieces(db)
+    pieces, layout = _policy_pieces(db)
     kept = _recall(pieces)
     store.write_text(POLICY_FILENAME, pieces,
                      cache=(POLICY_DIGEST_FILENAME, kept.digest))
-    _kept = kept._replace(users=db.users._carried(),
-                          grants=db.grants._carried())
+    _kept = kept._replace(layout=layout)
 
 
 def load_db(store: ObjectStore) -> PolicyDb:
@@ -541,9 +607,11 @@ def load_db(store: ObjectStore) -> PolicyDb:
     a commit's is: bytes equal to the policy this process last verified
     or committed take its kept digest instead of a SHA-256 (equal bytes
     have equal digests, so every load decides as if it had hashed them)
-    and start their arrays from its ids, so a miss there walks nothing;
-    others, such as another writer's commit, are hashed on from the kept
-    mark before their first change.
+    and take the db from its layout, with no scan of the bytes: each
+    array whose index a commit carried bisects its ids for every lookup,
+    and probes none of its bytes.  Others, such as another writer's
+    commit, are hashed on from the kept mark before their first change,
+    and _sliced_db scans them for their layout, with no index.
     """
     global _kept
     data = store.read_bytes(POLICY_FILENAME)
@@ -552,12 +620,16 @@ def load_db(store: ObjectStore) -> PolicyDb:
     except Error:  # absent or unreadable: it is only a cache
         sidecar = b""
     kept = _recall([data])
-    if sidecar == kept.digest:
-        _kept = kept._replace(pieces=[data])
+    if sidecar != kept.digest:
+        return db_from_json(data)
+    if kept.layout is None:
         db = _sliced_db(data)
-        db.users._walked, db.grants._walked = kept.users, kept.grants
-        return db
-    return db_from_json(data)
+        kept = kept._replace(layout=_Layout(db.modulus, db.users._start,
+                                            db.grants._start))
+    else:
+        db = _db_at(data, kept.layout)
+    _kept = kept._replace(pieces=[data])
+    return db
 
 
 @contextlib.contextmanager

@@ -1403,9 +1403,10 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
     """Run steps, each a policy command or an outside edit, and after
     each compare a load with the kept record against one after the record
     is reset.  After each commit, whose SHA-256 resumed from the kept
-    marks, the sidecar must be the SHA-256 of the policy bytes, and each
-    id list the record carries what a walk of them finds.  Returns the
-    steps after which the first load hashed."""
+    marks, the sidecar must be the SHA-256 of the policy bytes, the kept
+    layout what a scan of them finds, and each index the record carries
+    the ids and offsets a walk finds.  Returns the steps after which the
+    first load hashed."""
     rng, committed, hashed_after = random.Random(seed), [], []
     db = PolicyDb()
     register_user(db, UserRecord(_IDS[0], UserType.OWNER, b"cred-owner"))
@@ -1421,9 +1422,14 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
             if persisted:
                 sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
                 assert sidecar == sidecar_of(data)
-                kept, walked = trishare.policy._kept, trishare.policy._sliced_db(data)
-                assert kept.users in (None, walked.users._ids()), (seed, step)
-                assert kept.grants in (None, walked.grants._ids()), (seed, step)
+                layout = trishare.policy._kept.layout
+                fresh = trishare.policy._sliced_db(data)
+                assert layout[:3] == (fresh.modulus, fresh.users._start,
+                                      fresh.grants._start), (seed, step)
+                for index, blocks in ((layout.users, fresh.users),
+                                      (layout.grants, fresh.grants)):
+                    blocks._ids()
+                    assert index in (None, blocks._index), (seed, step)
             committed.append(data)
         else:
             _outside_edit(store, op, rng, committed or [b"{}"])

@@ -198,6 +198,7 @@ def test_encrypt_power_defaults_to_n_two(tmp_path, capsys):
 
 
 def test_decrypt_power_envelope_with_too_small_key(tmp_path, capsys):
+    """The error names the bound the key misses, never the key."""
     src = tmp_path / "x"
     src.write_bytes(b"hello")
     sealed = tmp_path / "y"
@@ -207,12 +208,15 @@ def test_decrypt_power_envelope_with_too_small_key(tmp_path, capsys):
         capsys,
     )
     assert rc == 0
-    rc, out, err = run_cli(
-        ["decrypt", "--in", str(sealed), "--out", str(tmp_path / "z"),
-         "--key", "100"],
-        capsys,
-    )
-    assert_one_error_line(rc, out, err)
+    for key, bound in (("100", "a >= 256"), ("123", "a >= 256"),
+                       ("0", "a must be positive")):
+        rc, out, err = run_cli(
+            ["decrypt", "--in", str(sealed), "--out", str(tmp_path / "z"),
+             "--key", key],
+            capsys,
+        )
+        assert_one_error_line(rc, out, err)
+        assert bound in err and key not in err, key
 
 
 def test_decrypt_rejects_corrupt_envelope(tmp_path, capsys):
@@ -808,6 +812,30 @@ def test_grant_additive_rejects_n_other_than_one(tmp_path, capsys):
     assert_one_error_line(rc, out, err)
     assert (store / "policy.json").read_bytes() == before
     assert sorted((store / "objects").iterdir()) == objects
+
+
+@pytest.mark.parametrize("command", ["grant", "request"])
+def test_a_missing_input_file_fails_before_the_lock(tmp_path, capsys, command):
+    # grant reads --in, and request --share, before it takes the store
+    # lock, which covers only the policy's load, assignment and commit.
+    store, point = granted_store(tmp_path, capsys)
+    missing, out_file = str(tmp_path / "absent"), tmp_path / "out.bin"
+    argv = {"grant": ["grant", "--store", str(store), "--file-id", "g",
+                      "--owner", "olivia", "--consumers", "alice",
+                      "--in", missing],
+            "request": ["request", "--store", str(store), "--file-id", "f",
+                        "--receiver", "alice", "--owner-point", point,
+                        "--share", missing, "--out", str(out_file)]}[command]
+    policy = [store / "policy.json", store / "policy.json.sha256"]
+    before = [path.read_bytes() for path in policy]
+    real_lock = trishare.ObjectStore.lock
+    with mock.patch.object(trishare.ObjectStore, "lock", autospec=True,
+                           side_effect=real_lock) as lock:
+        rc, out, err = run_cli(argv, capsys)
+    assert_one_error_line(rc, out, err)
+    assert lock.call_count == 0
+    assert [path.read_bytes() for path in policy] == before
+    assert not out_file.exists()
 
 
 def test_request_with_presented_share_record(tmp_path, capsys):

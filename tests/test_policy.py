@@ -213,18 +213,20 @@ def test_a_respelled_secret_hex_field_is_not_echoed(tmp_path, capsys, sidecar):
         assert len(err.splitlines()) == 1 and field in err
 
 
-# ------------------------------------------------------------ kept ids and marks
+# --------------------------------------------------------- kept layout and marks
 
 def assert_kept_is_the_policy(root):
-    """The sidecar is the SHA-256 of policy.json, and each id list the
-    kept record carries, where it has one, is what a fresh walk of
-    policy.json finds."""
+    """The sidecar is the SHA-256 of policy.json, the kept layout is what
+    a fresh scan of policy.json finds, and each index the kept record
+    carries, where it has one, is the ids and offsets a walk finds."""
     data = (root / "policy.json").read_bytes()
     assert (root / "policy.json.sha256").read_bytes() == (
         hashlib.sha256(data).hexdigest().encode("ascii") + b"\n")
-    kept, fresh = trishare.policy._kept, trishare.policy._sliced_db(data)
-    assert kept.users in (None, fresh.users._ids())
-    assert kept.grants in (None, fresh.grants._ids())
+    layout, fresh = trishare.policy._kept.layout, trishare.policy._sliced_db(data)
+    assert layout[:3] == (fresh.modulus, fresh.users._start, fresh.grants._start)
+    for index, blocks in ((layout.users, fresh.users), (layout.grants, fresh.grants)):
+        blocks._ids()
+        assert index in (None, blocks._index)
 
 
 def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
@@ -243,7 +245,7 @@ def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
     walks, real_ids = [], trishare.policy.Blocks._ids
 
     def counted_ids(blocks):
-        if blocks._walked is None:
+        if blocks._index is None:
             walks.append(blocks._key)
         return real_ids(blocks)
 
@@ -257,9 +259,59 @@ def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
                              "--in", str(body)]) == 0
         walks_per_grant.append(walks.copy())
         assert_kept_is_the_policy(root)
-        assert fid in trishare.policy._kept.grants
+        assert fid in trishare.policy._kept.layout.grants.ids
     assert walks_per_grant == [["file_id"], [], [], [], []]
     assert len(load_db(store).grants) == 45
+
+
+def test_a_load_of_kept_bytes_scans_and_probes_nothing(tmp_path, monkeypatch):
+    """After a commit, a load of the bytes it wrote takes its db from the
+    kept layout with no _sliced_db, and every lookup, hit or miss, bisects
+    the carried ids with no _id_at probe; so do the commands that follow.
+    A process's first load scans the bytes once and probes them."""
+    monkeypatch.setattr(trishare.policy, "_kept", None)
+    root, body = tmp_path / "store", tmp_path / "memo.txt"
+    body.write_bytes(b"memo")
+    store = ObjectStore(root)
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c1"))
+    register_user(db, UserRecord("bob", UserType.CONSUMER, b"c2"))
+    for i in range(20):
+        grant_access(db, store, f"f{i:02d}", "olivia", ["bob"], b"memo")
+    persist_db(db, store)
+    calls = []
+    for owner, name in ((trishare.policy, "_sliced_db"),
+                        (trishare.policy.Blocks, "_id_at")):
+        def counted(*args, real=getattr(owner, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    def reads(db):
+        """Hits and misses in both arrays, through each kind of lookup."""
+        return ([db.users[uid].credentials for uid in ("bob", "olivia")],
+                [db.grants[f"f{i:02d}"].envelope_ref for i in range(20)],
+                [key in blocks for blocks in (db.users, db.grants)
+                 for key in ("", "alice", "f05x", "olivia", "zz")],
+                db.grants.get("f10x"), len(db.users), len(db.grants))
+
+    full = reads(trishare.policy.db_from_json((root / "policy.json").read_bytes()))
+    assert reads(load_db(store)) == full and calls == []
+    for argv in (["grant", "--file-id", "f05x", "--owner", "olivia",
+                  "--consumers", "bob", "--in", str(body)],
+                 ["revoke", "--file-id", "f07", "--user", "bob"]):
+        assert cli_dispatch([*argv, "--store", str(root)]) == 0
+        assert calls == []
+        assert_kept_is_the_policy(root)
+        calls.clear()  # the check's own fresh scan and walk
+        data = (root / "policy.json").read_bytes()
+        loaded = load_db(store)
+        assert calls == []
+        assert reads(loaded) == reads(trishare.policy.db_from_json(data))
+        assert calls == []
+    trishare.policy._kept = None  # as a new process
+    assert reads(load_db(store)) == reads(trishare.policy.db_from_json(data))
+    assert calls.count("_sliced_db") == 1 and "_id_at" in calls
 
 
 def cut(data, offsets):
@@ -317,7 +369,7 @@ def test_a_resumed_digest_is_the_sha256_of_the_bytes(data):
     marks = []
     digest = trishare.policy._digest(old_pieces, marks)
     assert digest == hashlib.sha256(old).hexdigest().encode("ascii") + b"\n"
-    record = trishare.policy._Kept(old_pieces, digest, marks, ["u"], ["g"])
+    record = trishare.policy._Kept(old_pieces, digest, marks, "layout")
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(trishare.policy, "_kept", record)
         starts = digest_starts(monkeypatch)
@@ -333,7 +385,7 @@ def test_a_resumed_digest_is_the_sha256_of_the_bytes(data):
         assert starts[0] == edit // mark
     assert recalled.pieces is new_pieces and recalled.digest == (
         hashlib.sha256(new).hexdigest().encode("ascii") + b"\n")
-    assert (recalled.users, recalled.grants) == (None, None)
+    assert recalled.layout is None
     assert [state.digest() for state in recalled.marks] == [
         hashlib.sha256(new[:mark * (i + 1)]).digest()
         for i in range(len(new) // mark)]
