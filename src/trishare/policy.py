@@ -15,20 +15,21 @@ shared one for a read; every CLI command on a store runs in one, and
 library callers that share a store with other processes use it too.
 
 A command works on the policy bytes themselves once their digest
-sidecar verifies them: a lookup is a binary search over the user or
-grant blocks, which persist_db writes sorted by id, and parses only the
-block it finds; a commit splices the assigned blocks between slices of
-the untouched ones and streams the pieces to disk and to SHA-256.
-The process keeps the last policy it verified or committed: its pieces,
-its digest, the SHA-256 state at every _MARK bytes, and its layout:
-p's modulus, where each array starts and, for each array whose blocks
-a commit knew, their ids and offsets (the index).  One rule reads it
-for a load and a commit alike: bytes equal to the kept ones, compared
-in place, take its digest and layout unhashed and unscanned, and any
-others are hashed on from the mark before their first change and
-scanned for their layout.  So a commit re-hashes only from its first
-edit, and after a commit a load scans nothing and a lookup bisects the
-ids, reading no byte but those of the block it returns.
+sidecar verifies them.  Each array, the users and the grants, which
+persist_db writes sorted by id, has an index from the moment it is
+opened: its ids in order and each block's offset.  A lookup bisects the
+ids and parses only the block it finds; a commit splices the assigned
+blocks between slices of the untouched ones, streams the pieces to disk
+and to SHA-256, and moves the index to match.  The process keeps the
+last policy it verified or committed: its pieces, its digest, the
+SHA-256 state at every _MARK bytes, and its layout: p's modulus, where
+each array starts and each array's index.  One rule reads it for a load
+and a commit alike: bytes equal to the kept ones, compared in place,
+take its digest and layout unhashed and unscanned, and any others are
+hashed on from the mark before their first change, scanned for their
+layout and walked for their indexes.  So a commit re-hashes only from
+its first edit, and a load of the bytes this process last read or wrote
+scans and walks nothing.
 """
 
 from __future__ import annotations
@@ -102,26 +103,23 @@ class Blocks(Mapping):
     key and the record's attribute), then the quoted id, then `next_key`.
     A policy loaded through its sidecar keeps its bytes, and text[start:
     end] is the array as db_to_json writes it: its blocks sit in
-    text[lo:hi] sorted by id, joined by ",".  Every lookup, membership
-    test and insert goes through one search, _span.  Where the array's
-    index is known (its ids in order and each block's offset from lo,
-    see _Index), _span bisects the ids and reads no byte.  An empty
-    array has one, a walk finds one, and a load of bytes this process
-    committed takes the one the commit carried (see load_db).  Else
-    _probe searches the bytes: a binary search over byte offsets, where
-    each probe takes the block that starts nearest the middle and
-    decodes only its quoted id.  Past the first, a block starts after
-    its seam ("," and opener), which only _next_start finds.  A probe's
-    miss is checked by _ids, one walk from seam to seam, done once, that
-    keeps the index: a block out of order, re-spelled, or hidden in
-    another by an opener that lost its indent is CorruptPolicy, never
-    absent.  Only the block a lookup returns is parsed, by `parse`, and
-    it is kept, not written back.  A record stored becomes an edit
-    against its block's span, and a new id's span is empty, at its
-    sorted place.  _spliced gives every run of blocks no edit touches
-    as a slice of the text and each edit rendered by `render`, with the
-    index moved to match.  A new db and a full parse start from b"[]",
-    where every record is such an insert.
+    text[lo:hi] sorted by id, joined by ",".  Every Blocks holds the
+    array's index (its ids in order and each block's offset from lo, see
+    _Index) from __init__ on: the one it is given, which a commit carried
+    (see load_db), or else the one _walk finds.  The walk steps from seam
+    to seam ("," and opener; past the first, a block starts after its
+    seam, which only _next_start finds) and decodes each id, so a block
+    out of order, repeated, re-spelled, or hidden in another by an opener
+    that lost its indent makes the array CorruptPolicy as it is opened.
+    Every lookup, membership test and insert goes through one search,
+    _span, which bisects the ids and reads no byte.  Only the block a
+    lookup returns is parsed, by `parse`, and it is kept, not written
+    back.  A record stored becomes an edit against its block's span, and
+    a new id's span is empty, at its sorted place.  _spliced gives every
+    run of blocks no edit touches as a slice of the text and each edit
+    rendered by `render`, with the index moved to match.  A new db and a
+    full parse start from b"[]", whose index is empty, where every
+    record is such an insert.
     """
 
     def __init__(self, key: str, next_key: bytes, parse: Callable[[Any], Any],
@@ -144,8 +142,7 @@ class Blocks(Mapping):
         # _spliced renders only the assigned
         self._records: Dict[str, Tuple[int, int, Any]] = {}
         self._assigned: Set[str] = set()
-        # given by load_db, found by _ids, or that of an empty array
-        self._index = _Index([], []) if lo == hi else index
+        self._index = self._walk() if index is None else index
 
     def __getitem__(self, key: str) -> Any:
         hit = self._records.get(key)
@@ -177,18 +174,17 @@ class Blocks(Mapping):
         return start < end
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._records.keys() | self._ids()))
+        return iter(sorted(self._records.keys() | self._index.ids))
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
-    def _spliced(self) -> "Tuple[List[bytes], _Index | None]":
+    def _spliced(self) -> Tuple[List[bytes], _Index]:
         """Every block in id order, for _policy_pieces: each run that no
         edit touches as one slice of the text (its blocks still joined by
         ","), each assigned record rendered anew.  With them, the index
-        of the array they make, if this array's is known: a block of a
-        run moves with the run, and a rendered one starts where it lands;
-        else None."""
+        of the array they make: a block of a run moves with the run, and
+        a rendered one starts where it lands."""
         lo, hi, old = self._lo, self._hi, self._index
         text, cursor, ids, offsets = memoryview(self._text), lo, [], []
         items: List[bytes] = []
@@ -200,12 +196,11 @@ class Blocks(Mapping):
             if cursor < start:  # the run before start, less the "," ending it
                 stop = start - 1 if start < hi else hi
                 items.append(text[cursor:stop])
-                if old is not None:
-                    first = bisect.bisect_left(old.offsets, cursor - lo)
-                    past = bisect.bisect_left(old.offsets, stop - lo, first)
-                    shift = pos - (cursor - lo)
-                    ids += old.ids[first:past]
-                    offsets += [at + shift for at in old.offsets[first:past]]
+                first = bisect.bisect_left(old.offsets, cursor - lo)
+                past = bisect.bisect_left(old.offsets, stop - lo, first)
+                shift = pos - (cursor - lo)
+                ids += old.ids[first:past]
+                offsets += [at + shift for at in old.offsets[first:past]]
                 pos += stop - cursor + 1
             if key is None:
                 break
@@ -214,13 +209,11 @@ class Blocks(Mapping):
             offsets.append(pos)
             pos += len(items[-1]) + 1
             cursor = start if start == end else min(end + 1, hi)
-        return items, None if old is None else _Index(ids, offsets)
+        return items, _Index(ids, offsets)
 
     def _span(self, key: str) -> Tuple[int, int]:
         """The text span of key's block, or an empty span where it would
-        go: a bisection of the index where it is known, else _probe."""
-        if self._index is None:
-            return self._probe(key)
+        go: a bisection of the index, which reads no byte."""
         ids, offsets = self._index
         at = bisect.bisect_left(ids, key)
         if at == len(ids):
@@ -231,60 +224,29 @@ class Blocks(Mapping):
         return start, (self._lo + offsets[at + 1] - 1 if at + 1 < len(ids)
                        else self._hi)
 
-    def _probe(self, key: str) -> Tuple[int, int]:
-        """_span over bytes with no index: a binary search that decodes
-        each probed block's id.  CorruptPolicy if the next block repeats
-        the id or sorts before it, or if the search misses a block that
-        holds the id out of order, re-spelled or hidden, which an insert
-        would repeat."""
-        hi = self._hi
-        # The block just before a holds a smaller id, and b_id is the id
-        # of the block at b, not smaller; a and b are block starts or hi.
-        a, b, b_id = self._lo, hi, None
-        while a < b:
-            probe = self._next_start((a + b) // 2)
-            if probe >= b:
-                probe = a
-            probe_id = self._id_at(probe)
-            if probe_id < key:
-                a = self._next_start(probe + 1)
-            else:
-                b, b_id = probe, probe_id
-        if b_id != key:
-            self._ids()
-            return a, a
-        after = self._next_start(a + 1)
-        if after < hi and self._id_at(after) <= key:
-            raise CorruptPolicy(f"the blocks after {key!r} are not in "
-                                f"{self._key} order")
-        return a, after - 1 if after < hi else hi
-
-    def _next_start(self, pos: int) -> int:
-        """The first block start at or after pos, or hi; every caller
-        passes a pos past lo (a probe's midpoint or a block start + 1)."""
-        seam = self._text.find(self._seam, pos - 1, self._hi)
+    def _next_start(self, start: int) -> int:
+        """Where the block after the one at start begins, or hi: just
+        past the next seam, which no block holds."""
+        seam = self._text.find(self._seam, start, self._hi)
         return seam + 1 if seam >= 0 else self._hi
 
-    def _ids(self) -> List[str]:
-        """Every block's id, in text order, from the index; with none, a
-        walk from seam to seam, as _probe steps, finds the ids and the
-        offsets once and keeps them as the index.  CorruptPolicy unless
-        the ids strictly increase and the array holds one `next_key` per
-        block, so that none hides in another."""
-        if self._index is None:
-            ids, offsets, start = [], [], self._lo
-            while start < self._hi:
-                key = self._id_at(start)
-                if ids and ids[-1] >= key:
-                    raise CorruptPolicy(f"the {self._key} block at byte "
-                                        f"{start} is out of order")
-                ids.append(key)
-                offsets.append(start - self._lo)
-                start = self._next_start(start + 1)
-            if self._text.count(self._next_key, self._lo, self._hi) != len(ids):
-                raise CorruptPolicy(f"a {self._key} block hides in another")
-            self._index = _Index(ids, offsets)
-        return self._index.ids
+    def _walk(self) -> _Index:
+        """The array's index, found by a walk from seam to seam that
+        decodes each block's id.  CorruptPolicy unless the ids strictly
+        increase and the array holds one `next_key` per block, so that
+        none hides in another."""
+        ids, offsets, start = [], [], self._lo
+        while start < self._hi:
+            key = self._id_at(start)
+            if ids and ids[-1] >= key:
+                raise CorruptPolicy(f"the {self._key} block at byte "
+                                    f"{start} is out of order")
+            ids.append(key)
+            offsets.append(start - self._lo)
+            start = self._next_start(start)
+        if self._text.count(self._next_key, self._lo, self._hi) != len(ids):
+            raise CorruptPolicy(f"a {self._key} block hides in another")
+        return _Index(ids, offsets)
 
     def _id_at(self, start: int) -> str:
         """The JSON string at the head of the block at start, or CorruptPolicy."""
@@ -346,9 +308,10 @@ _ARRAY_END = b'\n  ]'
 
 
 class _Layout(NamedTuple):
-    """What _sliced_db finds in bytes db_to_json wrote: p's modulus and
-    where the users and the grants array start (at their "["); and each
-    array's index where a commit carried it, else None."""
+    """Where bytes db_to_json wrote keep their arrays: p's modulus, where
+    the users and the grants array start (at their "["), and each array's
+    index.  _sliced_db finds the first three, and leaves the indexes None
+    for the walk of each array as _db_at opens it."""
 
     modulus: FieldModulus
     users_at: int
@@ -403,8 +366,8 @@ def db_to_json(db: PolicyDb) -> str:
 
 def _sliced_db(data: bytes) -> PolicyDb:
     """PolicyDb over bytes db_to_json wrote, whose layout is found by a
-    scan of them: p is parsed now, each user and grant block only when
-    first read (see Blocks)."""
+    scan of them and a walk of each array: p is parsed now, each user
+    and grant block only when first read (see Blocks)."""
     users = data.find(_USERS_KEY)
     grants = data.find(_GRANTS_KEY)
     if not (0 <= users < grants and data.isascii() and data.endswith(b"\n}")):
@@ -417,8 +380,10 @@ def _sliced_db(data: bytes) -> PolicyDb:
 
 
 def _db_at(data: bytes, layout: _Layout) -> PolicyDb:
-    """PolicyDb over bytes db_to_json wrote, at their known layout."""
-    db = PolicyDb(layout.modulus)
+    """PolicyDb over bytes db_to_json wrote, at their known layout; an
+    array with no index in it is walked as it is opened."""
+    db = PolicyDb.__new__(PolicyDb)  # with these arrays, not empty ones
+    db.modulus = layout.modulus
     db.users = _user_blocks(data, layout.users_at,
                             layout.grants_at - len(_GRANTS_KEY), layout.users)
     db.grants = _grant_blocks(layout.modulus, data, layout.grants_at,
@@ -526,11 +491,10 @@ def _digest(pieces: Sequence[bytes], marks: List[Any]) -> bytes:
 class _Kept(NamedTuple):
     """One policy's bytes as pieces, with what is true of them wherever
     they are read: their digest line, their SHA-256 marks (see _digest),
-    and their layout: p's modulus, where each array starts and the index
-    of each array that a commit carried (see _Layout).  _recall gives it
-    for the bytes a load read or a commit wrote: the kept one for equal
-    bytes, else a new one, whose layout is None until load_db finds it
-    or persist_db gives it."""
+    and their layout: p's modulus, where each array starts and each
+    array's index (see _Layout).  _recall gives it for the bytes a load
+    read or a commit wrote: the kept one for equal bytes, else a new one,
+    whose layout is None until load_db finds it or persist_db gives it."""
 
     pieces: Sequence[bytes]
     digest: bytes
@@ -587,8 +551,8 @@ def persist_db(db: PolicyDb, store: ObjectStore) -> None:
     the whole text.  Their digest is _recall's, as a load's is: SHA-256
     resumes from the kept mark before the first edit.  The kept record
     becomes these bytes, with the layout _policy_pieces gives: each
-    array's index is carried forward where it was known, as
-    Blocks._spliced moves its offsets and adds the inserted ids."""
+    array's index is carried forward, as Blocks._spliced moves its
+    offsets and adds the inserted ids."""
     global _kept
     pieces, layout = _policy_pieces(db)
     kept = _recall(pieces)
@@ -607,11 +571,12 @@ def load_db(store: ObjectStore) -> PolicyDb:
     a commit's is: bytes equal to the policy this process last verified
     or committed take its kept digest instead of a SHA-256 (equal bytes
     have equal digests, so every load decides as if it had hashed them)
-    and take the db from its layout, with no scan of the bytes: each
-    array whose index a commit carried bisects its ids for every lookup,
-    and probes none of its bytes.  Others, such as another writer's
-    commit, are hashed on from the kept mark before their first change,
-    and _sliced_db scans them for their layout, with no index.
+    and take the db from its layout, indexes included, with no scan or
+    walk of the bytes.  Others, such as another writer's commit, are
+    hashed on from the kept mark before their first change, and
+    _sliced_db scans them for their layout and walks each array for its
+    index; that layout is kept, so a second load of them walks nothing.
+    A layout the walk refuses is CorruptPolicy here, for every command.
     """
     global _kept
     data = store.read_bytes(POLICY_FILENAME)
@@ -624,8 +589,9 @@ def load_db(store: ObjectStore) -> PolicyDb:
         return db_from_json(data)
     if kept.layout is None:
         db = _sliced_db(data)
-        kept = kept._replace(layout=_Layout(db.modulus, db.users._start,
-                                            db.grants._start))
+        kept = kept._replace(layout=_Layout(
+            db.modulus, db.users._start, db.grants._start, db.users._index,
+            db.grants._index))
     else:
         db = _db_at(data, kept.layout)
     _kept = kept._replace(pieces=[data])

@@ -960,33 +960,31 @@ def forged_policy(tmp_path, forgery):
     return db, text
 
 
+#: The outcome table of a forgery that load_db itself refuses: the walk
+#: that indexes each array when it is opened raises CorruptPolicy, so no
+#: command reads any block of it.
+LOAD_REFUSED = {"load_db": "CorruptPolicy"}
+
+
 # Every lookup either finds the block that holds its own file id or fails
 # typed; none returns another id's grant, and none reads a present id as
-# absent.  The binary search finds a block it lands on, and fails it if
-# its successor sorts before it; when the search misses, one walk decodes
-# every id, stepping on the search's seams, and checks that they increase
-# and that each block has one owner_id line, so blocks swapped, near or
-# far, re-spelled or hidden are CorruptPolicy, never UnknownFile.  A block
-# whose closer lost its indent reads as the full parse reads it.
+# absent.  load_db walks every array once, decoding every id, stepping on
+# the seams, and checks that the ids increase and that each block has one
+# owner_id line, so blocks swapped, near or far, repeated, re-spelled or
+# hidden are CorruptPolicy for the load itself, never UnknownFile.  Each
+# lookup then bisects that walk's index.  A block whose closer lost its
+# indent reads as the full parse reads it.
 @pytest.mark.parametrize("forgery, outcomes", [
-    ("swapped", {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
-                 "f3": "own", "f4": "own"}),
-    ("duplicate", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
-                   "f3": "own", "f4": "own"}),
+    ("swapped", LOAD_REFUSED),
+    ("duplicate", LOAD_REFUSED),
     ("two-ids", {"f0": "own", "f1": "CorruptPolicy", "f2": "own",
                  "f3": "own", "f4": "own"}),
-    ("swapped-far", {"f0": "CorruptPolicy", "f1": "CorruptPolicy",
-                     "f2": "own", "f9": "CorruptPolicy"}),
-    ("respelled-far", {"f0": "CorruptPolicy", "f1": "own", "f2": "own",
-                       "f3": "own", "f4": "CorruptPolicy"}),
-    ("hidden", {"f0": "own", "f1": "CorruptPolicy", "f2": "CorruptPolicy",
-                "f3": "own", "f4": "own"}),
-    ("garbage-id", {"f0": "CorruptPolicy", "f1": "CorruptPolicy",
-                    "f2": "CorruptPolicy", "f3": "CorruptPolicy", "f4": "own"}),
-    ("moved-hidden", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
-                      "f3": "own", "f4": "CorruptPolicy"}),
-    ("moved-garbage", {"f0": "own", "f1": "own", "f2": "CorruptPolicy",
-                       "f3": "own", "f4": "CorruptPolicy"}),
+    ("swapped-far", LOAD_REFUSED),
+    ("respelled-far", LOAD_REFUSED),
+    ("hidden", LOAD_REFUSED),
+    ("garbage-id", LOAD_REFUSED),
+    ("moved-hidden", LOAD_REFUSED),
+    ("moved-garbage", LOAD_REFUSED),
     ("closer", {"f0": "own", "f1": "own", "f2": "own", "f3": "own",
                 "f4": "own"}),
     # The walk checks the layout, not the grammar: f2's opener and its
@@ -1004,6 +1002,10 @@ def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
     db, text = forged_policy(tmp_path, forgery)
     store = ObjectStore(tmp_path / "store")
     forge(store, text)
+    if outcomes is LOAD_REFUSED:
+        with pytest.raises(CorruptPolicy):
+            load_db(store)
+        return
     loaded = load_db(store)
     seen = {}
     for fid in outcomes:
@@ -1020,22 +1022,13 @@ def test_forged_layout_under_a_matching_digest_stays_typed(tmp_path, forgery,
             with pytest.raises(getattr(trishare, outcome)):
                 request_decrypt(loaded, store, fid,
                                 SharePoint(OWNER_X, 1, db.modulus), C1)
-    # Listing checks the order of every quoted id, and only that.
-    try:
-        listed = list(loaded.grants)
-    except CorruptPolicy:
-        listed = "CorruptPolicy"
-    assert listed == (sorted(db.grants) if forgery in ("two-ids", "closer")
-                      else "CorruptPolicy")
-    # A grant of a new id commits one block for it, or fails as listing does.
-    try:
-        grant_access(loaded, store, "e", "olivia", ["carol"], DATA)
-        persist_db(loaded, store)
-    except CorruptPolicy:
-        assert listed == "CorruptPolicy"
-    else:
-        committed = store.read_bytes(POLICY_FILENAME).decode("ascii")
-        assert committed.count('\n    {\n      "file_id": "e"') == 1
+    # Listing reads the ids the load's walk found, every quoted id in order.
+    assert list(loaded.grants) == sorted(db.grants)
+    # A grant of a new id commits one block for it.
+    grant_access(loaded, store, "e", "olivia", ["carol"], DATA)
+    persist_db(loaded, store)
+    committed = store.read_bytes(POLICY_FILENAME).decode("ascii")
+    assert committed.count('\n    {\n      "file_id": "e"') == 1
 
 
 def test_a_lone_quote_for_a_user_id_is_corrupt(tmp_path):
@@ -1043,9 +1036,8 @@ def test_a_lone_quote_for_a_user_id_is_corrupt(tmp_path):
     text = db_to_json(db).replace('"user_id": "carol",', '"user_id": ",')
     store = ObjectStore(tmp_path / "store")
     forge(store, text)
-    loaded = load_db(store)
-    with pytest.raises(CorruptPolicy):
-        loaded.users.get("carol")
+    with pytest.raises(CorruptPolicy):  # the load's walk reads carol's id
+        load_db(store)
 
 
 def test_a_user_id_without_its_opening_quote_is_corrupt(tmp_path):
@@ -1118,14 +1110,12 @@ def forged_users_policy(tmp_path, forgery):
 
 # As for the grants: every user lookup finds the block that holds its own
 # user id or fails typed, so no command blinds or unblinds a share with
-# another user's credentials, nor refuses a registered user as unknown.
+# another user's credentials, nor refuses a registered user as unknown;
+# users out of order or repeated fail the load.
 @pytest.mark.parametrize("forgery, outcomes", [
-    ("swapped", {"caleb": "own", "carol": "CorruptPolicy",
-                 "chuck": "CorruptPolicy", "cindy": "own", "olivia": "own"}),
-    ("swapped-far", {"caleb": "CorruptPolicy", "carol": "CorruptPolicy",
-                     "olivia": "own", "u30": "own", "u59": "CorruptPolicy"}),
-    ("duplicate", {"caleb": "own", "carol": "own", "chuck": "CorruptPolicy",
-                   "cindy": "own", "olivia": "own"}),
+    ("swapped", LOAD_REFUSED),
+    ("swapped-far", LOAD_REFUSED),
+    ("duplicate", LOAD_REFUSED),
     ("two-ids", {"caleb": "own", "carol": "CorruptPolicy", "chuck": "own",
                  "cindy": "own", "olivia": "own"}),
 ])
@@ -1133,6 +1123,10 @@ def test_forged_users_under_a_matching_digest_stay_typed(tmp_path, forgery,
                                                          outcomes):
     db, store, text = forged_users_policy(tmp_path, forgery)
     forge(store, text)
+    if outcomes is LOAD_REFUSED:
+        with pytest.raises(CorruptPolicy):
+            load_db(store)
+        return
     loaded = load_db(store)
     seen = {}
     for uid in outcomes:
@@ -1148,12 +1142,7 @@ def test_forged_users_under_a_matching_digest_stay_typed(tmp_path, forgery,
         if outcome != "own":
             with pytest.raises(getattr(trishare, outcome)):
                 grant_access(loaded, store, "g", "olivia", [uid], DATA)
-    try:
-        listed = list(loaded.users)
-    except CorruptPolicy:
-        listed = "CorruptPolicy"
-    assert listed == (sorted(db.users) if forgery == "two-ids"
-                      else "CorruptPolicy")
+    assert list(loaded.users) == sorted(db.users)
 
 
 def store_files(root):
@@ -1162,14 +1151,15 @@ def store_files(root):
 
 
 def test_grant_of_a_block_moved_far_is_corrupt(tmp_path):
-    # The lookup misses f0, moved to the end of the array; a grant of f0
-    # must not commit a second f0 block, nor replace f0's envelope.
+    # A bisection would miss f0, moved to the end of the array; the load's
+    # walk refuses the order, so a grant of f0 commits no second f0 block
+    # and replaces no envelope.
     _, text = forged_policy(tmp_path, "swapped-far")
     store = ObjectStore(tmp_path / "store")
     forge(store, text)
     before = store_files(tmp_path / "store")
-    loaded = load_db(store)
     with pytest.raises(CorruptPolicy):
+        loaded = load_db(store)
         grant_access(loaded, store, "f0", "olivia", ["carol"], DATA)
         persist_db(loaded, store)
     assert store_files(tmp_path / "store") == before
@@ -1180,28 +1170,29 @@ def test_grant_of_a_block_moved_far_is_corrupt(tmp_path):
                                           ("moved-hidden", "f2"),
                                           ("moved-garbage", "f2")])
 def test_grant_of_a_respelled_or_hidden_block_is_corrupt(tmp_path, forgery, fid):
-    # The lookup misses fid, spelled with an escape and moved to the end,
-    # or hidden in f1's block or, moved to the end, in f4's, or with its
-    # head broken; a grant must not commit a second block.
+    # A bisection would miss fid, spelled with an escape and moved to the
+    # end, or hidden in f1's block or, moved to the end, in f4's, or with
+    # its head broken; the load's walk refuses each, so a grant commits
+    # no second block.
     _, text = forged_policy(tmp_path, forgery)
     store = ObjectStore(tmp_path / "store")
     forge(store, text)
     before = store_files(tmp_path / "store")
-    loaded = load_db(store)
     with pytest.raises(CorruptPolicy):
+        loaded = load_db(store)
         grant_access(loaded, store, fid, "olivia", ["carol"], DATA)
         persist_db(loaded, store)
     assert store_files(tmp_path / "store") == before
 
 
 def test_register_of_a_block_moved_far_is_corrupt(tmp_path):
-    # As for the grants: caleb, moved to the end of the users array, is
-    # missed, and registering caleb again must not commit a second block.
+    # As for the grants: caleb, moved to the end of the users array, fails
+    # the load's walk, and registering caleb again commits no second block.
     _, store, text = forged_users_policy(tmp_path, "swapped-far")
     forge(store, text)
     before = store_files(tmp_path / "store")
-    loaded = load_db(store)
     with pytest.raises(CorruptPolicy):
+        loaded = load_db(store)
         register_user(loaded, UserRecord("caleb", UserType.CONSUMER, b"new"))
         persist_db(loaded, store)
     assert store_files(tmp_path / "store") == before
@@ -1428,8 +1419,7 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
                                       fresh.grants._start), (seed, step)
                 for index, blocks in ((layout.users, fresh.users),
                                       (layout.grants, fresh.grants)):
-                    blocks._ids()
-                    assert index in (None, blocks._index), (seed, step)
+                    assert index == blocks._index, (seed, step)
             committed.append(data)
         else:
             _outside_edit(store, op, rng, committed or [b"{}"])

@@ -218,20 +218,20 @@ def test_a_respelled_secret_hex_field_is_not_echoed(tmp_path, capsys, sidecar):
 def assert_kept_is_the_policy(root):
     """The sidecar is the SHA-256 of policy.json, the kept layout is what
     a fresh scan of policy.json finds, and each index the kept record
-    carries, where it has one, is the ids and offsets a walk finds."""
+    carries is the ids and offsets a walk finds."""
     data = (root / "policy.json").read_bytes()
     assert (root / "policy.json.sha256").read_bytes() == (
         hashlib.sha256(data).hexdigest().encode("ascii") + b"\n")
     layout, fresh = trishare.policy._kept.layout, trishare.policy._sliced_db(data)
     assert layout[:3] == (fresh.modulus, fresh.users._start, fresh.grants._start)
     for index, blocks in ((layout.users, fresh.users), (layout.grants, fresh.grants)):
-        blocks._ids()
-        assert index in (None, blocks._index)
+        assert index == blocks._index
 
 
 def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
-    """A commit carries each array's ids into the kept record, so only
-    the first insert of a process walks its array."""
+    """A load keeps the index its walk found, and a commit carries it
+    forward with the inserted ids, so only a process's first load walks
+    each array."""
     root, body = tmp_path / "store", tmp_path / "memo.txt"
     body.write_bytes(b"memo")
     store = ObjectStore(root)
@@ -242,14 +242,13 @@ def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
         grant_access(db, store, f"f{i:02d}", "olivia", ["bob"], b"memo")
     persist_db(db, store)
     monkeypatch.setattr(trishare.policy, "_kept", None)  # as a new process
-    walks, real_ids = [], trishare.policy.Blocks._ids
+    walks, real_walk = [], trishare.policy.Blocks._walk
 
-    def counted_ids(blocks):
-        if blocks._index is None:
-            walks.append(blocks._key)
-        return real_ids(blocks)
+    def counted_walk(blocks):
+        walks.append(blocks._key)
+        return real_walk(blocks)
 
-    monkeypatch.setattr(trishare.policy.Blocks, "_ids", counted_ids)
+    monkeypatch.setattr(trishare.policy.Blocks, "_walk", counted_walk)
     # Before, after and between the 40, so each insert splices elsewhere.
     walks_per_grant = []
     for fid in ["e", "f05x", "f19x", "g", "f39x"]:
@@ -260,7 +259,7 @@ def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
         walks_per_grant.append(walks.copy())
         assert_kept_is_the_policy(root)
         assert fid in trishare.policy._kept.layout.grants.ids
-    assert walks_per_grant == [["file_id"], [], [], [], []]
+    assert walks_per_grant == [["user_id", "file_id"], [], [], [], []]
     assert len(load_db(store).grants) == 45
 
 
@@ -268,7 +267,8 @@ def test_a_load_of_kept_bytes_scans_and_probes_nothing(tmp_path, monkeypatch):
     """After a commit, a load of the bytes it wrote takes its db from the
     kept layout with no _sliced_db, and every lookup, hit or miss, bisects
     the carried ids with no _id_at probe; so do the commands that follow.
-    A process's first load scans the bytes once and probes them."""
+    A process's first load scans the bytes once and walks each array,
+    reading each block's id once; its lookups read no more ids."""
     monkeypatch.setattr(trishare.policy, "_kept", None)
     root, body = tmp_path / "store", tmp_path / "memo.txt"
     body.write_bytes(b"memo")
@@ -311,7 +311,64 @@ def test_a_load_of_kept_bytes_scans_and_probes_nothing(tmp_path, monkeypatch):
         assert calls == []
     trishare.policy._kept = None  # as a new process
     assert reads(load_db(store)) == reads(trishare.policy.db_from_json(data))
-    assert calls.count("_sliced_db") == 1 and "_id_at" in calls
+    assert calls == ["_sliced_db"] + ["_id_at"] * (2 + 21)  # users, grants
+
+
+def test_a_load_builds_each_array_once(tmp_path, monkeypatch):
+    """A load builds one Blocks per array, from the kept layout or from a
+    scan, and no empty one that it throws away."""
+    monkeypatch.setattr(trishare.policy, "_kept", None)
+    store = ObjectStore(tmp_path / "store")
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c1"))
+    persist_db(db, store)
+    built, real_init = [], trishare.policy.Blocks.__init__
+
+    def counted_init(blocks, key, *args):
+        built.append(key)
+        real_init(blocks, key, *args)
+
+    monkeypatch.setattr(trishare.policy.Blocks, "__init__", counted_init)
+    for kept in (trishare.policy._kept, None):  # its own commit, then cold
+        trishare.policy._kept = kept
+        built.clear()
+        assert load_db(store) == db
+        assert built == ["user_id", "file_id"]
+
+
+def test_loads_of_another_writers_bytes_walk_each_array_once(tmp_path,
+                                                              monkeypatch):
+    """A cold load keeps the index its walks found, so the loads of the
+    same bytes that follow scan and walk nothing, and a lookup's miss
+    bisects that index."""
+    root, body = tmp_path / "store", tmp_path / "memo.txt"
+    body.write_bytes(b"memo")
+    store = ObjectStore(root)
+    db = PolicyDb()
+    register_user(db, UserRecord("olivia", UserType.OWNER, b"c1"))
+    register_user(db, UserRecord("bob", UserType.CONSUMER, b"c2"))
+    for i in range(20):
+        grant_access(db, store, f"f{i:02d}", "olivia", ["bob"], b"memo")
+    persist_db(db, store)
+    monkeypatch.setattr(trishare.policy, "_kept", None)  # another writer's
+    calls = []
+    real_sliced, real_walk = trishare.policy._sliced_db, trishare.policy.Blocks._walk
+
+    def counted_sliced(data):
+        calls.append("_sliced_db")
+        return real_sliced(data)
+
+    def counted_walk(blocks):
+        calls.append(blocks._key)
+        return real_walk(blocks)
+
+    monkeypatch.setattr(trishare.policy, "_sliced_db", counted_sliced)
+    monkeypatch.setattr(trishare.policy.Blocks, "_walk", counted_walk)
+    for _ in range(3):
+        loaded = load_db(store)
+        assert loaded.grants.get("f05x") is None
+        assert loaded.users["bob"].credentials == b"c2"
+    assert calls == ["_sliced_db", "user_id", "file_id"]
 
 
 def cut(data, offsets):
