@@ -60,8 +60,9 @@ def _parse_point(text: str) -> Tuple[int, int]:
     try:
         return int(x), int(y)
     except ValueError:
+        # An owner point is a secret, so the message never echoes it.
         raise argparse.ArgumentTypeError(
-            f"expected a point x:y of integers, got {text!r}") from None
+            "expected a point x:y of integers") from None
 
 
 def _parse_points(text: str) -> List[Tuple[int, int]]:

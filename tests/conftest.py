@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import trishare
 from trishare import default_modulus, modulus_for
 
 
@@ -18,6 +19,17 @@ def m61():
 @pytest.fixture(scope="session")
 def p97():
     return modulus_for(97)
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child process, with the package this test
+    imported first on its PYTHONPATH: a relative PYTHONPATH would not
+    resolve from a child's own cwd."""
+    env = dict(os.environ)
+    src = str(Path(trishare.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -2,16 +2,13 @@
 
 import io
 import json
-import os
 import random
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import trishare
 import trishare.authz
 import trishare.cli
 from trishare.cli import cli_dispatch
@@ -144,14 +141,6 @@ def test_a_batch_of_good_lines_exits_zero(tmp_path, monkeypatch, capsys):
     rc, results = run_batch([register("s", "olivia", "owner"), ["keygen"]],
                             monkeypatch, capsys)
     assert rc == 0 and [r["status"] for r in results] == [0, 0]
-
-
-@pytest.fixture
-def child_env():
-    env = dict(os.environ)
-    src = str(Path(trishare.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_a_policy_changed_between_lines_is_seen(tmp_path, capsys, child_env):

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -1292,16 +1291,6 @@ def test_bench_encrypt_additive_rejects_n_before_timing(capsys, monkeypatch):
 
 def trishare_cmd(*args):
     return [sys.executable, "-m", "trishare", *args]
-
-
-@pytest.fixture
-def child_env():
-    # The children run with cwd=tmp_path, where a relative PYTHONPATH
-    # would not resolve, so point them at the package this test imported.
-    env = dict(os.environ)
-    src = str(Path(trishare.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_console_script_runs(tmp_path, child_env):
