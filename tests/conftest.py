@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+pytest.register_assert_rewrite("stores")
 
 import trishare
 from trishare import default_modulus, modulus_for

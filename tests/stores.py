@@ -1,12 +1,16 @@
 """The principals, builders and store helpers the test files share.
 
 Unlike oracles.py this module builds on trishare: it holds one copy of
-each setup that more than one test file makes, not a reference to check
-the library against.
+each setup and each check of a store's files that more than one test
+file makes, not a reference to check the library against.
 """
 
+import hashlib
+
+import trishare.policy
 from trishare import (ObjectStore, PolicyDb, UserRecord, UserType, grant_access,
                       register_user)
+from trishare.policy import POLICY_DIGEST_FILENAME, POLICY_FILENAME
 
 OWNER = UserRecord("olivia", UserType.OWNER, b"cred-olivia")
 C1 = UserRecord("carol", UserType.CONSUMER, b"cred-carol")
@@ -32,3 +36,36 @@ def granted(tmp_path):
     db, store = base_db(tmp_path, C3)
     owner_share = grant_access(db, store, "f", "olivia", ["carol", "chuck", "cindy"], DATA)
     return db, store, owner_share
+
+
+def sidecar_of(data):
+    """The sidecar persist_db writes beside the policy bytes `data`."""
+    return hashlib.sha256(data).hexdigest().encode("ascii") + b"\n"
+
+
+def forge(store, policy):
+    """Commit `policy`, text or bytes, with the sidecar persist_db would
+    write."""
+    data = policy.encode("utf-8") if isinstance(policy, str) else policy
+    store.write_text(POLICY_FILENAME, [data],
+                     cache=(POLICY_DIGEST_FILENAME, sidecar_of(data)))
+
+
+def store_files(root):
+    """Every file under root, by its path relative to root, with its
+    bytes."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def assert_kept_is_the_policy(root, what=None):
+    """The sidecar is the SHA-256 of the policy, the kept layout is what a
+    fresh scan of the policy finds, and each index the kept record carries
+    is the ids and offsets a walk finds."""
+    data = (root / POLICY_FILENAME).read_bytes()
+    assert (root / POLICY_DIGEST_FILENAME).read_bytes() == sidecar_of(data), what
+    layout, fresh = trishare.policy._kept.layout, trishare.policy._sliced_db(data)
+    assert layout[:3] == (fresh.modulus, fresh.users._start,
+                          fresh.grants._start), what
+    for index, blocks in ((layout.users, fresh.users), (layout.grants, fresh.grants)):
+        assert index == blocks._index, what

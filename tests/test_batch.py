@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from stores import store_files
+
 import trishare.authz
 import trishare.cli
 from trishare.cli import cli_dispatch
@@ -42,11 +44,6 @@ def seeded_randomness(monkeypatch, seed):
     rng = random.Random(seed)
     monkeypatch.setattr(trishare.authz.os, "urandom", rng.randbytes)
     monkeypatch.setattr(trishare.authz._secrets, "randbelow", rng.randrange)
-
-
-def store_files(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def register(store, uid, kind="consumer"):

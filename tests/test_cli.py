@@ -1,6 +1,5 @@
 import argparse
 import errno
-import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +9,8 @@ import threading
 from unittest import mock
 
 import pytest
+
+from stores import sidecar_of
 
 import trishare
 import trishare.bench
@@ -666,8 +667,7 @@ def test_failed_sidecar_write_costs_only_a_full_parse(
     assert "policy.json.sha256" in err
     assert (store / "policy.json").read_bytes() == before
     assert [p.name for p in store.iterdir() if p.name.endswith(".tmp")] == []
-    ahead = (store / "policy.json.sha256").read_text()
-    assert ahead != hashlib.sha256(before).hexdigest() + "\n"
+    assert (store / "policy.json.sha256").read_bytes() != sidecar_of(before)
     full_parses = []
     real_db_from_json = trishare.policy.db_from_json
     monkeypatch.setattr(trishare.policy, "db_from_json",
@@ -676,8 +676,8 @@ def test_failed_sidecar_write_costs_only_a_full_parse(
     assert rc == 0 and full_parses == [1]
     users = {u["user_id"] for u in json.loads((store / "policy.json").read_text())["users"]}
     assert users == {"olivia", "alice", "bob", "dave"}
-    digest = hashlib.sha256((store / "policy.json").read_bytes()).hexdigest()
-    assert (store / "policy.json.sha256").read_text() == digest + "\n"
+    assert (store / "policy.json.sha256").read_bytes() == sidecar_of(
+        (store / "policy.json").read_bytes())
 
 
 def test_corrupt_policy_exits_with_one_error_line(tmp_path, capsys, policy_corruption):
@@ -892,7 +892,7 @@ def test_envelope_ref_leaving_the_store_is_corrupt(tmp_path, capsys, sidecar):
         b'"envelope_ref": "%s"' % ref.encode(), b'"envelope_ref": "../../outside.bin"'))
     digest = store / "policy.json.sha256"
     if sidecar == "rehashed":
-        digest.write_text(hashlib.sha256(policy.read_bytes()).hexdigest() + "\n")
+        digest.write_bytes(sidecar_of(policy.read_bytes()))
     else:
         digest.unlink()
     fetched = tmp_path / "out.bin"

@@ -3,7 +3,6 @@ trishare` process of its own, or as lines of one `trishare batch`
 process, on a store on disk."""
 
 import contextlib
-import hashlib
 import json
 import re
 import subprocess
@@ -11,6 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from stores import forge, sidecar_of
+
+from trishare import ObjectStore
 
 TRISHARE = [sys.executable, "-m", "trishare"]
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
@@ -27,8 +30,8 @@ def children_import_this_package(monkeypatch, tmp_path, child_env):
 
 def assert_sidecar(what):
     """The sidecar is the SHA-256 of the policy."""
-    digest = hashlib.sha256(Path(STORE, "policy.json").read_bytes()).hexdigest()
-    assert Path(STORE, "policy.json.sha256").read_text() == digest + "\n", what
+    assert Path(STORE, "policy.json.sha256").read_bytes() == sidecar_of(
+        Path(STORE, "policy.json").read_bytes()), what
 
 
 def run(*argv, returncode=0):
@@ -201,13 +204,12 @@ def test_a_forged_policy_through_the_console_script():
 
     # Swap the plan and zeta grant blocks, as db_to_json would write the
     # swapped document, and re-match the sidecar.
-    policy, sidecar = Path(STORE, "policy.json"), Path(STORE, "policy.json.sha256")
+    policy = Path(STORE, "policy.json")
     doc = json.loads(policy.read_bytes())
     grants = doc["grants"]
     grants[1], grants[2] = grants[2], grants[1]
     forged = json.dumps(doc, indent=2).encode("ascii")
-    policy.write_bytes(forged)
-    sidecar.write_text(hashlib.sha256(forged).hexdigest() + "\n")
+    forge(ObjectStore(STORE), forged)
     secrets = ([u["credentials_hex"] for u in doc["users"]]
                + [g["salt_hex"] for g in grants])
 

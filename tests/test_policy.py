@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import slow_policy_json
-from stores import C1, C2, C3, C4, DATA, OWNER, base_db, granted
+from stores import (C1, C2, C3, C4, DATA, OWNER, assert_kept_is_the_policy,
+                    base_db, forge, granted, sidecar_of, store_files)
 
 import trishare
 import trishare.authz
@@ -79,11 +80,6 @@ def test_only_the_transaction_locks_loads_and_commits_the_policy():
 
 
 # ------------------------------------------------------------ transaction
-
-def store_files(root):
-    """Every file under root, path -> bytes."""
-    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
-
 
 @pytest.fixture
 def store(tmp_path):
@@ -183,12 +179,6 @@ def test_a_transaction_with_a_modulus_starts_a_new_store(tmp_path, p97):
 
 # ------------------------------------------------------------ secrets in errors
 
-def rematch_sidecar(root):
-    """Write the sidecar persist_db would write for the current policy."""
-    data = (root / "policy.json").read_bytes()
-    (root / "policy.json.sha256").write_text(hashlib.sha256(data).hexdigest() + "\n")
-
-
 @pytest.mark.parametrize("sidecar", ["rematched", "deleted"])
 def test_a_respelled_secret_hex_field_is_not_echoed(tmp_path, capsys, sidecar):
     """A credential or salt spelled in upper-case hex is CorruptPolicy,
@@ -212,7 +202,8 @@ def test_a_respelled_secret_hex_field_is_not_echoed(tmp_path, capsys, sidecar):
         (root / "policy.json").write_text(
             policy.replace(f'"{secret}"', f'"{secret.upper()}"'))
         if sidecar == "rematched":
-            rematch_sidecar(root)
+            (root / "policy.json.sha256").write_bytes(
+                sidecar_of((root / "policy.json").read_bytes()))
         else:
             (root / "policy.json.sha256").unlink(missing_ok=True)
         assert cli_dispatch(argv) == 1
@@ -579,11 +570,6 @@ def test_missing_sidecar_takes_the_full_parse_and_persist_writes_one(tmp_path):
         assert load_db(store) == db
 
 
-def sidecar_of(data):
-    """The sidecar persist_db writes beside the policy bytes `data`."""
-    return hashlib.sha256(data).hexdigest().encode("ascii") + b"\n"
-
-
 @pytest.mark.parametrize("sidecar", ["old-digest", "empty", "truncated",
                                      "next-digest"])
 def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
@@ -619,13 +605,6 @@ def test_stale_sidecar_takes_the_full_parse(tmp_path, sidecar):
     assert sidecar_path.read_text() == digest(committed)
     with full_loads_forbidden():
         assert db_to_json(load_db(disk)) == committed
-
-
-def forge(store, text):
-    """Commit `text` as the policy with the sidecar persist_db would write."""
-    data = text.encode("utf-8")
-    store.write_text(POLICY_FILENAME, [data],
-                     cache=(POLICY_DIGEST_FILENAME, sidecar_of(data)))
 
 
 def test_corrupt_grant_block_under_a_matching_digest(tmp_path):
@@ -886,11 +865,6 @@ def test_forged_users_under_a_matching_digest_stay_typed(tmp_path, forgery,
             with pytest.raises(getattr(trishare, outcome)):
                 grant_access(loaded, store, "g", "olivia", [uid], DATA)
     assert list(loaded.users) == sorted(db.users)
-
-
-def store_files(root):
-    """Every file under root, by path, with its bytes."""
-    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 def test_grant_of_a_block_moved_far_is_corrupt(tmp_path):
@@ -1154,15 +1128,7 @@ def _kept_and_fresh_loads_agree(store, steps, seed):
                     persisted = False  # a refused edit leaves the policy as it was
             data = store.read_bytes(POLICY_FILENAME)
             if persisted:
-                sidecar = store.read_bytes(POLICY_DIGEST_FILENAME)
-                assert sidecar == sidecar_of(data)
-                layout = trishare.policy._kept.layout
-                fresh = trishare.policy._sliced_db(data)
-                assert layout[:3] == (fresh.modulus, fresh.users._start,
-                                      fresh.grants._start), (seed, step)
-                for index, blocks in ((layout.users, fresh.users),
-                                      (layout.grants, fresh.grants)):
-                    assert index == blocks._index, (seed, step)
+                assert_kept_is_the_policy(store.root, (seed, step))
             committed.append(data)
         else:
             _outside_edit(store, op, rng, committed or [b"{}"])
@@ -1228,19 +1194,6 @@ def test_a_reload_of_kept_bytes_hashes_nothing(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------- kept layout and marks
-
-def assert_kept_is_the_policy(root):
-    """The sidecar is the SHA-256 of policy.json, the kept layout is what
-    a fresh scan of policy.json finds, and each index the kept record
-    carries is the ids and offsets a walk finds."""
-    data = (root / "policy.json").read_bytes()
-    assert (root / "policy.json.sha256").read_bytes() == (
-        hashlib.sha256(data).hexdigest().encode("ascii") + b"\n")
-    layout, fresh = trishare.policy._kept.layout, trishare.policy._sliced_db(data)
-    assert layout[:3] == (fresh.modulus, fresh.users._start, fresh.grants._start)
-    for index, blocks in ((layout.users, fresh.users), (layout.grants, fresh.grants)):
-        assert index == blocks._index
-
 
 def test_grants_of_new_ids_in_one_process_walk_once(tmp_path, monkeypatch):
     """A load keeps the index its walk found, and a commit carries it
@@ -1439,7 +1392,7 @@ def test_a_resumed_digest_is_the_sha256_of_the_bytes(data):
     new_pieces = [new] if whole == "new" else cut(new, new_cuts)
     marks = []
     digest = trishare.policy._digest(old_pieces, marks)
-    assert digest == hashlib.sha256(old).hexdigest().encode("ascii") + b"\n"
+    assert digest == sidecar_of(old)
     record = trishare.policy._Kept(old_pieces, digest, marks, "layout")
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(trishare.policy, "_kept", record)
@@ -1454,8 +1407,7 @@ def test_a_resumed_digest_is_the_sha256_of_the_bytes(data):
         assert starts[0] == 0
     elif cut_at_edit:  # so the resume starts at the last mark before it
         assert starts[0] == edit // mark
-    assert recalled.pieces is new_pieces and recalled.digest == (
-        hashlib.sha256(new).hexdigest().encode("ascii") + b"\n")
+    assert recalled.pieces is new_pieces and recalled.digest == sidecar_of(new)
     assert recalled.layout is None
     assert [state.digest() for state in recalled.marks] == [
         hashlib.sha256(new[:mark * (i + 1)]).digest()

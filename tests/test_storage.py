@@ -9,6 +9,8 @@ from unittest import mock
 
 import pytest
 
+from stores import sidecar_of
+
 import trishare.policy
 import trishare.storage
 from trishare.policy import POLICY_DIGEST_FILENAME
@@ -415,8 +417,7 @@ def test_sidecar_with_junk_after_the_digest_is_cut_back(tmp_path):
     register_user(db, UserRecord("olivia", UserType.OWNER, b"c"))
     persist_db(db, store)
     policy = (tmp_path / "store" / POLICY_FILENAME).read_bytes()
-    digest = hashlib.sha256(policy).hexdigest().encode("ascii") + b"\n"
-    assert sidecar.read_bytes() == digest and len(digest) == 65
+    assert sidecar.read_bytes() == sidecar_of(policy) and len(sidecar_of(policy)) == 65
     with mock.patch.object(trishare.policy, "db_from_json",
                            side_effect=AssertionError("full parse")):
         assert load_db(store).users.keys() == {"olivia"}

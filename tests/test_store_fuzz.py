@@ -23,13 +23,14 @@ same mutants.  Raise MAX_EXAMPLES or BYTE_EXAMPLES for a longer run.
 """
 
 import copy
-import hashlib
 import json
 import tempfile
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from stores import sidecar_of
 
 from trishare import (Error, ObjectStore, PolicyDb, UserRecord, UserType,
                       db_from_json, db_to_json, grant_access, load_db,
@@ -48,7 +49,7 @@ KEYS = {"users": "user_id", "grants": "file_id"}
 # sort before, between and after them.
 IDS = {"users": sorted([OWNER, *CONSUMERS, "", "b", "zz"]),
        "grants": sorted([*FILE_IDS, "", "f15", "zz"])}
-STALE_DIGEST = hashlib.sha256(b"").hexdigest() + "\n"
+STALE_DIGEST = sidecar_of(b"")
 
 
 def base_doc():
@@ -158,9 +159,9 @@ def check(store, text, before, command):
     """The oracle above for one mutant `text` whose tables held `before`
     blocks per id, with `command` committed after each load."""
     full = lookups(lambda: db_from_json(text.decode("ascii")))
-    for sidecar in (hashlib.sha256(text).hexdigest() + "\n", STALE_DIGEST):
+    for sidecar in (sidecar_of(text), STALE_DIGEST):
         (store.root / POLICY_FILENAME).write_bytes(text)
-        (store.root / POLICY_DIGEST_FILENAME).write_text(sidecar)
+        (store.root / POLICY_DIGEST_FILENAME).write_bytes(sidecar)
         loaded = lookups(lambda: load_db(store))
         if loaded is not None and full is not None:
             for where, got in loaded.items():
