@@ -42,9 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 #: module -> the test files that run against its mutants
 TESTS = {
     "authz": ["tests/test_authz.py"],
-    # test_authz.py also holds the store's loader and persistence tests
-    "policy": ["tests/test_authz.py", "tests/test_policy.py",
-               "tests/test_store_fuzz.py"],
+    "policy": ["tests/test_policy.py", "tests/test_store_fuzz.py"],
     "keystream": ["tests/test_keystream.py"],
     "storage": ["tests/test_storage.py", "tests/test_decoder_fuzz.py"],
     "cipher": ["tests/test_cipher.py"],
