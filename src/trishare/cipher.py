@@ -275,7 +275,8 @@ def decrypt_bytes(payload: bytes, key: CipherKey, width: "int | None" = None) ->
     r = integer_nth_root(c, n)
     if r ** n != c:
         raise InexactRoot(f"symbol {c} is not a perfect {n}th power")
-    raise SymbolOutOfRange(f"symbol maps to {a - r}, outside [0, 255]")
+    # a - r is within 255 of the key: the message names no value
+    raise SymbolOutOfRange("symbol maps outside [0, 255]")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from trishare import (
     derive_file_key,
     encrypt_bytes,
     fnv1a64,
+    integer_nth_root,
     mask_schedule_for_key,
     open_file,
     seal_file,
@@ -160,7 +161,7 @@ def test_decrypt_rejects_out_of_range_symbol():
     bad = ((1000 + 5) ** 2).to_bytes(4, "big")
     good = encrypt_bytes(b"ok", key)
     for payload in (bad, good[:4] + bad + good[4:]):
-        with pytest.raises(SymbolOutOfRange, match="maps to -5,"):
+        with pytest.raises(SymbolOutOfRange, match=r"^symbol maps outside \[0, 255\]$"):
             decrypt_bytes(payload, key)
 
 
@@ -345,6 +346,26 @@ def test_file_key_power_adjustment():
     # 256 is already a Power key, 255 is bumped
     assert derive_file_key(h ^ 256, b"f", mode=Mode.POWER, n=2).a == 256
     assert derive_file_key(h ^ 255, b"f", mode=Mode.POWER, n=2).a == 511
+
+
+def test_power_symbol_root_bounds_the_key():
+    # Every symbol is (a - s)^n for a masked byte s, so its integer n-th
+    # root r gives r <= a < r + 256: the envelope alone leaves at most 256
+    # keys.  A known prefix picks a among them, and a with the file id
+    # gives the master secret.
+    known = b"%PDF-1.7\n%\xe2\xe3\xcf\xd3\n"
+    for n in range(1, MAX_POWER + 1):
+        for master in (0x1234_5678_9ABC_DEF0, (1 << 61) - 2):
+            key = derive_file_key(master, b"report.pdf", mode=Mode.POWER, n=n)
+            env = seal_file(known + bytes(range(50)), key)
+            width = env.symbol_width
+            roots = [integer_nth_root(int.from_bytes(env.payload[i:i + width], "big"), n)
+                     for i in range(0, len(env.payload), width)]
+            assert all(r <= key.a < r + 256 for r in roots), n
+            fits = [a for a in range(max(roots), min(roots) + 256)
+                    if open_file(env, CipherKey(a, n, Mode.POWER)).startswith(known)]
+            assert fits == [key.a], n
+            assert key.a ^ fnv1a64(b"report.pdf") == master
 
 
 @pytest.mark.parametrize("block_bytes, ok", [

@@ -13,9 +13,11 @@ import pytest
 from stores import sidecar_of
 
 import trishare
+import trishare.authz
 import trishare.bench
 import trishare.cli
-from trishare import (M61, SharePoint, default_modulus, modulus_for,
+from trishare import (HEADER_BYTES, M61, Mode, SharePoint, decode_envelope,
+                      default_modulus, derive_file_key, modulus_for,
                       update_owner_share)
 from trishare.cli import build_parser, cli_dispatch
 
@@ -1145,6 +1147,36 @@ def test_request_for_a_lone_surrogate_file_id_is_one_error_line(tmp_path, capsys
     assert rc == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: file id ")
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_an_out_of_range_symbol_names_no_key(tmp_path, capsys, monkeypatch):
+    # One symbol of a Power n = 2 envelope overwritten with 3^2: its root
+    # maps to a - 3, outside [0, 255], and the error line names neither
+    # that value nor the file key a.
+    monkeypatch.setattr(trishare.authz._secrets, "randbelow", lambda p: 1234567)
+    store, src = tmp_path / "store", tmp_path / "f.bin"
+    src.write_bytes(b"body")
+    register_users(store, capsys)
+    rc, out, _ = run_cli(["grant", "--json", "--store", str(store), "--file-id", "f",
+                          "--owner", "olivia", "--consumers", "alice",
+                          "--mode", "power", "--n", "2", "--in", str(src)], capsys)
+    assert rc == 0
+    point = json.loads(out)["owner_point"]
+    blob, = (store / "objects").iterdir()
+    data = blob.read_bytes()
+    width = decode_envelope(data).symbol_width
+    blob.write_bytes(data[:HEADER_BYTES] + (3 ** 2).to_bytes(width, "big")
+                     + data[HEADER_BYTES + width:])
+    rc, out, err = run_cli(
+        ["request", "--store", str(store), "--file-id", "f", "--receiver", "alice",
+         "--owner-point", f"{point['x']}:{point['y']}",
+         "--out", str(tmp_path / "out.bin")], capsys)
+    assert_one_error_line(rc, out, err)
+    assert "outside [0, 255]" in err
+    a = derive_file_key(1234567, b"f", mode=Mode.POWER, n=2).a
+    for value in (a - 3, a):
+        assert str(value) not in err and f"{value:x}" not in err.lower(), err
     assert not (tmp_path / "out.bin").exists()
 
 
