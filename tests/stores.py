@@ -7,9 +7,12 @@ file makes, not a reference to check the library against.
 
 import hashlib
 
+import pytest
+from hypothesis import strategies as st
+
 import trishare.policy
-from trishare import (ObjectStore, PolicyDb, UserRecord, UserType, grant_access,
-                      register_user)
+from trishare import (CorruptPolicy, ObjectStore, PolicyDb, UserRecord, UserType,
+                      db_from_json, grant_access, load_db, register_user)
 from trishare.policy import POLICY_DIGEST_FILENAME, POLICY_FILENAME
 
 OWNER = UserRecord("olivia", UserType.OWNER, b"cred-olivia")
@@ -69,3 +72,25 @@ def assert_kept_is_the_policy(root, what=None):
                           fresh.grants._start), what
     for index, blocks in ((layout.users, fresh.users), (layout.grants, fresh.grants)):
         assert index == blocks._index, what
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral code points
+# (written as surrogate-pair escapes), mixed with arbitrary text.
+TRICKY_CHARS = '"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001F600\U0001D11E'
+TRICKY_TEXT = st.text(st.one_of(st.sampled_from(TRICKY_CHARS),
+                                st.characters(codec="utf-8")),
+                      max_size=6)
+
+
+def assert_every_loader_refuses(tmp_path, text, table, key):
+    """The full parse, load_db past a stale sidecar and a lookup of key in
+    table through a re-matched sidecar all raise CorruptPolicy."""
+    with pytest.raises(CorruptPolicy):
+        db_from_json(text)
+    store = ObjectStore(tmp_path / "store")
+    forge(store, text)
+    with pytest.raises(CorruptPolicy):
+        getattr(load_db(store), table).get(key)
+    (tmp_path / "store" / POLICY_DIGEST_FILENAME).write_text("stale\n")
+    with pytest.raises(CorruptPolicy):
+        load_db(store)

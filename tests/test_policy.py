@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import slow_policy_json
-from stores import (C1, C2, C3, C4, DATA, OWNER, assert_kept_is_the_policy,
+from stores import (C1, C2, C3, C4, DATA, OWNER, TRICKY_TEXT,
+                    assert_every_loader_refuses, assert_kept_is_the_policy,
                     base_db, forge, granted, sidecar_of, store_files)
 
 import trishare
@@ -216,69 +217,6 @@ def test_a_respelled_secret_hex_field_is_not_echoed(tmp_path, capsys, sidecar):
 
 # ---------------------------------------------------------------- persistence
 
-def test_db_json_round_trip(tmp_path):
-    db, store, _ = granted(tmp_path)
-    text = db_to_json(db)
-    back = db_from_json(text)
-    assert db_to_json(back) == text
-    assert back.modulus == db.modulus
-    assert set(back.users) == set(db.users)
-    assert back.grants["f"] == db.grants["f"]
-
-
-# Quotes, backslashes, control characters, non-ASCII and astral code points
-# (written as surrogate-pair escapes), mixed with arbitrary text.
-TRICKY_CHARS = '"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001F600\U0001D11E'
-TRICKY_TEXT = st.text(st.one_of(st.sampled_from(TRICKY_CHARS),
-                                st.characters(codec="utf-8")),
-                      max_size=6)
-
-
-@st.composite
-def policies(draw):
-    """A PolicyDb built through the API: tricky ids and credentials, a
-    default or smaller modulus, some grants with every consumer revoked."""
-    p = draw(st.sampled_from([M61, (1 << 31) - 1, 65537]))
-    db = PolicyDb(modulus=modulus_for(p))
-    ids = draw(st.lists(TRICKY_TEXT, unique=True, max_size=5))
-    for i, uid in enumerate(ids):
-        kind = UserType.OWNER if i == 0 else draw(st.sampled_from(UserType))
-        register_user(db, UserRecord(uid, kind, draw(TRICKY_TEXT).encode("utf-8")))
-    if len(ids) < 2:
-        return db
-    owner, consumers = db.users[ids[0]], [db.users[uid] for uid in ids[1:]]
-    with tempfile.TemporaryDirectory() as root:
-        store = ObjectStore(root)
-        for file_id in draw(st.lists(TRICKY_TEXT.filter(bool), unique=True,
-                                     max_size=3)):
-            chosen = draw(st.lists(st.sampled_from(consumers), min_size=1,
-                                   unique_by=lambda u: u.user_id))
-            grant_access(db, store, file_id, owner.user_id,
-                         [c.user_id for c in chosen], b"body")
-            if draw(st.booleans()):
-                for consumer in chosen:
-                    revoke_user(db, file_id, consumer.user_id)
-    return db
-
-
-def all_revoked_db():
-    with tempfile.TemporaryDirectory() as root:
-        db, store = base_db(Path(root))
-        grant_access(db, store, TRICKY_CHARS, "olivia", ["carol", "chuck"], DATA)
-    for consumer in (C1, C2):
-        revoke_user(db, TRICKY_CHARS, consumer.user_id)
-    return db
-
-
-@settings(max_examples=60, deadline=None)
-@given(policies())
-@example(PolicyDb())
-@example(PolicyDb(modulus=modulus_for(65537)))
-@example(all_revoked_db())
-def test_db_json_matches_json_dumps_oracle(db):
-    assert db_to_json(db) == slow_policy_json(db)
-
-
 def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
     corrupt, cause = policy_corruption
     db, store, _ = granted(tmp_path)
@@ -289,81 +227,6 @@ def test_load_db_rejects_corrupt_policy(tmp_path, policy_corruption):
     with pytest.raises(CorruptPolicy) as info:
         load_db(store)
     assert isinstance(info.value.__cause__, cause)
-
-
-def test_db_from_json_reads_bytes_as_utf8_only(tmp_path):
-    db, _, _ = granted(tmp_path)
-    text = db_to_json(db)
-    assert db_to_json(db_from_json(text.encode("utf-8"))) == text
-    # json.loads alone would guess either encoding and load the policy
-    for encoding in ("utf-16", "utf-32"):
-        with pytest.raises(CorruptPolicy) as info:
-            db_from_json(text.encode(encoding))
-        assert isinstance(info.value.__cause__, UnicodeDecodeError)
-
-
-@pytest.mark.parametrize("value", [None, 5])
-@pytest.mark.parametrize("where, key", [
-    ("user", "user_id"), ("grant", "file_id"), ("grant", "owner_id"),
-    ("grant", "envelope_ref"), ("share", "file_id")])
-def test_db_from_json_rejects_non_string_field(tmp_path, where, key, value):
-    db, _, _ = granted(tmp_path)
-    doc = json.loads(db_to_json(db))
-    grant = doc["grants"][0]
-    record = {"user": doc["users"][0], "grant": grant,
-              "share": next(iter(grant["consumers"].values()))}[where]
-    record[key] = value
-    with pytest.raises(CorruptPolicy) as info:
-        db_from_json(json.dumps(doc))
-    assert isinstance(info.value.__cause__, TypeError)
-
-
-# db_to_json writes every int as a JSON int and every bytes field as
-# lower-case, unspaced hex.  Any other spelling, which int() or
-# bytes.fromhex would read and the next commit would rewrite, is refused.
-@pytest.mark.parametrize("where, key, respell, cause", [
-    ("policy", "p", float, TypeError),
-    ("server_share", "x", lambda v: v + 0.9, TypeError),
-    ("grant", "kc", str, TypeError),
-    ("grant", "x_kc", lambda v: True, TypeError),
-    ("share", "kc", lambda v: f" {v} ", TypeError),
-    ("share", "y_enc", float, TypeError),
-    ("user", "credentials_hex", str.upper, ValueError),
-    ("grant", "salt_hex", lambda v: f"{v[:2]} {v[2:]}", ValueError),
-], ids=["float-p", "fraction-x", "string-kc", "bool-x_kc", "spaced-kc",
-        "float-y_enc", "upper-hex", "spaced-hex"])
-def test_every_loader_refuses_a_value_db_to_json_never_writes(
-        tmp_path, where, key, respell, cause):
-    db, _, _ = granted(tmp_path)
-    doc = json.loads(db_to_json(db))
-    grant = doc["grants"][0]
-    record = {"policy": doc, "user": doc["users"][0], "grant": grant,
-              "server_share": grant["server_share"],
-              "share": next(iter(grant["consumers"].values()))}[where]
-    old = record[key]
-    record[key] = respell(old)
-    assert json.dumps(record[key]) != json.dumps(old)
-    text = json.dumps(doc, indent=2)
-    with pytest.raises(CorruptPolicy) as info:
-        db_from_json(text)
-    assert isinstance(info.value.__cause__, cause)
-    table, lookup = (("users", doc["users"][0]["user_id"]) if where == "user"
-                     else ("grants", "f"))
-    assert_every_loader_refuses(tmp_path, text, table, lookup)
-
-
-def assert_every_loader_refuses(tmp_path, text, table, key):
-    """The full parse, load_db past a stale sidecar and a lookup of key in
-    table through a re-matched sidecar all raise CorruptPolicy."""
-    with pytest.raises(CorruptPolicy):
-        db_from_json(text)
-    store = ObjectStore(tmp_path / "store")
-    forge(store, text)
-    with pytest.raises(CorruptPolicy):
-        getattr(load_db(store), table).get(key)
-    (tmp_path / "store" / POLICY_DIGEST_FILENAME).write_text("stale\n")
-    with pytest.raises(CorruptPolicy):
-        load_db(store)
 
 
 @pytest.mark.parametrize("table", ["users", "grants"])
